@@ -2,8 +2,8 @@
 build the stacked ensemble, and emit reports and plot data.
 
 Commands are idempotent: identical config and seed produce byte-identical
-outputs. All writes go through a temp-file rename, and inputs are never
-mutated.
+outputs, and inputs are never mutated. Every file goes through a temp-file
+rename except the expert and model JSON, which are written in place.
 """
 
 from __future__ import annotations
@@ -332,11 +332,15 @@ def _optimize_sub_specs(
     return out
 
 
-def _effective_train_range(config: PipelineConfig) -> Tuple[MonthStamp, MonthStamp]:
+def _prepared_specs(
+    config: PipelineConfig, sources: Mapping[str, TimeSeries]
+) -> Tuple[List[ens.SubNetworkSpec], Tuple[MonthStamp, MonthStamp]]:
+    """Sub specs after the configured search/restarts, plus the range their
+    final experts train on (the core range when selection carved one out)."""
+    specs = _build_sub_specs(config, _detect_cycle(sources, config))
     if config.search is None and config.restarts is None:
-        return config.train_range
-    core_range, _ = _selection_ranges(config)
-    return core_range if not config.leaky_selection else config.train_range
+        return specs, config.train_range
+    return _optimize_sub_specs(config, specs, sources), _selection_ranges(config)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +388,7 @@ def cmd_scan(config: PipelineConfig, locale_comma: bool = False) -> int:
 
 def cmd_train(config: PipelineConfig, locale_comma: bool = False) -> int:
     sources = _load_sources(config)
-    cycle = _detect_cycle(sources, config)
-    specs = _build_sub_specs(config, cycle)
-    if config.search is not None or config.restarts is not None:
-        specs = _optimize_sub_specs(config, specs, sources)
-    train_range = _effective_train_range(config)
+    specs, train_range = _prepared_specs(config, sources)
     rows = []
     experts_dir = os.path.join(config.out_dir, "experts")
     actual = sources[config.target]
@@ -451,11 +451,7 @@ def _write_ensemble_outputs(
 
 def cmd_ensemble(config: PipelineConfig, locale_comma: bool = False) -> int:
     sources = _load_sources(config)
-    cycle = _detect_cycle(sources, config)
-    specs = _build_sub_specs(config, cycle)
-    if config.search is not None or config.restarts is not None:
-        specs = _optimize_sub_specs(config, specs, sources)
-    train_range = _effective_train_range(config)
+    specs, train_range = _prepared_specs(config, sources)
     spec = ens.EnsembleSpec(
         sub_specs=tuple(specs),
         master_hidden_layers=config.master_hidden_layers,

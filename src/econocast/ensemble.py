@@ -18,10 +18,10 @@ from .metrics import MetricsReport, report
 from .mlp import (
     TrainConfig,
     TrainedExpert,
-    expert_from_dict,
-    expert_to_dict,
     init,
+    load_expert,
     predict,
+    save_expert,
     train,
 )
 from .preprocess import FeatureMatrix, FeatureSpec, assemble
@@ -224,24 +224,16 @@ def save_ensemble(model: EnsembleModel, directory: str) -> None:
         json.dump(manifest, fh, indent=1)
         fh.write("\n")
     for name, expert in zip(model.sub_names, model.sub_experts):
-        with open(os.path.join(directory, f"{name}.json"), "w", encoding="utf-8") as fh:
-            json.dump(expert_to_dict(expert), fh, indent=1)
-            fh.write("\n")
-    with open(os.path.join(directory, "master.json"), "w", encoding="utf-8") as fh:
-        json.dump(expert_to_dict(model.master), fh, indent=1)
-        fh.write("\n")
+        save_expert(expert, os.path.join(directory, f"{name}.json"))
+    save_expert(model.master, os.path.join(directory, "master.json"))
 
 
 def load_ensemble(directory: str) -> EnsembleModel:
     with open(os.path.join(directory, "manifest.json"), "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     names = tuple(manifest["sub_networks"])
-    subs = []
-    for name in names:
-        with open(os.path.join(directory, f"{name}.json"), "r", encoding="utf-8") as fh:
-            subs.append(expert_from_dict(json.load(fh)))
-    with open(os.path.join(directory, "master.json"), "r", encoding="utf-8") as fh:
-        master = expert_from_dict(json.load(fh))
+    subs = [load_expert(os.path.join(directory, f"{name}.json")) for name in names]
+    master = load_expert(os.path.join(directory, "master.json"))
     rows = tuple(
         (name, MetricsReport(**rep)) for name, rep in manifest["reports"]
     )

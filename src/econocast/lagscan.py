@@ -14,6 +14,7 @@ from .metrics import (
     EquityCurve,
     MetricsReport,
     equity_curves,
+    equity_long_csv,
     indicators,
     signals_from_prediction,
     srm_rank_key,
@@ -141,8 +142,4 @@ def scan_curves_csv(result: LagScanResult) -> str:
     curves: Dict[str, EquityCurve] = {f"lag_{r.lag:02d}": r.equity for r in result.rows}
     curves["perfect"] = result.perfect_equity
     curves["buy_hold"] = result.buy_hold_equity
-    lines = ["date,value,curve_name"]
-    for name, curve in curves.items():
-        for stamp, value in zip(curve.dates(), curve.values):
-            lines.append(f"{stamp},{value:.6g},{name}")
-    return "\n".join(lines) + "\n"
+    return equity_long_csv(curves)

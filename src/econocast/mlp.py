@@ -47,21 +47,13 @@ class TrainingDiverged(RuntimeError):
 
 
 def _logistic(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) never overflows; both branches are exact for their sign of z.
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _activate(kind: str, z: np.ndarray) -> np.ndarray:
     return _logistic(z) if kind == "logistic" else z
-
-
-def _activation_slope(kind: str, a: np.ndarray) -> np.ndarray:
-    # Derivative expressed through the activation value itself.
-    return a * (1.0 - a) if kind == "logistic" else np.ones_like(a)
 
 
 @dataclass(frozen=True)
@@ -165,11 +157,40 @@ def forward(net: MlpNetwork, x: Sequence[float]) -> np.ndarray:
     return a
 
 
-def _forward_batch(net: MlpNetwork, X: np.ndarray) -> np.ndarray:
+def _forward_batch(
+    kinds: Sequence[str], ws: Sequence[np.ndarray], bs: Sequence[np.ndarray], X: np.ndarray
+) -> np.ndarray:
     a = X
-    for kind, w, b in zip(_layer_kinds(net), net.weights, net.biases):
+    for kind, w, b in zip(kinds, ws, bs):
         a = _activate(kind, a @ w.T + b)
     return a
+
+
+def _backprop(
+    kinds: Sequence[str],
+    ws: Sequence[np.ndarray],
+    bs: Sequence[np.ndarray],
+    x: np.ndarray,
+    target: np.ndarray,
+) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    """Gradient of E = 1/2 * sum((out - target)^2) for one pattern by reverse
+    accumulation. Every delta comes from the weights as passed in, so a caller
+    may update them in place once this returns."""
+    acts = [x]
+    for kind, w, b in zip(kinds, ws, bs):
+        acts.append(_activate(kind, w @ acts[-1] + b))
+    delta = acts[-1] - target
+    dws: List[np.ndarray] = [None] * len(ws)  # type: ignore[list-item]
+    dbs: List[np.ndarray] = [None] * len(ws)  # type: ignore[list-item]
+    for l in range(len(ws) - 1, -1, -1):
+        if kinds[l] == "logistic":
+            # The logistic slope expressed through the activation itself.
+            delta = delta * (acts[l + 1] * (1.0 - acts[l + 1]))
+        dws[l] = delta[:, None] * acts[l]
+        dbs[l] = delta
+        if l > 0:
+            delta = ws[l].T @ delta
+    return dws, dbs
 
 
 def gradients(
@@ -181,19 +202,7 @@ def gradients(
     target = np.asarray(target, dtype=float)
     if x.shape != (net.n_in,) or target.shape != (net.n_out,):
         raise ValueError("input/target dimensions do not match the network")
-    kinds = _layer_kinds(net)
-    activations = [x]
-    for kind, w, b in zip(kinds, net.weights, net.biases):
-        activations.append(_activate(kind, w @ activations[-1] + b))
-    delta = (activations[-1] - target) * _activation_slope(kinds[-1], activations[-1])
-    dws: List[np.ndarray] = [None] * len(net.weights)  # type: ignore[list-item]
-    dbs: List[np.ndarray] = [None] * len(net.weights)  # type: ignore[list-item]
-    for l in range(len(net.weights) - 1, -1, -1):
-        dws[l] = np.outer(delta, activations[l])
-        dbs[l] = delta
-        if l > 0:
-            delta = (net.weights[l].T @ delta) * _activation_slope(kinds[l - 1], activations[l])
-    return dws, dbs
+    return _backprop(_layer_kinds(net), net.weights, net.biases, x, target)
 
 
 @dataclass(frozen=True)
@@ -275,7 +284,6 @@ def train(net: MlpNetwork, matrix: FeatureMatrix, config: TrainConfig) -> Traine
     ws = [w.copy() for w in net.weights]
     bs = [b.copy() for b in net.biases]
     eta = config.learning_rate
-    n_layers = len(ws)
     final_error = float("inf")
 
     # Overflow inside an epoch is how divergence manifests; it is detected at
@@ -283,20 +291,11 @@ def train(net: MlpNetwork, matrix: FeatureMatrix, config: TrainConfig) -> Traine
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, config.max_epochs + 1):
             for p in range(matrix.rows):
-                acts = [Xn[p]]
-                for kind, w, b in zip(kinds, ws, bs):
-                    acts.append(_activate(kind, w @ acts[-1] + b))
-                delta = (acts[-1] - yn[p : p + 1]) * _activation_slope(kinds[-1], acts[-1])
-                for l in range(n_layers - 1, -1, -1):
-                    if l > 0:
-                        next_delta = (ws[l].T @ delta) * _activation_slope(kinds[l - 1], acts[l])
-                    ws[l] -= eta * np.outer(delta, acts[l])
-                    bs[l] -= eta * delta
-                    if l > 0:
-                        delta = next_delta
-            a = Xn
-            for kind, w, b in zip(kinds, ws, bs):
-                a = _activate(kind, a @ w.T + b)
+                dws, dbs = _backprop(kinds, ws, bs, Xn[p], yn[p : p + 1])
+                for w, b, dw, db in zip(ws, bs, dws, dbs):
+                    w -= eta * dw
+                    b -= eta * db
+            a = _forward_batch(kinds, ws, bs, Xn)
             final_error = float(np.mean((a[:, 0] - yn) ** 2))
             if not np.isfinite(final_error):
                 raise TrainingDiverged(epoch)
@@ -320,7 +319,10 @@ def predict(expert: TrainedExpert, matrix: FeatureMatrix) -> TimeSeries:
     """Row-wise normalized forward pass, denormalized and dated by the matrix."""
     if matrix.specs != expert.features:
         raise ValueError("matrix columns do not match the expert's features")
-    out = _forward_batch(expert.network, expert.normalizer.normalize_inputs(matrix.X))
+    net = expert.network
+    out = _forward_batch(
+        _layer_kinds(net), net.weights, net.biases, expert.normalizer.normalize_inputs(matrix.X)
+    )
     return TimeSeries(matrix.start, expert.normalizer.denormalize_target(out[:, 0]))
 
 

@@ -8,7 +8,7 @@ feature matrix starts only once every transform/lag warm-up is satisfied.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -140,14 +140,40 @@ def dominant_cycle(s: TimeSeries) -> int:
 # Declarative features
 # ---------------------------------------------------------------------------
 
-_KIND_PARAMS = {
-    "identity": (),
-    "diff": (),
-    "sma": ("window",),
-    "ewma": ("beta",),
-    "block_avg": ("window", "distance"),
-    "log_var_ma": ("window",),
-    "rolling_std": ("window",),
+
+class _Kind(NamedTuple):
+    """Everything one transform kind defines: its parameters, how it applies,
+    its label, and how many leading months of input it consumes."""
+
+    params: Tuple[str, ...]
+    apply: Callable[["Transform", TimeSeries], TimeSeries]
+    label: Callable[["Transform"], str]
+    warmup: Callable[["Transform"], int]
+
+
+_KINDS: Dict[str, _Kind] = {
+    "identity": _Kind((), lambda t, s: s, lambda t: "identity", lambda t: 0),
+    "diff": _Kind((), lambda t, s: diff(s), lambda t: "diff", lambda t: 1),
+    "sma": _Kind(
+        ("window",), lambda t, s: sma(s, t.window),
+        lambda t: f"sma{t.window}", lambda t: t.window - 1,
+    ),
+    "ewma": _Kind(
+        ("beta",), lambda t, s: ewma(s, t.beta),
+        lambda t: f"ewma{t.beta:g}", lambda t: 0,
+    ),
+    "block_avg": _Kind(
+        ("window", "distance"), lambda t, s: block_avg(s, t.window, t.distance),
+        lambda t: f"ba{t.window}d{t.distance}", lambda t: t.window + t.distance - 1,
+    ),
+    "log_var_ma": _Kind(
+        ("window",), lambda t, s: log_var_ma(s, t.window),
+        lambda t: f"logvar{t.window}", lambda t: t.window,
+    ),
+    "rolling_std": _Kind(
+        ("window",), lambda t, s: rolling_stddev(s, t.window),
+        lambda t: f"std{t.window}", lambda t: t.window - 1,
+    ),
 }
 
 
@@ -161,9 +187,9 @@ class Transform:
     beta: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _KIND_PARAMS:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown transform kind {self.kind!r}")
-        required = _KIND_PARAMS[self.kind]
+        required = _KINDS[self.kind].params
         for name in ("window", "distance", "beta"):
             value = getattr(self, name)
             if name in required and value is None:
@@ -206,38 +232,18 @@ class Transform:
         return cls("rolling_std", window=window)
 
     def apply(self, s: TimeSeries) -> TimeSeries:
-        if self.kind == "identity":
-            return s
-        if self.kind == "diff":
-            return diff(s)
-        if self.kind == "sma":
-            return sma(s, self.window)
-        if self.kind == "ewma":
-            return ewma(s, self.beta)
-        if self.kind == "block_avg":
-            return block_avg(s, self.window, self.distance)
-        if self.kind == "log_var_ma":
-            return log_var_ma(s, self.window)
-        if self.kind == "rolling_std":
-            return rolling_stddev(s, self.window)
-        raise AssertionError(self.kind)
+        return _KINDS[self.kind].apply(self, s)
 
     def label(self) -> str:
-        if self.kind == "sma":
-            return f"sma{self.window}"
-        if self.kind == "ewma":
-            return f"ewma{self.beta:g}"
-        if self.kind == "block_avg":
-            return f"ba{self.window}d{self.distance}"
-        if self.kind == "log_var_ma":
-            return f"logvar{self.window}"
-        if self.kind == "rolling_std":
-            return f"std{self.window}"
-        return self.kind
+        return _KINDS[self.kind].label(self)
+
+    def warmup(self) -> int:
+        """Months by which the output starts after the input."""
+        return _KINDS[self.kind].warmup(self)
 
     def to_dict(self) -> Dict[str, object]:
         out: Dict[str, object] = {"kind": self.kind}
-        for name in _KIND_PARAMS[self.kind]:
+        for name in _KINDS[self.kind].params:
             out[name] = getattr(self, name)
         return out
 
@@ -246,10 +252,11 @@ class Transform:
         kind = data.get("kind")
         if not isinstance(kind, str):
             raise ValueError(f"transform dict missing kind: {data!r}")
-        extra = set(data) - {"kind", *_KIND_PARAMS.get(kind, ())}
+        params = _KINDS[kind].params if kind in _KINDS else ()
+        extra = set(data) - {"kind", *params}
         if extra:
             raise ValueError(f"unknown transform field(s) {sorted(extra)} for kind {kind!r}")
-        return cls(kind, **{k: data[k] for k in _KIND_PARAMS.get(kind, ()) if k in data})
+        return cls(kind, **{k: data[k] for k in params if k in data})
 
 
 @dataclass(frozen=True)

@@ -156,17 +156,4 @@ def all_presets(cycle_period: int = 12, target: str = TARGET_NAME) -> Dict[str, 
 
 def preset_warmup(features: List[FeatureSpec]) -> int:
     """Months of leading history the feature list consumes."""
-    worst = 0
-    for spec in features:
-        months = spec.lag
-        for t in spec.transforms:
-            if t.kind == "diff":
-                months += 1
-            elif t.kind in ("sma", "rolling_std"):
-                months += t.window - 1
-            elif t.kind == "log_var_ma":
-                months += t.window
-            elif t.kind == "block_avg":
-                months += t.window + t.distance - 1
-        worst = max(worst, months)
-    return worst
+    return max((f.lag + sum(t.warmup() for t in f.transforms) for f in features), default=0)

@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import List, Sequence, Tuple
 
-from .metrics import sharpe_modified, signals_from_prediction, srm_rank_key
+from .metrics import efficiency, sharpe_modified, signals_from_prediction, srm_rank_key
 from .mlp import TrainConfig, TrainedExpert, TrainingDiverged, error_percent, init, predict, train
 from .preprocess import FeatureMatrix
 
@@ -203,11 +203,7 @@ def maximize_sharpe(
         predicted = predict(expert, validation_matrix)
         signals = signals_from_prediction(predicted)
         srm = sharpe_modified(actual, signals)
-        eff = float(
-            100.0
-            * sum(signals.values * (actual.values[1:] - actual.values[:-1]))
-            / sum(abs(actual.values[1:] - actual.values[:-1]))
-        )
+        eff = efficiency(actual, signals)
         history.append(
             RestartResult(
                 restart=i,

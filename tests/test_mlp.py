@@ -206,6 +206,33 @@ def test_train_stops_after_one_epoch_with_infinite_target():
     assert np.isfinite(expert.final_train_error)
 
 
+@pytest.mark.parametrize("output_activation", ["linear", "logistic"])
+@pytest.mark.parametrize("rows", [1, 2])
+def test_one_epoch_of_train_replays_gradients(rows, output_activation):
+    # Each pattern moves the weights by exactly -eta * gradients() at the
+    # current weights on the normalized row, so the gradient oracle checks
+    # the step that trains.
+    rng = np.random.default_rng(5)
+    m = matrix_from_arrays(rng.normal(size=(rows, 3)), rng.normal(size=rows))
+    cfg = TrainConfig(learning_rate=0.3, max_epochs=1, rng_seed=4)
+    net = init([3, 4, 2, 1], cfg, output_activation=output_activation)
+    expert = train(net, m, cfg)
+    Xn = expert.normalizer.normalize_inputs(m.X)
+    yn = expert.normalizer.normalize_target(m.y)
+    eta = cfg.learning_rate
+    for p in range(rows):
+        dws, dbs = gradients(net, Xn[p], yn[p : p + 1])
+        net = MlpNetwork(
+            net.layer_sizes,
+            tuple(w - eta * dw for w, dw in zip(net.weights, dws)),
+            tuple(b - eta * db for b, db in zip(net.biases, dbs)),
+            net.hidden_activation,
+            net.output_activation,
+        )
+    for got, want in zip(expert.network.weights + expert.network.biases, net.weights + net.biases):
+        assert np.array_equal(got, want)
+
+
 def test_train_is_deterministic():
     rng = np.random.default_rng(1)
     m = matrix_from_arrays(rng.normal(size=(20, 2)), rng.normal(size=20))

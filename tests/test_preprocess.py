@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from econocast.preprocess import (
+    _KINDS,
     FeatureSpec,
     Transform,
     WarmupError,
@@ -18,7 +19,7 @@ from econocast.preprocess import (
     rolling_stddev,
     sma,
 )
-from econocast.presets import preset_features
+from econocast.presets import NETWORK_NAMES, preset_features, preset_warmup
 from econocast.timeseries import MonthStamp, TimeSeries
 
 START = MonthStamp(1991, 1)
@@ -250,17 +251,28 @@ def test_transform_validation():
         Transform("nonsense")
 
 
+# One example of every transform kind.
+EVERY_KIND = (
+    Transform.identity(),
+    Transform.diff(),
+    Transform.sma(4),
+    Transform.ewma(0.25),
+    Transform.block_avg(3, 2),
+    Transform.log_var_ma(3),
+    Transform.rolling_std(12),
+)
+
+
 def test_transform_dict_round_trip():
-    for t in (
-        Transform.identity(),
-        Transform.diff(),
-        Transform.sma(4),
-        Transform.ewma(0.25),
-        Transform.block_avg(3, 2),
-        Transform.log_var_ma(3),
-        Transform.rolling_std(12),
-    ):
+    for t in EVERY_KIND:
         assert Transform.from_dict(t.to_dict()) == t
+
+
+def test_transform_output_starts_after_its_warmup():
+    assert {t.kind for t in EVERY_KIND} == set(_KINDS)
+    s = random_series(np.random.default_rng(3), 30)
+    for t in EVERY_KIND:
+        assert t.apply(s).start == s.start.plus(t.warmup()), t.kind
 
 
 def test_feature_spec_round_trip_and_label():
@@ -348,3 +360,15 @@ def test_all_presets_assemble_with_one_warmup_year(noisy_bundle):
             MonthStamp(1999, 12),
         )
         assert m.rows == 96, name
+
+
+@pytest.mark.parametrize("name", NETWORK_NAMES)
+def test_preset_warmup_is_the_earliest_feasible_start(name, noisy_bundle):
+    features = preset_features(name, 12)
+    sources = noisy_bundle.series
+    first = sources["activity"].start.plus(preset_warmup(features))
+    last = MonthStamp(1999, 12)
+    assert assemble(features, sources, "activity", None, first, last).start == first
+    with pytest.raises(WarmupError) as err:
+        assemble(features, sources, "activity", None, first.plus(-1), last)
+    assert err.value.months_short == 1
