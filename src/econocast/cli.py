@@ -3,13 +3,12 @@ build the stacked ensemble, and emit reports and plot data.
 
 Commands are idempotent: identical config and seed produce byte-identical
 outputs, and inputs are never mutated. Every file goes through a temp-file
-rename except the expert and model JSON, which are written in place.
+rename (see artifacts.write_text).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -17,13 +16,17 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 from . import ensemble as ens
 from . import lagscan, metrics, presets, search
-from .mlp import TrainConfig, save_expert, train, init, predict
+from .artifacts import read_json, write_json, write_text
+# `train` is unused here but stays importable from cli: perfbench/selftest.py
+# checks that tracing rebinds it in every module that imported it.
+from .mlp import TrainConfig, predict, save_expert, train  # noqa: F401
 from .preprocess import FeatureSpec, WarmupError, assemble, dominant_cycle
 from .timeseries import (
     CsvFormatError,
     MonthStamp,
     TimeSeries,
     parse_csv,
+    range_from_json,
     render_csv,
     synthesize_economy,
 )
@@ -35,14 +38,6 @@ SCHEMA_VERSION = 1
 
 class ConfigError(ValueError):
     pass
-
-
-def _atomic_write(path: str, text: str) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def _require_keys(data: Mapping[str, object], allowed: set, where: str) -> None:
@@ -103,16 +98,20 @@ def _parse_train_config(data: Mapping[str, object], where: str, default_epochs: 
 def _parse_range(value: object, where: str) -> Tuple[MonthStamp, MonthStamp]:
     if not (isinstance(value, list) and len(value) == 2):
         raise ConfigError(f"{where} must be a [first, last] pair of YYYY-MM strings")
-    first, last = MonthStamp.parse(value[0]), MonthStamp.parse(value[1])
+    first, last = range_from_json(value)
     if first > last:
         raise ConfigError(f"{where} is not ordered: {first} > {last}")
     return first, last
 
 
+def _parse_hidden(value: object, where: str) -> Tuple[int, ...]:
+    if not (isinstance(value, list) and value and all(type(n) is int and n >= 1 for n in value)):
+        raise ConfigError(f"{where} must be a non-empty list of integers >= 1, got {value!r}")
+    return tuple(value)
+
+
 def load_config(path: str) -> PipelineConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return config_from_dict(data)
+    return config_from_dict(read_json(path))
 
 
 def config_from_dict(data: Mapping[str, object]) -> PipelineConfig:
@@ -174,6 +173,10 @@ def config_from_dict(data: Mapping[str, object]) -> PipelineConfig:
             _require_keys(entry, {"name", "features", "hidden_layers"}, "networks[]")
             if "name" not in entry or "features" not in entry:
                 raise ConfigError("explicit network entries need 'name' and 'features'")
+            if _network_name(entry) in ("date", "actual", "master"):
+                raise ConfigError(f"network name {entry['name']!r} is a predictions.csv column")
+            if entry.get("hidden_layers"):
+                _parse_hidden(entry["hidden_layers"], "networks[].hidden_layers")
         else:
             raise ConfigError("network entries must be preset names or objects")
 
@@ -212,8 +215,10 @@ def config_from_dict(data: Mapping[str, object]) -> PipelineConfig:
         train_range=_parse_range(data.get("train_range", ["1992-01", "1999-12"]), "train_range"),
         test_range=_parse_range(data.get("test_range", ["2000-01", "2003-12"]), "test_range"),
         networks=tuple(networks),
-        sub_hidden_layers=tuple(data.get("sub_hidden_layers", [4])),
-        master_hidden_layers=tuple(data.get("master_hidden_layers", [4])),
+        sub_hidden_layers=_parse_hidden(data.get("sub_hidden_layers", [4]), "sub_hidden_layers"),
+        master_hidden_layers=_parse_hidden(
+            data.get("master_hidden_layers", [4]), "master_hidden_layers"
+        ),
         train=train_cfg,
         master_train=master_cfg,
         scan_max_lag=int(scan_cfg.get("max_lag", 12)),
@@ -308,7 +313,7 @@ def _optimize_sub_specs(
             grid = replace(config.search, train_config=spec.train_config)
             outcome = search.search_best_net(grid, m_core, m_val)
             hidden = outcome.best_architecture[1:-1]
-            _atomic_write(
+            write_text(
                 os.path.join(logs_dir, f"search_{spec.name}.csv"),
                 search.search_log_csv(outcome, timings=False),
             )
@@ -324,7 +329,7 @@ def _optimize_sub_specs(
                 base_seed=cfg.rng_seed,
             )
             cfg = replace(cfg, rng_seed=ro.expert.rng_seed)
-            _atomic_write(
+            write_text(
                 os.path.join(logs_dir, f"restarts_{spec.name}.csv"),
                 search.restart_log_csv(ro, timings=False),
             )
@@ -351,11 +356,8 @@ def _prepared_specs(
 def cmd_generate(args: argparse.Namespace) -> int:
     bundle = synthesize_economy(args.seed, args.months, args.cycle_period, args.noise_scale)
     out_dir = args.out
-    _atomic_write(os.path.join(out_dir, "bundle.csv"), render_csv(bundle.series))
-    _atomic_write(
-        os.path.join(out_dir, "planted_lags.json"),
-        json.dumps(bundle.metadata(), indent=1) + "\n",
-    )
+    write_text(os.path.join(out_dir, "bundle.csv"), render_csv(bundle.series))
+    write_json(os.path.join(out_dir, "planted_lags.json"), bundle.metadata())
     print(f"wrote {os.path.join(out_dir, 'bundle.csv')} ({args.months} rows)")
     return 0
 
@@ -374,16 +376,19 @@ def cmd_scan(config: PipelineConfig, locale_comma: bool = False) -> int:
     scan_dir = os.path.join(config.out_dir, "scan")
     chosen = {}
     for name, result in results.items():
-        _atomic_write(os.path.join(scan_dir, f"scan_{name}.csv"), lagscan.scan_table_csv(result))
-        _atomic_write(
-            os.path.join(scan_dir, f"curves_{name}.csv"), lagscan.scan_curves_csv(result)
-        )
+        write_text(os.path.join(scan_dir, f"scan_{name}.csv"), lagscan.scan_table_csv(result))
+        write_text(os.path.join(scan_dir, f"curves_{name}.csv"), lagscan.scan_curves_csv(result))
         chosen[name] = result.chosen_lag
-    _atomic_write(
-        os.path.join(scan_dir, "chosen_lags.json"), json.dumps(chosen, indent=1) + "\n"
-    )
+    write_json(os.path.join(scan_dir, "chosen_lags.json"), chosen)
     print(f"scanned {len(results)} input(s); chosen lags in {scan_dir}/chosen_lags.json")
     return 0
+
+
+def _write_report(
+    out_dir: str, rows: Sequence[Tuple[str, metrics.MetricsReport]], locale_comma: bool
+) -> None:
+    write_text(os.path.join(out_dir, "report.txt"), metrics.render_report_table(rows, locale_comma))
+    write_text(os.path.join(out_dir, "report.csv"), metrics.render_report_csv(rows))
 
 
 def cmd_train(config: PipelineConfig, locale_comma: bool = False) -> int:
@@ -392,19 +397,13 @@ def cmd_train(config: PipelineConfig, locale_comma: bool = False) -> int:
     rows = []
     experts_dir = os.path.join(config.out_dir, "experts")
     actual = sources[config.target]
-    for spec in specs:
-        m_train = assemble(spec.features, sources, config.target, None, *train_range)
-        m_test = assemble(spec.features, sources, config.target, None, *config.test_range)
-        expert = train(init(spec.shape(), spec.train_config), m_train, spec.train_config)
-        expert = replace(expert, test_range=config.test_range)
-        os.makedirs(experts_dir, exist_ok=True)
+    for number, spec in enumerate(specs, start=1):
+        expert, m_train, m_test = ens.fit_sub(
+            spec, number, sources, config.target, train_range, config.test_range
+        )
         save_expert(expert, os.path.join(experts_dir, f"{spec.name}.json"))
         rows.append((spec.name, metrics.report(expert, m_train, m_test, actual)))
-    _atomic_write(
-        os.path.join(config.out_dir, "report.txt"),
-        metrics.render_report_table(rows, locale_comma),
-    )
-    _atomic_write(os.path.join(config.out_dir, "report.csv"), metrics.render_report_csv(rows))
+    _write_report(config.out_dir, rows, locale_comma)
     print(f"trained {len(rows)} expert(s); report in {config.out_dir}/report.txt")
     return 0
 
@@ -417,11 +416,7 @@ def _write_ensemble_outputs(
 ) -> None:
     out = config.out_dir
     ens.save_ensemble(model, os.path.join(out, "model"))
-    _atomic_write(
-        os.path.join(out, "report.txt"),
-        metrics.render_report_table(list(model.reports), locale_comma),
-    )
-    _atomic_write(os.path.join(out, "report.csv"), metrics.render_report_csv(list(model.reports)))
+    _write_report(out, model.reports, locale_comma)
 
     first, last = model.test_range
     actual = sources[model.target_name].slice_range(first, last)
@@ -431,17 +426,12 @@ def _write_ensemble_outputs(
         sub_preds.append(predict(expert, matrix))
     master_pred = ens.predict_ensemble(model, sources, first, last)
 
-    lines = ["date,actual," + ",".join(model.sub_names) + ",master"]
-    for i, stamp in enumerate(actual.dates()):
-        cells = [str(stamp), f"{actual.values[i]:.6g}"]
-        cells += [f"{p.values[i]:.6g}" for p in sub_preds]
-        cells.append(f"{master_pred.values[i]:.6g}")
-        lines.append(",".join(cells))
-    _atomic_write(os.path.join(out, "predictions.csv"), "\n".join(lines) + "\n")
+    columns = {"actual": actual, **dict(zip(model.sub_names, sub_preds)), "master": master_pred}
+    write_text(os.path.join(out, "predictions.csv"), render_csv(columns))
 
     signals = metrics.signals_from_prediction(master_pred)
     strategy, perfect, buy_hold = metrics.equity_curves(actual, signals)
-    _atomic_write(
+    write_text(
         os.path.join(out, "equity.csv"),
         metrics.equity_long_csv(
             {"master_strategy": strategy, "perfect": perfect, "buy_hold": buy_hold}
@@ -468,13 +458,7 @@ def cmd_report(config: PipelineConfig, locale_comma: bool = False) -> int:
     if not os.path.isdir(model_dir):
         raise ConfigError(f"no saved model at {model_dir}; run `ensemble` first")
     model = ens.load_ensemble(model_dir)
-    _atomic_write(
-        os.path.join(config.out_dir, "report.txt"),
-        metrics.render_report_table(list(model.reports), locale_comma),
-    )
-    _atomic_write(
-        os.path.join(config.out_dir, "report.csv"), metrics.render_report_csv(list(model.reports))
-    )
+    _write_report(config.out_dir, model.reports, locale_comma)
     print(f"report rewritten from {model_dir}")
     return 0
 

@@ -7,17 +7,18 @@ leaks into any trained parameter.
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import dataclass, replace
-from typing import List, Mapping, Sequence, Tuple
+from dataclasses import asdict, dataclass, replace
+from typing import Mapping, Sequence, Tuple
 
 import numpy as np
 
+from .artifacts import read_json, write_json
 from .metrics import MetricsReport, report
 from .mlp import (
     TrainConfig,
     TrainedExpert,
+    TrainingDiverged,
     init,
     load_expert,
     predict,
@@ -25,12 +26,13 @@ from .mlp import (
     train,
 )
 from .preprocess import FeatureMatrix, FeatureSpec, assemble
-from .timeseries import MonthStamp, TimeSeries
+from .timeseries import MonthStamp, TimeSeries, range_from_json, range_to_json
 
 __all__ = [
     "SubNetworkSpec",
     "EnsembleSpec",
     "EnsembleModel",
+    "fit_sub",
     "train_ensemble",
     "predict_ensemble",
     "save_ensemble",
@@ -39,6 +41,7 @@ __all__ = [
 ]
 
 MASTER_NAME = "Master Network"
+MODEL_SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -100,10 +103,6 @@ class EnsembleModel:
     test_range: Tuple[MonthStamp, MonthStamp]
 
 
-def _master_specs(names: Sequence[str]) -> Tuple[FeatureSpec, ...]:
-    return tuple(FeatureSpec(name) for name in names)
-
-
 def _master_matrix(
     predictions: Sequence[TimeSeries],
     names: Sequence[str],
@@ -117,9 +116,29 @@ def _master_matrix(
         X=np.column_stack(columns),
         y=target.slice_range(first, last).values,
         start=first,
-        specs=_master_specs(names),
+        specs=tuple(FeatureSpec(name) for name in names),
         target_name=target_name,
     )
+
+
+def fit_sub(
+    sub: SubNetworkSpec,
+    number: int,
+    sources: Mapping[str, TimeSeries],
+    target_name: str,
+    train_range: Tuple[MonthStamp, MonthStamp],
+    test_range: Tuple[MonthStamp, MonthStamp],
+) -> Tuple[TrainedExpert, FeatureMatrix, FeatureMatrix]:
+    """Assemble one sub's train and test matrices and train its expert; returns
+    (expert, train matrix, test matrix). A warm-up shortfall, missing series or
+    diverged net is raised as a ValueError naming the sub (1-based `number`)."""
+    try:
+        m_train = assemble(sub.features, sources, target_name, None, *train_range)
+        m_test = assemble(sub.features, sources, target_name, None, *test_range)
+        expert = train(init(sub.shape(), sub.train_config), m_train, sub.train_config)
+    except (ValueError, TrainingDiverged) as exc:
+        raise ValueError(f"sub-network {number} ({sub.name!r}) failed: {exc}") from exc
+    return replace(expert, test_range=test_range), m_train, m_test
 
 
 def train_ensemble(
@@ -139,45 +158,26 @@ def train_ensemble(
     if target_name not in sources:
         raise ValueError(f"unknown target series {target_name!r}")
     target = sources[target_name]
-
-    sub_experts: List[TrainedExpert] = []
-    train_preds: List[TimeSeries] = []
-    test_preds: List[TimeSeries] = []
-    train_matrices: List[FeatureMatrix] = []
-    test_matrices: List[FeatureMatrix] = []
-    for i, sub in enumerate(spec.sub_specs):
-        cfg = sub.train_config
-        try:
-            m_train = assemble(sub.features, sources, target_name, None, *train_range)
-            m_test = assemble(sub.features, sources, target_name, None, *test_range)
-            expert = train(init(sub.shape(), cfg), m_train, cfg)
-        except (ValueError, RuntimeError) as exc:
-            raise RuntimeError(f"sub-network {i + 1} ({sub.name!r}) failed: {exc}") from exc
-        expert = replace(expert, test_range=test_range)
-        sub_experts.append(expert)
-        train_matrices.append(m_train)
-        test_matrices.append(m_test)
-        train_preds.append(predict(expert, m_train))
-        test_preds.append(predict(expert, m_test))
-
     names = [s.name for s in spec.sub_specs]
+    fits = [
+        fit_sub(sub, number, sources, target_name, train_range, test_range)
+        for number, sub in enumerate(spec.sub_specs, start=1)
+    ]
+    train_preds = [predict(expert, m_train) for expert, m_train, _ in fits]
+    test_preds = [predict(expert, m_test) for expert, _, m_test in fits]
     master_train = _master_matrix(train_preds, names, target, *train_range, target_name)
     master_test = _master_matrix(test_preds, names, target, *test_range, target_name)
-    master = train(
-        init(spec.master_shape(), spec.master_train_config),
-        master_train,
-        spec.master_train_config,
-    )
+    cfg = spec.master_train_config
+    try:
+        master = train(init(spec.master_shape(), cfg), master_train, cfg)
+    except TrainingDiverged as exc:
+        raise ValueError(f"master network failed: {exc}") from exc
     master = replace(master, test_range=test_range)
 
-    actual = target
-    rows: List[Tuple[str, MetricsReport]] = []
-    for name, expert, m_train, m_test in zip(names, sub_experts, train_matrices, test_matrices):
-        rows.append((name, report(expert, m_train, m_test, actual)))
-    rows.append((MASTER_NAME, report(master, master_train, master_test, actual)))
-
+    rows = [(name, report(*fit, target)) for name, fit in zip(names, fits)]
+    rows.append((MASTER_NAME, report(master, master_train, master_test, target)))
     return EnsembleModel(
-        sub_experts=tuple(sub_experts),
+        sub_experts=tuple(expert for expert, _, _ in fits),
         sub_names=tuple(names),
         master=master,
         reports=tuple(rows),
@@ -209,28 +209,29 @@ def predict_ensemble(
 
 
 def save_ensemble(model: EnsembleModel, directory: str) -> None:
-    """One JSON per expert plus a manifest with ranges and report rows."""
-    os.makedirs(directory, exist_ok=True)
-    manifest = {
-        "schema_version": 1,
-        "target": model.target_name,
-        "train_range": [str(model.train_range[0]), str(model.train_range[1])],
-        "test_range": [str(model.test_range[0]), str(model.test_range[1])],
-        "sub_networks": list(model.sub_names),
-        "seeds": [expert.rng_seed for expert in model.sub_experts] + [model.master.rng_seed],
-        "reports": [[name, rep.to_dict()] for name, rep in model.reports],
-    }
-    with open(os.path.join(directory, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1)
-        fh.write("\n")
+    """One JSON per expert, then a manifest with ranges and report rows. The
+    manifest goes last: a save into a fresh directory that fails part-way
+    leaves nothing that load_ensemble accepts."""
     for name, expert in zip(model.sub_names, model.sub_experts):
         save_expert(expert, os.path.join(directory, f"{name}.json"))
     save_expert(model.master, os.path.join(directory, "master.json"))
+    manifest = {
+        "schema_version": MODEL_SCHEMA_VERSION,
+        "target": model.target_name,
+        "train_range": range_to_json(model.train_range),
+        "test_range": range_to_json(model.test_range),
+        "sub_networks": list(model.sub_names),
+        "seeds": [expert.rng_seed for expert in model.sub_experts] + [model.master.rng_seed],
+        "reports": [[name, asdict(rep)] for name, rep in model.reports],
+    }
+    write_json(os.path.join(directory, "manifest.json"), manifest)
 
 
 def load_ensemble(directory: str) -> EnsembleModel:
-    with open(os.path.join(directory, "manifest.json"), "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest = read_json(os.path.join(directory, "manifest.json"))
+    version = manifest.get("schema_version")
+    if version != MODEL_SCHEMA_VERSION:
+        raise ValueError(f"unsupported model schema_version {version!r} in {directory}")
     names = tuple(manifest["sub_networks"])
     subs = [load_expert(os.path.join(directory, f"{name}.json")) for name in names]
     master = load_expert(os.path.join(directory, "master.json"))
@@ -243,12 +244,6 @@ def load_ensemble(directory: str) -> EnsembleModel:
         master=master,
         reports=rows,
         target_name=manifest["target"],
-        train_range=(
-            MonthStamp.parse(manifest["train_range"][0]),
-            MonthStamp.parse(manifest["train_range"][1]),
-        ),
-        test_range=(
-            MonthStamp.parse(manifest["test_range"][0]),
-            MonthStamp.parse(manifest["test_range"][1]),
-        ),
+        train_range=range_from_json(manifest["train_range"]),
+        test_range=range_from_json(manifest["test_range"]),
     )

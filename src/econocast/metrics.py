@@ -9,8 +9,8 @@ finite ratio.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -174,17 +174,6 @@ class MetricsReport:
     train_error_pct: float | None = None
     test_error_pct: float | None = None
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "efficiency_pct": self.efficiency_pct,
-            "hit_pct": self.hit_pct,
-            "sharpe_modified": self.sharpe_modified,
-            "rmse": self.rmse,
-            "mean_error": self.mean_error,
-            "train_error_pct": self.train_error_pct,
-            "test_error_pct": self.test_error_pct,
-        }
-
 
 def indicators(actual: TimeSeries, predicted: TimeSeries) -> MetricsReport:
     """All prediction-vs-actual indicators over one evaluation range."""
@@ -208,13 +197,8 @@ def report(
     magnitudes over the testing range, error percentages over each range."""
     predicted = predict(expert, test_matrix)
     actual_test = actual.slice_range(test_matrix.start, test_matrix.end)
-    base = indicators(actual_test, predicted)
-    return MetricsReport(
-        efficiency_pct=base.efficiency_pct,
-        hit_pct=base.hit_pct,
-        sharpe_modified=base.sharpe_modified,
-        rmse=base.rmse,
-        mean_error=base.mean_error,
+    return replace(
+        indicators(actual_test, predicted),
         train_error_pct=error_percent(expert, train_matrix),
         test_error_pct=error_percent(expert, test_matrix),
     )

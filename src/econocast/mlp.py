@@ -7,14 +7,14 @@ reproducibility, minimizing the half-sum-of-squares error.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
+from .artifacts import read_json, write_json
 from .preprocess import FeatureMatrix, FeatureSpec
-from .timeseries import MonthStamp, TimeSeries
+from .timeseries import MonthStamp, TimeSeries, range_from_json, range_to_json
 
 __all__ = [
     "ACTIVATIONS",
@@ -118,9 +118,6 @@ class MlpNetwork:
     @property
     def n_out(self) -> int:
         return self.layer_sizes[-1]
-
-    def parameter_count(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
 
 
 def init(
@@ -355,10 +352,8 @@ def expert_to_dict(expert: TrainedExpert) -> Dict[str, object]:
             "target_scale": expert.normalizer.target_scale,
         },
         "features": [spec.to_dict() for spec in expert.features],
-        "train_range": [str(expert.train_range[0]), str(expert.train_range[1])],
-        "test_range": (
-            [str(expert.test_range[0]), str(expert.test_range[1])] if expert.test_range else None
-        ),
+        "train_range": range_to_json(expert.train_range),
+        "test_range": range_to_json(expert.test_range) if expert.test_range else None,
         "final_train_error": expert.final_train_error,
         "rng_seed": expert.rng_seed,
     }
@@ -380,25 +375,20 @@ def expert_from_dict(data: Mapping[str, object]) -> TrainedExpert:
         float(nd["target_scale"]),
     )
     features = tuple(FeatureSpec.from_dict(f) for f in data["features"])
-    tr = data["train_range"]
-    test = data.get("test_range")
     return TrainedExpert(
         network=net,
         normalizer=norm,
         features=features,
-        train_range=(MonthStamp.parse(tr[0]), MonthStamp.parse(tr[1])),
+        train_range=range_from_json(data["train_range"]),
         final_train_error=float(data["final_train_error"]),
         rng_seed=int(data["rng_seed"]),
-        test_range=(MonthStamp.parse(test[0]), MonthStamp.parse(test[1])) if test else None,
+        test_range=range_from_json(data["test_range"]) if data.get("test_range") else None,
     )
 
 
 def save_expert(expert: TrainedExpert, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(expert_to_dict(expert), fh, indent=1)
-        fh.write("\n")
+    write_json(path, expert_to_dict(expert))
 
 
 def load_expert(path: str) -> TrainedExpert:
-    with open(path, "r", encoding="utf-8") as fh:
-        return expert_from_dict(json.load(fh))
+    return expert_from_dict(read_json(path))

@@ -297,6 +297,8 @@ class FeatureSpec:
         extra = set(data) - {"source", "transforms", "lag"}
         if extra:
             raise ValueError(f"unknown feature field(s) {sorted(extra)}")
+        if "source" not in data:
+            raise ValueError(f"feature is missing required field 'source': {dict(data)!r}")
         transforms = tuple(Transform.from_dict(t) for t in data.get("transforms", []))
         return cls(
             source=str(data["source"]),
@@ -355,9 +357,6 @@ class FeatureMatrix:
 
     def row_dates(self) -> List[MonthStamp]:
         return [self.start.plus(i) for i in range(self.rows)]
-
-    def column_labels(self) -> List[str]:
-        return [spec.label() for spec in self.specs]
 
     def target_series(self) -> TimeSeries:
         return TimeSeries(self.start, self.y)

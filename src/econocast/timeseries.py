@@ -12,7 +12,7 @@ import math
 import re
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Dict, List, Mapping
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -27,6 +27,8 @@ __all__ = [
     "SECTOR_NAMES",
     "PREDICTOR_LEADS",
     "SyntheticBundle",
+    "range_to_json",
+    "range_from_json",
     "parse_csv",
     "render_csv",
     "laspeyres_index",
@@ -77,6 +79,16 @@ class MonthStamp:
     def months_since(self, other: "MonthStamp") -> int:
         """Signed number of months from `other` to self."""
         return (self.year - other.year) * 12 + (self.month - other.month)
+
+
+def range_to_json(months: Tuple[MonthStamp, MonthStamp]) -> List[str]:
+    """(first, last) as the ["YYYY-MM", "YYYY-MM"] pair used in JSON files."""
+    return [str(months[0]), str(months[1])]
+
+
+def range_from_json(pair: Sequence[str]) -> Tuple[MonthStamp, MonthStamp]:
+    """Inverse of range_to_json."""
+    return MonthStamp.parse(pair[0]), MonthStamp.parse(pair[1])
 
 
 @dataclass(frozen=True, eq=False)

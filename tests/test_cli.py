@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from econocast.cli import main
 from econocast.metrics import REPORT_COLUMNS
 
@@ -224,3 +226,52 @@ def test_optimized_pipeline_is_deterministic(tmp_path):
     for rel in ("report.csv", "model/master.json", "logs/search_network1.csv",
                 "logs/restarts_network1.csv"):
         assert read(Path(out_a, rel)) == read(Path(out_b, rel)), rel
+
+
+# ---------------------------------------------------------------------------
+# failures reported as errors, not tracebacks
+# ---------------------------------------------------------------------------
+
+def _warmup_shortfall(cfg):
+    cfg["train_range"] = ["1991-06", "1995-12"]
+
+
+def _divergence(cfg):
+    cfg["train"]["learning_rate"] = 1e6
+
+
+@pytest.mark.parametrize("command", ["train", "ensemble"])
+@pytest.mark.parametrize("cause", [_warmup_shortfall, _divergence])
+def test_failed_sub_is_named_in_the_error(tmp_path, capsys, command, cause):
+    cfg = base_config(str(tmp_path / "out"))
+    cause(cfg)
+    assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: sub-network 1 ('network1') failed: ")
+
+
+def test_diverged_master_is_named_in_the_error(tmp_path, capsys):
+    cfg = base_config(str(tmp_path / "out"))
+    cfg["master_train"] = {"learning_rate": 1e6, "max_epochs": 5}
+    assert main(["ensemble", "--config", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: master network failed: ")
+
+
+@pytest.mark.parametrize(
+    "key, value, named",
+    [
+        ("sub_hidden_layers", "48", "sub_hidden_layers"),
+        ("sub_hidden_layers", [], "sub_hidden_layers"),
+        ("master_hidden_layers", [4, 0], "master_hidden_layers"),
+        ("master_hidden_layers", [True], "master_hidden_layers"),
+        ("networks", ["network1", {"name": "x", "features": [{"lag": 2}]}], "'source'"),
+        ("networks", ["network1", {"name": "actual", "features": [{"source": "gold"}]}], "'actual'"),
+        ("networks", ["network1", {"name": "master", "features": [{"source": "gold"}]}], "'master'"),
+    ],
+)
+def test_bad_config_value_is_named_in_the_error(tmp_path, capsys, key, value, named):
+    cfg = base_config(str(tmp_path / "out"))
+    cfg[key] = value
+    assert main(["ensemble", "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not (tmp_path / "out").exists()

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from econocast import ensemble, mlp
 from econocast.ensemble import (
     EnsembleSpec,
     MASTER_NAME,
@@ -154,3 +157,31 @@ def test_save_load_round_trip(tmp_path, bundle):
     a = predict_ensemble(model, bundle.series, *TEST)
     b = predict_ensemble(clone, bundle.series, *TEST)
     assert np.array_equal(a.values, b.values)
+
+
+@pytest.fixture(scope="module")
+def model(bundle):
+    return train_ensemble(small_spec(bundle), bundle.series, "activity", TRAIN, TEST)
+
+
+def test_load_rejects_other_schema_version(tmp_path, model):
+    directory = tmp_path / "model"
+    save_ensemble(model, str(directory))
+    manifest = json.loads((directory / "manifest.json").read_text())
+    manifest["schema_version"] = 2
+    (directory / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="schema_version 2"):
+        load_ensemble(str(directory))
+
+
+def test_save_failing_on_master_leaves_no_manifest(tmp_path, model, monkeypatch):
+    def save_expert(expert, path):
+        if path.endswith("master.json"):
+            raise OSError("disk full")
+        mlp.save_expert(expert, path)
+
+    monkeypatch.setattr(ensemble, "save_expert", save_expert)
+    directory = tmp_path / "model"
+    with pytest.raises(OSError):
+        save_ensemble(model, str(directory))
+    assert sorted(p.name for p in directory.iterdir()) == ["network1.json", "network2.json"]

@@ -15,7 +15,9 @@ from econocast.mlp import (
     forward,
     gradients,
     init,
+    load_expert,
     predict,
+    save_expert,
     train,
 )
 from econocast.preprocess import FeatureMatrix, FeatureSpec
@@ -398,3 +400,7 @@ def test_expert_json_round_trip_bit_exact(tmp_path):
     assert clone.final_train_error == expert.final_train_error
     assert clone.features == expert.features
     assert clone.train_range == expert.train_range
+    path = tmp_path / "expert.json"
+    save_expert(expert, str(path))
+    assert path.read_bytes() == (json.dumps(expert_to_dict(expert), indent=1) + "\n").encode()
+    assert expert_to_dict(load_expert(str(path))) == expert_to_dict(expert)
