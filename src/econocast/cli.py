@@ -12,11 +12,12 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Sequence, Tuple
+from types import NoneType
+from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 from . import ensemble as ens
 from . import lagscan, metrics, presets, search
-from .artifacts import read_json, write_json, write_text
+from .artifacts import REQUIRED, JsonObject, is_file_stem, read_json, write_json, write_text
 # `train` is unused here but stays importable from cli: perfbench/selftest.py
 # checks that tracing rebinds it in every module that imported it.
 from .mlp import TrainConfig, predict, save_expert, train  # noqa: F401
@@ -26,7 +27,7 @@ from .timeseries import (
     MonthStamp,
     TimeSeries,
     parse_csv,
-    range_from_json,
+    read_range,
     render_csv,
     synthesize_economy,
 )
@@ -40,18 +41,33 @@ class ConfigError(ValueError):
     pass
 
 
-def _require_keys(data: Mapping[str, object], allowed: set, where: str) -> None:
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
-
-
 @dataclass(frozen=True)
 class SyntheticParams:
     seed: int = 1
     months: int = 156
     cycle_period: int = 12
     noise_scale: float = 0.1
+
+
+@dataclass(frozen=True)
+class RestartSettings:
+    """The `restarts` section: the restart arguments of search.maximize_sharpe."""
+
+    max_restarts: int = 20
+    target_srm: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.max_restarts < 1:
+            raise ConfigError("max_restarts must be >= 1")
+
+
+class NetworkEntry(NamedTuple):
+    """One configured sub-network. `features` is None for a shipped preset,
+    whose features depend on the cycle detected in the data."""
+
+    name: str
+    features: Tuple[FeatureSpec, ...] | None
+    hidden_layers: Tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -63,15 +79,14 @@ class PipelineConfig:
     target: str
     train_range: Tuple[MonthStamp, MonthStamp]
     test_range: Tuple[MonthStamp, MonthStamp]
-    networks: Tuple[object, ...]
-    sub_hidden_layers: Tuple[int, ...]
+    networks: Tuple[NetworkEntry, ...]
     master_hidden_layers: Tuple[int, ...]
     train: TrainConfig
     master_train: TrainConfig
     scan_max_lag: int
     scan_inputs: Tuple[str, ...] | None
     search: search.ArchitectureGrid | None
-    restarts: Dict[str, object] | None
+    restarts: RestartSettings | None
     validation_months: int
     out_dir: str
     leaky_selection: bool
@@ -85,159 +100,125 @@ DEFAULT_SUB_EPOCHS = 120
 DEFAULT_MASTER_EPOCHS = 60
 
 
-def _parse_train_config(data: Mapping[str, object], where: str, default_epochs: int) -> TrainConfig:
-    _require_keys(
-        data,
-        {"learning_rate", "init_weight_bound", "max_epochs", "target_error", "rng_seed"},
-        where,
+def _positive_ints(value: Sequence[object]) -> bool:
+    return all(type(n) is int and n >= 1 for n in value)
+
+
+def _hidden(obj: JsonObject, key: str, default: Tuple[int, ...]) -> Tuple[int, ...]:
+    return obj.get(
+        key, default, (list,), lambda v: len(v) > 0 and _positive_ints(v),
+        "a non-empty list of integers >= 1",
     )
-    merged = {"max_epochs": default_epochs, **data}
-    return TrainConfig(**merged)
 
 
-def _parse_range(value: object, where: str) -> Tuple[MonthStamp, MonthStamp]:
-    if not (isinstance(value, list) and len(value) == 2):
-        raise ConfigError(f"{where} must be a [first, last] pair of YYYY-MM strings")
-    first, last = range_from_json(value)
-    if first > last:
-        raise ConfigError(f"{where} is not ordered: {first} > {last}")
-    return first, last
-
-
-def _parse_hidden(value: object, where: str) -> Tuple[int, ...]:
-    if not (isinstance(value, list) and value and all(type(n) is int and n >= 1 for n in value)):
-        raise ConfigError(f"{where} must be a non-empty list of integers >= 1, got {value!r}")
-    return tuple(value)
+def _network_entries(config: JsonObject, sub_hidden: Tuple[int, ...]) -> Tuple[NetworkEntry, ...]:
+    entries = config.get(
+        "networks", presets.NETWORK_NAMES, (list,), lambda v: len(v) > 0, "a non-empty list"
+    )
+    out = []
+    for i, entry in enumerate(entries):
+        where = f"{config.path}.networks[{i}]"
+        if type(entry) is str:
+            if entry not in presets.NETWORK_NAMES:
+                raise ConfigError(f"{where} is an unknown preset {entry!r}")
+            out.append(NetworkEntry(entry, None, sub_hidden))
+            continue
+        obj = JsonObject(entry, where)
+        name = obj.get("name", REQUIRED, (str,), ens.is_sub_name, ens.SUB_NAME_WANT)
+        features = obj.get(
+            "features", REQUIRED, (list,), lambda v: len(v) > 0, "a non-empty list of features"
+        )
+        hidden = obj.get(
+            "hidden_layers", None, (list, NoneType), _positive_ints, "a list of integers >= 1"
+        )
+        obj.close()
+        specs = tuple(
+            FeatureSpec.from_dict(f, f"{where}.features[{j}]") for j, f in enumerate(features)
+        )
+        out.append(NetworkEntry(name, specs, hidden or sub_hidden))
+    names = [entry.name for entry in out]
+    if len(set(names)) < len(names):
+        raise ConfigError(f"{config.path}.networks repeats a name, got {names}")
+    return tuple(out)
 
 
 def load_config(path: str) -> PipelineConfig:
     return config_from_dict(read_json(path))
 
 
-def config_from_dict(data: Mapping[str, object]) -> PipelineConfig:
-    _require_keys(
-        data,
-        {
-            "schema_version",
-            "data",
-            "target",
-            "train_range",
-            "test_range",
-            "networks",
-            "sub_hidden_layers",
-            "master_hidden_layers",
-            "train",
-            "master_train",
-            "scan",
-            "search",
-            "restarts",
-            "validation_months",
-            "out_dir",
-            "leaky_selection",
-        },
-        "config",
+def config_from_dict(data: object) -> PipelineConfig:
+    config = JsonObject(data, "config")
+    config.get(
+        "schema_version", REQUIRED, (int,), lambda v: v == SCHEMA_VERSION, str(SCHEMA_VERSION)
     )
-    if data.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigError(f"schema_version must be {SCHEMA_VERSION}")
 
-    source = data.get("data")
-    if not isinstance(source, dict):
-        raise ConfigError("config needs a 'data' object with 'csv_path' or 'synthetic'")
-    _require_keys(source, {"csv_path", "synthetic"}, "data")
-    csv_path = source.get("csv_path")
-    synthetic = None
-    if "synthetic" in source:
-        _require_keys(
-            source["synthetic"], {"seed", "months", "cycle_period", "noise_scale"}, "data.synthetic"
-        )
-        synthetic = SyntheticParams(**source["synthetic"])
+    source = config.section("data", REQUIRED)
+    csv_path = source.get("csv_path", None, (str, NoneType), bool, "a non-empty string")
+    synthetic = source.section("synthetic", None)
+    synthetic = None if synthetic is None else synthetic.build(SyntheticParams)
+    source.close()
     if (csv_path is None) == (synthetic is None):
-        raise ConfigError("exactly one of data.csv_path or data.synthetic is required")
-    if csv_path is not None and not csv_path:
-        raise ConfigError("data.csv_path must be non-empty")
+        raise ConfigError("give one of config.data.csv_path and config.data.synthetic")
 
-    train_cfg = _parse_train_config(data.get("train", {}), "train", DEFAULT_SUB_EPOCHS)
-    if "master_train" in data:
-        master_cfg = _parse_train_config(data["master_train"], "master_train", DEFAULT_MASTER_EPOCHS)
-    else:
-        master_cfg = replace(train_cfg, max_epochs=DEFAULT_MASTER_EPOCHS)
+    train = config.section("train", {}).build(TrainConfig, max_epochs=DEFAULT_SUB_EPOCHS)
+    master_train = config.section("master_train", None)
+    master_train = (
+        replace(train, max_epochs=DEFAULT_MASTER_EPOCHS) if master_train is None
+        else master_train.build(TrainConfig, max_epochs=DEFAULT_MASTER_EPOCHS)
+    )
 
-    networks = data.get("networks", list(presets.NETWORK_NAMES))
-    if not isinstance(networks, list) or not networks:
-        raise ConfigError("networks must be a non-empty list")
-    for entry in networks:
-        if isinstance(entry, str):
-            if entry not in presets.NETWORK_NAMES:
-                raise ConfigError(f"unknown preset {entry!r}")
-        elif isinstance(entry, dict):
-            _require_keys(entry, {"name", "features", "hidden_layers"}, "networks[]")
-            if "name" not in entry or "features" not in entry:
-                raise ConfigError("explicit network entries need 'name' and 'features'")
-            if _network_name(entry) in ("date", "actual", "master"):
-                raise ConfigError(f"network name {entry['name']!r} is a predictions.csv column")
-            if entry.get("hidden_layers"):
-                _parse_hidden(entry["hidden_layers"], "networks[].hidden_layers")
-        else:
-            raise ConfigError("network entries must be preset names or objects")
+    scan = config.section("scan", {})
+    scan_max_lag = scan.get("max_lag", 12, (int,))
+    scan_inputs = scan.get(
+        "inputs", None, (list, NoneType), lambda v: all(type(n) is str for n in v),
+        "a list of column names",
+    )
+    scan.close()
 
-    scan_cfg = data.get("scan", {})
-    _require_keys(scan_cfg, {"max_lag", "inputs"}, "scan")
-    scan_inputs = scan_cfg.get("inputs")
-    if scan_inputs is not None:
-        scan_inputs = tuple(str(n) for n in scan_inputs)
+    grid = config.section("search", None)
+    if grid is not None:
+        counts = _hidden(grid, "hidden_layer_counts", (1, 2))
+        nodes = _hidden(grid, "nodes_per_layer_candidates", (2, 4, 8, 16))
+        grid.close()
+        grid = search.ArchitectureGrid(hidden_layer_counts=counts, nodes_per_layer_candidates=nodes)
 
-    grid = None
-    if data.get("search") is not None:
-        sb = data["search"]
-        _require_keys(sb, {"hidden_layer_counts", "nodes_per_layer_candidates"}, "search")
-        grid = search.ArchitectureGrid(
-            hidden_layer_counts=tuple(sb.get("hidden_layer_counts", (1, 2))),
-            nodes_per_layer_candidates=tuple(sb.get("nodes_per_layer_candidates", (2, 4, 8, 16))),
-            train_config=train_cfg,
-        )
+    restarts = config.section("restarts", None)
+    restarts = None if restarts is None else restarts.build(RestartSettings)
 
-    restarts = data.get("restarts")
-    if restarts is not None:
-        _require_keys(restarts, {"max_restarts", "target_srm"}, "restarts")
-        restarts = {
-            "max_restarts": int(restarts.get("max_restarts", 20)),
-            "target_srm": restarts.get("target_srm"),
-        }
-
-    out_dir = data.get("out_dir", "out")
-    if not out_dir:
-        raise ConfigError("out_dir must be non-empty")
-
-    return PipelineConfig(
+    parsed = PipelineConfig(
         csv_path=csv_path,
         synthetic=synthetic,
-        target=str(data.get("target", "activity")),
-        train_range=_parse_range(data.get("train_range", ["1992-01", "1999-12"]), "train_range"),
-        test_range=_parse_range(data.get("test_range", ["2000-01", "2003-12"]), "test_range"),
-        networks=tuple(networks),
-        sub_hidden_layers=_parse_hidden(data.get("sub_hidden_layers", [4]), "sub_hidden_layers"),
-        master_hidden_layers=_parse_hidden(
-            data.get("master_hidden_layers", [4]), "master_hidden_layers"
-        ),
-        train=train_cfg,
-        master_train=master_cfg,
-        scan_max_lag=int(scan_cfg.get("max_lag", 12)),
+        target=config.get("target", "activity", (str,)),
+        train_range=read_range(config, "train_range", ("1992-01", "1999-12")),
+        test_range=read_range(config, "test_range", ("2000-01", "2003-12")),
+        networks=_network_entries(config, _hidden(config, "sub_hidden_layers", (4,))),
+        master_hidden_layers=_hidden(config, "master_hidden_layers", (4,)),
+        train=train,
+        master_train=master_train,
+        scan_max_lag=scan_max_lag,
         scan_inputs=scan_inputs,
         search=grid,
         restarts=restarts,
-        validation_months=int(data.get("validation_months", 24)),
-        out_dir=str(out_dir),
-        leaky_selection=bool(data.get("leaky_selection", False)),
+        validation_months=config.get(
+            "validation_months", 24, (int,), lambda v: v >= 2, "an integer >= 2"
+        ),
+        out_dir=config.get("out_dir", "out", (str,), bool, "a non-empty string"),
+        leaky_selection=config.get("leaky_selection", False, (bool,)),
     )
+    config.close()
+    return parsed
 
 
 def _load_sources(config: PipelineConfig) -> Dict[str, TimeSeries]:
     if config.csv_path is not None:
         with open(config.csv_path, "r", encoding="utf-8") as fh:
-            return parse_csv(fh.read())
-    p = config.synthetic
-    bundle = synthesize_economy(p.seed, p.months, p.cycle_period, p.noise_scale)
-    return dict(bundle.series)
+            sources = parse_csv(fh.read())
+    else:
+        p = config.synthetic
+        sources = dict(synthesize_economy(p.seed, p.months, p.cycle_period, p.noise_scale).series)
+    if config.target not in sources:
+        raise ConfigError(f"config.target {config.target!r} is not a column of the data")
+    return sources
 
 
 def _detect_cycle(sources: Mapping[str, TimeSeries], config: PipelineConfig) -> int:
@@ -248,35 +229,21 @@ def _detect_cycle(sources: Mapping[str, TimeSeries], config: PipelineConfig) -> 
         return 12
 
 
-def _network_name(entry: object) -> str:
-    return entry if isinstance(entry, str) else str(entry["name"])
-
-
-def _network_features(entry: object, cycle_period: int, target: str) -> List[FeatureSpec]:
-    if isinstance(entry, str):
-        return presets.preset_features(entry, cycle_period, target)
-    return [FeatureSpec.from_dict(f) for f in entry["features"]]
-
-
 def _build_sub_specs(
     config: PipelineConfig, cycle_period: int
 ) -> List[ens.SubNetworkSpec]:
-    specs = []
-    for i, entry in enumerate(config.networks):
-        features = _network_features(entry, cycle_period, config.target)
-        hidden = config.sub_hidden_layers
-        if isinstance(entry, dict) and entry.get("hidden_layers"):
-            hidden = tuple(entry["hidden_layers"])
-        cfg = replace(config.train, rng_seed=config.train.rng_seed + i)
-        specs.append(
-            ens.SubNetworkSpec(
-                name=_network_name(entry),
-                features=tuple(features),
-                hidden_layers=tuple(hidden),
-                train_config=cfg,
-            )
+    return [
+        ens.SubNetworkSpec(
+            name=name,
+            features=(
+                presets.preset_features(name, cycle_period, config.target)
+                if features is None else features
+            ),
+            hidden_layers=hidden,
+            train_config=replace(config.train, rng_seed=config.train.rng_seed + i),
         )
-    return specs
+        for i, (name, features, hidden) in enumerate(config.networks)
+    ]
 
 
 def _selection_ranges(
@@ -324,8 +291,8 @@ def _optimize_sub_specs(
                 m_core,
                 m_val,
                 cfg,
-                target_srm=config.restarts["target_srm"],
-                max_restarts=config.restarts["max_restarts"],
+                target_srm=config.restarts.target_srm,
+                max_restarts=config.restarts.max_restarts,
                 base_seed=cfg.rng_seed,
             )
             cfg = replace(cfg, rng_seed=ro.expert.rng_seed)
@@ -371,6 +338,9 @@ def cmd_scan(config: PipelineConfig, locale_comma: bool = False) -> int:
     missing = [n for n in names if n not in sources]
     if missing:
         raise ConfigError(f"missing input column(s): {', '.join(missing)}")
+    unsafe = [n for n in names if not is_file_stem(n)]
+    if unsafe:
+        raise ConfigError(f"input column name(s) {unsafe} cannot name the scan files")
     inputs = {n: sources[n] for n in names}
     results = lagscan.scan_all(inputs, target, config.scan_max_lag, *config.train_range)
     scan_dir = os.path.join(config.out_dir, "scan")

@@ -13,7 +13,7 @@ from typing import Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .artifacts import read_json, write_json
+from .artifacts import REQUIRED, JsonObject, is_file_stem, read_json, write_json
 from .metrics import MetricsReport, report
 from .mlp import (
     TrainConfig,
@@ -26,7 +26,7 @@ from .mlp import (
     train,
 )
 from .preprocess import FeatureMatrix, FeatureSpec, assemble
-from .timeseries import MonthStamp, TimeSeries, range_from_json, range_to_json
+from .timeseries import MonthStamp, TimeSeries, range_to_json, read_range
 
 __all__ = [
     "SubNetworkSpec",
@@ -38,10 +38,23 @@ __all__ = [
     "save_ensemble",
     "load_ensemble",
     "MASTER_NAME",
+    "SUB_NAME_WANT",
+    "is_sub_name",
 ]
 
 MASTER_NAME = "Master Network"
 MODEL_SCHEMA_VERSION = 1
+
+# A sub-network's name is a file stem in the model directory and a column of
+# predictions.csv: it may not leave the directory or take another file's or
+# column's name.
+SUB_NAME_WANT = (
+    "a file stem ([A-Za-z0-9_][A-Za-z0-9_.-]*) other than date, actual, master or manifest"
+)
+
+
+def is_sub_name(name: object) -> bool:
+    return is_file_stem(name) and name not in ("date", "actual", "master", "manifest")
 
 
 @dataclass(frozen=True)
@@ -228,22 +241,39 @@ def save_ensemble(model: EnsembleModel, directory: str) -> None:
 
 
 def load_ensemble(directory: str) -> EnsembleModel:
-    manifest = read_json(os.path.join(directory, "manifest.json"))
-    version = manifest.get("schema_version")
+    path = os.path.join(directory, "manifest.json")
+    manifest = JsonObject(read_json(path), path)
+    version = manifest.get("schema_version", None, (int,))
     if version != MODEL_SCHEMA_VERSION:
         raise ValueError(f"unsupported model schema_version {version!r} in {directory}")
-    names = tuple(manifest["sub_networks"])
-    subs = [load_expert(os.path.join(directory, f"{name}.json")) for name in names]
+    names = manifest.get(
+        "sub_networks", REQUIRED, (list,), lambda v: len(v) > 0 and all(map(is_sub_name, v)),
+        f"a non-empty list, each {SUB_NAME_WANT}",
+    )
+    seeds = manifest.get("seeds", REQUIRED, (list,))
+    reports = manifest.get(
+        "reports", REQUIRED, (list,),
+        lambda v: all(type(r) is list and len(r) == 2 and type(r[0]) is str for r in v),
+        "a list of [name, report] pairs",
+    )
+    target_name = manifest.get("target", REQUIRED, (str,))
+    train_range = read_range(manifest, "train_range")
+    test_range = read_range(manifest, "test_range")
+    manifest.close()
+    subs = tuple(load_expert(os.path.join(directory, f"{name}.json")) for name in names)
     master = load_expert(os.path.join(directory, "master.json"))
+    if list(seeds) != [expert.rng_seed for expert in (*subs, master)]:
+        raise ValueError(f"{path}.seeds do not match the rng_seed of the saved experts")
     rows = tuple(
-        (name, MetricsReport(**rep)) for name, rep in manifest["reports"]
+        (name, JsonObject(rep, f"{path}.reports[{i}]").build(MetricsReport))
+        for i, (name, rep) in enumerate(reports)
     )
     return EnsembleModel(
-        sub_experts=tuple(subs),
+        sub_experts=subs,
         sub_names=names,
         master=master,
         reports=rows,
-        target_name=manifest["target"],
-        train_range=range_from_json(manifest["train_range"]),
-        test_range=range_from_json(manifest["test_range"]),
+        target_name=target_name,
+        train_range=train_range,
+        test_range=test_range,
     )

@@ -12,6 +12,7 @@ from typing import Callable, Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
+from .artifacts import REQUIRED, JsonObject
 from .timeseries import MonthStamp, TimeSeries
 
 __all__ = [
@@ -248,15 +249,8 @@ class Transform:
         return out
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "Transform":
-        kind = data.get("kind")
-        if not isinstance(kind, str):
-            raise ValueError(f"transform dict missing kind: {data!r}")
-        params = _KINDS[kind].params if kind in _KINDS else ()
-        extra = set(data) - {"kind", *params}
-        if extra:
-            raise ValueError(f"unknown transform field(s) {sorted(extra)} for kind {kind!r}")
-        return cls(kind, **{k: data[k] for k in params if k in data})
+    def from_dict(cls, data: object, path: str = "transform") -> "Transform":
+        return JsonObject(data, path).build(cls)
 
 
 @dataclass(frozen=True)
@@ -293,18 +287,14 @@ class FeatureSpec:
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "FeatureSpec":
-        extra = set(data) - {"source", "transforms", "lag"}
-        if extra:
-            raise ValueError(f"unknown feature field(s) {sorted(extra)}")
-        if "source" not in data:
-            raise ValueError(f"feature is missing required field 'source': {dict(data)!r}")
-        transforms = tuple(Transform.from_dict(t) for t in data.get("transforms", []))
-        return cls(
-            source=str(data["source"]),
-            transforms=transforms or (Transform("identity"),),
-            lag=int(data.get("lag", 0)),
-        )
+    def from_dict(cls, data: object, path: str = "feature") -> "FeatureSpec":
+        obj = JsonObject(data, path)
+        source = obj.get("source", REQUIRED, (str,))
+        transforms = obj.get("transforms", (), (list,))
+        lag = obj.get("lag", 0, (int,), lambda v: v >= 0, "an integer >= 0")
+        obj.close()
+        chain = (Transform.from_dict(t, f"{path}.transforms[{i}]") for i, t in enumerate(transforms))
+        return cls(source, tuple(chain), lag)
 
 
 def apply_feature(spec: FeatureSpec, sources: Mapping[str, TimeSeries]) -> TimeSeries:

@@ -16,6 +16,8 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
+from .artifacts import REQUIRED, JsonObject
+
 __all__ = [
     "CsvFormatError",
     "MonthStamp",
@@ -29,13 +31,14 @@ __all__ = [
     "SyntheticBundle",
     "range_to_json",
     "range_from_json",
+    "read_range",
     "parse_csv",
     "render_csv",
     "laspeyres_index",
     "synthesize_economy",
 ]
 
-_MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
+_MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$", re.ASCII)
 
 
 class CsvFormatError(ValueError):
@@ -89,6 +92,22 @@ def range_to_json(months: Tuple[MonthStamp, MonthStamp]) -> List[str]:
 def range_from_json(pair: Sequence[str]) -> Tuple[MonthStamp, MonthStamp]:
     """Inverse of range_to_json."""
     return MonthStamp.parse(pair[0]), MonthStamp.parse(pair[1])
+
+
+def read_range(obj: JsonObject, key: str, default=REQUIRED) -> Tuple[MonthStamp, MonthStamp]:
+    """The ordered month range at `key` of a JSON object, as range_to_json writes it."""
+    want = "an ordered [first, last] pair of YYYY-MM months"
+    return range_from_json(obj.get(key, default, (list,), _is_ordered_range, want))
+
+
+def _is_ordered_range(pair: Sequence[object]) -> bool:
+    if len(pair) != 2 or any(type(s) is not str for s in pair):
+        return False
+    try:
+        first, last = range_from_json(pair)
+    except ValueError:
+        return False
+    return first <= last
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,6 +254,9 @@ def parse_csv(text: str) -> Dict[str, TimeSeries]:
             if cell == "":
                 raise CsvFormatError(f"empty cell at row {rownum}, column {name!r}", row=rownum, column=name)
             try:
+                # float() also reads "1_0" and non-ASCII digits; the CSV dialect does not.
+                if not cell.isascii() or "_" in cell:
+                    raise ValueError(cell)
                 value = float(cell)
             except ValueError as exc:
                 raise CsvFormatError(

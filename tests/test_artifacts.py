@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 import econocast
-from econocast.artifacts import read_json, write_json, write_text
+from econocast.artifacts import REQUIRED, JsonObject, read_json, write_json, write_text
+from econocast.mlp import TrainConfig
 
 
 def test_write_json_round_trip_and_format(tmp_path):
@@ -45,6 +46,22 @@ def _file_writes(source):
                 isinstance(modes[0], ast.Constant) and not set(modes[0].value) & set("wax+")
             ):
                 yield ast.unparse(node)
+
+
+def test_json_object_checks_exact_types_and_unread_keys():
+    cfg = JsonObject({"learning_rate": 1, "max_epochs": 9}, "train").build(TrainConfig)
+    assert cfg == TrainConfig(learning_rate=1, max_epochs=9) and type(cfg.learning_rate) is int
+    with pytest.raises(ValueError, match=r"^train.max_epochs must be an integer, got True$"):
+        JsonObject({"max_epochs": True}, "train").build(TrainConfig)
+    with pytest.raises(ValueError, match=r"^train: learning_rate must be > 0$"):
+        JsonObject({"learning_rate": 0}, "train").build(TrainConfig)
+    obj = JsonObject({"a": [1, 2], "b": None, "typo": 0}, "x")
+    assert obj.get("a", REQUIRED, (list,)) == (1, 2)
+    assert obj.section("b", None) is None and obj.get("c", 5, (int,)) == 5
+    with pytest.raises(ValueError, match=r"^missing required key 'd' in x$"):
+        obj.get("d", REQUIRED, (int,))
+    with pytest.raises(ValueError, match=r"^unknown key\(s\) \['typo'\] in x$"):
+        obj.close()
 
 
 def test_only_artifacts_writes_files():

@@ -1,9 +1,11 @@
 import json
+import re
+import shutil
 from pathlib import Path
 
 import pytest
 
-from econocast.cli import main
+from econocast.cli import config_from_dict, main
 from econocast.metrics import REPORT_COLUMNS
 
 
@@ -115,6 +117,19 @@ def test_scan_missing_input_column(tmp_path):
     cfg["scan"] = {"max_lag": 6, "inputs": ["not_a_column"]}
     path = write_config(tmp_path, cfg)
     assert main(["scan", "--config", path]) == 2
+
+
+def test_scan_rejects_a_column_name_that_leaves_the_output_dir(tmp_path, capsys):
+    rows = [f"{1990 + i // 12}-{i % 12 + 1:02d},{100 + i % 7},{i}" for i in range(48)]
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text("date,activity,../../x\n" + "\n".join(rows) + "\n")
+    cfg = base_config(str(tmp_path / "out"))
+    cfg["data"] = {"csv_path": str(csv_path)}
+    cfg["train_range"] = ["1991-01", "1992-12"]
+    cfg["scan"] = {"max_lag": 2}
+    assert main(["scan", "--config", write_config(tmp_path, cfg)]) == 2
+    assert "'../../x'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +271,75 @@ def test_diverged_master_is_named_in_the_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: master network failed: ")
 
 
+def readme_config():
+    """The complete example config in README.md."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("A complete configuration, with every key:", 1)[1]
+    return json.loads(block.split("```json\n", 1)[1].split("```", 1)[0])
+
+
+def test_readme_example_config_is_valid():
+    config = config_from_dict(readme_config())
+    assert [entry.name for entry in config.networks] == ["network1", "gold_trend"]
+    assert config.networks[1].hidden_layers == (6,)
+    assert config.networks[1].features[0].lag == 2
+    assert config.search is not None and config.restarts is not None
+
+
+def object_items(node, path=""):
+    """(dotted path, value) of every object key in a JSON value; list indices
+    are path segments too, so keys inside the objects of a list are reached."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        here = f"{path}{key}"
+        if isinstance(node, dict):
+            yield here, value
+        if isinstance(value, (dict, list)):
+            yield from object_items(value, here + ".")
+
+
+def set_key(config, key, value):
+    *parents, last = key.split(".")
+    node = config
+    for part in parents:
+        node = node[int(part)] if isinstance(node, list) else node.setdefault(part, {})
+    node[int(last) if isinstance(node, list) else last] = value
+
+
+def key_path(key):
+    """How an error names a dotted test key: config.a[1].b."""
+    return "config." + re.sub(r"\.(\d+)", r"[\1]", key)
+
+
+JSON_VALUES = {"null": None, "bool": True, "int": 7, "float": 2.5, "str": "x", "list": [],
+               "object": {}}
+JSON_TYPE = {type(None): "null", bool: "bool", int: "int", float: "float", str: "str",
+             list: "list", dict: "object"}
+# Types a key takes besides the type of its value in the README config: null
+# where null means "not given", and an integer wherever a number goes.
+ALSO_ACCEPTED = {
+    "master_train": {"null"},
+    "search": {"null"},
+    "restarts": {"null"},
+    "restarts.target_srm": {"int", "float"},
+    "scan.inputs": {"null"},
+    "data.csv_path": {"null"},
+    "networks.1.hidden_layers": {"null"},
+    "networks.1.features.0.transforms.0.window": {"null"},
+    "networks.1.features.0.transforms.0.distance": {"null"},
+    "networks.1.features.1.transforms.0.beta": {"null", "int"},
+}
+
+
+def wrong_type_cases():
+    for key, value in object_items(readme_config()):
+        accepted = {JSON_TYPE[type(value)]} | ALSO_ACCEPTED.get(key, set())
+        if "float" in accepted:
+            accepted.add("int")
+        for name in sorted(set(JSON_VALUES) - accepted):
+            yield pytest.param(key, JSON_VALUES[name], key_path(key), id=f"{key}={name}")
+
+
 @pytest.mark.parametrize(
     "key, value, named",
     [
@@ -266,12 +350,99 @@ def test_diverged_master_is_named_in_the_error(tmp_path, capsys):
         ("networks", ["network1", {"name": "x", "features": [{"lag": 2}]}], "'source'"),
         ("networks", ["network1", {"name": "actual", "features": [{"source": "gold"}]}], "'actual'"),
         ("networks", ["network1", {"name": "master", "features": [{"source": "gold"}]}], "'master'"),
+        *(
+            pytest.param(key, value, key_path(named), id=f"{key}={value!r}")
+            for key, value, named in [
+                ("networks.1.features.0.lag", 2.7, "networks.1.features.0.lag"),
+                ("leaky_selection", "false", "leaky_selection"),
+                ("search.hidden_layer_counts", "12", "search.hidden_layer_counts"),
+                ("data", {"csv_path": 5}, "data.csv_path"),
+                ("networks.1.features.0.transforms.0.window", "3",
+                 "networks.1.features.0.transforms.0.window"),
+                ("data.synthetic.months", "156", "data.synthetic.months"),
+                ("train.learning_rate", "0.05", "train.learning_rate"),
+                ("restarts.target_srm", "high", "restarts.target_srm"),
+                ("networks.1.features.0.transforms", "diff", "networks.1.features.0.transforms"),
+                ("networks.1.features", "gold", "networks.1.features"),
+                ("networks.1.name", "../escape", "networks.1.name"),
+                ("networks.1.name", "manifest", "networks.1.name"),
+                ("target", "nope", "target"),
+                ("validation_months", 1, "validation_months"),
+                ("schema_version", True, "schema_version"),
+                ("train_range", ["1992-13", "1999-12"], "train_range"),
+                ("test_range", ["2003-12", "2000-01"], "test_range"),
+                ("restarts.max_restarts", 0, "restarts"),
+                ("networks.1.features.0.transforms.0.kind", "nope",
+                 "networks.1.features.0.transforms.0"),
+                ("networks.1.features.0.colour", "red", "networks.1.features.0"),
+                ("networks", ["network1", "network2", "network1"], "networks"),
+            ]
+        ),
+        *wrong_type_cases(),
     ],
 )
 def test_bad_config_value_is_named_in_the_error(tmp_path, capsys, key, value, named):
-    cfg = base_config(str(tmp_path / "out"))
-    cfg[key] = value
+    cfg = readme_config()
+    cfg["out_dir"] = str(tmp_path / "out")
+    set_key(cfg, key, value)
     assert main(["ensemble", "--config", write_config(tmp_path, cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture(scope="module")
+def saved_run(tmp_path_factory):
+    """Config path and output directory of one small ensemble run."""
+    root = tmp_path_factory.mktemp("saved")
+    path = write_config(root, base_config(str(root / "out")))
+    assert main(["ensemble", "--config", path]) == 0
+    return path, root / "out"
+
+
+def _drop(key):
+    def edit(manifest):
+        del manifest[key]
+        return manifest
+    return edit
+
+
+def _set(key, value):
+    def edit(manifest):
+        manifest[key] = value
+        return manifest
+    return edit
+
+
+def _set_report_field(manifest):
+    manifest["reports"][0][1]["rmse"] = "x"
+    return manifest
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda manifest: [], "manifest.json must be an object"),
+        (lambda manifest: {"schema_version": 1}, "'sub_networks'"),
+        (_drop("target"), "'target'"),
+        (_set("sub_networks", "network1"), "manifest.json.sub_networks"),
+        (_set("sub_networks", ["../../config", "network2"]), "manifest.json.sub_networks"),
+        (_set("sub_networks", ["master", "network2"]), "manifest.json.sub_networks"),
+        (_set("seeds", [9, 9, 9]), "manifest.json.seeds"),
+        (_set("reports", [5]), "manifest.json.reports"),
+        (_set("train_range", ["1992-01"]), "manifest.json.train_range"),
+        (_set("test_range", "1996"), "manifest.json.test_range"),
+        (_set("extra", 1), "unknown key(s) ['extra']"),
+        (_set_report_field, "manifest.json.reports[0].rmse"),
+    ],
+)
+def test_report_names_the_fault_in_a_bad_manifest(tmp_path, capsys, saved_run, edit, named):
+    config_path, saved = saved_run
+    out = tmp_path / "out"
+    shutil.copytree(saved / "model", out / "model")
+    manifest_path = out / "model" / "manifest.json"
+    manifest_path.write_text(json.dumps(edit(json.loads(manifest_path.read_text()))))
+    assert main(["report", "--config", config_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not (out / "report.txt").exists()

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from econocast.preprocess import dominant_cycle
@@ -108,6 +110,9 @@ def test_parse_156_rows_spanning_13_years():
         ("date,x\n1991-01,abc", 2, "x"),        # non-numeric
         ("date,x\nnope,1.0", 2, "date"),        # malformed date
         ("date,x,x\n1991-01,1,2", 1, "x"),      # duplicate column
+        ("date,x\n1991-01,1_0", 2, "x"),        # float() reads "1_0" as 10.0
+        ("date,x\n1991-01,\u0661\u0662", 2, "x"),  # Arabic-Indic digits
+        ("date,x\n\u0661\u0669\u0669\u0661-\u0660\u0661,1.0", 2, "date"),
     ],
 )
 def test_parse_errors_carry_position(text, row, column):
@@ -115,6 +120,24 @@ def test_parse_errors_carry_position(text, row, column):
         parse_csv(text)
     assert err.value.row == row
     assert err.value.column == column
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    year=st.integers(1, 9997),
+    month=st.integers(1, 12),
+    columns=st.lists(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=24),
+        min_size=1, max_size=4,
+    ),
+)
+def test_parse_inverts_render_for_quantized_series(year, month, columns):
+    rows = len(columns[0])
+    series = {
+        f"c{i}": TimeSeries(MonthStamp(year, month), [float(f"{v:.6g}") for v in (col * rows)[:rows]])
+        for i, col in enumerate(columns)
+    }
+    assert parse_csv(render_csv(series)) == series
 
 
 def test_render_parse_round_trip_on_generated_bundle(noisy_bundle):
