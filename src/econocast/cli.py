@@ -20,7 +20,7 @@ from . import lagscan, metrics, presets, search
 from .artifacts import REQUIRED, JsonObject, is_file_stem, read_json, write_json, write_text
 # `train` is unused here but stays importable from cli: perfbench/selftest.py
 # checks that tracing rebinds it in every module that imported it.
-from .mlp import TrainConfig, predict, save_expert, train  # noqa: F401
+from .mlp import TrainConfig, TrainingDiverged, predict, save_expert, train  # noqa: F401
 from .preprocess import FeatureSpec, WarmupError, assemble, dominant_cycle
 from .timeseries import (
     CsvFormatError,
@@ -268,38 +268,42 @@ def _optimize_sub_specs(
 ) -> List[ens.SubNetworkSpec]:
     """Apply architecture search and/or Sharpe-maximizing restarts per sub,
     returning specs whose seeds/shapes reproduce the selected experts.
-    Selection logs land under out_dir/logs."""
+    Selection logs land under out_dir/logs. A warm-up shortfall or a sub
+    whose every restart diverged is raised as a ValueError naming the sub."""
     core_range, val_range = _selection_ranges(config)
     logs_dir = os.path.join(config.out_dir, "logs")
     out = []
-    for spec in specs:
-        m_core = assemble(spec.features, sources, config.target, None, *core_range)
-        m_val = assemble(spec.features, sources, config.target, None, *val_range)
-        hidden = spec.hidden_layers
-        if config.search is not None:
-            grid = replace(config.search, train_config=spec.train_config)
-            outcome = search.search_best_net(grid, m_core, m_val)
-            hidden = outcome.best_architecture[1:-1]
-            write_text(
-                os.path.join(logs_dir, f"search_{spec.name}.csv"),
-                search.search_log_csv(outcome, timings=False),
-            )
-        cfg = spec.train_config
-        if config.restarts is not None:
-            ro = search.maximize_sharpe(
-                (m_core.width, *hidden, 1),
-                m_core,
-                m_val,
-                cfg,
-                target_srm=config.restarts.target_srm,
-                max_restarts=config.restarts.max_restarts,
-                base_seed=cfg.rng_seed,
-            )
-            cfg = replace(cfg, rng_seed=ro.expert.rng_seed)
-            write_text(
-                os.path.join(logs_dir, f"restarts_{spec.name}.csv"),
-                search.restart_log_csv(ro, timings=False),
-            )
+    for number, spec in enumerate(specs, start=1):
+        try:
+            m_core = assemble(spec.features, sources, config.target, None, *core_range)
+            m_val = assemble(spec.features, sources, config.target, None, *val_range)
+            hidden = spec.hidden_layers
+            if config.search is not None:
+                grid = replace(config.search, train_config=spec.train_config)
+                outcome = search.search_best_net(grid, m_core, m_val)
+                hidden = outcome.best_architecture[1:-1]
+                write_text(
+                    os.path.join(logs_dir, f"search_{spec.name}.csv"),
+                    search.search_log_csv(outcome, timings=False),
+                )
+            cfg = spec.train_config
+            if config.restarts is not None:
+                ro = search.maximize_sharpe(
+                    (m_core.width, *hidden, 1),
+                    m_core,
+                    m_val,
+                    cfg,
+                    target_srm=config.restarts.target_srm,
+                    max_restarts=config.restarts.max_restarts,
+                    base_seed=cfg.rng_seed,
+                )
+                cfg = replace(cfg, rng_seed=ro.expert.rng_seed)
+                write_text(
+                    os.path.join(logs_dir, f"restarts_{spec.name}.csv"),
+                    search.restart_log_csv(ro, timings=False),
+                )
+        except (ValueError, TrainingDiverged) as exc:
+            raise ValueError(f"sub-network {number} ({spec.name!r}) failed: {exc}") from exc
         out.append(replace(spec, hidden_layers=tuple(hidden), train_config=cfg))
     return out
 

@@ -3,18 +3,25 @@
 Hidden layers are logistic; the output layer is logistic or linear. Training
 runs per-pattern (stochastic) weight updates in fixed row order for exact
 reproducibility, minimizing the half-sum-of-squares error.
+
+`train_many` is the one training loop. It steps K same-shape nets through
+the patterns in lockstep, their weights stacked (K, out, in) and their
+activations kept as (K, n, 1) columns, so every contraction is one batched
+matmul. numpy runs that matmul as the same BLAS call per net that a lone net
+would make, so each net's weights are bit-identical to training it alone,
+whatever K and wherever it sits in the batch. `train` is the K = 1 case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .artifacts import read_json, write_json
+from .artifacts import REQUIRED, JsonObject, read_json, write_json
 from .preprocess import FeatureMatrix, FeatureSpec
-from .timeseries import MonthStamp, TimeSeries, range_from_json, range_to_json
+from .timeseries import MonthStamp, TimeSeries, range_to_json, read_range
 
 __all__ = [
     "ACTIVATIONS",
@@ -27,6 +34,7 @@ __all__ = [
     "forward",
     "gradients",
     "train",
+    "train_many",
     "predict",
     "error_percent",
     "expert_to_dict",
@@ -41,15 +49,17 @@ ACTIVATIONS = ("logistic", "linear")
 class TrainingDiverged(RuntimeError):
     """Loss became non-finite; carries the epoch at which it happened."""
 
-    def __init__(self, epoch: int):
-        super().__init__(f"training diverged at epoch {epoch} (non-finite loss)")
+    def __init__(self, epoch: int, message: str | None = None):
+        super().__init__(message or f"training diverged at epoch {epoch} (non-finite loss)")
         self.epoch = epoch
 
 
 def _logistic(z: np.ndarray) -> np.ndarray:
-    # exp(-|z|) never overflows; both branches are exact for their sign of z.
+    # 1 / (1 + e) for z >= 0 and e / (1 + e) below, with e = exp(-|z|), which
+    # never overflows. The numerator max(e, sign(z)) is 1 for z >= 0 (as e <= 1
+    # there) and e below; one call cheaper than np.where on a comparison.
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.maximum(e, np.sign(z)) / (1.0 + e)
 
 
 def _activate(kind: str, z: np.ndarray) -> np.ndarray:
@@ -157,9 +167,12 @@ def forward(net: MlpNetwork, x: Sequence[float]) -> np.ndarray:
 def _forward_batch(
     kinds: Sequence[str], ws: Sequence[np.ndarray], bs: Sequence[np.ndarray], X: np.ndarray
 ) -> np.ndarray:
+    """Outputs for every row of X, one row per pattern. Biases are rows:
+    (out,), or (K, 1, out) beside weights stacked (K, out, in) over K nets,
+    which gives (K, n, n_out)."""
     a = X
     for kind, w, b in zip(kinds, ws, bs):
-        a = _activate(kind, a @ w.T + b)
+        a = _activate(kind, a @ w.swapaxes(-1, -2) + b)
     return a
 
 
@@ -168,11 +181,13 @@ def _backprop(
     ws: Sequence[np.ndarray],
     bs: Sequence[np.ndarray],
     x: np.ndarray,
-    target: np.ndarray,
+    target: object,
 ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
     """Gradient of E = 1/2 * sum((out - target)^2) for one pattern by reverse
-    accumulation. Every delta comes from the weights as passed in, so a caller
-    may update them in place once this returns."""
+    accumulation, in column layout: x is (in, 1), each weight (out, in) and
+    bias (out, 1), or all of them stacked over K nets as (K, ...). Every
+    delta comes from the weights as passed in, so a caller may update them in
+    place once this returns."""
     acts = [x]
     for kind, w, b in zip(kinds, ws, bs):
         acts.append(_activate(kind, w @ acts[-1] + b))
@@ -183,10 +198,10 @@ def _backprop(
         if kinds[l] == "logistic":
             # The logistic slope expressed through the activation itself.
             delta = delta * (acts[l + 1] * (1.0 - acts[l + 1]))
-        dws[l] = delta[:, None] * acts[l]
+        dws[l] = delta * acts[l].swapaxes(-1, -2)
         dbs[l] = delta
         if l > 0:
-            delta = ws[l].T @ delta
+            delta = ws[l].swapaxes(-1, -2) @ delta
     return dws, dbs
 
 
@@ -199,7 +214,9 @@ def gradients(
     target = np.asarray(target, dtype=float)
     if x.shape != (net.n_in,) or target.shape != (net.n_out,):
         raise ValueError("input/target dimensions do not match the network")
-    return _backprop(_layer_kinds(net), net.weights, net.biases, x, target)
+    bs = [b[:, None] for b in net.biases]
+    dws, dbs = _backprop(_layer_kinds(net), net.weights, bs, x[:, None], target[:, None])
+    return dws, [db[:, 0] for db in dbs]
 
 
 @dataclass(frozen=True)
@@ -265,51 +282,101 @@ class TrainedExpert:
     test_range: Tuple[MonthStamp, MonthStamp] | None = None
 
 
-def train(net: MlpNetwork, matrix: FeatureMatrix, config: TrainConfig) -> TrainedExpert:
-    """Online gradient descent: one update per pattern, fixed order, one full
-    pass per epoch. Stops once the epoch-end mean squared error (normalized
-    space) reaches target_error, or at max_epochs."""
-    if net.n_in != matrix.width:
-        raise ValueError(f"network expects {net.n_in} inputs, matrix has {matrix.width}")
-    if net.n_out != 1:
+def _check_batch(
+    nets: Sequence[MlpNetwork], matrix: FeatureMatrix, configs: Sequence[TrainConfig]
+) -> None:
+    if not nets or len(nets) != len(configs):
+        raise ValueError(f"need one config per net, got {len(nets)} nets, {len(configs)} configs")
+    first = nets[0]
+    layout = (first.layer_sizes, first.hidden_activation, first.output_activation)
+    if any((n.layer_sizes, n.hidden_activation, n.output_activation) != layout for n in nets):
+        raise ValueError("nets trained together must share layer sizes and activations")
+    if any(replace(c, rng_seed=configs[0].rng_seed) != configs[0] for c in configs):
+        raise ValueError("configs trained together may differ only in rng_seed")
+    if first.n_in != matrix.width:
+        raise ValueError(f"network expects {first.n_in} inputs, matrix has {matrix.width}")
+    if first.n_out != 1:
         raise ValueError("time-series experts have a single output")
-    norm = Normalizer.fit(matrix.X, matrix.y, net.output_activation)
+
+
+def train_many(
+    nets: Sequence[MlpNetwork], matrix: FeatureMatrix, configs: Sequence[TrainConfig]
+) -> List[TrainedExpert | TrainingDiverged]:
+    """Train K same-shape nets on one matrix in lockstep, one slot per net.
+
+    Online gradient descent: one update per pattern, fixed order, one full
+    pass per epoch. The K nets are stacked (K, out, in), so each step is one
+    batched matmul for all of them. A net stops once its epoch-end mean
+    squared error (normalized space) reaches target_error, or at max_epochs;
+    a net whose error turns non-finite stops too and its slot holds
+    TrainingDiverged. Either way it leaves the batch with its weights frozen
+    and the others go on. Each net's result is bit-identical to training it
+    alone, whatever K and wherever it sits in the batch."""
+    _check_batch(nets, matrix, configs)
+    first, config = nets[0], configs[0]
+    norm = Normalizer.fit(matrix.X, matrix.y, first.output_activation)
     Xn = norm.normalize_inputs(matrix.X)
     yn = norm.normalize_target(matrix.y)
+    columns = Xn[:, :, None]
 
-    kinds = _layer_kinds(net)
-    ws = [w.copy() for w in net.weights]
-    bs = [b.copy() for b in net.biases]
+    kinds = _layer_kinds(first)
+    ws = [np.stack(layer) for layer in zip(*(net.weights for net in nets))]
+    bs = [np.stack(layer)[:, :, None] for layer in zip(*(net.biases for net in nets))]
     eta = config.learning_rate
-    final_error = float("inf")
+    active = list(range(len(nets)))  # slot of each batch position
+    results: List[TrainedExpert | TrainingDiverged] = [None] * len(nets)  # type: ignore[list-item]
+
+    def finish(i: int, final_error: float) -> TrainedExpert:
+        net = MlpNetwork(
+            first.layer_sizes,
+            tuple(w[i] for w in ws),
+            tuple(b[i, :, 0] for b in bs),
+            first.hidden_activation,
+            first.output_activation,
+        )
+        return TrainedExpert(
+            network=net,
+            normalizer=norm,
+            features=matrix.specs,
+            train_range=(matrix.start, matrix.end),
+            final_train_error=final_error,
+            rng_seed=configs[active[i]].rng_seed,
+        )
 
     # Overflow inside an epoch is how divergence manifests; it is detected at
     # the epoch-end error check rather than warned about per operation.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, config.max_epochs + 1):
             for p in range(matrix.rows):
-                dws, dbs = _backprop(kinds, ws, bs, Xn[p], yn[p : p + 1])
+                dws, dbs = _backprop(kinds, ws, bs, columns[p], yn[p])
                 for w, b, dw, db in zip(ws, bs, dws, dbs):
                     w -= eta * dw
                     b -= eta * db
-            a = _forward_batch(kinds, ws, bs, Xn)
-            final_error = float(np.mean((a[:, 0] - yn) ** 2))
-            if not np.isfinite(final_error):
-                raise TrainingDiverged(epoch)
-            if final_error <= config.target_error:
-                break
+            out = _forward_batch(kinds, ws, [b.swapaxes(1, 2) for b in bs], Xn)
+            keep = []
+            for i, slot in enumerate(active):
+                error = float(np.mean((out[i, :, 0] - yn) ** 2))
+                if not np.isfinite(error):
+                    results[slot] = TrainingDiverged(epoch)
+                elif error <= config.target_error or epoch == config.max_epochs:
+                    results[slot] = finish(i, error)
+                else:
+                    keep.append(i)
+            if len(keep) < len(active):
+                if not keep:
+                    break
+                ws = [w[keep] for w in ws]
+                bs = [b[keep] for b in bs]
+                active = [active[i] for i in keep]
+    return results
 
-    trained = MlpNetwork(
-        net.layer_sizes, tuple(ws), tuple(bs), net.hidden_activation, net.output_activation
-    )
-    return TrainedExpert(
-        network=trained,
-        normalizer=norm,
-        features=matrix.specs,
-        train_range=(matrix.start, matrix.end),
-        final_train_error=final_error,
-        rng_seed=config.rng_seed,
-    )
+
+def train(net: MlpNetwork, matrix: FeatureMatrix, config: TrainConfig) -> TrainedExpert:
+    """One net through train_many; raises TrainingDiverged if it diverges."""
+    (result,) = train_many([net], matrix, [config])
+    if isinstance(result, TrainingDiverged):
+        raise result
+    return result
 
 
 def predict(expert: TrainedExpert, matrix: FeatureMatrix) -> TimeSeries:
@@ -359,30 +426,73 @@ def expert_to_dict(expert: TrainedExpert) -> Dict[str, object]:
     }
 
 
-def expert_from_dict(data: Mapping[str, object]) -> TrainedExpert:
-    net = MlpNetwork(
-        tuple(data["layer_sizes"]),
-        tuple(np.array(w, dtype=float) for w in data["weights"]),
-        tuple(np.array(b, dtype=float) for b in data["biases"]),
-        str(data["hidden_activation"]),
-        str(data["output_activation"]),
-    )
-    nd = data["normalizer"]
-    norm = Normalizer(
-        np.array(nd["input_shift"], dtype=float),
-        np.array(nd["input_scale"], dtype=float),
-        float(nd["target_shift"]),
-        float(nd["target_scale"]),
-    )
-    features = tuple(FeatureSpec.from_dict(f) for f in data["features"])
+def _is_ints(value: Sequence[object]) -> bool:
+    return all(type(v) is int for v in value)
+
+
+def _is_numbers(value: Sequence[object]) -> bool:
+    return all(type(v) in (int, float) for v in value)
+
+
+def _is_vectors(value: Sequence[object]) -> bool:
+    return all(type(v) is list and _is_numbers(v) for v in value)
+
+
+def _is_matrices(value: Sequence[object]) -> bool:
+    return all(type(v) is list and _is_vectors(v) for v in value)
+
+
+def expert_from_dict(data: object, path: str = "expert") -> TrainedExpert:
+    """Inverse of expert_to_dict; errors name the key's path under `path`."""
+    obj = JsonObject(data, path)
+    sizes = obj.get("layer_sizes", REQUIRED, (list,), _is_ints, "a list of integers")
+    kind = "'logistic' or 'linear'"
+    hidden = obj.get("hidden_activation", REQUIRED, (str,), ACTIVATIONS.__contains__, kind)
+    output = obj.get("output_activation", REQUIRED, (str,), ACTIVATIONS.__contains__, kind)
+    weights = obj.get("weights", REQUIRED, (list,), _is_matrices, "a list of matrices")
+    biases = obj.get("biases", REQUIRED, (list,), _is_vectors, "a list of vectors")
+    nd = obj.section("normalizer", REQUIRED)
+    shift = nd.get("input_shift", REQUIRED, (list,), _is_numbers, "a list of numbers")
+    scale = nd.get("input_scale", REQUIRED, (list,), _is_numbers, "a list of numbers")
+    target_shift = nd.get("target_shift", REQUIRED, (float, int))
+    target_scale = nd.get("target_scale", REQUIRED, (float, int))
+    nd.close()
+    features = obj.get("features", REQUIRED, (list,))
+    train_range = read_range(obj, "train_range")
+    test_range = read_range(obj, "test_range", None)
+    final_train_error = obj.get("final_train_error", REQUIRED, (float, int))
+    rng_seed = obj.get("rng_seed", REQUIRED, (int,))
+    obj.close()
+    specs = tuple(FeatureSpec.from_dict(f, f"{path}.features[{i}]") for i, f in enumerate(features))
+    try:
+        net = MlpNetwork(
+            sizes,
+            tuple(np.array(w, dtype=float) for w in weights),
+            tuple(np.array(b, dtype=float) for b in biases),
+            hidden,
+            output,
+        )
+        norm = Normalizer(
+            np.array(shift, dtype=float),
+            np.array(scale, dtype=float),
+            float(target_shift),
+            float(target_scale),
+        )
+        if not net.n_in == len(norm.input_shift) == len(specs):
+            raise ValueError(
+                f"{net.n_in} inputs, {len(norm.input_shift)} normalizer columns "
+                f"and {len(specs)} features do not match"
+            )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return TrainedExpert(
         network=net,
         normalizer=norm,
-        features=features,
-        train_range=range_from_json(data["train_range"]),
-        final_train_error=float(data["final_train_error"]),
-        rng_seed=int(data["rng_seed"]),
-        test_range=range_from_json(data["test_range"]) if data.get("test_range") else None,
+        features=specs,
+        train_range=train_range,
+        final_train_error=float(final_train_error),
+        rng_seed=rng_seed,
+        test_range=test_range,
     )
 
 
@@ -391,4 +501,4 @@ def save_expert(expert: TrainedExpert, path: str) -> None:
 
 
 def load_expert(path: str) -> TrainedExpert:
-    return expert_from_dict(read_json(path))
+    return expert_from_dict(read_json(path), path)

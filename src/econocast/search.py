@@ -13,7 +13,16 @@ from dataclasses import dataclass, replace
 from typing import List, Sequence, Tuple
 
 from .metrics import efficiency, sharpe_modified, signals_from_prediction, srm_rank_key
-from .mlp import TrainConfig, TrainedExpert, TrainingDiverged, error_percent, init, predict, train
+from .mlp import (
+    TrainConfig,
+    TrainedExpert,
+    TrainingDiverged,
+    error_percent,
+    init,
+    predict,
+    train,
+    train_many,
+)
 from .preprocess import FeatureMatrix
 
 __all__ = [
@@ -142,6 +151,10 @@ def search_best_net(
 
 @dataclass(frozen=True)
 class RestartResult:
+    """One restart's validation score. `wallclock` is the lockstep training
+    time of the whole batch split evenly over its nets, plus this restart's
+    own prediction and scoring time."""
+
     restart: int
     seed: int
     srm: float | None
@@ -168,34 +181,36 @@ def maximize_sharpe(
     max_restarts: int = 20,
     base_seed: int | None = None,
 ) -> RestartOutcome:
-    """Retrain from fresh random weights (seeds base_seed + i) and keep the
-    expert with the best validation Sharpe ratio. Stops early once target_srm
-    is reached; a no-loss outcome satisfies any target."""
+    """Train from fresh random weights (seeds base_seed + i) and keep the
+    expert with the best validation Sharpe ratio. All restarts train in one
+    lockstep batch; they are then scored in seed order, and scoring stops
+    once target_srm is reached, so the history ends there. A no-loss outcome
+    satisfies any target. Raises TrainingDiverged if every restart diverges."""
     if max_restarts < 1:
         raise ValueError("max_restarts must be >= 1")
     if base_seed is None:
         base_seed = train_config.rng_seed
+    configs = [replace(train_config, rng_seed=base_seed + i) for i in range(max_restarts)]
+    started = time.perf_counter()
+    trained = train_many([init(tuple(shape), cfg) for cfg in configs], train_matrix, configs)
+    train_share = (time.perf_counter() - started) / max_restarts
     actual = validation_matrix.target_series()
     history: List[RestartResult] = []
     best: TrainedExpert | None = None
     best_key = None
     best_index = -1
     reached = False
-    for i in range(max_restarts):
-        seed = base_seed + i
-        cfg = replace(train_config, rng_seed=seed)
+    for i, (cfg, expert) in enumerate(zip(configs, trained)):
         started = time.perf_counter()
-        try:
-            expert = train(init(tuple(shape), cfg), train_matrix, cfg)
-        except TrainingDiverged:
+        if isinstance(expert, TrainingDiverged):
             history.append(
                 RestartResult(
                     restart=i,
-                    seed=seed,
+                    seed=cfg.rng_seed,
                     srm=float("-inf"),
                     efficiency_pct=float("-inf"),
                     train_error_pct=float("inf"),
-                    wallclock=time.perf_counter() - started,
+                    wallclock=train_share + time.perf_counter() - started,
                     diverged=True,
                 )
             )
@@ -207,11 +222,11 @@ def maximize_sharpe(
         history.append(
             RestartResult(
                 restart=i,
-                seed=seed,
+                seed=cfg.rng_seed,
                 srm=srm,
                 efficiency_pct=eff,
                 train_error_pct=expert.final_train_error,
-                wallclock=time.perf_counter() - started,
+                wallclock=train_share + time.perf_counter() - started,
             )
         )
         key = srm_rank_key(srm, eff)
@@ -221,7 +236,9 @@ def maximize_sharpe(
             reached = True
             break
     if best is None:
-        raise TrainingDiverged(0)
+        last = max(exc.epoch for exc in trained)
+        message = f"all {max_restarts} restarts diverged, the last at epoch {last}"
+        raise TrainingDiverged(last, f"{message} (non-finite loss)")
     return RestartOutcome(
         expert=best, best_restart=best_index, history=tuple(history), reached_target=reached
     )

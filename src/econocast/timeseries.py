@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from types import MappingProxyType
+from types import MappingProxyType, NoneType
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -95,9 +95,13 @@ def range_from_json(pair: Sequence[str]) -> Tuple[MonthStamp, MonthStamp]:
 
 
 def read_range(obj: JsonObject, key: str, default=REQUIRED) -> Tuple[MonthStamp, MonthStamp]:
-    """The ordered month range at `key` of a JSON object, as range_to_json writes it."""
+    """The ordered month range at `key` of a JSON object, as range_to_json
+    writes it. Null reads as None, like an absent key, only when `default`
+    is None."""
     want = "an ordered [first, last] pair of YYYY-MM months"
-    return range_from_json(obj.get(key, default, (list,), _is_ordered_range, want))
+    pair = obj.get(key, default, (list,) if default is not None else (list, NoneType),
+                   _is_ordered_range, want)
+    return None if pair is None else range_from_json(pair)
 
 
 def _is_ordered_range(pair: Sequence[object]) -> bool:

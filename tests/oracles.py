@@ -1,14 +1,19 @@
 """Independent brute-force re-implementations used as test oracles.
 
-Everything here is written from the definitions with plain loops, imports
-nothing from the package's metric/transform code paths, and is deliberately
-slow and obvious.
+Everything here is written from the definitions with plain loops and is
+deliberately slow and obvious. All but `serial_maximize_sharpe` import nothing
+from the package's code paths; that one is the one-net-at-a-time restart loop
+that lockstep training replaced, written over the package's `init` and
+`train`, so the lockstep search can be checked against it.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import List, Sequence, Tuple
+
+from econocast import metrics, mlp
 
 
 def signals(predicted: Sequence[float]) -> List[int]:
@@ -92,3 +97,32 @@ def dft_dominant_period(values: Sequence[float]) -> int:
             best_mag = mag
             best_k = k
     return round(n / best_k)
+
+
+def serial_maximize_sharpe(shape, train_matrix, validation_matrix, train_config,
+                           target_srm=None, max_restarts=20, base_seed=None):
+    """(history, best_restart, reached_target, expert) of training and scoring
+    the restarts one at a time, stopping at the first that reaches target_srm.
+    Each history row is (seed, srm, efficiency, train error, diverged)."""
+    if base_seed is None:
+        base_seed = train_config.rng_seed
+    actual = validation_matrix.target_series()
+    history, best, best_key, best_index, reached = [], None, None, -1, False
+    for i in range(max_restarts):
+        cfg = replace(train_config, rng_seed=base_seed + i)
+        try:
+            expert = mlp.train(mlp.init(tuple(shape), cfg), train_matrix, cfg)
+        except mlp.TrainingDiverged:
+            history.append((cfg.rng_seed, float("-inf"), float("-inf"), float("inf"), True))
+            continue
+        sig = metrics.signals_from_prediction(mlp.predict(expert, validation_matrix))
+        srm = metrics.sharpe_modified(actual, sig)
+        eff = metrics.efficiency(actual, sig)
+        history.append((cfg.rng_seed, srm, eff, expert.final_train_error, False))
+        key = metrics.srm_rank_key(srm, eff)
+        if best_key is None or key > best_key:
+            best, best_key, best_index = expert, key, i
+        if target_srm is not None and (srm is None or srm >= target_srm):
+            reached = True
+            break
+    return history, best_index, reached, best

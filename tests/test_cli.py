@@ -7,6 +7,7 @@ import pytest
 
 from econocast.cli import config_from_dict, main
 from econocast.metrics import REPORT_COLUMNS
+from econocast.mlp import expert_to_dict, load_expert
 
 
 def read(path):
@@ -264,6 +265,18 @@ def test_failed_sub_is_named_in_the_error(tmp_path, capsys, command, cause):
     assert capsys.readouterr().err.startswith("error: sub-network 1 ('network1') failed: ")
 
 
+@pytest.mark.parametrize("command", ["train", "ensemble"])
+def test_every_restart_diverged_is_named_in_the_error(tmp_path, capsys, command):
+    cfg = base_config(str(tmp_path / "out"))
+    cfg["train"]["learning_rate"] = 1e7
+    cfg["restarts"] = {"max_restarts": 3}
+    assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sub-network 1 ('network1') failed: all 3 restarts diverged")
+    epoch = int(re.search(r"the last at epoch (\d+)", err).group(1))
+    assert 1 <= epoch <= cfg["train"]["max_epochs"]
+
+
 def test_diverged_master_is_named_in_the_error(tmp_path, capsys):
     cfg = base_config(str(tmp_path / "out"))
     cfg["master_train"] = {"learning_rate": 1e6, "max_epochs": 5}
@@ -446,3 +459,75 @@ def test_report_names_the_fault_in_a_bad_manifest(tmp_path, capsys, saved_run, e
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert not (out / "report.txt").exists()
+
+
+def _set_expert(key, value):
+    def edit(expert):
+        expert[key] = value
+        return expert
+    return edit
+
+
+def _drop_expert(key):
+    def edit(expert):
+        del expert[key]
+        return expert
+    return edit
+
+
+def _set_normalizer(expert):
+    expert["normalizer"]["target_scale"] = "1"
+    return expert
+
+
+def _short_weights(expert):
+    expert["weights"][0] = expert["weights"][0][:-1]
+    return expert
+
+
+def _drop_feature(expert):
+    expert["features"].pop()
+    return expert
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda expert: [], "network1.json must be an object, got []"),
+        (_drop_expert("layer_sizes"), "missing required key 'layer_sizes' in "),
+        (_drop_expert("normalizer"), "missing required key 'normalizer' in "),
+        (_set_expert("rng_seed", "1"), "network1.json.rng_seed must be an integer"),
+        (_set_expert("layer_sizes", [4.5, 3, 1]), "network1.json.layer_sizes"),
+        (_set_expert("hidden_activation", "tanh"), "network1.json.hidden_activation"),
+        (_set_expert("weights", [[["x"]]]), "network1.json.weights"),
+        (_set_expert("test_range", ["1996-12", "1996-01"]), "network1.json.test_range"),
+        (_set_expert("features", "gold"), "network1.json.features"),
+        (_set_expert("extra", 1), "unknown key(s) ['extra'] in "),
+        (_set_normalizer, "network1.json.normalizer.target_scale"),
+        (_short_weights, "network1.json: layer 0 parameter shapes"),
+        (_drop_feature, "network1.json: 9 inputs, 9 normalizer columns and 8 features do not match"),
+    ],
+)
+def test_report_names_the_fault_in_a_bad_expert(tmp_path, capsys, saved_run, edit, named):
+    config_path, saved = saved_run
+    out = tmp_path / "out"
+    shutil.copytree(saved / "model", out / "model")
+    expert_path = out / "model" / "network1.json"
+    expert_path.write_text(json.dumps(edit(json.loads(expert_path.read_text()))))
+    assert main(["report", "--config", config_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not (out / "report.txt").exists()
+
+
+def test_report_reloads_saved_experts_bit_exact(tmp_path, saved_run):
+    config_path, saved = saved_run
+    out = tmp_path / "out"
+    shutil.copytree(saved / "model", out / "model")
+    assert main(["report", "--config", config_path, "--out", str(out)]) == 0
+    assert read(out / "report.txt") == read(saved / "report.txt")
+    for name in ("network1.json", "network2.json", "master.json"):
+        expert = load_expert(str(out / "model" / name))
+        assert (json.dumps(expert_to_dict(expert), indent=1) + "\n").encode() == read(
+            saved / "model" / name
+        )

@@ -1,7 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from econocast.mlp import (
     MlpNetwork,
@@ -19,6 +22,8 @@ from econocast.mlp import (
     predict,
     save_expert,
     train,
+    train_many,
+    _logistic,
 )
 from econocast.preprocess import FeatureMatrix, FeatureSpec
 from econocast.timeseries import MonthStamp
@@ -103,6 +108,17 @@ def test_forward_hand_computed_1_2_1():
     h2 = 1.0 / (1.0 + np.exp(-(-1.0 * x + 0.2)))
     expected = 2.0 * h1 - 0.5 * h2 + 0.3
     assert abs(forward(net, [x])[0] - expected) < 1e-6
+
+
+def test_logistic_takes_the_exact_branch_for_each_sign():
+    # 1 / (1 + e) for z >= 0 and e / (1 + e) below, e = exp(-|z|), bit for bit.
+    z = np.array([0.0, -0.0, 1e-300, -1e-300, 1e-17, -1e-17, 0.3, -0.3, 40.0, -40.0,
+                  800.0, -800.0, np.inf, -np.inf, np.nan])
+    e = np.exp(-np.abs(z))
+    want = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    got = _logistic(z)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.isnan(got[-1]) and np.all(np.isfinite(got[:-1]))
 
 
 def test_forward_dimension_mismatch():
@@ -269,6 +285,121 @@ def test_train_divergence_reports_epoch():
     with pytest.raises(TrainingDiverged) as err:
         train(init([2, 4, 1], cfg), m, cfg)
     assert err.value.epoch >= 1
+
+
+# ---------------------------------------------------------------------------
+# train_many
+# ---------------------------------------------------------------------------
+
+def _bytes(result):
+    if isinstance(result, TrainingDiverged):
+        return ("diverged", result.epoch)
+    return json.dumps(expert_to_dict(result))
+
+
+def _solo(net, m, cfg):
+    try:
+        return _bytes(train(net, m, cfg))
+    except TrainingDiverged as exc:
+        return _bytes(exc)
+
+
+@st.composite
+def lockstep_batches(draw):
+    """(nets, matrix, configs) for one lockstep batch of 1..6 same-shape nets."""
+    n_in = draw(st.integers(1, 4))
+    hidden = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    output = draw(st.sampled_from(["linear", "logistic"]))
+    rows = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    m = matrix_from_arrays(rng.normal(size=(rows, n_in)), rng.normal(size=rows))
+    cfg = TrainConfig(
+        learning_rate=draw(st.sampled_from([0.05, 0.3, 1.0])), max_epochs=draw(st.integers(1, 8))
+    )
+    seeds = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=6, unique=True))
+    configs = [replace(cfg, rng_seed=seed) for seed in seeds]
+    nets = [init([n_in, *hidden, 1], c, output_activation=output) for c in configs]
+    # A target between the nets' final errors stops them at different epochs.
+    finals = []
+    for net, c in zip(nets, configs):
+        try:
+            finals.append(train(net, m, c).final_train_error)
+        except TrainingDiverged:
+            pass
+    target = draw(st.floats(min(finals), max(finals))) if finals else 0.0
+    return nets, m, [replace(c, target_error=target) for c in configs]
+
+
+@settings(max_examples=40, deadline=None)
+@given(lockstep_batches(), st.randoms())
+def test_train_many_slot_equals_training_alone_in_any_order(batch, random):
+    nets, m, configs = batch
+    solo = [_solo(net, m, cfg) for net, cfg in zip(nets, configs)]
+    assert [_bytes(r) for r in train_many(nets, m, configs)] == solo
+    order = list(range(len(nets)))
+    random.shuffle(order)
+    shuffled = train_many([nets[i] for i in order], m, [configs[i] for i in order])
+    assert [_bytes(r) for r in shuffled] == [solo[i] for i in order]
+
+
+def test_train_many_stops_each_net_at_its_own_epoch():
+    rng = np.random.default_rng(3)
+    m = matrix_from_arrays(rng.normal(size=(16, 2)), rng.normal(size=16))
+    target = 0.9
+    configs = [
+        TrainConfig(learning_rate=0.1, max_epochs=12, target_error=target, rng_seed=s)
+        for s in range(6)
+    ]
+    nets = [init([2, 3, 1], c) for c in configs]
+    stops = []
+    for net, cfg, result in zip(nets, configs, train_many(nets, m, configs)):
+        # The net stops after the first epoch whose error reaches the target.
+        for epochs in range(1, cfg.max_epochs + 1):
+            ran = train(net, m, replace(cfg, max_epochs=epochs, target_error=0.0))
+            if ran.final_train_error <= target:
+                break
+        assert _bytes(result) == _bytes(ran)
+        stops.append((epochs, ran.final_train_error <= target))
+    assert stops == [(7, True), (12, True), (9, True), (12, False), (12, False), (10, True)]
+
+
+def test_train_many_diverged_net_leaves_the_others_untouched():
+    rng = np.random.default_rng(4)
+    m = matrix_from_arrays(rng.normal(size=(10, 3)), rng.normal(size=10))
+    configs = [TrainConfig(max_epochs=15, rng_seed=s) for s in (1, 2, 3)]
+    nets = [init([3, 4, 1], c) for c in configs]
+    huge = MlpNetwork(
+        (3, 4, 1),
+        (np.full((4, 3), 1e200), np.full((1, 4), 1e200)),
+        (np.zeros(4), np.zeros(1)),
+    )
+    nets[1] = huge
+    results = train_many(nets, m, configs)
+    assert isinstance(results[1], TrainingDiverged) and results[1].epoch == 1
+    with pytest.raises(TrainingDiverged):
+        train(huge, m, configs[1])
+    for i in (0, 2):
+        assert _bytes(results[i]) == _solo(nets[i], m, configs[i])
+
+
+def test_train_many_rejects_mismatched_batches():
+    rng = np.random.default_rng(5)
+    m = matrix_from_arrays(rng.normal(size=(6, 2)), rng.normal(size=6))
+    cfg = TrainConfig(max_epochs=2)
+    net = init([2, 3, 1], cfg)
+    bad_batches = [
+        ([], []),
+        ([net, net], [cfg]),
+        ([net, init([2, 4, 1], cfg)], [cfg, cfg]),
+        ([net, init([2, 3, 1], cfg, output_activation="logistic")], [cfg, cfg]),
+        ([net, net], [cfg, replace(cfg, learning_rate=0.1)]),
+        ([net, net], [cfg, replace(cfg, max_epochs=3)]),
+        ([init([3, 3, 1], cfg)], [cfg]),
+    ]
+    for nets, configs in bad_batches:
+        with pytest.raises(ValueError):
+            train_many(nets, m, configs)
+    train_many([net, net], m, [cfg, replace(cfg, rng_seed=9)])
 
 
 def test_error_decreases_with_more_epochs_on_sine():

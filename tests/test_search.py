@@ -1,6 +1,10 @@
-import numpy as np
+import json
 
-from econocast.mlp import TrainConfig, init, train
+import numpy as np
+import pytest
+
+import oracles
+from econocast.mlp import TrainConfig, TrainingDiverged, expert_to_dict, init, train
 from econocast.preprocess import FeatureMatrix, FeatureSpec
 from econocast.search import (
     ArchitectureGrid,
@@ -156,3 +160,45 @@ def test_maximize_sharpe_deterministic():
     assert [h.srm for h in a.history] == [h.srm for h in b.history]
     text = restart_log_csv(a)
     assert text.splitlines()[0] == "candidate,seed,train_err,val_err,srm,wallclock"
+
+
+@pytest.mark.parametrize(
+    "cfg, target",
+    [
+        # no target: every restart is scored
+        (TrainConfig(max_epochs=20, rng_seed=1), None),
+        # the best of these six, restart 2, is the first to reach its own score
+        (TrainConfig(learning_rate=0.8, max_epochs=20), "best"),
+        # restart 0 diverges, the other five train on
+        (TrainConfig(learning_rate=1.0, max_epochs=20), None),
+    ],
+)
+def test_lockstep_restarts_match_the_serial_loop(cfg, target):
+    tr, va = _bundle_matrices()
+    shape = (tr.width, 3, 1)
+    if target == "best":
+        scores = [h.srm for h in maximize_sharpe(shape, tr, va, cfg, max_restarts=6).history]
+        target = max(scores)
+        assert scores.index(target) > 0
+    outcome = maximize_sharpe(shape, tr, va, cfg, target_srm=target, max_restarts=6)
+    history, best_restart, reached, expert = oracles.serial_maximize_sharpe(
+        shape, tr, va, cfg, target_srm=target, max_restarts=6
+    )
+    assert [
+        (h.seed, h.srm, h.efficiency_pct, h.train_error_pct, h.diverged) for h in outcome.history
+    ] == history
+    assert [h.restart for h in outcome.history] == list(range(len(history)))
+    assert outcome.best_restart == best_restart
+    assert outcome.reached_target == reached
+    assert json.dumps(expert_to_dict(outcome.expert)) == json.dumps(expert_to_dict(expert))
+    if target is not None:
+        assert outcome.reached_target and len(outcome.history) == scores.index(target) + 1
+    if cfg.learning_rate == 1.0:
+        assert [h.diverged for h in outcome.history] == [True] + [False] * 5
+
+
+def test_every_restart_diverged_names_the_count_and_an_epoch():
+    tr, va = _bundle_matrices()
+    cfg = TrainConfig(learning_rate=3.0, max_epochs=20)
+    with pytest.raises(TrainingDiverged, match=r"all 4 restarts diverged, the last at epoch \d+"):
+        maximize_sharpe((tr.width, 3, 1), tr, va, cfg, max_restarts=4)
