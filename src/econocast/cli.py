@@ -20,7 +20,7 @@ from . import lagscan, metrics, presets, search
 from .artifacts import REQUIRED, JsonObject, is_file_stem, read_json, write_json, write_text
 # `train` is unused here but stays importable from cli: perfbench/selftest.py
 # checks that tracing rebinds it in every module that imported it.
-from .mlp import TrainConfig, TrainingDiverged, predict, save_expert, train  # noqa: F401
+from .mlp import TrainConfig, TrainedExpert, TrainingDiverged, save_expert, train  # noqa: F401
 from .preprocess import FeatureSpec, WarmupError, assemble, dominant_cycle
 from .timeseries import (
     CsvFormatError,
@@ -265,15 +265,17 @@ def _optimize_sub_specs(
     config: PipelineConfig,
     specs: List[ens.SubNetworkSpec],
     sources: Mapping[str, TimeSeries],
-) -> List[ens.SubNetworkSpec]:
+) -> Tuple[List[ens.SubNetworkSpec], List[TrainedExpert | None]]:
     """Apply architecture search and/or Sharpe-maximizing restarts per sub,
-    returning specs whose seeds/shapes reproduce the selected experts.
-    Selection logs land under out_dir/logs. A warm-up shortfall or a sub
-    whose every restart diverged is raised as a ValueError naming the sub."""
+    returning specs whose seeds/shapes reproduce the selected experts, and
+    the restart winners themselves (None per sub without restarts). Selection
+    logs land under out_dir/logs. A warm-up shortfall or a sub whose every
+    restart diverged is raised as a ValueError naming the sub."""
     core_range, val_range = _selection_ranges(config)
     logs_dir = os.path.join(config.out_dir, "logs")
-    out = []
+    out, selected = [], []
     for number, spec in enumerate(specs, start=1):
+        expert = None
         try:
             m_core = assemble(spec.features, sources, config.target, None, *core_range)
             m_val = assemble(spec.features, sources, config.target, None, *val_range)
@@ -297,7 +299,8 @@ def _optimize_sub_specs(
                     max_restarts=config.restarts.max_restarts,
                     base_seed=cfg.rng_seed,
                 )
-                cfg = replace(cfg, rng_seed=ro.expert.rng_seed)
+                expert = ro.expert
+                cfg = replace(cfg, rng_seed=expert.rng_seed)
                 write_text(
                     os.path.join(logs_dir, f"restarts_{spec.name}.csv"),
                     search.restart_log_csv(ro, timings=False),
@@ -305,18 +308,23 @@ def _optimize_sub_specs(
         except (ValueError, TrainingDiverged) as exc:
             raise ValueError(f"sub-network {number} ({spec.name!r}) failed: {exc}") from exc
         out.append(replace(spec, hidden_layers=tuple(hidden), train_config=cfg))
-    return out
+        selected.append(expert)
+    return out, selected
 
 
 def _prepared_specs(
     config: PipelineConfig, sources: Mapping[str, TimeSeries]
-) -> Tuple[List[ens.SubNetworkSpec], Tuple[MonthStamp, MonthStamp]]:
-    """Sub specs after the configured search/restarts, plus the range their
-    final experts train on (the core range when selection carved one out)."""
+) -> Tuple[List[ens.SubNetworkSpec], List[TrainedExpert | None], Tuple[MonthStamp, MonthStamp]]:
+    """Sub specs after the configured search/restarts, the experts the
+    restarts selected (None per sub still to train), and the range the final
+    experts train on (the core range when selection carved one out). A
+    restart winner was trained on that core range from the returned spec's
+    init and config, so it is the expert a final fit would train again."""
     specs = _build_sub_specs(config, _detect_cycle(sources, config))
     if config.search is None and config.restarts is None:
-        return specs, config.train_range
-    return _optimize_sub_specs(config, specs, sources), _selection_ranges(config)[0]
+        return specs, [None] * len(specs), config.train_range
+    specs, selected = _optimize_sub_specs(config, specs, sources)
+    return specs, selected, _selection_ranges(config)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -367,16 +375,14 @@ def _write_report(
 
 def cmd_train(config: PipelineConfig, locale_comma: bool = False) -> int:
     sources = _load_sources(config)
-    specs, train_range = _prepared_specs(config, sources)
-    rows = []
+    specs, selected, train_range = _prepared_specs(config, sources)
+    fits = ens.fit_subs(specs, sources, config.target, train_range, config.test_range, selected)
     experts_dir = os.path.join(config.out_dir, "experts")
     actual = sources[config.target]
-    for number, spec in enumerate(specs, start=1):
-        expert, m_train, m_test = ens.fit_sub(
-            spec, number, sources, config.target, train_range, config.test_range
-        )
-        save_expert(expert, os.path.join(experts_dir, f"{spec.name}.json"))
-        rows.append((spec.name, metrics.report(expert, m_train, m_test, actual)))
+    rows = []
+    for spec, fit in zip(specs, fits):
+        save_expert(fit.expert, os.path.join(experts_dir, f"{spec.name}.json"))
+        rows.append((spec.name, fit.report(actual)))
     _write_report(config.out_dir, rows, locale_comma)
     print(f"trained {len(rows)} expert(s); report in {config.out_dir}/report.txt")
     return 0
@@ -394,12 +400,7 @@ def _write_ensemble_outputs(
 
     first, last = model.test_range
     actual = sources[model.target_name].slice_range(first, last)
-    sub_preds = []
-    for expert in model.sub_experts:
-        matrix = assemble(list(expert.features), sources, model.target_name, None, first, last)
-        sub_preds.append(predict(expert, matrix))
-    master_pred = ens.predict_ensemble(model, sources, first, last)
-
+    sub_preds, master_pred = ens.predict_ensemble(model, sources, first, last)
     columns = {"actual": actual, **dict(zip(model.sub_names, sub_preds)), "master": master_pred}
     write_text(os.path.join(out, "predictions.csv"), render_csv(columns))
 
@@ -415,13 +416,15 @@ def _write_ensemble_outputs(
 
 def cmd_ensemble(config: PipelineConfig, locale_comma: bool = False) -> int:
     sources = _load_sources(config)
-    specs, train_range = _prepared_specs(config, sources)
+    specs, selected, train_range = _prepared_specs(config, sources)
     spec = ens.EnsembleSpec(
         sub_specs=tuple(specs),
         master_hidden_layers=config.master_hidden_layers,
         master_train_config=config.master_train,
     )
-    model = ens.train_ensemble(spec, sources, config.target, train_range, config.test_range)
+    model = ens.train_ensemble(
+        spec, sources, config.target, train_range, config.test_range, selected
+    )
     _write_ensemble_outputs(config, model, sources, locale_comma)
     print(f"ensemble trained; artifacts in {config.out_dir}/")
     return 0

@@ -1,6 +1,7 @@
 """Stacked master network over the eight sub-networks.
 
-Each sub-network trains on its own feature matrix; the master trains on the
+Each sub-network trains on its own feature matrix, all of them in one
+lockstep batch per hidden shape (mlp.train_many); the master trains on the
 sub predictions over the training range only, so nothing from the test range
 leaks into any trained parameter.
 """
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass, replace
-from typing import Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .mlp import (
     predict,
     save_expert,
     train,
+    train_many,
 )
 from .preprocess import FeatureMatrix, FeatureSpec, assemble
 from .timeseries import MonthStamp, TimeSeries, range_to_json, read_range
@@ -32,7 +34,8 @@ __all__ = [
     "SubNetworkSpec",
     "EnsembleSpec",
     "EnsembleModel",
-    "fit_sub",
+    "ExpertFit",
+    "fit_subs",
     "train_ensemble",
     "predict_ensemble",
     "save_ensemble",
@@ -134,24 +137,76 @@ def _master_matrix(
     )
 
 
-def fit_sub(
-    sub: SubNetworkSpec,
-    number: int,
+class ExpertFit(NamedTuple):
+    """A trained expert with its train and test matrices and its prediction
+    over each, computed once for the master's inputs and the report row."""
+
+    expert: TrainedExpert
+    train_matrix: FeatureMatrix
+    test_matrix: FeatureMatrix
+    train_pred: TimeSeries
+    test_pred: TimeSeries
+
+    def report(self, actual: TimeSeries) -> MetricsReport:
+        return report(self.train_matrix, self.train_pred, self.test_matrix, self.test_pred, actual)
+
+
+def _fitted(expert: TrainedExpert, m_train: FeatureMatrix, m_test: FeatureMatrix) -> ExpertFit:
+    return ExpertFit(expert, m_train, m_test, predict(expert, m_train), predict(expert, m_test))
+
+
+def _sub_failed(number: int, sub: SubNetworkSpec, exc: Exception) -> ValueError:
+    return ValueError(f"sub-network {number} ({sub.name!r}) failed: {exc}")
+
+
+def fit_subs(
+    subs: Sequence[SubNetworkSpec],
     sources: Mapping[str, TimeSeries],
     target_name: str,
     train_range: Tuple[MonthStamp, MonthStamp],
     test_range: Tuple[MonthStamp, MonthStamp],
-) -> Tuple[TrainedExpert, FeatureMatrix, FeatureMatrix]:
-    """Assemble one sub's train and test matrices and train its expert; returns
-    (expert, train matrix, test matrix). A warm-up shortfall, missing series or
-    diverged net is raised as a ValueError naming the sub (1-based `number`)."""
-    try:
-        m_train = assemble(sub.features, sources, target_name, None, *train_range)
-        m_test = assemble(sub.features, sources, target_name, None, *test_range)
-        expert = train(init(sub.shape(), sub.train_config), m_train, sub.train_config)
-    except (ValueError, TrainingDiverged) as exc:
-        raise ValueError(f"sub-network {number} ({sub.name!r}) failed: {exc}") from exc
-    return replace(expert, test_range=test_range), m_train, m_test
+    selected: Sequence[TrainedExpert | None] | None = None,
+) -> List[ExpertFit]:
+    """Assemble every sub's train and test matrices, train the subs, and
+    predict both ranges; one fit per sub, in spec order.
+
+    Subs that share hidden layers and differ in config only by rng_seed train
+    together in one train_many batch, whatever their input widths. A sub with
+    an expert in `selected` (one entry per sub, None where the sub is to be
+    trained) keeps it: that expert must come from the sub's own init and
+    config on this train range, as the restart winner does. A warm-up
+    shortfall, missing series or diverged net is raised as a ValueError
+    naming the first failing sub (1-based, in spec order); every sub is
+    assembled before any trains, so an assembly fault is named first."""
+    experts: List[TrainedExpert | TrainingDiverged | None] = list(selected or [None] * len(subs))
+    matrices, nets = [], {}
+    batches: Dict[Tuple[Tuple[int, ...], TrainConfig], List[int]] = {}
+    for i, sub in enumerate(subs):
+        try:
+            m_train = assemble(sub.features, sources, target_name, None, *train_range)
+            m_test = assemble(sub.features, sources, target_name, None, *test_range)
+            if experts[i] is None:
+                nets[i] = init(sub.shape(), sub.train_config)
+        except ValueError as exc:
+            raise _sub_failed(i + 1, sub, exc) from exc
+        matrices.append((m_train, m_test))
+        if experts[i] is None:
+            key = (sub.hidden_layers, replace(sub.train_config, rng_seed=0))
+            batches.setdefault(key, []).append(i)
+    for batch in batches.values():
+        trained = train_many(
+            [nets[i] for i in batch],
+            [matrices[i][0] for i in batch],
+            [subs[i].train_config for i in batch],
+        )
+        for i, result in zip(batch, trained):
+            experts[i] = result
+    fits = []
+    for i, (sub, expert) in enumerate(zip(subs, experts)):
+        if isinstance(expert, TrainingDiverged):
+            raise _sub_failed(i + 1, sub, expert) from expert
+        fits.append(_fitted(replace(expert, test_range=test_range), *matrices[i]))
+    return fits
 
 
 def train_ensemble(
@@ -160,24 +215,23 @@ def train_ensemble(
     target_name: str,
     train_range: Tuple[MonthStamp, MonthStamp],
     test_range: Tuple[MonthStamp, MonthStamp],
+    selected: Sequence[TrainedExpert | None] | None = None,
 ) -> EnsembleModel:
     """Train every sub-network on the training range, stack their predictions
     under the master, and report all experts over the testing range.
 
     Each sub trains with exactly its own config (builders hand out distinct
-    seeds); the report rows come out in spec order with the master last."""
+    seeds), or keeps its expert from `selected` (see fit_subs); the report
+    rows come out in spec order with the master last."""
     if not (train_range[0] <= train_range[1] < test_range[0] <= test_range[1]):
         raise ValueError("train and test ranges must be disjoint and ordered")
     if target_name not in sources:
         raise ValueError(f"unknown target series {target_name!r}")
     target = sources[target_name]
     names = [s.name for s in spec.sub_specs]
-    fits = [
-        fit_sub(sub, number, sources, target_name, train_range, test_range)
-        for number, sub in enumerate(spec.sub_specs, start=1)
-    ]
-    train_preds = [predict(expert, m_train) for expert, m_train, _ in fits]
-    test_preds = [predict(expert, m_test) for expert, _, m_test in fits]
+    fits = fit_subs(spec.sub_specs, sources, target_name, train_range, test_range, selected)
+    train_preds = [fit.train_pred for fit in fits]
+    test_preds = [fit.test_pred for fit in fits]
     master_train = _master_matrix(train_preds, names, target, *train_range, target_name)
     master_test = _master_matrix(test_preds, names, target, *test_range, target_name)
     cfg = spec.master_train_config
@@ -185,14 +239,14 @@ def train_ensemble(
         master = train(init(spec.master_shape(), cfg), master_train, cfg)
     except TrainingDiverged as exc:
         raise ValueError(f"master network failed: {exc}") from exc
-    master = replace(master, test_range=test_range)
+    master_fit = _fitted(replace(master, test_range=test_range), master_train, master_test)
 
-    rows = [(name, report(*fit, target)) for name, fit in zip(names, fits)]
-    rows.append((MASTER_NAME, report(master, master_train, master_test, target)))
+    rows = [(name, fit.report(target)) for name, fit in zip(names, fits)]
+    rows.append((MASTER_NAME, master_fit.report(target)))
     return EnsembleModel(
-        sub_experts=tuple(expert for expert, _, _ in fits),
+        sub_experts=tuple(fit.expert for fit in fits),
         sub_names=tuple(names),
-        master=master,
+        master=master_fit.expert,
         reports=tuple(rows),
         target_name=target_name,
         train_range=train_range,
@@ -205,15 +259,16 @@ def predict_ensemble(
     sources: Mapping[str, TimeSeries],
     first: MonthStamp,
     last: MonthStamp,
-) -> TimeSeries:
-    """Sub predictions over [first, last], then the master forward pass."""
+) -> Tuple[Tuple[TimeSeries, ...], TimeSeries]:
+    """(sub predictions, master prediction) over [first, last]: the master's
+    forward pass runs over the sub predictions it returns beside."""
     target = sources[model.target_name]
     preds = []
     for expert in model.sub_experts:
         matrix = assemble(list(expert.features), sources, model.target_name, None, first, last)
         preds.append(predict(expert, matrix))
     master_matrix = _master_matrix(preds, model.sub_names, target, first, last, model.target_name)
-    return predict(model.master, master_matrix)
+    return tuple(preds), predict(model.master, master_matrix)
 
 
 # ---------------------------------------------------------------------------

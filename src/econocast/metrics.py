@@ -14,7 +14,9 @@ from typing import List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .mlp import TrainedExpert, error_percent, predict
+# `predict` is unused here but stays importable from metrics: perfbench/selftest.py
+# checks that tracing rebinds it in every module that imported it.
+from .mlp import error_percent, predict  # noqa: F401
 from .preprocess import FeatureMatrix
 from .timeseries import MonthStamp, TimeSeries
 
@@ -188,19 +190,20 @@ def indicators(actual: TimeSeries, predicted: TimeSeries) -> MetricsReport:
 
 
 def report(
-    expert: TrainedExpert,
     train_matrix: FeatureMatrix,
+    train_pred: TimeSeries,
     test_matrix: FeatureMatrix,
+    test_pred: TimeSeries,
     actual: TimeSeries,
 ) -> MetricsReport:
-    """Full indicator row for one expert: directional indicators and error
-    magnitudes over the testing range, error percentages over each range."""
-    predicted = predict(expert, test_matrix)
+    """Full indicator row for one expert from its predictions of each matrix:
+    directional indicators and error magnitudes over the testing range, error
+    percentages over each range."""
     actual_test = actual.slice_range(test_matrix.start, test_matrix.end)
     return replace(
-        indicators(actual_test, predicted),
-        train_error_pct=error_percent(expert, train_matrix),
-        test_error_pct=error_percent(expert, test_matrix),
+        indicators(actual_test, test_pred),
+        train_error_pct=error_percent(train_pred, train_matrix),
+        test_error_pct=error_percent(test_pred, test_matrix),
     )
 
 

@@ -4,16 +4,24 @@ Hidden layers are logistic; the output layer is logistic or linear. Training
 runs per-pattern (stochastic) weight updates in fixed row order for exact
 reproducibility, minimizing the half-sum-of-squares error.
 
-`train_many` is the one training loop. It steps K same-shape nets through
-the patterns in lockstep, their weights stacked (K, out, in) and their
-activations kept as (K, n, 1) columns, so every contraction is one batched
-matmul. numpy runs that matmul as the same BLAS call per net that a lone net
-would make, so each net's weights are bit-identical to training it alone,
-whatever K and wherever it sits in the batch. `train` is the K = 1 case.
+`train_many` is the one training loop. It steps K nets through the patterns
+in lockstep, one feature matrix per net, all with the same number of rows.
+The nets share their hidden and output layers but may differ in input width.
+Their weights are stacked (K, out, in) and their activations kept as
+(K, n, 1) columns, so a contraction is one batched matmul, which numpy runs
+as the same BLAS call per net that a lone net would make. The first layer is
+the exception: it is held zero-padded to the widest input, with the nets
+sorted by width, and its product runs once per run of equal widths, on views
+of the unpadded width. A padded product is not bit-identical: a BLAS dot
+product sums in another order once its length changes (with OpenBLAS on x86,
+padding keeps the bits only for widths that are multiples of 4). So each
+net's weights are bit-identical to training it alone, whatever K, its
+neighbours' widths and its place in the batch. `train` is the K = 1 case.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from typing import Dict, List, Sequence, Tuple
 
@@ -154,6 +162,20 @@ def _layer_kinds(net: MlpNetwork) -> List[str]:
     return [net.hidden_activation] * (n_layers - 1) + [net.output_activation]
 
 
+# (start, stop, width) of each run of equal input widths in a batch sorted by
+# width, or None when one width spans the batch.
+_WidthGroups = List[Tuple[int, int, int]] | None
+
+
+def _width_groups(widths: Sequence[int]) -> _WidthGroups:
+    groups, start = [], 0
+    for width, run in itertools.groupby(widths):
+        stop = start + len(list(run))
+        groups.append((start, stop, width))
+        start = stop
+    return groups if len(groups) > 1 else None
+
+
 def forward(net: MlpNetwork, x: Sequence[float]) -> np.ndarray:
     """Single forward pass; input length must equal the input layer size."""
     a = np.asarray(x, dtype=float)
@@ -165,14 +187,25 @@ def forward(net: MlpNetwork, x: Sequence[float]) -> np.ndarray:
 
 
 def _forward_batch(
-    kinds: Sequence[str], ws: Sequence[np.ndarray], bs: Sequence[np.ndarray], X: np.ndarray
+    kinds: Sequence[str],
+    ws: Sequence[np.ndarray],
+    bs: Sequence[np.ndarray],
+    X: np.ndarray,
+    groups: _WidthGroups = None,
 ) -> np.ndarray:
     """Outputs for every row of X, one row per pattern. Biases are rows:
     (out,), or (K, 1, out) beside weights stacked (K, out, in) over K nets,
-    which gives (K, n, n_out)."""
+    which gives (K, n, n_out). X is (n, in) for every net, or (K, n, in)
+    with the first layer's product taken per width group (see _width_groups)."""
     a = X
-    for kind, w, b in zip(kinds, ws, bs):
-        a = _activate(kind, a @ w.swapaxes(-1, -2) + b)
+    for l, (kind, w, b) in enumerate(zip(kinds, ws, bs)):
+        if l == 0 and groups is not None:
+            z = np.concatenate(
+                [a[i:j, :, :n] @ w[i:j, :, :n].swapaxes(-1, -2) for i, j, n in groups]
+            )
+        else:
+            z = a @ w.swapaxes(-1, -2)
+        a = _activate(kind, z + b)
     return a
 
 
@@ -182,14 +215,21 @@ def _backprop(
     bs: Sequence[np.ndarray],
     x: np.ndarray,
     target: object,
+    groups: _WidthGroups = None,
 ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
     """Gradient of E = 1/2 * sum((out - target)^2) for one pattern by reverse
     accumulation, in column layout: x is (in, 1), each weight (out, in) and
-    bias (out, 1), or all of them stacked over K nets as (K, ...). Every
-    delta comes from the weights as passed in, so a caller may update them in
-    place once this returns."""
-    acts = [x]
-    for kind, w, b in zip(kinds, ws, bs):
+    bias (out, 1), or all of them stacked over K nets as (K, ...), where x may
+    stay one (in, 1) column for all nets or be (K, in, 1) with the first
+    layer's product taken per width group. Every delta comes from the weights
+    as passed in, so a caller may update them in place once this returns."""
+    w0 = ws[0]
+    if groups is None:
+        z = w0 @ x
+    else:
+        z = np.concatenate([w0[i:j, :, :n] @ x[i:j, :n] for i, j, n in groups])
+    acts = [x, _activate(kinds[0], z + bs[0])]
+    for kind, w, b in zip(kinds[1:], ws[1:], bs[1:]):
         acts.append(_activate(kind, w @ acts[-1] + b))
     delta = acts[-1] - target
     dws: List[np.ndarray] = [None] * len(ws)  # type: ignore[list-item]
@@ -283,97 +323,149 @@ class TrainedExpert:
 
 
 def _check_batch(
-    nets: Sequence[MlpNetwork], matrix: FeatureMatrix, configs: Sequence[TrainConfig]
+    nets: Sequence[MlpNetwork],
+    matrices: Sequence[FeatureMatrix],
+    configs: Sequence[TrainConfig],
 ) -> None:
-    if not nets or len(nets) != len(configs):
-        raise ValueError(f"need one config per net, got {len(nets)} nets, {len(configs)} configs")
+    if not nets or not len(nets) == len(matrices) == len(configs):
+        raise ValueError(
+            f"need one matrix and one config per net, got {len(nets)} nets, "
+            f"{len(matrices)} matrices and {len(configs)} configs"
+        )
     first = nets[0]
-    layout = (first.layer_sizes, first.hidden_activation, first.output_activation)
-    if any((n.layer_sizes, n.hidden_activation, n.output_activation) != layout for n in nets):
-        raise ValueError("nets trained together must share layer sizes and activations")
+    layout = (first.layer_sizes[1:], first.hidden_activation, first.output_activation)
+    if any((n.layer_sizes[1:], n.hidden_activation, n.output_activation) != layout for n in nets):
+        raise ValueError(
+            "nets trained together must share hidden and output layers and activations"
+        )
     if any(replace(c, rng_seed=configs[0].rng_seed) != configs[0] for c in configs):
         raise ValueError("configs trained together may differ only in rng_seed")
-    if first.n_in != matrix.width:
-        raise ValueError(f"network expects {first.n_in} inputs, matrix has {matrix.width}")
+    for i, (net, matrix) in enumerate(zip(nets, matrices)):
+        if net.n_in != matrix.width:
+            raise ValueError(f"net {i} expects {net.n_in} inputs, its matrix has {matrix.width}")
+        if matrix.rows != matrices[0].rows:
+            raise ValueError(
+                f"matrices trained together need equal rows, net {i} has {matrix.rows}, "
+                f"net 0 has {matrices[0].rows}"
+            )
     if first.n_out != 1:
         raise ValueError("time-series experts have a single output")
 
 
-def train_many(
-    nets: Sequence[MlpNetwork], matrix: FeatureMatrix, configs: Sequence[TrainConfig]
-) -> List[TrainedExpert | TrainingDiverged]:
-    """Train K same-shape nets on one matrix in lockstep, one slot per net.
+def _step_views(X: np.ndarray, Y: np.ndarray, shared: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-pattern input columns and targets: [p] gives (in, 1) and a scalar
+    for a matrix shared by all nets, (K, in, 1) and (K, 1, 1) otherwise."""
+    if shared:
+        return X[:, :, None], Y[0]
+    return X.transpose(1, 0, 2)[:, :, :, None], Y.T[:, :, None, None]
 
-    Online gradient descent: one update per pattern, fixed order, one full
-    pass per epoch. The K nets are stacked (K, out, in), so each step is one
-    batched matmul for all of them. A net stops once its epoch-end mean
-    squared error (normalized space) reaches target_error, or at max_epochs;
-    a net whose error turns non-finite stops too and its slot holds
-    TrainingDiverged. Either way it leaves the batch with its weights frozen
-    and the others go on. Each net's result is bit-identical to training it
-    alone, whatever K and wherever it sits in the batch."""
-    _check_batch(nets, matrix, configs)
+
+def train_many(
+    nets: Sequence[MlpNetwork],
+    matrices: Sequence[FeatureMatrix],
+    configs: Sequence[TrainConfig],
+) -> List[TrainedExpert | TrainingDiverged]:
+    """Train K nets in lockstep, each on its own matrix; one slot per net.
+
+    The matrices must have equal row counts, the nets equal hidden and output
+    layers, and the configs may differ only in rng_seed. Each net gets its own
+    normalizer, fitted on its matrix; a matrix passed for every net is
+    normalized once and shared. Online gradient descent: one update per
+    pattern, fixed order, one full pass per epoch. A net stops once its
+    epoch-end mean squared error (normalized space) reaches target_error, or
+    at max_epochs; a net whose error turns non-finite stops too and its slot
+    holds TrainingDiverged. Either way it leaves the batch with its weights
+    frozen and the others go on. Each net's result is bit-identical to
+    training it alone, whatever K, its neighbours and its place in the batch."""
+    _check_batch(nets, matrices, configs)
     first, config = nets[0], configs[0]
-    norm = Normalizer.fit(matrix.X, matrix.y, first.output_activation)
-    Xn = norm.normalize_inputs(matrix.X)
-    yn = norm.normalize_target(matrix.y)
-    columns = Xn[:, :, None]
+    K, rows = len(nets), matrices[0].rows
+    active = sorted(range(K), key=lambda slot: nets[slot].n_in)  # slot of each batch position
+    widths = [nets[slot].n_in for slot in active]
+    groups = _width_groups(widths)
+    shared = all(m is matrices[0] for m in matrices)
+    if shared:
+        norms = [Normalizer.fit(matrices[0].X, matrices[0].y, first.output_activation)] * K
+        X = norms[0].normalize_inputs(matrices[0].X)
+        Y = np.broadcast_to(norms[0].normalize_target(matrices[0].y), (K, rows))
+    else:
+        norms = [Normalizer.fit(m.X, m.y, first.output_activation) for m in matrices]
+        X = np.zeros((K, rows, widths[-1]))
+        for pos, slot in enumerate(active):
+            X[pos, :, : widths[pos]] = norms[slot].normalize_inputs(matrices[slot].X)
+        Y = np.stack([norms[slot].normalize_target(matrices[slot].y) for slot in active])
+    columns, targets = _step_views(X, Y, shared)
 
     kinds = _layer_kinds(first)
-    ws = [np.stack(layer) for layer in zip(*(net.weights for net in nets))]
-    bs = [np.stack(layer)[:, :, None] for layer in zip(*(net.biases for net in nets))]
+    ws = [np.zeros((K, first.layer_sizes[1], widths[-1]))]
+    for pos, slot in enumerate(active):
+        ws[0][pos, :, : widths[pos]] = nets[slot].weights[0]
+    ws += [np.stack([nets[slot].weights[l] for slot in active]) for l in range(1, len(kinds))]
+    bs = [
+        np.stack([nets[slot].biases[l] for slot in active])[:, :, None] for l in range(len(kinds))
+    ]
     eta = config.learning_rate
-    active = list(range(len(nets)))  # slot of each batch position
-    results: List[TrainedExpert | TrainingDiverged] = [None] * len(nets)  # type: ignore[list-item]
+    results: List[TrainedExpert | TrainingDiverged] = [None] * K  # type: ignore[list-item]
 
-    def finish(i: int, final_error: float) -> TrainedExpert:
+    def finish(pos: int, final_error: float) -> TrainedExpert:
+        slot, width = active[pos], widths[pos]
         net = MlpNetwork(
-            first.layer_sizes,
-            tuple(w[i] for w in ws),
-            tuple(b[i, :, 0] for b in bs),
+            (width, *first.layer_sizes[1:]),
+            (ws[0][pos, :, :width], *(w[pos] for w in ws[1:])),
+            tuple(b[pos, :, 0] for b in bs),
             first.hidden_activation,
             first.output_activation,
         )
+        matrix = matrices[slot]
         return TrainedExpert(
             network=net,
-            normalizer=norm,
+            normalizer=norms[slot],
             features=matrix.specs,
             train_range=(matrix.start, matrix.end),
             final_train_error=final_error,
-            rng_seed=configs[active[i]].rng_seed,
+            rng_seed=configs[slot].rng_seed,
         )
 
     # Overflow inside an epoch is how divergence manifests; it is detected at
     # the epoch-end error check rather than warned about per operation.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, config.max_epochs + 1):
-            for p in range(matrix.rows):
-                dws, dbs = _backprop(kinds, ws, bs, columns[p], yn[p])
+            for p in range(rows):
+                dws, dbs = _backprop(kinds, ws, bs, columns[p], targets[p], groups)
                 for w, b, dw, db in zip(ws, bs, dws, dbs):
                     w -= eta * dw
                     b -= eta * db
-            out = _forward_batch(kinds, ws, [b.swapaxes(1, 2) for b in bs], Xn)
+            out = _forward_batch(kinds, ws, [b.swapaxes(1, 2) for b in bs], X, groups)
             keep = []
-            for i, slot in enumerate(active):
-                error = float(np.mean((out[i, :, 0] - yn) ** 2))
+            for pos, slot in enumerate(active):
+                error = float(np.mean((out[pos, :, 0] - Y[pos]) ** 2))
                 if not np.isfinite(error):
                     results[slot] = TrainingDiverged(epoch)
                 elif error <= config.target_error or epoch == config.max_epochs:
-                    results[slot] = finish(i, error)
+                    results[slot] = finish(pos, error)
                 else:
-                    keep.append(i)
+                    keep.append(pos)
             if len(keep) < len(active):
                 if not keep:
                     break
-                ws = [w[keep] for w in ws]
+                # Compact the stacks. The padding is trimmed to the widest net
+                # left, so a single width group left spans the whole first layer.
+                active = [active[pos] for pos in keep]
+                widths = [widths[pos] for pos in keep]
+                groups = _width_groups(widths)
+                w0 = np.ascontiguousarray(ws[0][keep, :, : widths[-1]])
+                ws = [w0] + [w[keep] for w in ws[1:]]
                 bs = [b[keep] for b in bs]
-                active = [active[i] for i in keep]
+                Y = Y[keep]
+                if not shared:
+                    X = np.ascontiguousarray(X[keep, :, : widths[-1]])
+                columns, targets = _step_views(X, Y, shared)
     return results
 
 
 def train(net: MlpNetwork, matrix: FeatureMatrix, config: TrainConfig) -> TrainedExpert:
     """One net through train_many; raises TrainingDiverged if it diverges."""
-    (result,) = train_many([net], matrix, [config])
+    (result,) = train_many([net], [matrix], [config])
     if isinstance(result, TrainingDiverged):
         raise result
     return result
@@ -390,13 +482,15 @@ def predict(expert: TrainedExpert, matrix: FeatureMatrix) -> TimeSeries:
     return TimeSeries(matrix.start, expert.normalizer.denormalize_target(out[:, 0]))
 
 
-def error_percent(expert: TrainedExpert, matrix: FeatureMatrix) -> float:
-    """100 * mean(|prediction - target|) / mean(|target|) over the matrix rows."""
+def error_percent(predicted: TimeSeries, matrix: FeatureMatrix) -> float:
+    """100 * mean(|prediction - target|) / mean(|target|) over the matrix rows,
+    given a prediction of those rows (see predict)."""
+    if predicted.start != matrix.start or len(predicted) != matrix.rows:
+        raise ValueError("the prediction does not cover the matrix rows")
     denom = float(np.mean(np.abs(matrix.y)))
     if denom == 0:
         raise ValueError("error percentage undefined for an all-zero target")
-    preds = predict(expert, matrix).values
-    return 100.0 * float(np.mean(np.abs(preds - matrix.y))) / denom
+    return 100.0 * float(np.mean(np.abs(predicted.values - matrix.y))) / denom
 
 
 # ---------------------------------------------------------------------------

@@ -113,8 +113,8 @@ def search_best_net(
         started = time.perf_counter()
         try:
             expert = train(init(shape, cfg), train_matrix, cfg)
-            train_err = error_percent(expert, train_matrix)
-            val_err = error_percent(expert, validation_matrix)
+            train_err = error_percent(predict(expert, train_matrix), train_matrix)
+            val_err = error_percent(predict(expert, validation_matrix), validation_matrix)
             result = CandidateResult(
                 shape=shape,
                 seed=seed,
@@ -192,7 +192,8 @@ def maximize_sharpe(
         base_seed = train_config.rng_seed
     configs = [replace(train_config, rng_seed=base_seed + i) for i in range(max_restarts)]
     started = time.perf_counter()
-    trained = train_many([init(tuple(shape), cfg) for cfg in configs], train_matrix, configs)
+    nets = [init(tuple(shape), cfg) for cfg in configs]
+    trained = train_many(nets, [train_matrix] * max_restarts, configs)
     train_share = (time.perf_counter() - started) / max_restarts
     actual = validation_matrix.target_series()
     history: List[RestartResult] = []

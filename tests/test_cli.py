@@ -266,6 +266,20 @@ def test_failed_sub_is_named_in_the_error(tmp_path, capsys, command, cause):
 
 
 @pytest.mark.parametrize("command", ["train", "ensemble"])
+@pytest.mark.parametrize("diverging", [False, True])
+def test_failed_later_sub_is_named_in_the_error(tmp_path, capsys, command, diverging):
+    # Network 3 reads 24 months back, but the data start only 12 months before
+    # the train range. Every sub is assembled before any trains, so with a
+    # learning rate that makes network 1 diverge, network 3 is still named.
+    deep = {"name": "deep", "features": [{"source": "activity", "lag": 24}]}
+    cfg = base_config(str(tmp_path / "out"), networks=["network1", "network2", deep])
+    if diverging:
+        _divergence(cfg)
+    assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: sub-network 3 ('deep') failed: ")
+
+
+@pytest.mark.parametrize("command", ["train", "ensemble"])
 def test_every_restart_diverged_is_named_in_the_error(tmp_path, capsys, command):
     cfg = base_config(str(tmp_path / "out"))
     cfg["train"]["learning_rate"] = 1e7

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -8,14 +9,15 @@ from econocast.ensemble import (
     EnsembleSpec,
     MASTER_NAME,
     SubNetworkSpec,
+    fit_subs,
     load_ensemble,
     predict_ensemble,
     save_ensemble,
     train_ensemble,
 )
-from econocast.mlp import TrainConfig, predict
+from econocast.mlp import TrainConfig, expert_to_dict, init, predict, train
 from econocast.preprocess import FeatureSpec, assemble
-from econocast.presets import preset_features
+from econocast.presets import NETWORK_NAMES, preset_features
 from econocast.timeseries import MonthStamp, TimeSeries, synthesize_economy
 
 TRAIN = (MonthStamp(1992, 1), MonthStamp(1995, 12))
@@ -122,21 +124,79 @@ def test_ensemble_deterministic(bundle):
             assert np.array_equal(wa, wb)
 
 
+def _preset_subs(epochs=4):
+    return tuple(
+        SubNetworkSpec(
+            name=name,
+            features=tuple(preset_features(name, 12)),
+            hidden_layers=(4,),
+            train_config=TrainConfig(max_epochs=epochs, rng_seed=1 + i),
+        )
+        for i, name in enumerate(NETWORK_NAMES)
+    )
+
+
+def _solo_fit(sub, bundle):
+    m = assemble(sub.features, bundle.series, "activity", None, *TRAIN)
+    expert = train(init(sub.shape(), sub.train_config), m, sub.train_config)
+    return json.dumps(expert_to_dict(dataclasses.replace(expert, test_range=TEST)))
+
+
+def test_subs_train_as_one_batch_each_equal_training_alone(bundle, monkeypatch):
+    subs = _preset_subs()
+    batches = []
+
+    def spy(nets, matrices, configs):
+        batches.append(sorted(net.n_in for net in nets))
+        return mlp.train_many(nets, matrices, configs)
+
+    monkeypatch.setattr(ensemble, "train_many", spy)
+    spec = EnsembleSpec(subs, (3,), TrainConfig(max_epochs=4, rng_seed=99))
+    model = train_ensemble(spec, bundle.series, "activity", TRAIN, TEST)
+    assert batches == [[8, 9, 9, 9, 10, 12, 14, 21]]
+    for sub, expert in zip(subs, model.sub_experts):
+        assert json.dumps(expert_to_dict(expert)) == _solo_fit(sub, bundle), sub.name
+
+
+def test_fit_subs_batches_by_hidden_layers_and_keeps_selected_experts(bundle, monkeypatch):
+    subs = list(_preset_subs()[:4])
+    subs[1] = dataclasses.replace(subs[1], hidden_layers=(2, 2))
+    subs[3] = dataclasses.replace(subs[3], hidden_layers=(2, 2))
+    chosen = train(
+        init(subs[2].shape(), subs[2].train_config),
+        assemble(subs[2].features, bundle.series, "activity", None, *TRAIN),
+        subs[2].train_config,
+    )
+    batches = []
+
+    def spy(nets, matrices, configs):
+        batches.append([c.rng_seed for c in configs])
+        return mlp.train_many(nets, matrices, configs)
+
+    monkeypatch.setattr(ensemble, "train_many", spy)
+    fits = fit_subs(subs, bundle.series, "activity", TRAIN, TEST, [None, None, chosen, None])
+    assert batches == [[1], [2, 4]]
+    assert fits[2].expert.network is chosen.network
+    assert fits[2].expert == dataclasses.replace(chosen, test_range=TEST)
+    for i in (0, 1, 3):
+        assert json.dumps(expert_to_dict(fits[i].expert)) == _solo_fit(subs[i], bundle)
+
+
 def test_predict_ensemble_concatenates_over_halves(bundle):
     spec = small_spec(bundle)
     model = train_ensemble(spec, bundle.series, "activity", TRAIN, TEST)
     first, last = TEST
     mid = first.plus(5)
-    full = predict_ensemble(model, bundle.series, first, last)
-    left = predict_ensemble(model, bundle.series, first, mid)
-    right = predict_ensemble(model, bundle.series, mid.plus(1), last)
+    _, full = predict_ensemble(model, bundle.series, first, last)
+    _, left = predict_ensemble(model, bundle.series, first, mid)
+    _, right = predict_ensemble(model, bundle.series, mid.plus(1), last)
     assert np.array_equal(full.values, np.concatenate([left.values, right.values]))
 
 
 def test_predict_ensemble_single_month(bundle):
     spec = small_spec(bundle)
     model = train_ensemble(spec, bundle.series, "activity", TRAIN, TEST)
-    one = predict_ensemble(model, bundle.series, TEST[0], TEST[0])
+    _, one = predict_ensemble(model, bundle.series, TEST[0], TEST[0])
     assert len(one) == 1
 
 
@@ -154,8 +214,8 @@ def test_save_load_round_trip(tmp_path, bundle):
     clone = load_ensemble(directory)
     assert clone.sub_names == model.sub_names
     assert clone.reports == model.reports
-    a = predict_ensemble(model, bundle.series, *TEST)
-    b = predict_ensemble(clone, bundle.series, *TEST)
+    _, a = predict_ensemble(model, bundle.series, *TEST)
+    _, b = predict_ensemble(clone, bundle.series, *TEST)
     assert np.array_equal(a.values, b.values)
 
 

@@ -282,6 +282,7 @@ def _identity_expert(n):
 
 
 def test_report_of_perfect_expert():
+    from econocast.mlp import predict
     from econocast.preprocess import FeatureMatrix
 
     rng = np.random.default_rng(5)
@@ -292,7 +293,7 @@ def test_report_of_perfect_expert():
     test_m = FeatureMatrix(
         values[16:].reshape(-1, 1), values[16:], START.plus(16), expert.features, "activity"
     )
-    rep = report(expert, train_m, test_m, actual)
+    rep = report(train_m, predict(expert, train_m), test_m, predict(expert, test_m), actual)
     assert rep.efficiency_pct == 100.0
     assert rep.hit_pct == 100.0
     assert rep.sharpe_modified is None
@@ -316,7 +317,7 @@ def test_report_matches_brute_force_oracle():
     test_m = FeatureMatrix(
         feature_vals[25:].reshape(-1, 1), actual_vals[25:], START.plus(25), expert.features, "activity"
     )
-    rep = report(expert, train_m, test_m, actual)
+    rep = report(train_m, predict(expert, train_m), test_m, predict(expert, test_m), actual)
     predicted = list(predict(expert, test_m).values)
     actual_test = list(actual_vals[25:])
     sig = oracles.signals(predicted)

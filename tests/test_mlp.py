@@ -306,40 +306,65 @@ def _solo(net, m, cfg):
 
 @st.composite
 def lockstep_batches(draw):
-    """(nets, matrix, configs) for one lockstep batch of 1..6 same-shape nets."""
-    n_in = draw(st.integers(1, 4))
+    """(nets, matrices, configs) for one lockstep batch of 1..6 nets with the
+    same hidden and output layers: one matrix shared by every net, or one
+    matrix per net with input widths drawn from 1..6, all with equal rows."""
     hidden = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
     output = draw(st.sampled_from(["linear", "logistic"]))
     rows = draw(st.integers(2, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    m = matrix_from_arrays(rng.normal(size=(rows, n_in)), rng.normal(size=rows))
     cfg = TrainConfig(
         learning_rate=draw(st.sampled_from([0.05, 0.3, 1.0])), max_epochs=draw(st.integers(1, 8))
     )
     seeds = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=6, unique=True))
+    if draw(st.booleans()):
+        n_in = draw(st.integers(1, 4))
+        shared = matrix_from_arrays(rng.normal(size=(rows, n_in)), rng.normal(size=rows))
+        matrices = [shared] * len(seeds)
+    else:
+        widths = draw(st.lists(st.integers(1, 6), min_size=len(seeds), max_size=len(seeds)))
+        matrices = [
+            matrix_from_arrays(rng.normal(size=(rows, w)), rng.normal(size=rows)) for w in widths
+        ]
     configs = [replace(cfg, rng_seed=seed) for seed in seeds]
-    nets = [init([n_in, *hidden, 1], c, output_activation=output) for c in configs]
+    nets = [
+        init([m.width, *hidden, 1], c, output_activation=output) for m, c in zip(matrices, configs)
+    ]
     # A target between the nets' final errors stops them at different epochs.
     finals = []
-    for net, c in zip(nets, configs):
+    for net, m, c in zip(nets, matrices, configs):
         try:
             finals.append(train(net, m, c).final_train_error)
         except TrainingDiverged:
             pass
     target = draw(st.floats(min(finals), max(finals))) if finals else 0.0
-    return nets, m, [replace(c, target_error=target) for c in configs]
+    return nets, matrices, [replace(c, target_error=target) for c in configs]
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(lockstep_batches(), st.randoms())
 def test_train_many_slot_equals_training_alone_in_any_order(batch, random):
-    nets, m, configs = batch
-    solo = [_solo(net, m, cfg) for net, cfg in zip(nets, configs)]
-    assert [_bytes(r) for r in train_many(nets, m, configs)] == solo
+    nets, matrices, configs = batch
+    solo = [_solo(*args) for args in zip(nets, matrices, configs)]
+    assert [_bytes(r) for r in train_many(nets, matrices, configs)] == solo
     order = list(range(len(nets)))
     random.shuffle(order)
-    shuffled = train_many([nets[i] for i in order], m, [configs[i] for i in order])
+    shuffled = train_many(*([seq[i] for i in order] for seq in (nets, matrices, configs)))
     assert [_bytes(r) for r in shuffled] == [solo[i] for i in order]
+
+
+def test_train_many_mixed_widths_2_to_24_each_equal_training_alone():
+    # Zero-padding every net to the widest input changes the BLAS summation
+    # for most widths, so this batch fails unless each width runs unpadded.
+    rng = np.random.default_rng(6)
+    rows = 20
+    matrices = [
+        matrix_from_arrays(rng.normal(size=(rows, w)), rng.normal(size=rows)) for w in range(2, 25)
+    ]
+    configs = [TrainConfig(learning_rate=0.1, max_epochs=4, rng_seed=s) for s in range(23)]
+    nets = [init([m.width, 5, 3, 1], c) for m, c in zip(matrices, configs)]
+    solo = [_solo(*args) for args in zip(nets, matrices, configs)]
+    assert [_bytes(r) for r in train_many(nets, matrices, configs)] == solo
 
 
 def test_train_many_stops_each_net_at_its_own_epoch():
@@ -352,7 +377,7 @@ def test_train_many_stops_each_net_at_its_own_epoch():
     ]
     nets = [init([2, 3, 1], c) for c in configs]
     stops = []
-    for net, cfg, result in zip(nets, configs, train_many(nets, m, configs)):
+    for net, cfg, result in zip(nets, configs, train_many(nets, [m] * 6, configs)):
         # The net stops after the first epoch whose error reaches the target.
         for epochs in range(1, cfg.max_epochs + 1):
             ran = train(net, m, replace(cfg, max_epochs=epochs, target_error=0.0))
@@ -363,43 +388,60 @@ def test_train_many_stops_each_net_at_its_own_epoch():
     assert stops == [(7, True), (12, True), (9, True), (12, False), (12, False), (10, True)]
 
 
-def test_train_many_diverged_net_leaves_the_others_untouched():
+@pytest.mark.parametrize("widths", [(3, 3, 3), (3, 7, 2, 5, 3)])
+def test_train_many_diverged_net_leaves_the_others_untouched(widths):
+    # (3, 3, 3) shares one matrix; otherwise each net has its own, and the
+    # diverging net is the widest, alone in its width group.
     rng = np.random.default_rng(4)
-    m = matrix_from_arrays(rng.normal(size=(10, 3)), rng.normal(size=10))
-    configs = [TrainConfig(max_epochs=15, rng_seed=s) for s in (1, 2, 3)]
-    nets = [init([3, 4, 1], c) for c in configs]
+    if len(set(widths)) == 1:
+        matrices = [matrix_from_arrays(rng.normal(size=(10, 3)), rng.normal(size=10))] * 3
+    else:
+        matrices = [
+            matrix_from_arrays(rng.normal(size=(10, w)), rng.normal(size=10)) for w in widths
+        ]
+    configs = [TrainConfig(max_epochs=15, rng_seed=s) for s in range(1, len(widths) + 1)]
+    nets = [init([w, 4, 1], c) for w, c in zip(widths, configs)]
     huge = MlpNetwork(
-        (3, 4, 1),
-        (np.full((4, 3), 1e200), np.full((1, 4), 1e200)),
+        (widths[1], 4, 1),
+        (np.full((4, widths[1]), 1e200), np.full((1, 4), 1e200)),
         (np.zeros(4), np.zeros(1)),
     )
     nets[1] = huge
-    results = train_many(nets, m, configs)
+    results = train_many(nets, matrices, configs)
     assert isinstance(results[1], TrainingDiverged) and results[1].epoch == 1
     with pytest.raises(TrainingDiverged):
-        train(huge, m, configs[1])
-    for i in (0, 2):
-        assert _bytes(results[i]) == _solo(nets[i], m, configs[i])
+        train(huge, matrices[1], configs[1])
+    for i in (0, *range(2, len(widths))):
+        assert _bytes(results[i]) == _solo(nets[i], matrices[i], configs[i])
 
 
 def test_train_many_rejects_mismatched_batches():
     rng = np.random.default_rng(5)
     m = matrix_from_arrays(rng.normal(size=(6, 2)), rng.normal(size=6))
+    m3 = matrix_from_arrays(rng.normal(size=(6, 3)), rng.normal(size=6))
+    short = matrix_from_arrays(rng.normal(size=(5, 2)), rng.normal(size=5))
     cfg = TrainConfig(max_epochs=2)
     net = init([2, 3, 1], cfg)
     bad_batches = [
-        ([], []),
-        ([net, net], [cfg]),
-        ([net, init([2, 4, 1], cfg)], [cfg, cfg]),
-        ([net, init([2, 3, 1], cfg, output_activation="logistic")], [cfg, cfg]),
-        ([net, net], [cfg, replace(cfg, learning_rate=0.1)]),
-        ([net, net], [cfg, replace(cfg, max_epochs=3)]),
-        ([init([3, 3, 1], cfg)], [cfg]),
+        ([], [], []),
+        ([net, net], [m, m], [cfg]),
+        ([net, net], [m], [cfg, cfg]),
+        ([net, net], [m, short], [cfg, cfg]),
+        ([net, init([2, 4, 1], cfg)], [m, m], [cfg, cfg]),
+        ([net, init([3, 4, 1], cfg)], [m, m3], [cfg, cfg]),
+        ([net, init([3, 3, 3, 1], cfg)], [m, m3], [cfg, cfg]),
+        ([net, init([2, 3, 1], cfg, output_activation="logistic")], [m, m], [cfg, cfg]),
+        ([net, net], [m, m], [cfg, replace(cfg, learning_rate=0.1)]),
+        ([net, net], [m, m], [cfg, replace(cfg, max_epochs=3)]),
+        ([net, init([3, 3, 1], cfg)], [m, m3], [cfg, replace(cfg, target_error=0.5)]),
+        ([init([3, 3, 1], cfg)], [m], [cfg]),
+        ([net, init([3, 3, 1], cfg)], [m3, m], [cfg, cfg]),
     ]
-    for nets, configs in bad_batches:
+    for nets, matrices, configs in bad_batches:
         with pytest.raises(ValueError):
-            train_many(nets, m, configs)
-    train_many([net, net], m, [cfg, replace(cfg, rng_seed=9)])
+            train_many(nets, matrices, configs)
+    train_many([net, net], [m, m], [cfg, replace(cfg, rng_seed=9)])
+    train_many([net, init([3, 3, 1], cfg)], [m, m3], [cfg, replace(cfg, rng_seed=9)])
 
 
 def test_error_decreases_with_more_epochs_on_sine():
@@ -470,22 +512,33 @@ def test_error_percent_hand_values():
     m = matrix_from_arrays(X, target)
     expert, _ = _constant_prediction_expert(55.0, n)
     m = FeatureMatrix(m.X, target, START, expert.features, "target")
-    assert abs(error_percent(expert, m) - 10.0) < 1e-9  # uniformly 10% above
+    assert abs(error_percent(predict(expert, m), m) - 10.0) < 1e-9  # uniformly 10% above
 
     zero_expert, _ = _constant_prediction_expert(0.0, n)
     m0 = FeatureMatrix(m.X, target, START, zero_expert.features, "target")
-    assert abs(error_percent(zero_expert, m0) - 100.0) < 1e-9
+    assert abs(error_percent(predict(zero_expert, m0), m0) - 100.0) < 1e-9
 
     perfect, _ = _constant_prediction_expert(50.0, n)
     mp = FeatureMatrix(m.X, target, START, perfect.features, "target")
-    assert error_percent(perfect, mp) == 0.0
+    assert error_percent(predict(perfect, mp), mp) == 0.0
+
+
+def test_error_percent_rejects_a_prediction_of_other_rows():
+    expert, m = _constant_prediction_expert(5.0)
+    predicted = predict(expert, m)
+    shifted = FeatureMatrix(m.X, m.y, START.plus(1), m.specs, "target")
+    shorter = FeatureMatrix(m.X[1:], m.y[1:], START, m.specs, "target")
+    for other in (shifted, shorter):
+        with pytest.raises(ValueError, match="does not cover"):
+            error_percent(predicted, other)
+    assert error_percent(predicted, m) == 0.0
 
 
 def test_error_percent_all_zero_target():
     expert, m = _constant_prediction_expert(0.0)
     zero = FeatureMatrix(m.X, np.zeros(m.rows), START, expert.features, "target")
     with pytest.raises(ValueError):
-        error_percent(expert, zero)
+        error_percent(predict(expert, zero), zero)
 
 
 # ---------------------------------------------------------------------------
