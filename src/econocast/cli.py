@@ -398,9 +398,8 @@ def _write_ensemble_outputs(
     ens.save_ensemble(model, os.path.join(out, "model"))
     _write_report(out, model.reports, locale_comma)
 
-    first, last = model.test_range
-    actual = sources[model.target_name].slice_range(first, last)
-    sub_preds, master_pred = ens.predict_ensemble(model, sources, first, last)
+    actual = sources[model.target_name].slice_range(*model.test_range)
+    sub_preds, master_pred = model.test_predictions
     columns = {"actual": actual, **dict(zip(model.sub_names, sub_preds)), "master": master_pred}
     write_text(os.path.join(out, "predictions.csv"), render_csv(columns))
 

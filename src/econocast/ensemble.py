@@ -9,7 +9,7 @@ leaks into any trained parameter.
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -108,7 +108,7 @@ class EnsembleSpec:
 
 @dataclass(frozen=True)
 class EnsembleModel:
-    """Trained sub-experts, the master, and the per-expert indicator rows."""
+    """Trained experts and indicator rows; test_predictions (subs, master) is None once loaded."""
 
     sub_experts: Tuple[TrainedExpert, ...]
     sub_names: Tuple[str, ...]
@@ -117,6 +117,7 @@ class EnsembleModel:
     target_name: str
     train_range: Tuple[MonthStamp, MonthStamp]
     test_range: Tuple[MonthStamp, MonthStamp]
+    test_predictions: Tuple[Tuple[TimeSeries, ...], TimeSeries] | None = field(default=None, compare=False)
 
 
 def _master_matrix(
@@ -251,6 +252,7 @@ def train_ensemble(
         target_name=target_name,
         train_range=train_range,
         test_range=test_range,
+        test_predictions=(tuple(test_preds), master_fit.test_pred),
     )
 
 

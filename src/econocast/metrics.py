@@ -10,7 +10,7 @@ finite ratio.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -18,7 +18,7 @@ import numpy as np
 # checks that tracing rebinds it in every module that imported it.
 from .mlp import error_percent, predict  # noqa: F401
 from .preprocess import FeatureMatrix
-from .timeseries import MonthStamp, TimeSeries
+from .timeseries import MonthStamp, TimeSeries, month_labels
 
 __all__ = [
     "SignalSeries",
@@ -54,7 +54,7 @@ class SignalSeries:
         arr = np.array(self.values, dtype=int)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("signal series must be non-empty")
-        if not np.all(np.isin(arr, (-1, 1))):
+        if not np.all(np.abs(arr) == 1):
             raise ValueError("signals must be +1 or -1")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
@@ -78,27 +78,20 @@ def signals_from_prediction(predicted: TimeSeries) -> SignalSeries:
     carries the previous signal (and +1 before any signal exists)."""
     if len(predicted) < 2:
         raise ValueError("need at least two points to derive signals")
-    moves = np.diff(predicted.values)
-    out = np.empty(moves.size, dtype=int)
-    current = 1
-    for i, m in enumerate(moves):
-        if m > 0:
-            current = 1
-        elif m < 0:
-            current = -1
-        out[i] = current
-    return SignalSeries(predicted.start.plus(1), out)
+    # A leading +1 stands for "before any move"; each step takes the sign of
+    # the last nonzero move at or before it.
+    signs = np.concatenate(([1], np.sign(np.diff(predicted.values)).astype(int)))
+    last_move = np.maximum.accumulate(np.where(signs != 0, np.arange(signs.size), 0))
+    return SignalSeries(predicted.start.plus(1), signs[last_move[1:]])
 
 
 def hit_rate(actual: TimeSeries, predicted: TimeSeries) -> float:
     """Percent of transitions where the predicted direction matches the actual
     one; a flat actual move counts as a hit for either signal."""
     _check_aligned(actual, predicted)
-    if len(actual) < 2:
-        raise ValueError("need at least two points")
-    signals = signals_from_prediction(predicted)
+    signals = signals_from_prediction(predicted)  # raises below two points
     moves = np.diff(actual.values)
-    hits = sum(1 for m, s in zip(moves, signals.values) if m == 0 or (m > 0) == (s > 0))
+    hits = int(np.count_nonzero((moves == 0) | ((moves > 0) == (signals.values > 0))))
     return 100.0 * hits / moves.size
 
 
@@ -276,7 +269,10 @@ def render_report_csv(rows: Sequence[Tuple[str, MetricsReport]]) -> str:
 def equity_long_csv(curves: Mapping[str, EquityCurve]) -> str:
     """Long-format (date, value, curve_name) CSV for external plotting."""
     lines = ["date,value,curve_name"]
+    labels: Dict[Tuple[MonthStamp, int], List[str]] = {}  # rendered once per (start, length)
     for name, curve in curves.items():
-        for stamp, value in zip(curve.dates(), curve.values):
-            lines.append(f"{stamp},{value:.6g},{name}")
+        key = (curve.start, len(curve))
+        if key not in labels:
+            labels[key] = month_labels(*key)
+        lines.extend(f"{d},{v:.6g},{name}" for d, v in zip(labels[key], curve.values.tolist()))
     return "\n".join(lines) + "\n"

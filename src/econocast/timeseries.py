@@ -32,6 +32,7 @@ __all__ = [
     "range_to_json",
     "range_from_json",
     "read_range",
+    "month_labels",
     "parse_csv",
     "render_csv",
     "laspeyres_index",
@@ -82,6 +83,12 @@ class MonthStamp:
     def months_since(self, other: "MonthStamp") -> int:
         """Signed number of months from `other` to self."""
         return (self.year - other.year) * 12 + (self.month - other.month)
+
+
+def month_labels(start: MonthStamp, n: int) -> List[str]:
+    """str() of the n months from start on, without a MonthStamp per month."""
+    first = start.year * 12 + start.month - 1
+    return [f"{t // 12:04d}-{t % 12 + 1:02d}" for t in range(first, first + n)]
 
 
 def range_to_json(months: Tuple[MonthStamp, MonthStamp]) -> List[str]:
@@ -141,9 +148,6 @@ class TimeSeries:
     @property
     def end(self) -> MonthStamp:
         return self.start.plus(len(self) - 1)
-
-    def dates(self) -> List[MonthStamp]:
-        return [self.start.plus(i) for i in range(len(self))]
 
     def index_of(self, stamp: MonthStamp) -> int:
         i = stamp.months_since(self.start)
@@ -288,9 +292,8 @@ def render_csv(series: Mapping[str, TimeSeries]) -> str:
         if not s.aligned_with(first):
             raise ValueError(f"series {name!r} is not aligned with the others")
     lines = ["date," + ",".join(name for name, _ in items)]
-    for i, stamp in enumerate(first.dates()):
-        cells = [f"{s.values[i]:.6g}" for _, s in items]
-        lines.append(f"{stamp}," + ",".join(cells))
+    rows = zip(month_labels(first.start, len(first)), *(s.values.tolist() for _, s in items))
+    lines.extend(",".join([label, *(f"{v:.6g}" for v in values)]) for label, *values in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -392,7 +395,7 @@ class SyntheticBundle:
 def _quantize6(values: np.ndarray) -> np.ndarray:
     # Snap to the 6-significant-digit CSV dialect so render/parse round-trips
     # bit-exactly.
-    return np.array([float(f"{v:.6g}") for v in values])
+    return np.array([float(f"{v:.6g}") for v in values.tolist()])
 
 
 def synthesize_economy(

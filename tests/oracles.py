@@ -54,6 +54,24 @@ def equity_curves(
     return strategy, perfect, buy_hold
 
 
+def month_label(year: int, month: int, offset: int) -> str:
+    """"YYYY-MM" of the month `offset` months after year-month, stepped one
+    month at a time."""
+    for _ in range(offset):
+        year, month = (year + 1, 1) if month == 12 else (year, month + 1)
+    return "%04d-%02d" % (year, month)
+
+
+def equity_long_csv(curves) -> str:
+    """Long CSV of (name, year, month, values) curves, one row per value;
+    the values are formatted as given (numpy scalars from an array)."""
+    text = "date,value,curve_name\n"
+    for name, year, month, values in curves:
+        for i, value in enumerate(values):
+            text += "%s,%s,%s\n" % (month_label(year, month, i), format(value, ".6g"), name)
+    return text
+
+
 def efficiency(actual: Sequence[float], sig: Sequence[int]) -> float:
     gain = 0.0
     max_gain = 0.0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import shutil
@@ -131,6 +132,84 @@ def test_scan_rejects_a_column_name_that_leaves_the_output_dir(tmp_path, capsys)
     assert main(["scan", "--config", write_config(tmp_path, cfg)]) == 2
     assert "'../../x'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# sha256 of every file that `generate --seed 3 --months 120` and a `scan` of
+# all 24 of its inputs at max_lag 3 write, recorded with the per-element
+# Python loops that the numpy scan path replaced.
+SCAN_DIGESTS = {
+    "data/bundle.csv": "df1685ecd137c7721672dc98153eca679a8c7b07bc7c9918b6d2a7d4b470a990",
+    "data/planted_lags.json": "5d7cf71a528874bb941274d28aff45bf68d9d429e213daf0ae42b1c7db49e666",
+    "out/scan/chosen_lags.json": "231c8c72ca484a05f5976cccf2aee479d6666d05d47394941f62d9d8ffc98f68",
+    "out/scan/curves_commerce.csv": "4652dc525e0492f58a818ac0dd27ab8c494cbb0550b77d7cce818330194f929c",
+    "out/scan/curves_commodities.csv": "7644f29defe2bd86c37ef028d05360dc6d5a2babb54957cccf885ab534e2d815",
+    "out/scan/curves_communal_services.csv": "3545da2426f6140bf26600d6ea14f46d4fbf555708a5c3c608125aa95ce37403",
+    "out/scan/curves_construction.csv": "f9ebeb91d2754d9702852fe6d7ffe50c029ae8ed767a4abdb0de860ca1a27e93",
+    "out/scan/curves_copper.csv": "5739aa88120ecd48492963a825742bd5177ec94d71917c6b486db7c0245f1e30",
+    "out/scan/curves_crude.csv": "635dc87f2f3aa3a6c07181c5bc2d78b9ce803785796846a575448a298eaf5de3",
+    "out/scan/curves_eurodollar.csv": "c044e80b435925c240e11edad3f282d6bdfd543981f7f873a87d6751b6a2a9fe",
+    "out/scan/curves_exchange_rate.csv": "2cd1bc309029d9ec9bfa5bcda1ae5e861280d4a6a2b4e3d579720bc53187b042",
+    "out/scan/curves_finance_insurance.csv": "9b12d10b973ba19b718300e00c7db9d61fcc09307a270a542dff6a2256966f58",
+    "out/scan/curves_gold.csv": "7604414c0c4a7fe1fa455fd1f6b38724c326893b862cc35aaab7a5d85c1411e9",
+    "out/scan/curves_import_rights.csv": "77bb9a1f8518025e4dac1f9cc8b09041b643d09a1fad1a6997d1cbc9b3593907",
+    "out/scan/curves_inflation.csv": "c8777ff10fd9f0d4999cef2d90316979efd5f20362be55a058432344e4939973",
+    "out/scan/curves_loan_rate.csv": "90b6e8db3e9c153f50bf31471bfd384173e2c1c85ee1b9f0d79738f9ec801e34",
+    "out/scan/curves_manufacturing.csv": "8d117a87201dab778fc7555fe3de5e7daf6d06ef2d21bd516969a691f9f43fd8",
+    "out/scan/curves_mining.csv": "1eb686ba03fc5a4bfa916cfbd02ff1b92cda649814fa4f3a15e6953e93e71679",
+    "out/scan/curves_oil.csv": "d12e35df61b4f32ed92c6b329b17a3d71c4b53a9b2c3e6ceda33a3a780191b05",
+    "out/scan/curves_power.csv": "6b63af9a039de76e8c31dfe66cdb00bbc49fe9b9bea6a067ff7e27bc23e2631f",
+    "out/scan/curves_professional_services.csv": "0e5d72d43644357b7062995f139b7aa9e11c61187da84f22b72bd4a4a35f5d64",
+    "out/scan/curves_real_estate.csv": "220af46cd84cdcb8013790377d2e1b061b727e017385eebc7849b909cff0ce91",
+    "out/scan/curves_stocks_foreign.csv": "bf535940b86e5d17cbb1864c212348765b438531c78ef57ad242b2abcaf4ba2e",
+    "out/scan/curves_stocks_local.csv": "da803e0d597e73abf3af0714bb1a777a02c83cd621e4e2a4c55532d86967193a",
+    "out/scan/curves_tbill_rate.csv": "668aff15ce7afb6e7a99cd59408b8751d21014431b96fed5a36ba1cb36e2630f",
+    "out/scan/curves_utilities.csv": "91cd6dfdf2995f5b4d13fdbda4c2ee3d7cfe04e109aeb0b4a1d579d9dfd5301b",
+    "out/scan/curves_water_power.csv": "a3aa8356352718ac8f904c613b0ef953318917f7df86b603b91fd4ce858beedf",
+    "out/scan/scan_commerce.csv": "d23d8ba8aa8ca29820e426420828633eb3cf4affa3c149c7e6484326912a69e9",
+    "out/scan/scan_commodities.csv": "8fc300581ce5fa1db769e2b4bb34665e07c522e754a9eac1293956772084a933",
+    "out/scan/scan_communal_services.csv": "5b5df5436960e313bbc7dc1f3093cb2743770b5383f657670701941ce7d7e6df",
+    "out/scan/scan_construction.csv": "e8002f37ea1948d2c0faee12620f88923330e371f519604455ed741e4e79dff9",
+    "out/scan/scan_copper.csv": "c7bdc18089563a9cb1516e3414606ca53aba3045b2f2f3274fdfff6e4060820a",
+    "out/scan/scan_crude.csv": "fbd22e83046c8b1ed7c475678acbe6a8bbf27a0aaadb9059e475794facbeff8c",
+    "out/scan/scan_eurodollar.csv": "cb008a9812ec282c6538d096a50a1016c30fe76833012f80255125ab32122dbf",
+    "out/scan/scan_exchange_rate.csv": "b7c40bcfd42180bf289211ebcf6a6182fe4ff50cb00ce7ff5543a4892a412884",
+    "out/scan/scan_finance_insurance.csv": "433d78912c5f3c6ab8845ff59f83becd00830f6bb26d6668446efbc99789d1cd",
+    "out/scan/scan_gold.csv": "5ac27cb8679b40f197439e50d4a0b49d9e10f08a882e047433950afddb0d255e",
+    "out/scan/scan_import_rights.csv": "fda2a724a47f7b3abd1ffb4cc97384a4c3eaba9dfc414c11975b2d5a4df51107",
+    "out/scan/scan_inflation.csv": "e76587da3622451d2ba84dfcee554da13447eeda7a0012b135242266af78c4a9",
+    "out/scan/scan_loan_rate.csv": "7268ae4dced3b42c7a1c171dff9128ea697bd1e946144da3a7a4ee5f2a7b8ef8",
+    "out/scan/scan_manufacturing.csv": "d2c8876cf68c7ceebcbc8a48c59899a6f669f5a185eb85db2892c45f7e66e6d8",
+    "out/scan/scan_mining.csv": "2f5f115c6fe6f8cff68e289dcb14ef0995b9db572d27628acc2def4526767133",
+    "out/scan/scan_oil.csv": "11a05096d6b37a67beb54e1fd8f5bb67903c7fcdd3a4890230064d9a39b4fcc4",
+    "out/scan/scan_power.csv": "2ab62babec851ff8943e23b2891acece32647e982721f0d55b585f8c3658a9db",
+    "out/scan/scan_professional_services.csv": "9e3428f3233c109858adccfe1efa272ca20bd7174d43232212e942d40de32086",
+    "out/scan/scan_real_estate.csv": "d8351ffef53ae5230124c3819437750658cea4d509aeb99a894864ab6377a740",
+    "out/scan/scan_stocks_foreign.csv": "fae7550402f3c83428399408aee4060ab570d49c435280521a7bc33badf27046",
+    "out/scan/scan_stocks_local.csv": "3d62c4bb8f8d2fe9bb635c50549b70a7b73261693b269dbc560e1a0e21dcfc3b",
+    "out/scan/scan_tbill_rate.csv": "dccbbc82bdcf46b00974485a6ed01e9265c83274cb4211684aa81f68008b600f",
+    "out/scan/scan_utilities.csv": "1103eb39639fe4edd12c568f5550a96795e29e346dbd38a336f852a7bc63fb16",
+    "out/scan/scan_water_power.csv": "17a8e29f845dafe1b8100b99340d7909fe2272c449ddb9211c9e9c6110aed659",
+}
+
+
+def test_generate_and_scan_bytes_match_the_pinned_digests(tmp_path):
+    data, out = tmp_path / "data", tmp_path / "out"
+    assert main(["generate", "--seed", "3", "--months", "120", "--out", str(data)]) == 0
+    cfg = {
+        "schema_version": 1,
+        "data": {"csv_path": str(data / "bundle.csv")},
+        "train_range": ["1992-01", "2000-12"],
+        "scan": {"max_lag": 3},
+        "out_dir": str(out),
+    }
+    assert main(["scan", "--config", write_config(tmp_path, cfg)]) == 0
+    written = {
+        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for root in (data, out)
+        for path in root.rglob("*")
+        if path.is_file()
+    }
+    assert written == SCAN_DIGESTS
 
 
 # ---------------------------------------------------------------------------

@@ -193,6 +193,18 @@ def test_predict_ensemble_concatenates_over_halves(bundle):
     assert np.array_equal(full.values, np.concatenate([left.values, right.values]))
 
 
+def test_predict_ensemble_reproduces_the_test_predictions_training_made(tmp_path, bundle):
+    model = train_ensemble(small_spec(bundle, n_subs=3), bundle.series, "activity", TRAIN, TEST)
+    subs, master = predict_ensemble(model, bundle.series, *TEST)
+    held_subs, held_master = model.test_predictions
+    assert len(held_subs) == len(subs) == 3
+    for held, again in zip((*held_subs, held_master), (*subs, master)):
+        assert held.start == again.start == TEST[0]
+        assert held.values.tobytes() == again.values.tobytes()
+    save_ensemble(model, str(tmp_path / "model"))
+    assert load_ensemble(str(tmp_path / "model")).test_predictions is None
+
+
 def test_predict_ensemble_single_month(bundle):
     spec = small_spec(bundle)
     model = train_ensemble(spec, bundle.series, "activity", TRAIN, TEST)

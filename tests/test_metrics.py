@@ -82,6 +82,11 @@ def test_hit_rate_misaligned():
         hit_rate(series(1, 2, 3), TimeSeries(START.plus(1), [1, 2, 3]))
 
 
+def test_hit_rate_needs_two_points():
+    with pytest.raises(ValueError, match="two points"):
+        hit_rate(series(1.0), series(1.0))
+
+
 # ---------------------------------------------------------------------------
 # equity curves
 # ---------------------------------------------------------------------------
@@ -184,6 +189,27 @@ def test_srm_scale_invariance():
 # ---------------------------------------------------------------------------
 # oracle equivalence and exhaustive properties
 # ---------------------------------------------------------------------------
+
+def _flat_run_pairs(rng):
+    """(actual, predicted) integer series with flat runs: steps in {-1, 0, 1},
+    some with a leading flat run, plus all-flat and length-2 series."""
+    pairs = [([1, 1], [1, 1]), ([1, 2], [2, 1]), ([2, 1], [1, 1]), ([4] * 9, [4] * 9)]
+    for _ in range(300):
+        n = int(rng.integers(2, 41))
+        a, p = (rng.integers(-1, 2, size=n - 1) for _ in range(2))
+        p[: int(rng.integers(0, n))] = 0
+        pairs.append(([0, *np.cumsum(a).tolist()], [0, *np.cumsum(p).tolist()]))
+    return pairs
+
+
+def test_signals_and_hit_rate_match_oracle_on_flat_runs():
+    for actual_vals, predicted_vals in _flat_run_pairs(np.random.default_rng(7)):
+        actual, predicted = TimeSeries(START, actual_vals), TimeSeries(START, predicted_vals)
+        assert signals_from_prediction(predicted).values.tolist() == oracles.signals(predicted_vals)
+        got = hit_rate(actual, predicted)
+        want = oracles.hit_rate(actual_vals, predicted_vals)
+        assert type(got) is float and repr(got) == repr(want)
+
 
 def test_metrics_match_brute_force_oracle():
     rng = np.random.default_rng(42)
@@ -372,6 +398,26 @@ def test_report_csv_keeps_periods():
     assert lines[0].startswith("network,efficiency_pct")
     assert "0.6496" in lines[1]
     assert "no-loss" in lines[2]
+
+
+def test_equity_long_csv_matches_per_row_oracle():
+    # Curves that share a start and length, and curves that differ in either,
+    # including a year below 1000, interleaved.
+    shapes = [
+        ("a", MonthStamp(1999, 11), 5), ("b", MonthStamp(1999, 11), 5),
+        ("c", MonthStamp(2000, 1), 30), ("d", MonthStamp(1999, 11), 7),
+        ("e", MonthStamp(999, 12), 3), ("f", MonthStamp(1999, 11), 5),
+    ]
+    rng = np.random.default_rng(5)
+    scale = 10.0 ** rng.integers(-7, 9, size=30)
+    curves = {
+        name: TimeSeries(start, rng.normal(size=n) * scale[:n]) for name, start, n in shapes
+    }
+    curves["flat"] = TimeSeries(MonthStamp(2000, 1), [0.0, -0.0, 123456789.0, 1e-5])
+    expected = oracles.equity_long_csv(
+        (name, c.start.year, c.start.month, c.values) for name, c in curves.items()
+    )
+    assert equity_long_csv(curves) == expected
 
 
 def test_equity_long_csv_shape():

@@ -14,6 +14,7 @@ from econocast.timeseries import (
     SectorWeights,
     TimeSeries,
     laspeyres_index,
+    month_labels,
     parse_csv,
     render_csv,
     synthesize_economy,
@@ -52,6 +53,19 @@ def test_successor_round_trip_over_years():
 # ---------------------------------------------------------------------------
 # TimeSeries
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "start, n",
+    [(MonthStamp(999, 12), 3), (MonthStamp(1991, 1), 1), (MonthStamp(1999, 7), 30),
+     (MonthStamp(2040, 12), 25), (MonthStamp(2000, 1), 0)],
+)
+def test_month_labels_match_month_stamp_str(start, n):
+    assert month_labels(start, n) == [str(start.plus(i)) for i in range(n)]
+
+
+def test_month_labels_pad_years_below_1000():
+    assert month_labels(MonthStamp(999, 12), 2) == ["0999-12", "1000-01"]
+
 
 def test_series_validation():
     with pytest.raises(ValueError):
