@@ -55,7 +55,7 @@ from .metrics import (
     sharpe_modified,
     signals_from_prediction,
 )
-from .lagscan import LagScanResult, scan, scan_all
+from .lagscan import LagScanResult, scan
 from .search import ArchitectureGrid, SearchOutcome, maximize_sharpe, search_best_net
 from .ensemble import EnsembleModel, EnsembleSpec, SubNetworkSpec, predict_ensemble, train_ensemble
 

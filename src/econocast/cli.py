@@ -286,7 +286,7 @@ def _optimize_sub_specs(
                 hidden = outcome.best_architecture[1:-1]
                 write_text(
                     os.path.join(logs_dir, f"search_{spec.name}.csv"),
-                    search.search_log_csv(outcome, timings=False),
+                    search.search_log_csv(outcome),
                 )
             cfg = spec.train_config
             if config.restarts is not None:
@@ -303,7 +303,7 @@ def _optimize_sub_specs(
                 cfg = replace(cfg, rng_seed=expert.rng_seed)
                 write_text(
                     os.path.join(logs_dir, f"restarts_{spec.name}.csv"),
-                    search.restart_log_csv(ro, timings=False),
+                    search.restart_log_csv(ro),
                 )
         except (ValueError, TrainingDiverged) as exc:
             raise ValueError(f"sub-network {number} ({spec.name!r}) failed: {exc}") from exc
@@ -353,8 +353,10 @@ def cmd_scan(config: PipelineConfig, locale_comma: bool = False) -> int:
     unsafe = [n for n in names if not is_file_stem(n)]
     if unsafe:
         raise ConfigError(f"input column name(s) {unsafe} cannot name the scan files")
-    inputs = {n: sources[n] for n in names}
-    results = lagscan.scan_all(inputs, target, config.scan_max_lag, *config.train_range)
+    results = {
+        n: lagscan.scan(sources[n], target, config.scan_max_lag, *config.train_range, input_name=n)
+        for n in names
+    }
     scan_dir = os.path.join(config.out_dir, "scan")
     chosen = {}
     for name, result in results.items():

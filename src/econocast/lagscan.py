@@ -8,7 +8,7 @@ prediction, evaluated with the full indicator battery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Tuple
 
 from .metrics import (
     EquityCurve,
@@ -22,7 +22,7 @@ from .metrics import (
 from .preprocess import lag
 from .timeseries import MonthStamp, TimeSeries
 
-__all__ = ["LagRow", "LagScanResult", "scan", "scan_all", "scan_table_csv", "scan_curves_csv"]
+__all__ = ["LagRow", "LagScanResult", "scan", "scan_table_csv", "scan_curves_csv"]
 
 
 @dataclass(frozen=True)
@@ -39,19 +39,10 @@ class LagRow:
 class LagScanResult:
     """Per-lag table plus the chosen lag and benchmark curves."""
 
-    input_name: str
     rows: Tuple[LagRow, ...]
     chosen_lag: int
     perfect_equity: EquityCurve
     buy_hold_equity: EquityCurve
-    first: MonthStamp
-    last: MonthStamp
-
-    def row(self, k: int) -> LagRow:
-        for r in self.rows:
-            if r.lag == k:
-                return r
-        raise KeyError(f"no row for lag {k}")
 
 
 def scan(
@@ -102,28 +93,11 @@ def scan(
             chosen = k
     assert chosen is not None
     return LagScanResult(
-        input_name=input_name,
         rows=tuple(rows),
         chosen_lag=chosen,
         perfect_equity=perfect,
         buy_hold_equity=buy_hold,
-        first=first,
-        last=last,
     )
-
-
-def scan_all(
-    inputs: Mapping[str, TimeSeries],
-    target: TimeSeries,
-    max_lag: int,
-    first: MonthStamp,
-    last: MonthStamp,
-) -> Dict[str, LagScanResult]:
-    """scan() per named input, in the mapping's order."""
-    return {
-        name: scan(series, target, max_lag, first, last, input_name=name)
-        for name, series in inputs.items()
-    }
 
 
 def scan_table_csv(result: LagScanResult) -> str:

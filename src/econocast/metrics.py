@@ -233,8 +233,8 @@ def _report_cells(name: str, rep: MetricsReport, comma: bool) -> List[str]:
         _fmt(rep.sharpe_modified, "%.4f", comma),
         _fmt(rep.rmse, "%.2f", comma),
         _fmt(rep.mean_error, "%.2f", comma),
-        _fmt(rep.train_error_pct, "%.2f", comma, "%") if rep.train_error_pct is not None else "-",
-        _fmt(rep.test_error_pct, "%.2f", comma, "%") if rep.test_error_pct is not None else "-",
+        _fmt(rep.train_error_pct, "%.2f", comma, "%"),
+        _fmt(rep.test_error_pct, "%.2f", comma, "%"),
     ]
 
 

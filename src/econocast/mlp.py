@@ -181,9 +181,7 @@ def forward(net: MlpNetwork, x: Sequence[float]) -> np.ndarray:
     a = np.asarray(x, dtype=float)
     if a.shape != (net.n_in,):
         raise ValueError(f"input length {a.shape} does not match n_in {net.n_in}")
-    for kind, w, b in zip(_layer_kinds(net), net.weights, net.biases):
-        a = _activate(kind, w @ a + b)
-    return a
+    return _forward_batch(_layer_kinds(net), net.weights, net.biases, a)
 
 
 def _forward_batch(

@@ -8,7 +8,7 @@ feature matrix starts only once every transform/lag warm-up is satisfied.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -142,37 +142,49 @@ def dominant_cycle(s: TimeSeries) -> int:
 # ---------------------------------------------------------------------------
 
 
-class _Kind(NamedTuple):
-    """Everything one transform kind defines: its parameters, how it applies,
-    its label, and how many leading months of input it consumes."""
+class _Bound(NamedTuple):
+    """The values a transform parameter takes, and how an error words them."""
 
-    params: Tuple[str, ...]
+    holds: Callable[[float], bool]
+    want: str
+
+
+_WINDOW = _Bound(lambda v: v >= 1, ">= 1")
+_DISTANCE = _Bound(lambda v: v >= 0, ">= 0")
+
+
+class _Kind(NamedTuple):
+    """Everything one transform kind defines: its parameters and their
+    bounds, how it applies, its label, and how many leading months of input
+    it consumes."""
+
+    params: Mapping[str, _Bound]
     apply: Callable[["Transform", TimeSeries], TimeSeries]
     label: Callable[["Transform"], str]
     warmup: Callable[["Transform"], int]
 
 
 _KINDS: Dict[str, _Kind] = {
-    "identity": _Kind((), lambda t, s: s, lambda t: "identity", lambda t: 0),
-    "diff": _Kind((), lambda t, s: diff(s), lambda t: "diff", lambda t: 1),
+    "identity": _Kind({}, lambda t, s: s, lambda t: "identity", lambda t: 0),
+    "diff": _Kind({}, lambda t, s: diff(s), lambda t: "diff", lambda t: 1),
     "sma": _Kind(
-        ("window",), lambda t, s: sma(s, t.window),
+        {"window": _WINDOW}, lambda t, s: sma(s, t.window),
         lambda t: f"sma{t.window}", lambda t: t.window - 1,
     ),
     "ewma": _Kind(
-        ("beta",), lambda t, s: ewma(s, t.beta),
+        {"beta": _Bound(lambda v: 0.0 < v <= 1.0, "in (0, 1]")}, lambda t, s: ewma(s, t.beta),
         lambda t: f"ewma{t.beta:g}", lambda t: 0,
     ),
     "block_avg": _Kind(
-        ("window", "distance"), lambda t, s: block_avg(s, t.window, t.distance),
+        {"window": _WINDOW, "distance": _DISTANCE}, lambda t, s: block_avg(s, t.window, t.distance),
         lambda t: f"ba{t.window}d{t.distance}", lambda t: t.window + t.distance - 1,
     ),
     "log_var_ma": _Kind(
-        ("window",), lambda t, s: log_var_ma(s, t.window),
+        {"window": _WINDOW}, lambda t, s: log_var_ma(s, t.window),
         lambda t: f"logvar{t.window}", lambda t: t.window,
     ),
     "rolling_std": _Kind(
-        ("window",), lambda t, s: rolling_stddev(s, t.window),
+        {"window": _Bound(lambda v: v >= 2, ">= 2")}, lambda t, s: rolling_stddev(s, t.window),
         lambda t: f"std{t.window}", lambda t: t.window - 1,
     ),
 }
@@ -190,47 +202,15 @@ class Transform:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown transform kind {self.kind!r}")
-        required = _KINDS[self.kind].params
+        params = _KINDS[self.kind].params
         for name in ("window", "distance", "beta"):
             value = getattr(self, name)
-            if name in required and value is None:
+            if name in params and value is None:
                 raise ValueError(f"transform {self.kind!r} requires {name}")
-            if name not in required and value is not None:
+            if name not in params and value is not None:
                 raise ValueError(f"transform {self.kind!r} does not take {name}")
-        if self.window is not None and self.window < 1:
-            raise ValueError("window must be >= 1")
-        if self.distance is not None and self.distance < 0:
-            raise ValueError("distance must be >= 0")
-        if self.beta is not None and not 0.0 < self.beta <= 1.0:
-            raise ValueError("beta must be in (0, 1]")
-
-    @classmethod
-    def identity(cls) -> "Transform":
-        return cls("identity")
-
-    @classmethod
-    def diff(cls) -> "Transform":
-        return cls("diff")
-
-    @classmethod
-    def sma(cls, window: int) -> "Transform":
-        return cls("sma", window=window)
-
-    @classmethod
-    def ewma(cls, beta: float) -> "Transform":
-        return cls("ewma", beta=beta)
-
-    @classmethod
-    def block_avg(cls, window: int, distance: int) -> "Transform":
-        return cls("block_avg", window=window, distance=distance)
-
-    @classmethod
-    def log_var_ma(cls, window: int) -> "Transform":
-        return cls("log_var_ma", window=window)
-
-    @classmethod
-    def rolling_std(cls, window: int) -> "Transform":
-        return cls("rolling_std", window=window)
+            if value is not None and not params[name].holds(value):
+                raise ValueError(f"{name} must be {params[name].want}")
 
     def apply(self, s: TimeSeries) -> TimeSeries:
         return _KINDS[self.kind].apply(self, s)
@@ -344,9 +324,6 @@ class FeatureMatrix:
     @property
     def end(self) -> MonthStamp:
         return self.start.plus(self.rows - 1)
-
-    def row_dates(self) -> List[MonthStamp]:
-        return [self.start.plus(i) for i in range(self.rows)]
 
     def target_series(self) -> TimeSeries:
         return TimeSeries(self.start, self.y)

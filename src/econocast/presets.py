@@ -12,7 +12,7 @@ the data needs nothing before month 1.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping
+from typing import List, Mapping
 
 from .preprocess import FeatureSpec, Transform
 from .timeseries import PREDICTOR_LEADS, TARGET_NAME
@@ -24,7 +24,6 @@ __all__ = [
     "WARMUP_MONTHS",
     "cycle_features",
     "preset_features",
-    "all_presets",
     "preset_warmup",
 ]
 
@@ -90,7 +89,7 @@ def _var_feature(feed: str) -> FeatureSpec:
     # Differencing costs one warm-up month, so the lag is capped to keep the
     # total inside the reserved year.
     k = min(RAW_INPUT_LAGS[feed], WARMUP_MONTHS - 1)
-    return FeatureSpec(feed, (Transform.diff(),), lag=k)
+    return FeatureSpec(feed, (Transform("diff"),), lag=k)
 
 
 def cycle_features(beta: float, cycle_period: int, target: str = TARGET_NAME) -> List[FeatureSpec]:
@@ -101,7 +100,7 @@ def cycle_features(beta: float, cycle_period: int, target: str = TARGET_NAME) ->
     tiling the cycle. All lags are clipped to the warm-up year.
     """
     window = max(1, round(cycle_period / 4))
-    smooth = (Transform.ewma(beta),)
+    smooth = (Transform("ewma", beta=beta),)
     features = []
     for j in range(1, 6):
         k = min(max(1, round(j * cycle_period / 5)), WARMUP_MONTHS)
@@ -109,9 +108,8 @@ def cycle_features(beta: float, cycle_period: int, target: str = TARGET_NAME) ->
     for j in range(1, 5):
         block_start = min(max(window, round(j * cycle_period / 4)), WARMUP_MONTHS)
         distance = block_start - (window - 1)
-        features.append(
-            FeatureSpec(target, smooth + (Transform.block_avg(window, distance),), lag=0)
-        )
+        block = Transform("block_avg", window=window, distance=distance)
+        features.append(FeatureSpec(target, smooth + (block,), lag=0))
     return features
 
 
@@ -136,22 +134,18 @@ def preset_features(
         features.append(FeatureSpec("inflation", lag=RAW_INPUT_LAGS["inflation"]))
 
     if name == "network3":
-        features.append(FeatureSpec(target, (Transform.ewma(beta),), lag=WARMUP_MONTHS))
+        features.append(FeatureSpec(target, (Transform("ewma", beta=beta),), lag=WARMUP_MONTHS))
 
     if name == "network4":
         # Annual-phase momentum of the smoothed target plus its trailing spread.
-        features.append(FeatureSpec(target, (Transform.log_var_ma(3),), lag=9))
-        features.append(FeatureSpec(target, (Transform.rolling_std(12),), lag=0))
+        features.append(FeatureSpec(target, (Transform("log_var_ma", window=3),), lag=9))
+        features.append(FeatureSpec(target, (Transform("rolling_std", window=12),), lag=0))
 
     if name in _CYCLE_NETWORKS:
         assert beta is not None
         features.extend(cycle_features(beta, cycle_period, target))
 
     return features
-
-
-def all_presets(cycle_period: int = 12, target: str = TARGET_NAME) -> Dict[str, List[FeatureSpec]]:
-    return {name: preset_features(name, cycle_period, target) for name in NETWORK_NAMES}
 
 
 def preset_warmup(features: List[FeatureSpec]) -> int:

@@ -8,7 +8,6 @@ the returned log.
 from __future__ import annotations
 
 import hashlib
-import time
 from dataclasses import dataclass, replace
 from typing import List, Sequence, Tuple
 
@@ -76,7 +75,6 @@ class CandidateResult:
     validation_error_pct: float
     combined: float
     parameters: int
-    wallclock: float
     diverged: bool = False
 
 
@@ -110,31 +108,23 @@ def search_best_net(
     for shape in grid.shapes(train_matrix.width):
         seed = candidate_seed(shape, grid.train_config.rng_seed)
         cfg = replace(grid.train_config, rng_seed=seed)
-        started = time.perf_counter()
         try:
             expert = train(init(shape, cfg), train_matrix, cfg)
             train_err = error_percent(predict(expert, train_matrix), train_matrix)
             val_err = error_percent(predict(expert, validation_matrix), validation_matrix)
-            result = CandidateResult(
-                shape=shape,
-                seed=seed,
-                train_error_pct=train_err,
-                validation_error_pct=val_err,
-                combined=max(train_err, val_err),
-                parameters=_parameters(shape),
-                wallclock=time.perf_counter() - started,
-            )
+            diverged = False
         except TrainingDiverged:
-            result = CandidateResult(
-                shape=shape,
-                seed=seed,
-                train_error_pct=float("inf"),
-                validation_error_pct=float("inf"),
-                combined=float("inf"),
-                parameters=_parameters(shape),
-                wallclock=time.perf_counter() - started,
-                diverged=True,
-            )
+            train_err = val_err = float("inf")
+            diverged = True
+        result = CandidateResult(
+            shape=shape,
+            seed=seed,
+            train_error_pct=train_err,
+            validation_error_pct=val_err,
+            combined=max(train_err, val_err),
+            parameters=_parameters(shape),
+            diverged=diverged,
+        )
         log.append(result)
         if best is None:
             best = result
@@ -151,16 +141,11 @@ def search_best_net(
 
 @dataclass(frozen=True)
 class RestartResult:
-    """One restart's validation score. `wallclock` is the lockstep training
-    time of the whole batch split evenly over its nets, plus this restart's
-    own prediction and scoring time."""
-
     restart: int
     seed: int
     srm: float | None
     efficiency_pct: float
     train_error_pct: float
-    wallclock: float
     diverged: bool = False
 
 
@@ -191,10 +176,8 @@ def maximize_sharpe(
     if base_seed is None:
         base_seed = train_config.rng_seed
     configs = [replace(train_config, rng_seed=base_seed + i) for i in range(max_restarts)]
-    started = time.perf_counter()
     nets = [init(tuple(shape), cfg) for cfg in configs]
     trained = train_many(nets, [train_matrix] * max_restarts, configs)
-    train_share = (time.perf_counter() - started) / max_restarts
     actual = validation_matrix.target_series()
     history: List[RestartResult] = []
     best: TrainedExpert | None = None
@@ -202,34 +185,28 @@ def maximize_sharpe(
     best_index = -1
     reached = False
     for i, (cfg, expert) in enumerate(zip(configs, trained)):
-        started = time.perf_counter()
-        if isinstance(expert, TrainingDiverged):
-            history.append(
-                RestartResult(
-                    restart=i,
-                    seed=cfg.rng_seed,
-                    srm=float("-inf"),
-                    efficiency_pct=float("-inf"),
-                    train_error_pct=float("inf"),
-                    wallclock=train_share + time.perf_counter() - started,
-                    diverged=True,
-                )
-            )
-            continue
-        predicted = predict(expert, validation_matrix)
-        signals = signals_from_prediction(predicted)
-        srm = sharpe_modified(actual, signals)
-        eff = efficiency(actual, signals)
+        diverged = isinstance(expert, TrainingDiverged)
+        if diverged:
+            srm = eff = float("-inf")
+            train_err = float("inf")
+        else:
+            predicted = predict(expert, validation_matrix)
+            signals = signals_from_prediction(predicted)
+            srm = sharpe_modified(actual, signals)
+            eff = efficiency(actual, signals)
+            train_err = expert.final_train_error
         history.append(
             RestartResult(
                 restart=i,
                 seed=cfg.rng_seed,
                 srm=srm,
                 efficiency_pct=eff,
-                train_error_pct=expert.final_train_error,
-                wallclock=train_share + time.perf_counter() - started,
+                train_error_pct=train_err,
+                diverged=diverged,
             )
         )
+        if diverged:
+            continue
         key = srm_rank_key(srm, eff)
         if best_key is None or key > best_key:
             best, best_key, best_index = expert, key, i
@@ -245,23 +222,21 @@ def maximize_sharpe(
     )
 
 
-def search_log_csv(outcome: SearchOutcome, timings: bool = True) -> str:
-    """Candidate log as CSV. `timings=False` blanks the wallclock column so
-    repeated runs stay byte-identical."""
+def search_log_csv(outcome: SearchOutcome) -> str:
+    """Candidate log as CSV. The wallclock column stays empty, so repeated
+    runs are byte-identical."""
     lines = ["candidate,seed,train_err,val_err,srm,wallclock"]
     for r in outcome.log:
         shape = "x".join(str(n) for n in r.shape)
-        clock = f"{r.wallclock:.3f}" if timings else ""
         lines.append(
-            f"{shape},{r.seed},{r.train_error_pct:.6g},{r.validation_error_pct:.6g},,{clock}"
+            f"{shape},{r.seed},{r.train_error_pct:.6g},{r.validation_error_pct:.6g},,"
         )
     return "\n".join(lines) + "\n"
 
 
-def restart_log_csv(outcome: RestartOutcome, timings: bool = True) -> str:
+def restart_log_csv(outcome: RestartOutcome) -> str:
     lines = ["candidate,seed,train_err,val_err,srm,wallclock"]
     for r in outcome.history:
         srm = "no-loss" if r.srm is None else f"{r.srm:.6g}"
-        clock = f"{r.wallclock:.3f}" if timings else ""
-        lines.append(f"restart{r.restart},{r.seed},{r.train_error_pct:.6g},,{srm},{clock}")
+        lines.append(f"restart{r.restart},{r.seed},{r.train_error_pct:.6g},,{srm},")
     return "\n".join(lines) + "\n"

@@ -77,9 +77,6 @@ class MonthStamp:
         total = self.year * 12 + (self.month - 1) + months
         return MonthStamp(total // 12, total % 12 + 1)
 
-    def successor(self) -> "MonthStamp":
-        return self.plus(1)
-
     def months_since(self, other: "MonthStamp") -> int:
         """Signed number of months from `other` to self."""
         return (self.year - other.year) * 12 + (self.month - other.month)
@@ -154,9 +151,6 @@ class TimeSeries:
         if not 0 <= i < len(self):
             raise KeyError(f"{stamp} outside series range {self.start}..{self.end}")
         return i
-
-    def value_at(self, stamp: MonthStamp) -> float:
-        return float(self.values[self.index_of(stamp)])
 
     def covers(self, first: MonthStamp, last: MonthStamp) -> bool:
         return self.start <= first and last <= self.end
@@ -249,7 +243,7 @@ def parse_csv(text: str) -> Dict[str, TimeSeries]:
             stamp = MonthStamp.parse(cells[0])
         except ValueError as exc:
             raise CsvFormatError(f"row {rownum}: {exc}", row=rownum, column="date") from exc
-        if prev is not None and stamp != prev.successor():
+        if prev is not None and stamp != prev.plus(1):
             raise CsvFormatError(
                 f"non-contiguous months at row {rownum}: {stamp} does not follow {prev}",
                 row=rownum,
@@ -377,9 +371,6 @@ class SyntheticBundle:
     @property
     def target(self) -> TimeSeries:
         return self.series[TARGET_NAME]
-
-    def predictors(self) -> Dict[str, TimeSeries]:
-        return {name: self.series[name] for name in self.planted_leads}
 
     def metadata(self) -> Dict[str, object]:
         return {

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from econocast import search
 from econocast.cli import config_from_dict, main
 from econocast.metrics import REPORT_COLUMNS
 from econocast.mlp import expert_to_dict, load_expert
@@ -323,6 +324,36 @@ def test_optimized_pipeline_is_deterministic(tmp_path):
         assert read(Path(out_a, rel)) == read(Path(out_b, rel)), rel
 
 
+@pytest.mark.parametrize(
+    "leaky, fit_on, scored_on",
+    [
+        # the last validation_months (24) of the training range
+        (None, ("1992-01", "1993-12"), ("1994-01", "1995-12")),
+        # the full training range, scored on the testing range
+        ("flag", ("1992-01", "1995-12"), ("1996-01", "1996-12")),
+        ("config", ("1992-01", "1995-12"), ("1996-01", "1996-12")),
+    ],
+)
+def test_leaky_selection_chooses_the_ranges_restarts_see(tmp_path, monkeypatch, leaky, fit_on,
+                                                         scored_on):
+    seen = []
+    maximize_sharpe = search.maximize_sharpe
+
+    def spy(shape, train_matrix, validation_matrix, *args, **kwargs):
+        ranges = [(str(m.start), str(m.end)) for m in (train_matrix, validation_matrix)]
+        seen.append(tuple(ranges))
+        return maximize_sharpe(shape, train_matrix, validation_matrix, *args, **kwargs)
+
+    monkeypatch.setattr(search, "maximize_sharpe", spy)
+    cfg = base_config(str(tmp_path / "out"), epochs=5)
+    cfg["restarts"] = {"max_restarts": 2}
+    if leaky == "config":
+        cfg["leaky_selection"] = True
+    argv = ["train", "--config", write_config(tmp_path, cfg)]
+    assert main(argv + (["--leaky-selection"] if leaky == "flag" else [])) == 0
+    assert seen == [(fit_on, scored_on)] * 2
+
+
 # ---------------------------------------------------------------------------
 # failures reported as errors, not tracebacks
 # ---------------------------------------------------------------------------
@@ -479,6 +510,8 @@ def wrong_type_cases():
                 ("test_range", ["2003-12", "2000-01"], "test_range"),
                 ("restarts.max_restarts", 0, "restarts"),
                 ("networks.1.features.0.transforms.0.kind", "nope",
+                 "networks.1.features.0.transforms.0"),
+                ("networks.1.features.0.transforms.0", {"kind": "rolling_std", "window": 1},
                  "networks.1.features.0.transforms.0"),
                 ("networks.1.features.0.colour", "red", "networks.1.features.0"),
                 ("networks", ["network1", "network2", "network1"], "networks"),

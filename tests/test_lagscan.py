@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from econocast.lagscan import scan, scan_all, scan_curves_csv, scan_table_csv
+from econocast.lagscan import scan, scan_curves_csv, scan_table_csv
 from econocast.timeseries import TimeSeries
 
 
@@ -36,15 +36,17 @@ def test_planted_lead_seven_recovers_with_perfect_hits(target):
     first, last = _range(target)
     result = scan(inp, target, 12, first, last)
     assert result.chosen_lag == 7
-    assert result.row(7).report.hit_pct == 100.0
-    assert result.row(7).report.sharpe_modified is None  # no losses
+    row = result.rows[6]
+    assert row.lag == 7
+    assert row.report.hit_pct == 100.0
+    assert row.report.sharpe_modified is None  # no losses
 
 
 def test_scan_rows_respect_bounds(target):
     inp = shifted_input(target, 4)
     first, last = _range(target)
     result = scan(inp, target, 12, first, last)
-    assert len(result.rows) == 12
+    assert [row.lag for row in result.rows] == list(range(1, 13))
     for row in result.rows:
         assert row.report.efficiency_pct <= 100.0 + 1e-9
         assert row.final_equity <= result.perfect_equity.values[-1] + 1e-9
@@ -84,7 +86,10 @@ def test_scan_insufficient_history(target):
 def test_scan_all_recovers_two_planted_leads(target):
     inputs = {"a": shifted_input(target, 3), "b": shifted_input(target, 10)}
     first, last = _range(target)
-    results = scan_all(inputs, target, 12, first, last)
+    results = {
+        name: scan(series, target, 12, first, last, input_name=name)
+        for name, series in inputs.items()
+    }
     assert results["a"].chosen_lag == 3
     assert results["b"].chosen_lag == 10
     assert list(results) == ["a", "b"]
@@ -106,7 +111,7 @@ def test_pure_noise_input_has_low_confidence(target):
     for _ in range(trials):
         noise = TimeSeries(target.start, rng.normal(size=len(target)).cumsum())
         result = scan(noise, target, 12, first, last)
-        srm = result.row(result.chosen_lag).report.sharpe_modified
+        srm = result.rows[result.chosen_lag - 1].report.sharpe_modified
         if srm is not None and srm < 0.35:
             low += 1
     assert low >= 0.9 * trials

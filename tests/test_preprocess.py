@@ -120,7 +120,7 @@ def test_block_avg_hand_indexing():
     out = block_avg(series(1, 2, 3, 4, 5), 2, 1)
     # defined from index window+distance-1 = 2; at index 4 the block is {3,4}
     assert out.start == START.plus(2)
-    assert out.value_at(START.plus(4)) == 3.5
+    assert out.values[out.index_of(START.plus(4))] == 3.5
 
 
 def test_block_avg_equals_lagged_sma():
@@ -147,7 +147,7 @@ def test_lag_hand_shift():
     out = lag(series(10, 20, 30), 1)
     assert out == TimeSeries(START.plus(1), [10.0, 20.0])
     # value at date t is the source value at t-1
-    assert out.value_at(START.plus(1)) == 10.0
+    assert out.values[out.index_of(START.plus(1))] == 10.0
 
 
 def test_lag_composition():
@@ -251,15 +251,36 @@ def test_transform_validation():
         Transform("nonsense")
 
 
+@pytest.mark.parametrize(
+    "kind, rejected, admitted",
+    [
+        ("sma", {"window": 0}, {"window": 1}),
+        ("block_avg", {"window": 0, "distance": 0}, {"window": 1, "distance": 0}),
+        ("block_avg", {"window": 1, "distance": -1}, {"window": 1, "distance": 0}),
+        ("ewma", {"beta": 0.0}, {"beta": 1.0}),
+        ("ewma", {"beta": 1.5}, {"beta": 1.0}),
+        ("log_var_ma", {"window": 0}, {"window": 1}),
+        ("rolling_std", {"window": 1}, {"window": 2}),
+    ],
+)
+def test_transform_bounds_match_what_the_functions_accept(kind, rejected, admitted):
+    # a parameter the function would reject on apply is rejected when the
+    # Transform is built, and the edge value that is admitted applies
+    with pytest.raises(ValueError, match=r"(window|distance|beta) must be"):
+        Transform(kind, **rejected)
+    s = random_series(np.random.default_rng(5), 12)
+    assert len(Transform(kind, **admitted).apply(s)) > 0
+
+
 # One example of every transform kind.
 EVERY_KIND = (
-    Transform.identity(),
-    Transform.diff(),
-    Transform.sma(4),
-    Transform.ewma(0.25),
-    Transform.block_avg(3, 2),
-    Transform.log_var_ma(3),
-    Transform.rolling_std(12),
+    Transform("identity"),
+    Transform("diff"),
+    Transform("sma", window=4),
+    Transform("ewma", beta=0.25),
+    Transform("block_avg", window=3, distance=2),
+    Transform("log_var_ma", window=3),
+    Transform("rolling_std", window=12),
 )
 
 
@@ -276,7 +297,8 @@ def test_transform_output_starts_after_its_warmup():
 
 
 def test_feature_spec_round_trip_and_label():
-    spec = FeatureSpec("activity", (Transform.ewma(0.2), Transform.block_avg(3, 1)), lag=2)
+    chain = (Transform("ewma", beta=0.2), Transform("block_avg", window=3, distance=1))
+    spec = FeatureSpec("activity", chain, lag=2)
     assert FeatureSpec.from_dict(spec.to_dict()) == spec
     assert "activity" in spec.label() and "lag2" in spec.label()
 
@@ -300,7 +322,7 @@ def test_assemble_identity_equals_raw():
     assert m.rows == 17 and m.width == 1
     assert np.array_equal(m.X[:, 0], sources["a"].slice_range(first, last).values)
     assert np.array_equal(m.y, sources["b"].slice_range(first, last).values)
-    assert m.row_dates()[0] == first and m.row_dates()[-1] == last
+    assert m.start == first and m.end == last
 
 
 def test_assemble_lag_12_needs_exactly_one_year_of_warmup():
@@ -309,7 +331,7 @@ def test_assemble_lag_12_needs_exactly_one_year_of_warmup():
     first, last = MonthStamp(1992, 1), MonthStamp(1992, 6)
     m = assemble(spec, sources, "b", None, first, last)
     # the feature value in 1992-01 is the source value of 1991-01
-    assert m.X[0, 0] == sources["a"].value_at(MonthStamp(1991, 1))
+    assert m.X[0, 0] == sources["a"].values[sources["a"].index_of(MonthStamp(1991, 1))]
     with pytest.raises(WarmupError) as err:
         assemble(spec, sources, "b", None, MonthStamp(1991, 12), last)
     assert err.value.months_short == 1
@@ -347,12 +369,9 @@ def test_network3_preset_has_14_columns(clean_bundle):
 
 
 def test_all_presets_assemble_with_one_warmup_year(noisy_bundle):
-    from econocast.presets import NETWORK_NAMES, all_presets
-
-    presets = all_presets(12)
     for name in NETWORK_NAMES:
         m = assemble(
-            presets[name],
+            preset_features(name, 12),
             noisy_bundle.series,
             "activity",
             None,

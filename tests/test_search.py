@@ -8,6 +8,10 @@ from econocast.mlp import TrainConfig, TrainingDiverged, expert_to_dict, init, t
 from econocast.preprocess import FeatureMatrix, FeatureSpec
 from econocast.search import (
     ArchitectureGrid,
+    CandidateResult,
+    RestartOutcome,
+    RestartResult,
+    SearchOutcome,
     candidate_seed,
     maximize_sharpe,
     restart_log_csv,
@@ -99,6 +103,40 @@ def test_search_log_csv_header():
     grid = ArchitectureGrid((1,), (2,), TrainConfig(max_epochs=10))
     text = search_log_csv(search_best_net(grid, tr, va))
     assert text.splitlines()[0] == "candidate,seed,train_err,val_err,srm,wallclock"
+
+
+def test_selection_logs_render_exactly():
+    inf = float("inf")
+    searched = SearchOutcome(
+        best_architecture=(3, 4, 1),
+        log=(
+            CandidateResult((3, 4, 1), 123456, 12.3456789, 7.0, 12.3456789, 21),
+            CandidateResult((3, 16, 16, 1), 42, inf, inf, inf, 353, diverged=True),
+        ),
+    )
+    assert search_log_csv(searched) == (
+        "candidate,seed,train_err,val_err,srm,wallclock\n"
+        "3x4x1,123456,12.3457,7,,\n"
+        "3x16x16x1,42,inf,inf,,\n"
+    )
+    tr, _ = linear_problem()
+    cfg = TrainConfig(max_epochs=1)
+    restarted = RestartOutcome(
+        expert=train(init((1, 2, 1), cfg), tr, cfg),
+        best_restart=1,
+        history=(
+            RestartResult(0, 7, 0.123456789, 55.5, 3.25),
+            RestartResult(1, 8, None, 100.0, 1e-7),
+            RestartResult(2, 9, -inf, -inf, inf, diverged=True),
+        ),
+        reached_target=False,
+    )
+    assert restart_log_csv(restarted) == (
+        "candidate,seed,train_err,val_err,srm,wallclock\n"
+        "restart0,7,3.25,,0.123457,\n"
+        "restart1,8,1e-07,,no-loss,\n"
+        "restart2,9,inf,,-inf,\n"
+    )
 
 
 # ---------------------------------------------------------------------------

