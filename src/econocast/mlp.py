@@ -17,13 +17,25 @@ product sums in another order once its length changes (with OpenBLAS on x86,
 padding keeps the bits only for widths that are multiples of 4). So each
 net's weights are bit-identical to training it alone, whatever K, its
 neighbours' widths and its place in the batch. `train` is the K = 1 case.
+
+A step creates no array (see _Lockstep). Every weight and bias of the batch
+lives in one flat buffer `theta`, the pattern's gradient in a second buffer
+`grad` of the same layout, and the stacked weights and biases are views into
+them, so the update for a pattern is two calls: grad *= eta, then
+theta -= grad. The activation and scratch buffers are allocated once per
+batch, and again only when a net leaves it, and every operation of the step
+writes through `out=`. The step keeps the operations and their order that
+fix the bits: the same BLAS products, the logistic as
+max(e, sign(z)) / (1 + e) with e = exp(-|z|), the slope as
+delta * (a * (1 - a)) and the update as eta * dw, then a subtraction.
+`gradients` runs the same step for one net, without the update.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -62,16 +74,24 @@ class TrainingDiverged(RuntimeError):
         self.epoch = epoch
 
 
-def _logistic(z: np.ndarray) -> np.ndarray:
-    # 1 / (1 + e) for z >= 0 and e / (1 + e) below, with e = exp(-|z|), which
-    # never overflows. The numerator max(e, sign(z)) is 1 for z >= 0 (as e <= 1
-    # there) and e below; one call cheaper than np.where on a comparison.
-    e = np.exp(-np.abs(z))
-    return np.maximum(e, np.sign(z)) / (1.0 + e)
+def _logistic(z: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Overwrite z with its logistic and return it; e is scratch of z's shape.
+
+    1 / (1 + e) for z >= 0 and e / (1 + e) below, with e = exp(-|z|), which
+    never overflows. The numerator max(e, sign(z)) is 1 for z >= 0 (as e <= 1
+    there) and e below; one call cheaper than np.where on a comparison.
+    copysign(z, -1) is -|z| bit for bit, in one call."""
+    np.copysign(z, -1.0, out=e)
+    np.exp(e, out=e)
+    np.sign(z, out=z)
+    np.maximum(e, z, out=z)
+    np.add(e, 1.0, out=e)
+    return np.divide(z, e, out=z)
 
 
 def _activate(kind: str, z: np.ndarray) -> np.ndarray:
-    return _logistic(z) if kind == "logistic" else z
+    """Activation of a fresh array z, computed in place."""
+    return _logistic(z, np.empty_like(z)) if kind == "logistic" else z
 
 
 @dataclass(frozen=True)
@@ -207,40 +227,92 @@ def _forward_batch(
     return a
 
 
-def _backprop(
-    kinds: Sequence[str],
-    ws: Sequence[np.ndarray],
-    bs: Sequence[np.ndarray],
-    x: np.ndarray,
-    target: object,
-    groups: _WidthGroups = None,
-) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-    """Gradient of E = 1/2 * sum((out - target)^2) for one pattern by reverse
-    accumulation, in column layout: x is (in, 1), each weight (out, in) and
-    bias (out, 1), or all of them stacked over K nets as (K, ...), where x may
-    stay one (in, 1) column for all nets or be (K, in, 1) with the first
-    layer's product taken per width group. Every delta comes from the weights
-    as passed in, so a caller may update them in place once this returns."""
-    w0 = ws[0]
-    if groups is None:
-        z = w0 @ x
-    else:
-        z = np.concatenate([w0[i:j, :, :n] @ x[i:j, :n] for i, j, n in groups])
-    acts = [x, _activate(kinds[0], z + bs[0])]
-    for kind, w, b in zip(kinds[1:], ws[1:], bs[1:]):
-        acts.append(_activate(kind, w @ acts[-1] + b))
-    delta = acts[-1] - target
-    dws: List[np.ndarray] = [None] * len(ws)  # type: ignore[list-item]
-    dbs: List[np.ndarray] = [None] * len(ws)  # type: ignore[list-item]
-    for l in range(len(ws) - 1, -1, -1):
-        if kinds[l] == "logistic":
-            # The logistic slope expressed through the activation itself.
-            delta = delta * (acts[l + 1] * (1.0 - acts[l + 1]))
-        dws[l] = delta * acts[l].swapaxes(-1, -2)
-        dbs[l] = delta
-        if l > 0:
-            delta = ws[l].swapaxes(-1, -2) @ delta
-    return dws, dbs
+class _Layer(NamedTuple):
+    """Flat 1-D views of one layer's (K, out, 1) columns in a _Lockstep."""
+
+    kind: str
+    a: np.ndarray  # its pre-activation, overwritten by its activation
+    scratch: np.ndarray  # for the logistic and its slope
+    bias: np.ndarray
+    delta: np.ndarray  # dE/dz, which is also the bias gradient
+
+
+class _Lockstep:
+    """The parameters of K nets stacked for lockstep training, their gradient
+    for one pattern, and the buffers of a step, all allocated once.
+
+    Every weight and bias lives in one flat buffer `theta`: per layer the
+    (K, out, in) weights, then the (K, out, 1) biases, the first layer's
+    weights zero-padded to the widest input. `grad` has the same layout, so
+    an update is two calls on the whole buffer. `ws`, `bs`, `dws` and `dbs`
+    are views into them. `backprop` writes every activation, delta and
+    gradient through `out=`: the bias, logistic, slope and delta arithmetic
+    on flat 1-D views of the (K, n, 1) columns, each delta straight into its
+    bias gradient, each outer product straight into its weight gradient."""
+
+    def __init__(
+        self,
+        kinds: Sequence[str],
+        ws: Sequence[np.ndarray],
+        bs: Sequence[np.ndarray],
+        groups: _WidthGroups,
+    ) -> None:
+        arrays = [a for pair in zip(ws, bs) for a in pair]
+        self.groups = groups
+        self.theta = np.concatenate([a.ravel() for a in arrays])
+        self.grad = np.empty_like(self.theta)
+        params, grads = _split(self.theta, arrays), _split(self.grad, arrays)
+        self.ws, self.bs = params[0::2], params[1::2]
+        self.dws, self.dbs = grads[0::2], grads[1::2]
+        self.acts = [np.empty(b.shape) for b in bs]
+        K, width = ws[0].shape[0], ws[0].shape[2]
+        # (weights, output) of each first-layer product, one per width group.
+        self.first = [
+            (self.ws[0][i:j, :, :n], self.acts[0][i:j]) for i, j, n in groups or [(0, K, width)]
+        ]
+        self.layers = [
+            _Layer(kind, a.reshape(-1), np.empty(a.size), b.reshape(-1), db.reshape(-1))
+            for kind, a, b, db in zip(kinds, self.acts, self.bs, self.dbs)
+        ]
+        self.wts = [w.swapaxes(-1, -2) for w in self.ws]
+        self.act_rows = [a.swapaxes(-1, -2) for a in self.acts]
+        self.bias_rows = [b.swapaxes(-1, -2) for b in self.bs]
+
+    def backprop(self, columns: Sequence[np.ndarray], x_row: np.ndarray, target: object) -> None:
+        """Write into `grad` the gradient of E = 1/2 * sum((out - target)^2)
+        for one pattern, by reverse accumulation. `columns` holds the input
+        as one (in, 1) column for all nets, or one (k, n, 1) block per width
+        group; `x_row` holds it as (1, in) or (K, 1, in); target is a scalar,
+        or one value per net and output. Every delta comes from the weights
+        in `theta`, so they may be updated once this returns."""
+        for (w, z), x in zip(self.first, columns):
+            np.matmul(w, x, out=z)
+        for l, (kind, a, e, b, _) in enumerate(self.layers):
+            if l:
+                np.matmul(self.ws[l], self.acts[l - 1], out=self.acts[l])
+            np.add(a, b, out=a)
+            if kind == "logistic":
+                _logistic(a, e)
+        np.subtract(self.layers[-1].a, target, out=self.layers[-1].delta)
+        for l in range(len(self.layers) - 1, -1, -1):
+            kind, a, slope, _, delta = self.layers[l]
+            if kind == "logistic":
+                # The logistic slope expressed through the activation itself.
+                np.subtract(1.0, a, out=slope)
+                np.multiply(a, slope, out=slope)
+                np.multiply(delta, slope, out=delta)
+            np.multiply(self.dbs[l], self.act_rows[l - 1] if l else x_row, out=self.dws[l])
+            if l:
+                np.matmul(self.wts[l], self.dbs[l], out=self.dbs[l - 1])
+
+
+def _split(buffer: np.ndarray, arrays: Sequence[np.ndarray]) -> List[np.ndarray]:
+    """Consecutive views of buffer shaped like arrays."""
+    views, start = [], 0
+    for a in arrays:
+        views.append(buffer[start : start + a.size].reshape(a.shape))
+        start += a.size
+    return views
 
 
 def gradients(
@@ -252,9 +324,14 @@ def gradients(
     target = np.asarray(target, dtype=float)
     if x.shape != (net.n_in,) or target.shape != (net.n_out,):
         raise ValueError("input/target dimensions do not match the network")
-    bs = [b[:, None] for b in net.biases]
-    dws, dbs = _backprop(_layer_kinds(net), net.weights, bs, x[:, None], target[:, None])
-    return dws, [db[:, 0] for db in dbs]
+    step = _Lockstep(
+        _layer_kinds(net),
+        [w[None] for w in net.weights],
+        [b[None, :, None] for b in net.biases],
+        None,
+    )
+    step.backprop([x[:, None]], x[None, :], target)
+    return [dw[0] for dw in step.dws], [db[0, :, 0] for db in step.dbs]
 
 
 @dataclass(frozen=True)
@@ -350,12 +427,20 @@ def _check_batch(
         raise ValueError("time-series experts have a single output")
 
 
-def _step_views(X: np.ndarray, Y: np.ndarray, shared: bool) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-pattern input columns and targets: [p] gives (in, 1) and a scalar
-    for a matrix shared by all nets, (K, in, 1) and (K, 1, 1) otherwise."""
+def _patterns(
+    X: np.ndarray, Y: np.ndarray, shared: bool, groups: _WidthGroups
+) -> List[Tuple[List[np.ndarray], np.ndarray, object]]:
+    """(columns, x_row, target) of each pattern for _Lockstep.backprop, as
+    views of X and Y. For a matrix shared by all nets X is (rows, in) and
+    Y[0] holds the targets; otherwise X is (K, rows, in) and Y is (K, rows)."""
     if shared:
-        return X[:, :, None], Y[0]
-    return X.transpose(1, 0, 2)[:, :, :, None], Y.T[:, :, None, None]
+        return [([x[:, None]], x[None, :], y) for x, y in zip(X, Y[0])]
+    spans = groups or [(0, X.shape[0], X.shape[2])]
+    columns = X.transpose(1, 0, 2)[:, :, :, None]
+    return [
+        ([col[i:j, :n] for i, j, n in spans], X[:, p : p + 1], target)
+        for p, (col, target) in enumerate(zip(columns, np.ascontiguousarray(Y.T)))
+    ]
 
 
 def train_many(
@@ -380,7 +465,6 @@ def train_many(
     K, rows = len(nets), matrices[0].rows
     active = sorted(range(K), key=lambda slot: nets[slot].n_in)  # slot of each batch position
     widths = [nets[slot].n_in for slot in active]
-    groups = _width_groups(widths)
     shared = all(m is matrices[0] for m in matrices)
     if shared:
         norms = [Normalizer.fit(matrices[0].X, matrices[0].y, first.output_activation)] * K
@@ -392,16 +476,17 @@ def train_many(
         for pos, slot in enumerate(active):
             X[pos, :, : widths[pos]] = norms[slot].normalize_inputs(matrices[slot].X)
         Y = np.stack([norms[slot].normalize_target(matrices[slot].y) for slot in active])
-    columns, targets = _step_views(X, Y, shared)
 
     kinds = _layer_kinds(first)
-    ws = [np.zeros((K, first.layer_sizes[1], widths[-1]))]
+    w0 = np.zeros((K, first.layer_sizes[1], widths[-1]))
     for pos, slot in enumerate(active):
-        ws[0][pos, :, : widths[pos]] = nets[slot].weights[0]
-    ws += [np.stack([nets[slot].weights[l] for slot in active]) for l in range(1, len(kinds))]
+        w0[pos, :, : widths[pos]] = nets[slot].weights[0]
+    ws = [w0] + [np.stack([nets[slot].weights[l] for slot in active]) for l in range(1, len(kinds))]
     bs = [
         np.stack([nets[slot].biases[l] for slot in active])[:, :, None] for l in range(len(kinds))
     ]
+    step = _Lockstep(kinds, ws, bs, _width_groups(widths))
+    patterns = _patterns(X, Y, shared, step.groups)
     eta = config.learning_rate
     results: List[TrainedExpert | TrainingDiverged] = [None] * K  # type: ignore[list-item]
 
@@ -409,8 +494,8 @@ def train_many(
         slot, width = active[pos], widths[pos]
         net = MlpNetwork(
             (width, *first.layer_sizes[1:]),
-            (ws[0][pos, :, :width], *(w[pos] for w in ws[1:])),
-            tuple(b[pos, :, 0] for b in bs),
+            (step.ws[0][pos, :, :width], *(w[pos] for w in step.ws[1:])),
+            tuple(b[pos, :, 0] for b in step.bs),
             first.hidden_activation,
             first.output_activation,
         )
@@ -428,12 +513,12 @@ def train_many(
     # the epoch-end error check rather than warned about per operation.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, config.max_epochs + 1):
-            for p in range(rows):
-                dws, dbs = _backprop(kinds, ws, bs, columns[p], targets[p], groups)
-                for w, b, dw, db in zip(ws, bs, dws, dbs):
-                    w -= eta * dw
-                    b -= eta * db
-            out = _forward_batch(kinds, ws, [b.swapaxes(1, 2) for b in bs], X, groups)
+            backprop, theta, grad = step.backprop, step.theta, step.grad
+            for columns, x_row, target in patterns:
+                backprop(columns, x_row, target)
+                np.multiply(grad, eta, out=grad)
+                np.subtract(theta, grad, out=theta)
+            out = _forward_batch(kinds, step.ws, step.bias_rows, X, step.groups)
             keep = []
             for pos, slot in enumerate(active):
                 error = float(np.mean((out[pos, :, 0] - Y[pos]) ** 2))
@@ -446,18 +531,21 @@ def train_many(
             if len(keep) < len(active):
                 if not keep:
                     break
-                # Compact the stacks. The padding is trimmed to the widest net
-                # left, so a single width group left spans the whole first layer.
+                # Rebuild the step for the nets left. The padding is trimmed
+                # to the widest of them, so a single width group left spans
+                # the whole first layer.
                 active = [active[pos] for pos in keep]
                 widths = [widths[pos] for pos in keep]
-                groups = _width_groups(widths)
-                w0 = np.ascontiguousarray(ws[0][keep, :, : widths[-1]])
-                ws = [w0] + [w[keep] for w in ws[1:]]
-                bs = [b[keep] for b in bs]
+                step = _Lockstep(
+                    kinds,
+                    [step.ws[0][keep, :, : widths[-1]]] + [w[keep] for w in step.ws[1:]],
+                    [b[keep] for b in step.bs],
+                    _width_groups(widths),
+                )
                 Y = Y[keep]
                 if not shared:
                     X = np.ascontiguousarray(X[keep, :, : widths[-1]])
-                columns, targets = _step_views(X, Y, shared)
+                patterns = _patterns(X, Y, shared, step.groups)
     return results
 
 

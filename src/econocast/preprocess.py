@@ -7,6 +7,7 @@ feature matrix starts only once every transform/lag warm-up is satisfied.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, NamedTuple, Sequence, Tuple
 
@@ -143,14 +144,16 @@ def dominant_cycle(s: TimeSeries) -> int:
 
 
 class _Bound(NamedTuple):
-    """The values a transform parameter takes, and how an error words them."""
+    """The values a transform parameter takes, and how an error words them:
+    its type (numbers.Integral or numbers.Real, never bool) and its bounds."""
 
+    number: type
     holds: Callable[[float], bool]
     want: str
 
 
-_WINDOW = _Bound(lambda v: v >= 1, ">= 1")
-_DISTANCE = _Bound(lambda v: v >= 0, ">= 0")
+_WINDOW = _Bound(numbers.Integral, lambda v: v >= 1, ">= 1")
+_DISTANCE = _Bound(numbers.Integral, lambda v: v >= 0, ">= 0")
 
 
 class _Kind(NamedTuple):
@@ -172,8 +175,8 @@ _KINDS: Dict[str, _Kind] = {
         lambda t: f"sma{t.window}", lambda t: t.window - 1,
     ),
     "ewma": _Kind(
-        {"beta": _Bound(lambda v: 0.0 < v <= 1.0, "in (0, 1]")}, lambda t, s: ewma(s, t.beta),
-        lambda t: f"ewma{t.beta:g}", lambda t: 0,
+        {"beta": _Bound(numbers.Real, lambda v: 0.0 < v <= 1.0, "in (0, 1]")},
+        lambda t, s: ewma(s, t.beta), lambda t: f"ewma{t.beta:g}", lambda t: 0,
     ),
     "block_avg": _Kind(
         {"window": _WINDOW, "distance": _DISTANCE}, lambda t, s: block_avg(s, t.window, t.distance),
@@ -184,7 +187,8 @@ _KINDS: Dict[str, _Kind] = {
         lambda t: f"logvar{t.window}", lambda t: t.window,
     ),
     "rolling_std": _Kind(
-        {"window": _Bound(lambda v: v >= 2, ">= 2")}, lambda t, s: rolling_stddev(s, t.window),
+        {"window": _Bound(numbers.Integral, lambda v: v >= 2, ">= 2")},
+        lambda t, s: rolling_stddev(s, t.window),
         lambda t: f"std{t.window}", lambda t: t.window - 1,
     ),
 }
@@ -209,8 +213,14 @@ class Transform:
                 raise ValueError(f"transform {self.kind!r} requires {name}")
             if name not in params and value is not None:
                 raise ValueError(f"transform {self.kind!r} does not take {name}")
-            if value is not None and not params[name].holds(value):
-                raise ValueError(f"{name} must be {params[name].want}")
+            if value is None:
+                continue
+            bound = params[name]
+            if isinstance(value, bool) or not isinstance(value, bound.number):
+                want = "an integer" if bound.number is numbers.Integral else "a number"
+                raise ValueError(f"transform {self.kind!r}: {name} must be {want}, got {value!r}")
+            if not bound.holds(value):
+                raise ValueError(f"{name} must be {bound.want}")
 
     def apply(self, s: TimeSeries) -> TimeSeries:
         return _KINDS[self.kind].apply(self, s)

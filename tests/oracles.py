@@ -117,6 +117,34 @@ def dft_dominant_period(values: Sequence[float]) -> int:
     return round(n / best_k)
 
 
+def gradients(weights, biases, kinds, x, target):
+    """(dWs, dbs) of E = 1/2 * sum((out - target)^2) for one pattern, as
+    nested lists: weights[l][j][i] maps unit i of layer l to unit j of layer
+    l + 1, and kinds[l] ("logistic" or "linear") is that layer's activation.
+    A forward pass that keeps every activation, then the chain rule backwards
+    one unit at a time."""
+    acts = [list(x)]
+    for w, b, kind in zip(weights, biases, kinds):
+        a = []
+        for row, bias in zip(w, b):
+            z = bias + sum(wi * ai for wi, ai in zip(row, acts[-1]))
+            a.append(1.0 / (1.0 + math.exp(-z)) if kind == "logistic" else z)
+        acts.append(a)
+    # dE/da of the output units, then layer by layer dE/dz and dE/da below.
+    dout = [a - t for a, t in zip(acts[-1], target)]
+    dws, dbs = [None] * len(weights), [None] * len(weights)
+    for l in range(len(weights) - 1, -1, -1):
+        a = acts[l + 1]
+        if kinds[l] == "logistic":
+            dz = [d * a[j] * (1.0 - a[j]) for j, d in enumerate(dout)]
+        else:
+            dz = list(dout)
+        dws[l] = [[dz[j] * ai for ai in acts[l]] for j in range(len(dz))]
+        dbs[l] = dz
+        dout = [sum(weights[l][j][i] * dz[j] for j in range(len(dz))) for i in range(len(acts[l]))]
+    return dws, dbs
+
+
 def serial_maximize_sharpe(shape, train_matrix, validation_matrix, train_config,
                            target_srm=None, max_restarts=20, base_seed=None):
     """(history, best_restart, reached_target, expert) of training and scoring

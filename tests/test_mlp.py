@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from econocast.mlp import (
     MlpNetwork,
     Normalizer,
@@ -116,7 +118,7 @@ def test_logistic_takes_the_exact_branch_for_each_sign():
                   800.0, -800.0, np.inf, -np.inf, np.nan])
     e = np.exp(-np.abs(z))
     want = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    got = _logistic(z)
+    got = _logistic(z.copy(), np.empty_like(z))
     assert np.array_equal(got, want, equal_nan=True)
     assert np.isnan(got[-1]) and np.all(np.isfinite(got[:-1]))
 
@@ -210,6 +212,29 @@ def test_gradients_match_finite_differences_3_5_2():
     fd_ws, fd_bs = _finite_difference(net, x, y)
     for g, fd in zip(dws + dbs, fd_ws + fd_bs):
         assert np.all(np.abs(g - fd) <= 1e-6 * (1.0 + np.abs(fd)))
+
+
+@pytest.mark.parametrize(
+    "sizes, output_activation",
+    [([3, 5, 2], "linear"), ([3, 4, 2, 1], "logistic"), ([3, 4, 2, 1], "linear")],
+)
+def test_gradients_match_the_loop_oracle(sizes, output_activation):
+    # gradients() runs the training step, so this checks that step against an
+    # implementation that shares no code with it.
+    rng = np.random.default_rng(17)
+    cfg = TrainConfig(init_weight_bound=0.7, rng_seed=6)
+    net = init(sizes, cfg, output_activation=output_activation)
+    x = rng.normal(size=sizes[0])
+    y = rng.normal(size=sizes[-1])
+    dws, dbs = gradients(net, x, y)
+    kinds = ["logistic"] * (len(sizes) - 2) + [output_activation]
+    weights = [w.tolist() for w in net.weights]
+    biases = [b.tolist() for b in net.biases]
+    want_ws, want_bs = oracles.gradients(weights, biases, kinds, x.tolist(), y.tolist())
+    for got, want in zip(dws + dbs, want_ws + want_bs):
+        want = np.array(want)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +467,115 @@ def test_train_many_rejects_mismatched_batches():
             train_many(nets, matrices, configs)
     train_many([net, net], [m, m], [cfg, replace(cfg, rng_seed=9)])
     train_many([net, init([3, 3, 1], cfg)], [m, m3], [cfg, replace(cfg, rng_seed=9)])
+
+
+def _golden_batch(case):
+    """(nets, matrices, configs) of the fixed batches whose results are pinned
+    in GOLDEN_TRAIN_MANY."""
+    rng = np.random.default_rng(9)
+    if case == "restarts":
+        # One shared matrix, twenty 9-4-1 restarts.
+        m = matrix_from_arrays(rng.normal(size=(48, 9)), rng.normal(size=48))
+        configs = [TrainConfig(max_epochs=5, rng_seed=s) for s in range(1, 21)]
+        return [init([9, 4, 1], c) for c in configs], [m] * 20, configs
+    if case == "ensemble_subs":
+        # The eight sub-network widths, handed over out of width order.
+        widths = [21, 8, 9, 14, 9, 10, 12, 9]
+        matrices = [
+            matrix_from_arrays(rng.normal(size=(48, w)), rng.normal(size=48)) for w in widths
+        ]
+        configs = [TrainConfig(max_epochs=5, rng_seed=s) for s in range(1, 9)]
+        return [init([w, 4, 1], c) for w, c in zip(widths, configs)], matrices, configs
+    if case == "deep_logistic":
+        # 3-4-2-1 nets with a logistic output, one matrix each of one width.
+        matrices = [
+            matrix_from_arrays(rng.normal(size=(16, 3)), rng.normal(size=16)) for _ in range(4)
+        ]
+        configs = [TrainConfig(learning_rate=0.3, max_epochs=6, rng_seed=s) for s in range(4)]
+        nets = [init([3, 4, 2, 1], c, output_activation="logistic") for c in configs]
+        return nets, matrices, configs
+    # "compaction": solo, the nets reach the target at epochs 11, 6, 6, never
+    # (12), 8 and 8, and the huge one diverges at epoch 1, so the batch is
+    # compacted after epochs 1, 6, 8 and 11, the widest net leaving at 6.
+    widths = [4, 2, 7, 3, 5, 3]
+    matrices = [matrix_from_arrays(rng.normal(size=(16, w)), rng.normal(size=16)) for w in widths]
+    configs = [
+        TrainConfig(learning_rate=0.1, max_epochs=12, target_error=0.968, rng_seed=s)
+        for s in range(30, 36)
+    ]
+    nets = [init([w, 3, 1], c) for w, c in zip(widths, configs)]
+    huge = MlpNetwork(
+        (3, 3, 1), (np.full((3, 3), 1e200), np.full((1, 3), 1e200)), (np.zeros(3), np.zeros(1))
+    )
+    matrices.append(matrix_from_arrays(rng.normal(size=(16, 3)), rng.normal(size=16)))
+    configs.append(replace(configs[0], rng_seed=36))
+    return nets + [huge], matrices, configs
+
+
+def _golden_digest(result):
+    if isinstance(result, TrainingDiverged):
+        return f"diverged at epoch {result.epoch}"
+    return hashlib.sha256(json.dumps(expert_to_dict(result)).encode()).hexdigest()
+
+
+# sha256 of each slot's expert_to_dict JSON (or its divergence epoch) for the
+# batches of _golden_batch, recorded with the per-pattern loop that allocated
+# fresh activation, delta and gradient arrays on every step (numpy 2.4.6 with
+# OpenBLAS 0.3.31; another BLAS build may sum a product in another order).
+GOLDEN_TRAIN_MANY = {
+    "compaction": [
+        "2b271fee2e08a4de261f45d8b061d46f73d893f5aefd7c63b09e6685cce88fe6",
+        "476f40d3db8171c5b16601c8c4b94747c8a1bd7bc7109b9b28dfa69fcd4b74e3",
+        "b1795e8c37d112e8a2995f88c6217a67b5dfa912ef62371849d5b36c44daabc9",
+        "7fbfd10f0519411f08e5012854f60b159d02542c26761962b840d9a2c9e658ca",
+        "c393826354aa12d8c249caf1eb74eb4242e4d01c90f825cac7986dda0f62e2bc",
+        "1b0ca1ed876dcb7dcefed880e943d7484fbca68bdf89e0e655a0b65e13711644",
+        "diverged at epoch 1",
+    ],
+    "deep_logistic": [
+        "9d3c27abe44a50a423abdc75b4ff2336c8418620149f1e374d9c55e7d6c31246",
+        "f46d870e7d7268778dc6b6426cbafb2c4f99516298460d1924aeb519cb3460e6",
+        "d9f9e1ce73e735b5bd91c52f1a5535de96cb2342a904a4eba1310e4446463d3a",
+        "5b432b5a29a8190d2c602639fea7a2121769ecef0455b481763f4c0d82f6719f",
+    ],
+    "ensemble_subs": [
+        "e502b693bd1ca9a9948c96714c61158a79d8e46d41703c7f6c4e701a9e3dda1f",
+        "d8b6ba7359fb3cf17f6de6cebc2b3bec0eb7cda7c5bbe55a28b2701add6496f3",
+        "fc278fe6810c0ed94ce7b534cffa3c060cfe02cea117e7269c2c7088c8199e97",
+        "e602c6c3bc82fc89974188a0749fdf8fe001c1e553d72715825b8e4b59da5b00",
+        "4874bbe5a4ceff9cc23b0bf058efae4ecf9af053f6a13d9830bce2ecca3f24f4",
+        "9d198d2824337dee2d66a23645f8ffa1b9bb6c55b5909cc9f6876b007458d5a1",
+        "09b461bc5d29b2e5df43eeb13be9adeb7ee545d1184c3e2a9373b24273ea6618",
+        "c2f57a148decb8c3ee4957754e1ba468c7b6df4a142b115c719488ecec940081",
+    ],
+    "restarts": [
+        "e461bf0aa238d368508ec0b4f72701ce72776100fc99ae9a3062cc7f9e7f3c8e",
+        "7bbbe852e934bc6ff78411298eddaea7afcfdf0f382be578262f724f06543c83",
+        "e030a694416599f2399975019de26561ec0a474b81bdf5043516bcf62f665a74",
+        "1546651b5416f0dd8fc918fad379a2a16bb021abb20e9116241e62a415ea9ba1",
+        "e55894e4a0ab8ec62e1d0b7f8c07675821cbdb346675aed423c7c6fa63ec90fb",
+        "184372f5d663286c23c6758c976bc3d838ac91b26188668d0a48a88308e58604",
+        "c01bcff761437b4a8b77f9844477c11c921a269a87d05bb3edbd03ae52af5e3a",
+        "105e6ecd3fee62c35472a7958d2ae5415d42e0d5b8a7e500fb6e7b19feb4705d",
+        "4191659f4e8c1d61e6511c1fa0a5a0d66bb700ce541950b7265e75c1ac8f6990",
+        "b1cd3469f0d61b1a473b1b68774b1ba937fc03ec7e872710a558190ad2d0fafc",
+        "1a1d00735e9630e5e269c30a218337332442849ada138db86d9b4f80d9a6b3d0",
+        "2dae7bca37aac5e482f2f2256c4c1bf9492426afd6d817f0574ce1637db7459d",
+        "273e7bcdd281a8b189a766e49dfa579cbcc55d0c76fb32e777b3cc33954098be",
+        "43add91a8d6829b9caabe60e7af9673ac53d7672df257cdb54f41d7660a013d1",
+        "7d04f5e5c4876a6b7af77885595d0c8d694cbb74eb1b191e6eaade5e61cf27fa",
+        "65fe80628ded12ea52d4a9a035cb94df516ac7e89251b18017ce19894ff0ae2b",
+        "4aa663164944b0fe02912bad682cbd70f0a91a2db6113966b4a2affd07ca1d87",
+        "43cbe1b100fa292d763b1de9665be6cc52b166a48a04db4cd63577dccb7d2182",
+        "22d3945860f7ed503b710309474de24a5745c45a098780df4f0a793b24f13874",
+        "f3e402d6ef3f216e2adf33e7d3d5dbcd1a01cc37befac6e9864e6b4fb4ad14ff",
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_TRAIN_MANY))
+def test_train_many_matches_the_pinned_digests(case):
+    assert [_golden_digest(r) for r in train_many(*_golden_batch(case))] == GOLDEN_TRAIN_MANY[case]
 
 
 def test_error_decreases_with_more_epochs_on_sine():

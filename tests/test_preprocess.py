@@ -272,6 +272,32 @@ def test_transform_bounds_match_what_the_functions_accept(kind, rejected, admitt
     assert len(Transform(kind, **admitted).apply(s)) > 0
 
 
+@pytest.mark.parametrize(
+    "kind, params, named",
+    [
+        ("sma", {"window": 2.5}, "window must be an integer, got 2.5"),
+        ("sma", {"window": True}, "window must be an integer, got True"),
+        ("block_avg", {"window": 3, "distance": 1.0}, "distance must be an integer, got 1.0"),
+        ("block_avg", {"window": False, "distance": 1}, "window must be an integer, got False"),
+        ("ewma", {"beta": "0.5"}, "beta must be a number, got '0.5'"),
+        ("ewma", {"beta": True}, "beta must be a number, got True"),
+    ],
+)
+def test_transform_rejects_a_parameter_of_the_wrong_type(kind, params, named):
+    # rejected when built, naming the kind and the parameter, not on apply
+    # with a bare numpy TypeError
+    with pytest.raises(ValueError) as err:
+        Transform(kind, **params)
+    assert str(err.value) == f"transform {kind!r}: {named}"
+
+
+def test_transform_takes_numpy_numbers():
+    s = random_series(np.random.default_rng(4), 12)
+    assert Transform("sma", window=np.int64(3)).apply(s) == Transform("sma", window=3).apply(s)
+    assert Transform("ewma", beta=np.float64(0.5)).label() == "ewma0.5"
+    assert Transform("ewma", beta=1).apply(s) == Transform("ewma", beta=1.0).apply(s)
+
+
 # One example of every transform kind.
 EVERY_KIND = (
     Transform("identity"),

@@ -1,0 +1,164 @@
+"""Paired benchmark runs of a parent commit against the working tree.
+
+    python3 tools/bench_pair.py --parent COMMIT --pr N
+
+Exports COMMIT with ``git archive`` to a temporary directory, then runs
+``python3 perfbench/run.py --workload all --seed S --seconds 35 --trace 0``
+in that copy and in the working tree, one after the other, for S = 1..10.
+The parent goes first on odd seeds and the change first on even ones, so a
+drift of the machine over the runs does not favour either side.
+
+Writes ``BENCH_<N>.json`` at the root of the working tree:
+
+- ``parent`` and ``change``: the seed-1 record of each workload, as
+  perfbench writes it to ``perfbench/out/<workload>-seed1-trace0.json``;
+- ``command`` and ``note``: how the records were made;
+- ``pairs``: per workload, the failed ops of each side, and per end-to-end
+  metric the value of every run on each side, their median and quartiles,
+  and on how many seeds the change was better than the parent.
+
+Standard library only; run it from anywhere inside the repository.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from typing import Dict, List
+
+WORKLOADS = ("ensemble", "restarts", "scan")
+# The run length of BENCHMARK.json and the number of pairs, the same for every
+# comparison so that two BENCH files measure alike.
+SECONDS = 35
+PAIRS = 10
+
+
+def repo_root() -> str:
+    out = subprocess.run(
+        ["git", "rev-parse", "--show-toplevel"], check=True, capture_output=True, text=True
+    )
+    return out.stdout.strip()
+
+
+def export(root: str, commit: str, dest: str) -> None:
+    blob = subprocess.run(
+        ["git", "-C", root, "archive", "--format=tar", commit], check=True, capture_output=True
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(blob)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def command(seed: int) -> List[str]:
+    return [
+        "python3", "perfbench/run.py", "--workload", "all",
+        "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0",
+    ]
+
+
+def run(tree: str, seed: int) -> Dict[str, dict]:
+    """One benchmark run in `tree`; the record of each workload."""
+    subprocess.run(command(seed), cwd=tree, check=True, stdout=subprocess.DEVNULL)
+    records = {}
+    for name in WORKLOADS:
+        path = os.path.join(tree, "perfbench", "out", f"{name}-seed{seed}-trace0.json")
+        with open(path, encoding="utf-8") as fh:
+            records[name] = json.load(fh)
+    return records
+
+
+def summarize(values: List[float]) -> Dict[str, object]:
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"values": values, "median": statistics.median(values), "quartiles": [q1, q3]}
+
+
+def pair_table(
+    runs: Dict[str, List[Dict[str, dict]]], metrics: List[dict]
+) -> Dict[str, Dict[str, dict]]:
+    table: Dict[str, Dict[str, dict]] = {}
+    for name in WORKLOADS:
+        table[name] = {
+            "failed": {side: sum(r[name]["failed"] for r in runs[side]) for side in runs}
+        }
+        for metric in metrics:
+            key, lower = metric["name"], metric["better"] == "lower"
+            sides = {
+                side: [r[name]["metrics"][key]["value"] for r in runs[side]]
+                for side in ("parent", "change")
+            }
+            wins = sum(
+                (c < p) if lower else (c > p) for p, c in zip(sides["parent"], sides["change"])
+            )
+            table[name][key] = {
+                "better": metric["better"],
+                "parent": summarize(sides["parent"]),
+                "change": summarize(sides["change"]),
+                "change_wins": wins,
+            }
+    return table
+
+
+def main(argv: List[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="commit to compare against")
+    parser.add_argument("--pr", required=True, help="suffix of the BENCH_<pr>.json written")
+    args = parser.parse_args(argv)
+
+    root = repo_root()
+    with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
+        metrics = json.load(fh)["end_to_end"]
+    runs: Dict[str, List[Dict[str, dict]]] = {"parent": [], "change": []}
+    with tempfile.TemporaryDirectory(prefix="bench_pair_") as parent_tree:
+        export(root, args.parent, parent_tree)
+        trees = {"parent": parent_tree, "change": root}
+        for seed in range(1, PAIRS + 1):
+            order = ("parent", "change") if seed % 2 else ("change", "parent")
+            for side in order:
+                runs[side].append(run(trees[side], seed))
+                print(f"seed {seed} {side}: " + ", ".join(
+                    f"{name} {runs[side][-1][name]['metrics']['op_p50_s']['value']:.4f} s"
+                    for name in WORKLOADS
+                ), file=sys.stderr)
+
+    table = pair_table(runs, metrics)
+    bench = {
+        "parent": runs["parent"][0],
+        "change": runs["change"][0],
+        "command": " ".join(command(1)),
+        "note": (
+            f"parent and change hold the seed-1 records from perfbench/out/; parent is "
+            f"{args.parent}, run from a git archive export, and change is the working tree, "
+            f"whose env.git_sha names the commit it was checked out at, so env.src_sha256 "
+            f"tells them apart. pairs holds {PAIRS} pairs of the same "
+            f"command with --seed 1..{PAIRS}, the parent first on odd seeds."
+        ),
+        "pairs": table,
+    }
+    out = os.path.join(root, f"BENCH_{args.pr}.json")
+    with open(out, "w", encoding="utf-8") as fh:
+        json.dump(bench, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    for name, rows in table.items():
+        failed = rows["failed"]
+        print(f"{name}: failed ops, parent {failed['parent']}, change {failed['change']}")
+        for key, row in rows.items():
+            if key == "failed":
+                continue
+            p, c = row["parent"], row["change"]
+            print(
+                f"{name:9s} {key:12s} {p['median']:.4g} [{p['quartiles'][0]:.4g}, "
+                f"{p['quartiles'][1]:.4g}] -> {c['median']:.4g} [{c['quartiles'][0]:.4g}, "
+                f"{c['quartiles'][1]:.4g}], change better {row['change_wins']}/{PAIRS}"
+            )
+    print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
