@@ -1,24 +1,27 @@
-"""How an artifact reaches disk, and how JSON from outside is read: each file
-is written to a temp file beside it and renamed over it, so a reader sees the
-old bytes or the new ones; each JSON object is read through JsonObject."""
+"""How an artifact reaches disk, and how values from outside are checked: each
+file is written to a temp file beside it and renamed over it, so a reader sees the
+old bytes or the new ones; JSON is read through JsonObject, numbers by is_number."""
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
 import os
 import re
 import typing
 from types import NoneType
-from typing import Callable, Set, Tuple
+from typing import Callable, Iterable, Set, Tuple
 
-__all__ = ["write_text", "write_json", "read_json", "is_file_stem", "JsonObject", "REQUIRED"]
+__all__ = ["write_text", "write_json", "read_json", "is_file_stem", "is_number", "sizes",
+           "JsonObject", "REQUIRED"]
 
 _FILE_STEM = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*")
 REQUIRED = dataclasses.MISSING  # as a default, makes JsonObject.get require its key
 
-_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string",
-               list: "a list", dict: "an object", NoneType: "null"}
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a finite number",
+               str: "a string", list: "a list", dict: "an object", NoneType: "null"}
 
 
 def write_text(path: str, text: str) -> None:
@@ -50,11 +53,26 @@ def is_file_stem(name: object) -> bool:
     return type(name) is str and _FILE_STEM.fullmatch(name) is not None
 
 
+def is_number(value: object, kind: type) -> bool:
+    """Whether `value` is a `kind` (numbers.Integral or numbers.Real), never a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def sizes(name: str, values: Iterable[object]) -> Tuple[int, ...]:
+    """`values` as a tuple of ints: at least one, each an integer >= 1 (see
+    is_number); otherwise a ValueError naming `name`."""
+    out = tuple(values)
+    if not out or not all(is_number(n, numbers.Integral) for n in out) or min(out) < 1:
+        raise ValueError(f"{name} must be a non-empty list of integers >= 1, got {values!r}")
+    return tuple(int(n) for n in out)
+
+
 class JsonObject:
     """A JSON object from outside the program, read one key at a time.
 
     Each key is named once, where it is read, and its type is checked there
-    by `type()`, so JSON `true` never passes as 1, nor 2.7 as an integer.
+    by `type()`, so JSON `true` never passes as 1, nor 2.7 as an integer,
+    nor the `NaN` or `Infinity` that `json` reads as a number.
     `close()` rejects every key that nothing read. Errors are ValueErrors
     that name the key's path, e.g. `config.train.max_epochs`."""
 
@@ -76,7 +94,8 @@ class JsonObject:
                 raise ValueError(f"missing required key {key!r} in {self.path}")
             return default
         value = self._data[key]
-        if type(value) not in types or (value is not None and check and not check(value)):
+        bad = type(value) not in types or type(value) is float and not math.isfinite(value)
+        if bad or (value is not None and check and not check(value)):
             names = " or ".join(_TYPE_NAMES[t] for t in types if t is not int or float not in types)
             raise ValueError(f"{self.path}.{key} must be {want or names}, got {value!r}")
         return tuple(value) if type(value) is list else value

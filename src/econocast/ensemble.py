@@ -1,20 +1,20 @@
 """Stacked master network over the eight sub-networks.
 
 Each sub-network trains on its own feature matrix, all of them in one
-lockstep batch per hidden shape (mlp.train_many); the master trains on the
-sub predictions over the training range only, so nothing from the test range
-leaks into any trained parameter.
+mlp.train_many call, which batches them for lockstep training; the master
+trains on the sub predictions over the training range only, so nothing from
+the test range leaks into any trained parameter.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass, field, replace
-from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
+from typing import List, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .artifacts import REQUIRED, JsonObject, is_file_stem, read_json, write_json
+from .artifacts import REQUIRED, JsonObject, is_file_stem, read_json, sizes, write_json
 from .metrics import MetricsReport, report
 from .mlp import (
     TrainConfig,
@@ -71,10 +71,7 @@ class SubNetworkSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "features", tuple(self.features))
-        hidden = tuple(int(n) for n in self.hidden_layers)
-        if not hidden or min(hidden) < 1:
-            raise ValueError("at least one hidden layer of size >= 1 required")
-        object.__setattr__(self, "hidden_layers", hidden)
+        object.__setattr__(self, "hidden_layers", sizes("hidden_layers", self.hidden_layers))
 
     def shape(self) -> Tuple[int, ...]:
         return (len(self.features), *self.hidden_layers, 1)
@@ -97,9 +94,7 @@ class EnsembleSpec:
         if len(set(names)) != len(names):
             raise ValueError("sub-network names must be unique")
         object.__setattr__(self, "sub_specs", subs)
-        hidden = tuple(int(n) for n in self.master_hidden_layers)
-        if not hidden or min(hidden) < 1:
-            raise ValueError("master needs at least one hidden layer of size >= 1")
+        hidden = sizes("master_hidden_layers", self.master_hidden_layers)
         object.__setattr__(self, "master_hidden_layers", hidden)
 
     def master_shape(self) -> Tuple[int, ...]:
@@ -171,17 +166,15 @@ def fit_subs(
     """Assemble every sub's train and test matrices, train the subs, and
     predict both ranges; one fit per sub, in spec order.
 
-    Subs that share hidden layers and differ in config only by rng_seed train
-    together in one train_many batch, whatever their input widths. A sub with
-    an expert in `selected` (one entry per sub, None where the sub is to be
-    trained) keeps it: that expert must come from the sub's own init and
-    config on this train range, as the restart winner does. A warm-up
+    The subs to train go to train_many in one call, which batches them. A
+    sub with an expert in `selected` (one entry per sub, None where the sub
+    is to be trained) keeps it: that expert must come from the sub's own init
+    and config on this train range, as the restart winner does. A warm-up
     shortfall, missing series or diverged net is raised as a ValueError
     naming the first failing sub (1-based, in spec order); every sub is
     assembled before any trains, so an assembly fault is named first."""
     experts: List[TrainedExpert | TrainingDiverged | None] = list(selected or [None] * len(subs))
     matrices, nets = [], {}
-    batches: Dict[Tuple[Tuple[int, ...], TrainConfig], List[int]] = {}
     for i, sub in enumerate(subs):
         try:
             m_train = assemble(sub.features, sources, target_name, None, *train_range)
@@ -191,16 +184,13 @@ def fit_subs(
         except ValueError as exc:
             raise _sub_failed(i + 1, sub, exc) from exc
         matrices.append((m_train, m_test))
-        if experts[i] is None:
-            key = (sub.hidden_layers, replace(sub.train_config, rng_seed=0))
-            batches.setdefault(key, []).append(i)
-    for batch in batches.values():
+    if nets:
         trained = train_many(
-            [nets[i] for i in batch],
-            [matrices[i][0] for i in batch],
-            [subs[i].train_config for i in batch],
+            list(nets.values()),
+            [matrices[i][0] for i in nets],
+            [subs[i].train_config for i in nets],
         )
-        for i, result in zip(batch, trained):
+        for i, result in zip(nets, trained):
             experts[i] = result
     fits = []
     for i, (sub, expert) in enumerate(zip(subs, experts)):

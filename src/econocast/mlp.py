@@ -4,19 +4,23 @@ Hidden layers are logistic; the output layer is logistic or linear. Training
 runs per-pattern (stochastic) weight updates in fixed row order for exact
 reproducibility, minimizing the half-sum-of-squares error.
 
-`train_many` is the one training loop. It steps K nets through the patterns
-in lockstep, one feature matrix per net, all with the same number of rows.
-The nets share their hidden and output layers but may differ in input width.
-Their weights are stacked (K, out, in) and their activations kept as
-(K, n, 1) columns, so a contraction is one batched matmul, which numpy runs
-as the same BLAS call per net that a lone net would make. The first layer is
-the exception: it is held zero-padded to the widest input, with the nets
-sorted by width, and its product runs once per run of equal widths, on views
-of the unpadded width. A padded product is not bit-identical: a BLAS dot
-product sums in another order once its length changes (with OpenBLAS on x86,
-padding keeps the bits only for widths that are multiples of 4). So each
-net's weights are bit-identical to training it alone, whatever K, its
-neighbours' widths and its place in the batch. `train` is the K = 1 case.
+`train_many` is the one training loop. It takes any nets, one feature matrix
+and one config per net, and sorts them into lockstep batches: the nets of a
+batch share their hidden and output layers and activations, their row count
+and their config up to rng_seed, and may differ in input width. Each
+normalizer, with the normalized inputs and targets, is computed once per
+distinct matrix object and output activation. A batch steps its K nets
+through the patterns together. Their weights are stacked (K, out, in) and
+their activations kept as (K, n, 1) columns, so a contraction is one batched
+matmul, which numpy runs as the same BLAS call per net that a lone net would
+make. The first layer is the exception: it is held zero-padded to the widest
+input, with the nets sorted by width, and its product runs once per run of
+equal widths, on views of the unpadded width. A padded product is not
+bit-identical: a BLAS dot product sums in another order once its length
+changes (with OpenBLAS on x86, padding keeps the bits only for widths that
+are multiples of 4). So each net's weights are bit-identical to training it
+alone, whatever K, its neighbours' widths and its place in the batch.
+`train` is the K = 1 case.
 
 A step creates no array (see _Lockstep). Every weight and bias of the batch
 lives in one flat buffer `theta`, the pattern's gradient in a second buffer
@@ -182,9 +186,8 @@ def _layer_kinds(net: MlpNetwork) -> List[str]:
     return [net.hidden_activation] * (n_layers - 1) + [net.output_activation]
 
 
-# (start, stop, width) of each run of equal input widths in a batch sorted by
-# width, or None when one width spans the batch.
-_WidthGroups = List[Tuple[int, int, int]] | None
+# (start, stop, width) of each run of equal input widths in a batch sorted by width.
+_WidthGroups = List[Tuple[int, int, int]]
 
 
 def _width_groups(widths: Sequence[int]) -> _WidthGroups:
@@ -193,7 +196,7 @@ def _width_groups(widths: Sequence[int]) -> _WidthGroups:
         stop = start + len(list(run))
         groups.append((start, stop, width))
         start = stop
-    return groups if len(groups) > 1 else None
+    return groups
 
 
 def forward(net: MlpNetwork, x: Sequence[float]) -> np.ndarray:
@@ -209,7 +212,7 @@ def _forward_batch(
     ws: Sequence[np.ndarray],
     bs: Sequence[np.ndarray],
     X: np.ndarray,
-    groups: _WidthGroups = None,
+    groups: _WidthGroups | None = None,
 ) -> np.ndarray:
     """Outputs for every row of X, one row per pattern. Biases are rows:
     (out,), or (K, 1, out) beside weights stacked (K, out, in) over K nets,
@@ -265,11 +268,8 @@ class _Lockstep:
         self.ws, self.bs = params[0::2], params[1::2]
         self.dws, self.dbs = grads[0::2], grads[1::2]
         self.acts = [np.empty(b.shape) for b in bs]
-        K, width = ws[0].shape[0], ws[0].shape[2]
         # (weights, output) of each first-layer product, one per width group.
-        self.first = [
-            (self.ws[0][i:j, :, :n], self.acts[0][i:j]) for i, j, n in groups or [(0, K, width)]
-        ]
+        self.first = [(self.ws[0][i:j, :, :n], self.acts[0][i:j]) for i, j, n in groups]
         self.layers = [
             _Layer(kind, a.reshape(-1), np.empty(a.size), b.reshape(-1), db.reshape(-1))
             for kind, a, b, db in zip(kinds, self.acts, self.bs, self.dbs)
@@ -281,10 +281,9 @@ class _Lockstep:
     def backprop(self, columns: Sequence[np.ndarray], x_row: np.ndarray, target: object) -> None:
         """Write into `grad` the gradient of E = 1/2 * sum((out - target)^2)
         for one pattern, by reverse accumulation. `columns` holds the input
-        as one (in, 1) column for all nets, or one (k, n, 1) block per width
-        group; `x_row` holds it as (1, in) or (K, 1, in); target is a scalar,
-        or one value per net and output. Every delta comes from the weights
-        in `theta`, so they may be updated once this returns."""
+        as one (k, n, 1) block per width group, `x_row` as (K, 1, in), and
+        `target` one value per net and output. Every delta comes from the
+        weights in `theta`, so they may be updated once this returns."""
         for (w, z), x in zip(self.first, columns):
             np.matmul(w, x, out=z)
         for l, (kind, a, e, b, _) in enumerate(self.layers):
@@ -328,9 +327,9 @@ def gradients(
         _layer_kinds(net),
         [w[None] for w in net.weights],
         [b[None, :, None] for b in net.biases],
-        None,
+        _width_groups([net.n_in]),
     )
-    step.backprop([x[:, None]], x[None, :], target)
+    step.backprop([x[None, :, None]], x[None, None, :], target)
     return [dw[0] for dw in step.dws], [db[0, :, 0] for db in step.dbs]
 
 
@@ -397,96 +396,44 @@ class TrainedExpert:
     test_range: Tuple[MonthStamp, MonthStamp] | None = None
 
 
-def _check_batch(
-    nets: Sequence[MlpNetwork],
-    matrices: Sequence[FeatureMatrix],
-    configs: Sequence[TrainConfig],
-) -> None:
-    if not nets or not len(nets) == len(matrices) == len(configs):
-        raise ValueError(
-            f"need one matrix and one config per net, got {len(nets)} nets, "
-            f"{len(matrices)} matrices and {len(configs)} configs"
-        )
-    first = nets[0]
-    layout = (first.layer_sizes[1:], first.hidden_activation, first.output_activation)
-    if any((n.layer_sizes[1:], n.hidden_activation, n.output_activation) != layout for n in nets):
-        raise ValueError(
-            "nets trained together must share hidden and output layers and activations"
-        )
-    if any(replace(c, rng_seed=configs[0].rng_seed) != configs[0] for c in configs):
-        raise ValueError("configs trained together may differ only in rng_seed")
-    for i, (net, matrix) in enumerate(zip(nets, matrices)):
-        if net.n_in != matrix.width:
-            raise ValueError(f"net {i} expects {net.n_in} inputs, its matrix has {matrix.width}")
-        if matrix.rows != matrices[0].rows:
-            raise ValueError(
-                f"matrices trained together need equal rows, net {i} has {matrix.rows}, "
-                f"net 0 has {matrices[0].rows}"
-            )
-    if first.n_out != 1:
-        raise ValueError("time-series experts have a single output")
-
-
 def _patterns(
-    X: np.ndarray, Y: np.ndarray, shared: bool, groups: _WidthGroups
-) -> List[Tuple[List[np.ndarray], np.ndarray, object]]:
+    X: np.ndarray, Y: np.ndarray, groups: _WidthGroups
+) -> List[Tuple[List[np.ndarray], np.ndarray, np.ndarray]]:
     """(columns, x_row, target) of each pattern for _Lockstep.backprop, as
-    views of X and Y. For a matrix shared by all nets X is (rows, in) and
-    Y[0] holds the targets; otherwise X is (K, rows, in) and Y is (K, rows)."""
-    if shared:
-        return [([x[:, None]], x[None, :], y) for x, y in zip(X, Y[0])]
-    spans = groups or [(0, X.shape[0], X.shape[2])]
+    views of the (K, rows, in) inputs X and the (K, rows) targets Y."""
     columns = X.transpose(1, 0, 2)[:, :, :, None]
     return [
-        ([col[i:j, :n] for i, j, n in spans], X[:, p : p + 1], target)
+        ([col[i:j, :n] for i, j, n in groups], X[:, p : p + 1], target)
         for p, (col, target) in enumerate(zip(columns, np.ascontiguousarray(Y.T)))
     ]
 
 
-def train_many(
+def _train_lockstep(
     nets: Sequence[MlpNetwork],
     matrices: Sequence[FeatureMatrix],
     configs: Sequence[TrainConfig],
+    fits: Sequence[Tuple[Normalizer, np.ndarray, np.ndarray]],
 ) -> List[TrainedExpert | TrainingDiverged]:
-    """Train K nets in lockstep, each on its own matrix; one slot per net.
-
-    The matrices must have equal row counts, the nets equal hidden and output
-    layers, and the configs may differ only in rng_seed. Each net gets its own
-    normalizer, fitted on its matrix; a matrix passed for every net is
-    normalized once and shared. Online gradient descent: one update per
-    pattern, fixed order, one full pass per epoch. A net stops once its
-    epoch-end mean squared error (normalized space) reaches target_error, or
-    at max_epochs; a net whose error turns non-finite stops too and its slot
-    holds TrainingDiverged. Either way it leaves the batch with its weights
-    frozen and the others go on. Each net's result is bit-identical to
-    training it alone, whatever K, its neighbours and its place in the batch."""
-    _check_batch(nets, matrices, configs)
-    first, config = nets[0], configs[0]
-    K, rows = len(nets), matrices[0].rows
+    """train_many for one lockstep batch: nets with equal hidden and output
+    layers and activations, matrices with equal rows, configs equal up to
+    rng_seed, and the normalizer of each net's matrix with its normalized
+    inputs and targets."""
+    first, config, K = nets[0], configs[0], len(nets)
     active = sorted(range(K), key=lambda slot: nets[slot].n_in)  # slot of each batch position
     widths = [nets[slot].n_in for slot in active]
-    shared = all(m is matrices[0] for m in matrices)
-    if shared:
-        norms = [Normalizer.fit(matrices[0].X, matrices[0].y, first.output_activation)] * K
-        X = norms[0].normalize_inputs(matrices[0].X)
-        Y = np.broadcast_to(norms[0].normalize_target(matrices[0].y), (K, rows))
-    else:
-        norms = [Normalizer.fit(m.X, m.y, first.output_activation) for m in matrices]
-        X = np.zeros((K, rows, widths[-1]))
-        for pos, slot in enumerate(active):
-            X[pos, :, : widths[pos]] = norms[slot].normalize_inputs(matrices[slot].X)
-        Y = np.stack([norms[slot].normalize_target(matrices[slot].y) for slot in active])
-
     kinds = _layer_kinds(first)
+    X = np.zeros((K, matrices[0].rows, widths[-1]))
     w0 = np.zeros((K, first.layer_sizes[1], widths[-1]))
     for pos, slot in enumerate(active):
+        X[pos, :, : widths[pos]] = fits[slot][1]
         w0[pos, :, : widths[pos]] = nets[slot].weights[0]
+    Y = np.stack([fits[slot][2] for slot in active])
     ws = [w0] + [np.stack([nets[slot].weights[l] for slot in active]) for l in range(1, len(kinds))]
     bs = [
         np.stack([nets[slot].biases[l] for slot in active])[:, :, None] for l in range(len(kinds))
     ]
     step = _Lockstep(kinds, ws, bs, _width_groups(widths))
-    patterns = _patterns(X, Y, shared, step.groups)
+    patterns = _patterns(X, Y, step.groups)
     eta = config.learning_rate
     results: List[TrainedExpert | TrainingDiverged] = [None] * K  # type: ignore[list-item]
 
@@ -502,7 +449,7 @@ def train_many(
         matrix = matrices[slot]
         return TrainedExpert(
             network=net,
-            normalizer=norms[slot],
+            normalizer=fits[slot][0],
             features=matrix.specs,
             train_range=(matrix.start, matrix.end),
             final_train_error=final_error,
@@ -542,10 +489,55 @@ def train_many(
                     [b[keep] for b in step.bs],
                     _width_groups(widths),
                 )
+                X = np.ascontiguousarray(X[keep, :, : widths[-1]])
                 Y = Y[keep]
-                if not shared:
-                    X = np.ascontiguousarray(X[keep, :, : widths[-1]])
-                patterns = _patterns(X, Y, shared, step.groups)
+                patterns = _patterns(X, Y, step.groups)
+    return results
+
+
+def train_many(
+    nets: Sequence[MlpNetwork],
+    matrices: Sequence[FeatureMatrix],
+    configs: Sequence[TrainConfig],
+) -> List[TrainedExpert | TrainingDiverged]:
+    """Train each net on its matrix with its config; one slot per net.
+
+    The nets are sorted into lockstep batches: those with equal hidden and
+    output layers and activations, equal matrix rows and configs equal up to
+    rng_seed train together, whatever their input widths. Each net gets the
+    normalizer fitted on its matrix; nets given one matrix object and one
+    output activation share one normalizer, fitted once. Online gradient
+    descent: one update per pattern, fixed order, one full pass per epoch. A
+    net stops once its epoch-end mean squared error (normalized space)
+    reaches target_error, or at max_epochs; a net whose error turns
+    non-finite stops too and its slot holds TrainingDiverged. Either way it
+    leaves its batch with its weights frozen and the others go on. Each net's
+    result is bit-identical to training it alone, whatever its neighbours and
+    its place in the call."""
+    if not nets or not len(nets) == len(matrices) == len(configs):
+        raise ValueError(
+            f"need one matrix and one config per net, got {len(nets)} nets, "
+            f"{len(matrices)} matrices and {len(configs)} configs"
+        )
+    normalized: Dict[Tuple[int, str], Tuple[Normalizer, np.ndarray, np.ndarray]] = {}
+    fits, batches = [], {}
+    for i, (net, matrix, config) in enumerate(zip(nets, matrices, configs)):
+        if net.n_in != matrix.width:
+            raise ValueError(f"net {i} expects {net.n_in} inputs, its matrix has {matrix.width}")
+        if net.n_out != 1:
+            raise ValueError("time-series experts have a single output")
+        key = (id(matrix), net.output_activation)
+        if key not in normalized:
+            norm = Normalizer.fit(matrix.X, matrix.y, net.output_activation)
+            normalized[key] = norm, norm.normalize_inputs(matrix.X), norm.normalize_target(matrix.y)
+        fits.append(normalized[key])
+        layout = (net.layer_sizes[1:], net.hidden_activation, net.output_activation, matrix.rows)
+        batches.setdefault((layout, replace(config, rng_seed=0)), []).append(i)
+    results: List[TrainedExpert | TrainingDiverged] = [None] * len(nets)  # type: ignore[list-item]
+    for slots in batches.values():
+        batch = [[seq[slot] for slot in slots] for seq in (nets, matrices, configs, fits)]
+        for slot, result in zip(slots, _train_lockstep(*batch)):
+            results[slot] = result
     return results
 
 

@@ -13,7 +13,7 @@ from typing import Callable, Dict, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .artifacts import REQUIRED, JsonObject
+from .artifacts import REQUIRED, JsonObject, is_number
 from .timeseries import MonthStamp, TimeSeries
 
 __all__ = [
@@ -145,7 +145,7 @@ def dominant_cycle(s: TimeSeries) -> int:
 
 class _Bound(NamedTuple):
     """The values a transform parameter takes, and how an error words them:
-    its type (numbers.Integral or numbers.Real, never bool) and its bounds."""
+    its type (numbers.Integral or numbers.Real; see is_number) and its bounds."""
 
     number: type
     holds: Callable[[float], bool]
@@ -216,7 +216,7 @@ class Transform:
             if value is None:
                 continue
             bound = params[name]
-            if isinstance(value, bool) or not isinstance(value, bound.number):
+            if not is_number(value, bound.number):
                 want = "an integer" if bound.number is numbers.Integral else "a number"
                 raise ValueError(f"transform {self.kind!r}: {name} must be {want}, got {value!r}")
             if not bound.holds(value):
@@ -259,8 +259,9 @@ class FeatureSpec:
         if not chain:
             chain = (Transform("identity"),)
         object.__setattr__(self, "transforms", chain)
-        if self.lag < 0:
-            raise ValueError(f"lag must be >= 0, got {self.lag}")
+        if not is_number(self.lag, numbers.Integral) or self.lag < 0:
+            raise ValueError(f"lag must be an integer >= 0, got {self.lag!r}")
+        object.__setattr__(self, "lag", int(self.lag))
 
     def label(self) -> str:
         parts = [self.source]

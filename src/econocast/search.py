@@ -11,6 +11,7 @@ import hashlib
 from dataclasses import dataclass, replace
 from typing import List, Sequence, Tuple
 
+from .artifacts import sizes
 from .metrics import efficiency, sharpe_modified, signals_from_prediction, srm_rank_key
 from .mlp import (
     TrainConfig,
@@ -52,12 +53,8 @@ class ArchitectureGrid:
     train_config: TrainConfig = TrainConfig()
 
     def __post_init__(self) -> None:
-        counts = tuple(int(c) for c in self.hidden_layer_counts)
-        nodes = tuple(int(n) for n in self.nodes_per_layer_candidates)
-        if not counts or not nodes or min(counts) < 1 or min(nodes) < 1:
-            raise ValueError("grid candidate lists must be non-empty with sizes >= 1")
-        object.__setattr__(self, "hidden_layer_counts", counts)
-        object.__setattr__(self, "nodes_per_layer_candidates", nodes)
+        for name in ("hidden_layer_counts", "nodes_per_layer_candidates"):
+            object.__setattr__(self, name, sizes(name, getattr(self, name)))
 
     def shapes(self, n_in: int, n_out: int = 1) -> List[Tuple[int, ...]]:
         out = []

@@ -309,6 +309,78 @@ def test_optimized_pipeline_with_restarts(tmp_path):
     assert len(log.splitlines()) == 1 + 3
 
 
+def lockstep_config(out_dir, case):
+    """A small config whose subs train as several lockstep batches
+    ("hidden_layers": three subs in two hidden shapes), or are all restart
+    winners handed through, so none is left to train ("selected")."""
+    cfg = base_config(out_dir, months=96, epochs=8)
+    cfg["train_range"] = ["1992-01", "1997-12"]
+    cfg["test_range"] = ["1998-01", "1998-12"]
+    if case == "hidden_layers":
+        gold = {"source": "gold", "transforms": [{"kind": "sma", "window": 3}], "lag": 2}
+        cfg["networks"] = [
+            "network1",
+            {"name": "gold_trend", "features": [gold], "hidden_layers": [2, 2]},
+            {"name": "gold_wide", "features": [gold, dict(gold, lag=1)], "hidden_layers": [2, 2]},
+            "network2",
+        ]
+    else:
+        cfg["search"] = {"hidden_layer_counts": [1], "nodes_per_layer_candidates": [2, 3]}
+        cfg["restarts"] = {"max_restarts": 3, "target_srm": None}
+    return cfg
+
+
+# sha256 of every file that `ensemble` then `train` write for lockstep_config.
+LOCKSTEP_DIGESTS = {
+    "hidden_layers": {
+        "equity.csv": "6b3c68dd7f80d8c097d0bc0825651bf858a24678427393e6f2b83850362b5f10",
+        "experts/gold_trend.json": "a44a81bd6d5e8b4bb52ff2f2b187f4ab7761e9d2e5cd9bb84a2c123ce537f939",
+        "experts/gold_wide.json": "f01c508682f107c92cd4ea8d10e89bd6189dbba047783c33266eed5702451f9c",
+        "experts/network1.json": "1b6b0ebdad6ffc48a64e4e238226b482e6317aa2713bfcc0c54371caa381f1ed",
+        "experts/network2.json": "99ee55f9ec7212c4bd4bf81a7b99f505fe16ff3b980095e7b81acd0f87201217",
+        "model/gold_trend.json": "a44a81bd6d5e8b4bb52ff2f2b187f4ab7761e9d2e5cd9bb84a2c123ce537f939",
+        "model/gold_wide.json": "f01c508682f107c92cd4ea8d10e89bd6189dbba047783c33266eed5702451f9c",
+        "model/manifest.json": "0d7ff759474a9568cc908042fcf34eeb78978e04050ddcdf18fe1f3aa3ca4c6d",
+        "model/master.json": "c69c18c551e854d7a9181ddf129de2aca0fa831d90f0a849349bbdb402980f9f",
+        "model/network1.json": "1b6b0ebdad6ffc48a64e4e238226b482e6317aa2713bfcc0c54371caa381f1ed",
+        "model/network2.json": "99ee55f9ec7212c4bd4bf81a7b99f505fe16ff3b980095e7b81acd0f87201217",
+        "predictions.csv": "84872a47c0127a8c0773cf0693f097a9f96be49ac576526cb6a4fce23967e858",
+        "report.csv": "588873bdbf4795daafbfca8c1a14a0097bd42a88df5859509fa36a341a50d226",
+        "report.txt": "d0a01fa75a2ddb7153730c63255bfee42b478c4e35af0f91748505549afa2880",
+    },
+    "selected": {
+        "equity.csv": "6b3c68dd7f80d8c097d0bc0825651bf858a24678427393e6f2b83850362b5f10",
+        "experts/network1.json": "cc463fe6ef3785b982755fb1763657a29b2dc9d8a39560a7c831bbb8d471df2a",
+        "experts/network2.json": "dc37fe323776419913aabc8c6cf8a58d066a576338f714f10e0e95e9b5dc0710",
+        "logs/restarts_network1.csv": "74f0bdcfa69231e8eb8e53c039abe03a7e07f8a6c1e82cc7f22bb54d4b66eea5",
+        "logs/restarts_network2.csv": "420488763f8e89d386e365930723e90e66cc9c5d2db58ec615ec6321e3022b6b",
+        "logs/search_network1.csv": "1df2e952455d79303d51e2185e9fd826b5e3bf9b77a3a66bbe5b1a0c818a91bf",
+        "logs/search_network2.csv": "6845e528b629e56e91c10b1b5224243f7f09d0bcb66bfff6cb80f0dcc39d001c",
+        "model/manifest.json": "f9a61c57e01a71b7ac2fb8fae9635bcd9a44bd42aa3d6ca5bb0a6d807fe4628b",
+        "model/master.json": "0c7d44e2b2c4f4e9098377f5ca84915d7e68a7236a16d89d38657c3aeb41c5d4",
+        "model/network1.json": "cc463fe6ef3785b982755fb1763657a29b2dc9d8a39560a7c831bbb8d471df2a",
+        "model/network2.json": "dc37fe323776419913aabc8c6cf8a58d066a576338f714f10e0e95e9b5dc0710",
+        "predictions.csv": "c909b73bb2c1af4828bec05623e17834c6d2e8ae6335788930eb9b8411fccd94",
+        "report.csv": "3525540576ed646d69c06005e9d90240407bb97aa62b234300cb495c6a7aabd6",
+        "report.txt": "36a634fcf180b574b08dd8cb07a09d7f7ee7a24b699f1acdf52b6473b88aea99",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOCKSTEP_DIGESTS))
+def test_ensemble_and_train_bytes_match_the_pinned_digests(tmp_path, case):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, lockstep_config(str(out), case))
+    assert main(["ensemble", "--config", path]) == 0
+    assert main(["train", "--config", path]) == 0
+    written = {
+        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.rglob("*"))
+        if path.is_file()
+    }
+    assert written == LOCKSTEP_DIGESTS[case]
+
+
 def test_optimized_pipeline_is_deterministic(tmp_path):
     out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
     for name, out in (("a", out_a), ("b", out_b)):
@@ -491,6 +563,10 @@ def wrong_type_cases():
             pytest.param(key, value, key_path(named), id=f"{key}={value!r}")
             for key, value, named in [
                 ("networks.1.features.0.lag", 2.7, "networks.1.features.0.lag"),
+                ("train.learning_rate", float("nan"), "train.learning_rate"),
+                ("train.init_weight_bound", float("inf"), "train.init_weight_bound"),
+                ("data.synthetic.noise_scale", float("nan"), "data.synthetic.noise_scale"),
+                ("restarts.target_srm", float("-inf"), "restarts.target_srm"),
                 ("leaky_selection", "false", "leaky_selection"),
                 ("search.hidden_layer_counts", "12", "search.hidden_layer_counts"),
                 ("data", {"csv_path": 5}, "data.csv_path"),

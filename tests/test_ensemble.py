@@ -54,6 +54,23 @@ def test_spec_validation():
         EnsembleSpec((sub, sub), (4,), TrainConfig())  # duplicate names
 
 
+@pytest.mark.parametrize("hidden", [(True,), (3.9,), (2, 2.0), (), (0,), ("3",)])
+def test_hidden_sizes_must_be_integers_ge_1(hidden):
+    # not truncated through int(): (True,) is not (1,), nor (3.9,) (3,)
+    sub = SubNetworkSpec("a", (FeatureSpec("x"),), (2,), TrainConfig())
+    with pytest.raises(ValueError, match="^hidden_layers must be a non-empty list of integers"):
+        SubNetworkSpec("a", (FeatureSpec("x"),), hidden, TrainConfig())
+    with pytest.raises(ValueError, match="^master_hidden_layers must be"):
+        EnsembleSpec((sub, dataclasses.replace(sub, name="b")), hidden, TrainConfig())
+
+
+def test_hidden_sizes_take_numpy_integers():
+    sub = SubNetworkSpec("a", (FeatureSpec("x"),), np.array([3, 2]), TrainConfig())
+    assert sub.hidden_layers == (3, 2) and all(type(n) is int for n in sub.hidden_layers)
+    spec = EnsembleSpec((sub, dataclasses.replace(sub, name="b")), (np.int64(4),), TrainConfig())
+    assert spec.master_hidden_layers == (4,) and type(spec.master_hidden_layers[0]) is int
+
+
 def test_identical_subs_master_contains_solution(bundle):
     sub = SubNetworkSpec(
         name="twin_a",
@@ -167,15 +184,22 @@ def test_fit_subs_batches_by_hidden_layers_and_keeps_selected_experts(bundle, mo
         assemble(subs[2].features, bundle.series, "activity", None, *TRAIN),
         subs[2].train_config,
     )
-    batches = []
+    calls, batches = [], []
 
     def spy(nets, matrices, configs):
-        batches.append([c.rng_seed for c in configs])
+        calls.append([c.rng_seed for c in configs])
         return mlp.train_many(nets, matrices, configs)
 
+    def lockstep_spy(nets, *batch):
+        batches.append([net.layer_sizes for net in nets])
+        return lockstep(nets, *batch)
+
+    lockstep = mlp._train_lockstep
     monkeypatch.setattr(ensemble, "train_many", spy)
+    monkeypatch.setattr(mlp, "_train_lockstep", lockstep_spy)
     fits = fit_subs(subs, bundle.series, "activity", TRAIN, TEST, [None, None, chosen, None])
-    assert batches == [[1], [2, 4]]
+    assert calls == [[1, 2, 4]]
+    assert batches == [[subs[0].shape()], [subs[1].shape(), subs[3].shape()]]
     assert fits[2].expert.network is chosen.network
     assert fits[2].expert == dataclasses.replace(chosen, test_range=TEST)
     for i in (0, 1, 3):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from econocast import mlp
 from econocast.mlp import (
     MlpNetwork,
     Normalizer,
@@ -330,14 +331,15 @@ def _solo(net, m, cfg):
 
 
 @st.composite
-def lockstep_batches(draw):
-    """(nets, matrices, configs) for one lockstep batch of 1..6 nets with the
-    same hidden and output layers: one matrix shared by every net, or one
-    matrix per net with input widths drawn from 1..6, all with equal rows."""
+def lockstep_batch(draw, rng):
+    """(nets, matrices, configs) of 1..6 nets that train as one lockstep
+    batch: the same hidden and output layers, rows and config up to seed, and
+    one matrix shared by every net, or one matrix per net with input widths
+    drawn from 1..6."""
     hidden = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
-    output = draw(st.sampled_from(["linear", "logistic"]))
+    activations = draw(st.sampled_from([("logistic", "linear"), ("logistic", "logistic"),
+                                        ("linear", "linear")]))
     rows = draw(st.integers(2, 12))
-    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     cfg = TrainConfig(
         learning_rate=draw(st.sampled_from([0.05, 0.3, 1.0])), max_epochs=draw(st.integers(1, 8))
     )
@@ -352,9 +354,7 @@ def lockstep_batches(draw):
             matrix_from_arrays(rng.normal(size=(rows, w)), rng.normal(size=rows)) for w in widths
         ]
     configs = [replace(cfg, rng_seed=seed) for seed in seeds]
-    nets = [
-        init([m.width, *hidden, 1], c, output_activation=output) for m, c in zip(matrices, configs)
-    ]
+    nets = [init([m.width, *hidden, 1], c, *activations) for m, c in zip(matrices, configs)]
     # A target between the nets' final errors stops them at different epochs.
     finals = []
     for net, m, c in zip(nets, matrices, configs):
@@ -364,6 +364,17 @@ def lockstep_batches(draw):
             pass
     target = draw(st.floats(min(finals), max(finals))) if finals else 0.0
     return nets, matrices, [replace(c, target_error=target) for c in configs]
+
+
+@st.composite
+def lockstep_batches(draw):
+    """(nets, matrices, configs) for one train_many call of 1..2 lockstep
+    batches (see lockstep_batch), their nets interleaved."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    batches = draw(st.lists(lockstep_batch(rng), min_size=1, max_size=2))
+    slots = [(b, i) for b, batch in enumerate(batches) for i in range(len(batch[0]))]
+    order = draw(st.permutations(slots))
+    return tuple([batches[b][part][i] for b, i in order] for part in range(3))
 
 
 @settings(max_examples=60, deadline=None)
@@ -444,29 +455,59 @@ def test_train_many_rejects_mismatched_batches():
     rng = np.random.default_rng(5)
     m = matrix_from_arrays(rng.normal(size=(6, 2)), rng.normal(size=6))
     m3 = matrix_from_arrays(rng.normal(size=(6, 3)), rng.normal(size=6))
-    short = matrix_from_arrays(rng.normal(size=(5, 2)), rng.normal(size=5))
     cfg = TrainConfig(max_epochs=2)
     net = init([2, 3, 1], cfg)
-    bad_batches = [
+    bad_calls = [
         ([], [], []),
         ([net, net], [m, m], [cfg]),
         ([net, net], [m], [cfg, cfg]),
-        ([net, net], [m, short], [cfg, cfg]),
-        ([net, init([2, 4, 1], cfg)], [m, m], [cfg, cfg]),
-        ([net, init([3, 4, 1], cfg)], [m, m3], [cfg, cfg]),
-        ([net, init([3, 3, 3, 1], cfg)], [m, m3], [cfg, cfg]),
-        ([net, init([2, 3, 1], cfg, output_activation="logistic")], [m, m], [cfg, cfg]),
-        ([net, net], [m, m], [cfg, replace(cfg, learning_rate=0.1)]),
-        ([net, net], [m, m], [cfg, replace(cfg, max_epochs=3)]),
-        ([net, init([3, 3, 1], cfg)], [m, m3], [cfg, replace(cfg, target_error=0.5)]),
+        ([net, init([3, 4, 1], cfg)], [m, m], [cfg, cfg]),
         ([init([3, 3, 1], cfg)], [m], [cfg]),
         ([net, init([3, 3, 1], cfg)], [m3, m], [cfg, cfg]),
+        ([net, init([2, 3, 2], cfg)], [m, m], [cfg, cfg]),
     ]
-    for nets, matrices, configs in bad_batches:
+    for nets, matrices, configs in bad_calls:
         with pytest.raises(ValueError):
             train_many(nets, matrices, configs)
-    train_many([net, net], [m, m], [cfg, replace(cfg, rng_seed=9)])
-    train_many([net, init([3, 3, 1], cfg)], [m, m3], [cfg, replace(cfg, rng_seed=9)])
+
+
+def test_train_many_batches_any_mix_each_equal_training_alone(monkeypatch):
+    rng = np.random.default_rng(5)
+    m = matrix_from_arrays(rng.normal(size=(6, 2)), rng.normal(size=6))
+    m3 = matrix_from_arrays(rng.normal(size=(6, 3)), rng.normal(size=6))
+    short = matrix_from_arrays(rng.normal(size=(5, 2)), rng.normal(size=5))
+    cfg = TrainConfig(max_epochs=2)
+    calls = [  # (net shape, activations, matrix, config) of each slot
+        ([2, 3, 1], (), m, cfg),
+        ([2, 4, 1], (), m, cfg),  # other hidden layers
+        ([3, 3, 3, 1], (), m3, cfg),
+        ([2, 3, 1], ("logistic", "logistic"), m, cfg),  # other output activation
+        ([2, 3, 1], ("linear",), m, cfg),  # other hidden activation
+        ([2, 3, 1], (), short, cfg),  # other rows
+        ([2, 3, 1], (), m, replace(cfg, learning_rate=0.1)),
+        ([2, 3, 1], (), m, replace(cfg, max_epochs=3)),
+        ([3, 3, 1], (), m3, replace(cfg, target_error=0.5)),
+        ([3, 3, 1], (), m3, replace(cfg, rng_seed=9)),  # joins slot 0
+        ([2, 4, 1], (), m, replace(cfg, rng_seed=9)),  # joins slot 1
+    ]
+    nets = [init(shape, c, *acts) for shape, acts, _, c in calls]
+    matrices = [matrix for _, _, matrix, _ in calls]
+    configs = [c for _, _, _, c in calls]
+    batches = []
+
+    def spy(batch_nets, *batch):
+        batches.append([next(i for i, n in enumerate(nets) if n is net) for net in batch_nets])
+        return lockstep(batch_nets, *batch)
+
+    lockstep = mlp._train_lockstep
+    monkeypatch.setattr(mlp, "_train_lockstep", spy)
+    results = train_many(nets, matrices, configs)
+    assert batches == [[0, 9], [1, 10], [2], [3], [4], [5], [6], [7], [8]]
+    assert [_bytes(r) for r in results] == [_solo(*args) for args in zip(nets, matrices, configs)]
+    # One normalizer per matrix object and output activation.
+    assert all(results[i].normalizer is results[0].normalizer for i in (1, 4, 6, 7, 10))
+    assert results[3].normalizer is not results[0].normalizer
+    assert results[2].normalizer is results[8].normalizer is results[9].normalizer
 
 
 def _golden_batch(case):

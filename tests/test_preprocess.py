@@ -329,6 +329,20 @@ def test_feature_spec_round_trip_and_label():
     assert "activity" in spec.label() and "lag2" in spec.label()
 
 
+@pytest.mark.parametrize("lag", [2.5, True, -1, "2"])
+def test_feature_spec_rejects_a_lag_that_is_not_an_integer_ge_0(lag):
+    # rejected when built, not by assemble with a bare TypeError, nor taken
+    # as lag 1 for True
+    with pytest.raises(ValueError) as err:
+        FeatureSpec("g", lag=lag)
+    assert str(err.value) == f"lag must be an integer >= 0, got {lag!r}"
+
+
+def test_feature_spec_takes_a_numpy_lag():
+    spec = FeatureSpec("a", lag=np.int64(3))
+    assert type(spec.lag) is int and spec == FeatureSpec("a", lag=3)
+
+
 # ---------------------------------------------------------------------------
 # assemble
 # ---------------------------------------------------------------------------

@@ -48,6 +48,28 @@ def sine_problem(n=64):
     )
 
 
+@pytest.mark.parametrize(
+    "counts, nodes, named",
+    [
+        ((1.9,), (2,), "hidden_layer_counts"),
+        ((True,), (2,), "hidden_layer_counts"),
+        ((), (2,), "hidden_layer_counts"),
+        ((1,), (2.5, True), "nodes_per_layer_candidates"),
+        ((1,), (0,), "nodes_per_layer_candidates"),
+    ],
+)
+def test_grid_rejects_sizes_that_are_not_integers_ge_1(counts, nodes, named):
+    # not truncated through int(): (1.9,) x (2.5, True) is not (1,) x (2, 1)
+    with pytest.raises(ValueError, match=f"^{named} must be a non-empty list of integers >= 1"):
+        ArchitectureGrid(counts, nodes)
+
+
+def test_grid_takes_numpy_integers():
+    grid = ArchitectureGrid(np.array([1, 2]), (np.int64(3),))
+    assert grid.shapes(5) == [(5, 3, 1), (5, 3, 3, 1)]
+    assert all(type(n) is int for n in grid.hidden_layer_counts + grid.nodes_per_layer_candidates)
+
+
 def test_single_candidate_wins():
     tr, va = linear_problem()
     grid = ArchitectureGrid((1,), (3,), TrainConfig(max_epochs=50))
