@@ -54,8 +54,9 @@ def is_file_stem(name: object) -> bool:
 
 
 def is_number(value: object, kind: type) -> bool:
-    """Whether `value` is a `kind` (numbers.Integral or numbers.Real), never a bool."""
-    return isinstance(value, kind) and not isinstance(value, bool)
+    """Whether `value` is a `kind` (numbers.Integral or numbers.Real), never a bool.
+    A plain int is both and skips the slower ABC check."""
+    return type(value) is int or isinstance(value, kind) and not isinstance(value, bool)
 
 
 def sizes(name: str, values: Iterable[object]) -> Tuple[int, ...]:

@@ -2,7 +2,9 @@
 predictor of the target and keep the one with the best modified Sharpe ratio.
 
 No model is trained here; the lagged input's own direction changes are the
-prediction, evaluated with the full indicator battery.
+prediction, evaluated with the full indicator battery. Each lag's window is
+one slice of the input; the perfect and buy-and-hold curves do not depend on
+the lag and are computed once per input.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from .metrics import (
     signals_from_prediction,
     srm_rank_key,
 )
-from .preprocess import lag
 from .timeseries import MonthStamp, TimeSeries
 
 __all__ = ["LagRow", "LagScanResult", "scan", "scan_table_csv", "scan_curves_csv"]
@@ -71,14 +72,16 @@ def scan(
         raise ValueError(f"input {input_name!r} ends before {last}")
 
     actual = target.slice_range(first, last)
+    moves = actual.values[1:] - actual.values[:-1]  # the same for every lag
+    i, j = input_series.index_of(first), input_series.index_of(last)
     rows = []
     best_key = None
     chosen = None
     for k in range(1, max_lag + 1):
-        lagged = lag(input_series, k).slice_range(first, last)
+        lagged = TimeSeries(first, input_series.values[i - k : j - k + 1])  # lag k over first..last
         signals = signals_from_prediction(lagged)
         rep = indicators(actual, lagged)
-        strategy, perfect, buy_hold = equity_curves(actual, signals)
+        strategy = TimeSeries(signals.start, (signals.values * moves).cumsum())
         rows.append(
             LagRow(
                 lag=k,
@@ -92,6 +95,7 @@ def scan(
             best_key = key
             chosen = k
     assert chosen is not None
+    _, perfect, buy_hold = equity_curves(actual, signals)  # the same for every lag
     return LagScanResult(
         rows=tuple(rows),
         chosen_lag=chosen,

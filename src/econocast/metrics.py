@@ -18,7 +18,7 @@ import numpy as np
 # checks that tracing rebinds it in every module that imported it.
 from .mlp import error_percent, predict  # noqa: F401
 from .preprocess import FeatureMatrix
-from .timeseries import MonthStamp, TimeSeries, month_labels
+from .timeseries import MonthStamp, TimeSeries, format_rows, month_labels
 
 __all__ = [
     "SignalSeries",
@@ -267,12 +267,13 @@ def render_report_csv(rows: Sequence[Tuple[str, MetricsReport]]) -> str:
 
 
 def equity_long_csv(curves: Mapping[str, EquityCurve]) -> str:
-    """Long-format (date, value, curve_name) CSV for external plotting."""
-    lines = ["date,value,curve_name"]
+    """Long-format (date, value, curve_name) CSV for plotting, one format_rows per curve."""
+    blocks = ["date,value,curve_name\n"]
     labels: Dict[Tuple[MonthStamp, int], List[str]] = {}  # rendered once per (start, length)
     for name, curve in curves.items():
         key = (curve.start, len(curve))
         if key not in labels:
             labels[key] = month_labels(*key)
-        lines.extend(f"{d},{v:.6g},{name}" for d, v in zip(labels[key], curve.values.tolist()))
-    return "\n".join(lines) + "\n"
+        row = "%s,%.6g," + name.replace("%", "%%") + "\n"
+        blocks.append(format_rows(row, [labels[key], curve.values.tolist()]))
+    return "".join(blocks)

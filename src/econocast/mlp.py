@@ -38,12 +38,14 @@ delta * (a * (1 - a)) and the update as eta * dw, then a subtraction.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from .artifacts import REQUIRED, JsonObject, read_json, write_json
+from .artifacts import sizes as checked_sizes
 from .preprocess import FeatureMatrix, FeatureSpec
 from .timeseries import MonthStamp, TimeSeries, range_to_json, read_range
 
@@ -130,8 +132,8 @@ class MlpNetwork:
     output_activation: str = "linear"
 
     def __post_init__(self) -> None:
-        sizes = tuple(int(n) for n in self.layer_sizes)
-        if len(sizes) < 2 or any(n < 1 for n in sizes):
+        sizes = checked_sizes("layer_sizes", self.layer_sizes)
+        if len(sizes) < 2:
             raise ValueError(f"bad layer sizes {sizes}")
         if self.hidden_activation not in ACTIVATIONS or self.output_activation not in ACTIVATIONS:
             raise ValueError("unknown activation kind")
@@ -169,7 +171,7 @@ def init(
     output_activation: str = "linear",
 ) -> MlpNetwork:
     """Draw every weight and bias uniformly from [-bound, +bound], seeded."""
-    sizes = tuple(int(n) for n in layer_sizes)
+    sizes = checked_sizes("layer_sizes", layer_sizes)
     if len(sizes) < 3:
         raise ValueError("at least one hidden layer is required")
     rng = np.random.default_rng(config.rng_seed)
@@ -603,7 +605,7 @@ def _is_ints(value: Sequence[object]) -> bool:
 
 
 def _is_numbers(value: Sequence[object]) -> bool:
-    return all(type(v) in (int, float) for v in value)
+    return all(type(v) is int or type(v) is float and math.isfinite(v) for v in value)
 
 
 def _is_vectors(value: Sequence[object]) -> bool:
@@ -621,11 +623,12 @@ def expert_from_dict(data: object, path: str = "expert") -> TrainedExpert:
     kind = "'logistic' or 'linear'"
     hidden = obj.get("hidden_activation", REQUIRED, (str,), ACTIVATIONS.__contains__, kind)
     output = obj.get("output_activation", REQUIRED, (str,), ACTIVATIONS.__contains__, kind)
-    weights = obj.get("weights", REQUIRED, (list,), _is_matrices, "a list of matrices")
-    biases = obj.get("biases", REQUIRED, (list,), _is_vectors, "a list of vectors")
+    finite = "of finite numbers"
+    weights = obj.get("weights", REQUIRED, (list,), _is_matrices, f"a list of matrices {finite}")
+    biases = obj.get("biases", REQUIRED, (list,), _is_vectors, f"a list of vectors {finite}")
     nd = obj.section("normalizer", REQUIRED)
-    shift = nd.get("input_shift", REQUIRED, (list,), _is_numbers, "a list of numbers")
-    scale = nd.get("input_scale", REQUIRED, (list,), _is_numbers, "a list of numbers")
+    shift = nd.get("input_shift", REQUIRED, (list,), _is_numbers, f"a list {finite}")
+    scale = nd.get("input_scale", REQUIRED, (list,), _is_numbers, f"a list {finite}")
     target_shift = nd.get("target_shift", REQUIRED, (float, int))
     target_scale = nd.get("target_scale", REQUIRED, (float, int))
     nd.close()

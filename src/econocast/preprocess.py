@@ -221,6 +221,9 @@ class Transform:
                 raise ValueError(f"transform {self.kind!r}: {name} must be {want}, got {value!r}")
             if not bound.holds(value):
                 raise ValueError(f"{name} must be {bound.want}")
+            # as a Python number, so that to_dict dumps to JSON
+            number = int(value) if isinstance(value, numbers.Integral) else float(value)
+            object.__setattr__(self, name, number)
 
     def apply(self, s: TimeSeries) -> TimeSeries:
         return _KINDS[self.kind].apply(self, s)

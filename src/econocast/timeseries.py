@@ -33,6 +33,7 @@ __all__ = [
     "range_from_json",
     "read_range",
     "month_labels",
+    "format_rows",
     "parse_csv",
     "render_csv",
     "laspeyres_index",
@@ -86,6 +87,15 @@ def month_labels(start: MonthStamp, n: int) -> List[str]:
     """str() of the n months from start on, without a MonthStamp per month."""
     first = start.year * 12 + start.month - 1
     return [f"{t // 12:04d}-{t % 12 + 1:02d}" for t in range(first, first + n)]
+
+
+def format_rows(row: str, columns: Sequence[Sequence[object]]) -> str:
+    """`row` %-filled with item i of each column, for every i, in one C-level format."""
+    width, n = len(columns), len(columns[0])
+    cells = [None] * (width * n)
+    for c, column in enumerate(columns):
+        cells[c::width] = column
+    return (row * n) % tuple(cells)
 
 
 def range_to_json(months: Tuple[MonthStamp, MonthStamp]) -> List[str]:
@@ -285,10 +295,9 @@ def render_csv(series: Mapping[str, TimeSeries]) -> str:
     for name, s in items:
         if not s.aligned_with(first):
             raise ValueError(f"series {name!r} is not aligned with the others")
-    lines = ["date," + ",".join(name for name, _ in items)]
-    rows = zip(month_labels(first.start, len(first)), *(s.values.tolist() for _, s in items))
-    lines.extend(",".join([label, *(f"{v:.6g}" for v in values)]) for label, *values in rows)
-    return "\n".join(lines) + "\n"
+    header = "date," + ",".join(name for name, _ in items) + "\n"
+    columns = [month_labels(first.start, len(first)), *(s.values.tolist() for _, s in items)]
+    return header + format_rows("%s" + ",%.6g" * len(items) + "\n", columns)
 
 
 def laspeyres_index(

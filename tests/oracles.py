@@ -72,6 +72,17 @@ def equity_long_csv(curves) -> str:
     return text
 
 
+def render_csv(names, year, month, columns) -> str:
+    """`date,<names>` CSV of equal-length columns from year-month on, one row
+    per month; the values are formatted as given (numpy scalars from an
+    array)."""
+    text = "date," + ",".join(names) + "\n"
+    for i in range(len(columns[0])):
+        cells = [month_label(year, month, i)] + [format(col[i], ".6g") for col in columns]
+        text += ",".join(cells) + "\n"
+    return text
+
+
 def efficiency(actual: Sequence[float], sig: Sequence[int]) -> float:
     gain = 0.0
     max_gain = 0.0

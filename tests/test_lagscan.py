@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from econocast import metrics, preprocess
 from econocast.lagscan import scan, scan_curves_csv, scan_table_csv
 from econocast.timeseries import TimeSeries
 
@@ -75,6 +76,43 @@ def test_scan_recomputes_on_truncated_data(target):
     again = scan(short_input, short_target, 12, first, last.plus(-1))
     assert fresh.chosen_lag == again.chosen_lag
     assert [r.report for r in fresh.rows] == [r.report for r in again.rows]
+
+
+def reference_scan(inp, target, max_lag, first, last):
+    """(rows of (lag, report, strategy), chosen lag, perfect, buy_hold), each
+    lag built by preprocess.lag and slice_range and scored on its own."""
+    actual = target.slice_range(first, last)
+    rows = []
+    for k in range(1, max_lag + 1):
+        lagged = preprocess.lag(inp, k).slice_range(first, last)
+        strategy, perfect, buy_hold = metrics.equity_curves(
+            actual, metrics.signals_from_prediction(lagged)
+        )
+        rows.append((k, metrics.indicators(actual, lagged), strategy))
+    best = max(rows, key=lambda r: metrics.srm_rank_key(
+        r[1].sharpe_modified, r[1].efficiency_pct) + (-r[0],))
+    return rows, best[0], perfect, buy_hold
+
+
+@pytest.mark.parametrize("max_lag", [1, 2, 5, 12])
+@pytest.mark.parametrize("spare_before, spare_after", [(0, 0), (0, 7), (3, 0), (9, 4)])
+def test_scan_equals_a_lag_by_lag_reference(target, max_lag, spare_before, spare_after):
+    # the input starts `spare_before` months before the first month that
+    # max_lag needs and ends `spare_after` months after `last`
+    rng = np.random.default_rng(max_lag * 100 + spare_before * 10 + spare_after)
+    first, last = target.start.plus(14), target.end.plus(-10)
+    start = first.plus(-max_lag - spare_before)
+    n = last.months_since(start) + 1 + spare_after
+    inp = TimeSeries(start, rng.normal(size=n).cumsum())
+    result = scan(inp, target, max_lag, first, last)
+    rows, chosen, perfect, buy_hold = reference_scan(inp, target, max_lag, first, last)
+    assert result.chosen_lag == chosen
+    assert len(result.rows) == len(rows)
+    for row, (k, rep, strategy) in zip(result.rows, rows):
+        assert (row.lag, row.report, row.equity) == (k, rep, strategy)
+        assert row.final_equity == float(strategy.values[-1])
+    assert result.perfect_equity == perfect
+    assert result.buy_hold_equity == buy_hold
 
 
 def test_scan_insufficient_history(target):

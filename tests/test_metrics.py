@@ -420,6 +420,16 @@ def test_equity_long_csv_matches_per_row_oracle():
     assert equity_long_csv(curves) == expected
 
 
+def test_equity_long_csv_keeps_percent_signs_in_curve_names():
+    # each curve's rows are one `%` format, so a name must not be read as a
+    # conversion of it
+    curve = TimeSeries(MonthStamp(2000, 1), [1.5, -0.0, 2e-7])
+    names = ("a%b", "%s", "%%", "%.6g", "100%", "%(x)s")
+    curves = {name: curve for name in names}
+    expected = oracles.equity_long_csv((name, 2000, 1, curve.values) for name in names)
+    assert equity_long_csv(curves) == expected
+
+
 def test_equity_long_csv_shape():
     curve = TimeSeries(START, [0.5, 1.0])
     text = equity_long_csv({"strategy": curve, "perfect": curve})

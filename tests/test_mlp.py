@@ -72,6 +72,30 @@ def test_init_requires_hidden_layer():
         init([3, 1], TrainConfig())
 
 
+@pytest.mark.parametrize("sizes", [[2.5, 3, 1], [True, 3, 1], [2, 3.0, 1], [0, 3, 1], ["2", 3, 1]])
+def test_init_rejects_layer_sizes_that_are_not_integers_ge_1(sizes):
+    # not truncated through int(): [2.5, 3, 1] built a 2-3-1 net, [True, 3, 1] a 1-3-1 net
+    with pytest.raises(ValueError) as err:
+        init(sizes, TrainConfig())
+    assert str(err.value) == f"layer_sizes must be a non-empty list of integers >= 1, got {sizes!r}"
+
+
+@pytest.mark.parametrize(
+    "sizes, w_shape", [((2.5, 1), (1, 2)), ((True, 1), (1, 1)), ((2, 1.9), (1, 2))]
+)
+def test_network_rejects_layer_sizes_that_are_not_integers(sizes, w_shape):
+    # the weights have the shape the truncated sizes would give
+    with pytest.raises(ValueError, match=r"^layer_sizes must be a non-empty list of integers"):
+        MlpNetwork(sizes, (np.zeros(w_shape),), (np.zeros(w_shape[0]),))
+
+
+def test_init_takes_numpy_integer_sizes():
+    net = init([np.int64(2), np.int32(3), 1], TrainConfig(rng_seed=4))
+    assert net.layer_sizes == (2, 3, 1) and all(type(n) is int for n in net.layer_sizes)
+    plain = init([2, 3, 1], TrainConfig(rng_seed=4))
+    assert all(np.array_equal(a, b) for a, b in zip(net.weights, plain.weights))
+
+
 # ---------------------------------------------------------------------------
 # forward
 # ---------------------------------------------------------------------------
@@ -763,3 +787,30 @@ def test_expert_json_round_trip_bit_exact(tmp_path):
     save_expert(expert, str(path))
     assert path.read_bytes() == (json.dumps(expert_to_dict(expert), indent=1) + "\n").encode()
     assert expert_to_dict(load_expert(str(path))) == expert_to_dict(expert)
+
+
+@pytest.mark.parametrize(
+    "where, value, named",
+    [
+        (("normalizer", "input_shift", 0), float("nan"),
+         "normalizer.input_shift must be a list of finite numbers"),
+        (("normalizer", "input_scale", 2), float("inf"),
+         "normalizer.input_scale must be a list of finite numbers"),
+        (("weights", 0, 1, 2), float("nan"), "weights must be a list of matrices of finite numbers"),
+        (("biases", 1, 0), float("-inf"), "biases must be a list of vectors of finite numbers"),
+    ],
+)
+def test_expert_from_dict_rejects_non_finite_numbers_in_lists(where, value, named):
+    # json reads NaN and Infinity as floats; an input_shift holding NaN used to
+    # load and predict NaN for every row
+    m = matrix_from_arrays(np.random.default_rng(3).normal(size=(8, 3)), np.arange(8.0))
+    cfg = TrainConfig(max_epochs=2, rng_seed=5)
+    data = expert_to_dict(train(init([3, 2, 1], cfg), m, cfg))
+    *path, last = where
+    target = data
+    for key in path:
+        target = target[key]
+    target[last] = value
+    with pytest.raises(ValueError) as err:
+        expert_from_dict(json.loads(json.dumps(data)))
+    assert str(err.value).startswith(f"expert.{named}, got ")

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -296,6 +297,24 @@ def test_transform_takes_numpy_numbers():
     assert Transform("sma", window=np.int64(3)).apply(s) == Transform("sma", window=3).apply(s)
     assert Transform("ewma", beta=np.float64(0.5)).label() == "ewma0.5"
     assert Transform("ewma", beta=1).apply(s) == Transform("ewma", beta=1.0).apply(s)
+
+
+def test_numpy_transform_parameters_are_stored_as_python_numbers():
+    # so that a spec built from numpy numbers dumps to JSON, as save_expert
+    # does, and reads back equal
+    chain = (
+        Transform("sma", window=np.int64(3)),
+        Transform("block_avg", window=np.int32(2), distance=np.int64(1)),
+        Transform("ewma", beta=np.float64(0.5)),
+        Transform("ewma", beta=np.int64(1)),
+    )
+    spec = FeatureSpec("a", chain, lag=np.int64(2))
+    text = json.dumps(spec.to_dict())
+    assert FeatureSpec.from_dict(json.loads(text)) == spec
+    params = [v for t in chain for k, v in t.to_dict().items() if k != "kind"]
+    assert [type(v) for v in params] == [int, int, int, float, int]
+    # Python numbers are kept as given, so their JSON is unchanged
+    assert json.dumps(Transform("ewma", beta=1).to_dict()) == '{"kind": "ewma", "beta": 1}'
 
 
 # One example of every transform kind.

@@ -154,6 +154,24 @@ def test_parse_inverts_render_for_quantized_series(year, month, columns):
     assert parse_csv(render_csv(series)) == series
 
 
+def test_render_csv_matches_per_row_oracle():
+    edge = [-0.0, 1e-5, 123456789.0, 1e-300, -3.25e-7, 0.1, 1e16, -2.5e-12, 999999.5, 5e-324]
+    rng = np.random.default_rng(8)
+    noisy = rng.normal(size=len(edge)) * 10.0 ** rng.integers(-9, 12, size=len(edge))
+    bundles = [
+        {"a": edge, "b%s": [-v for v in reversed(edge)], "c": noisy},
+        {"only": [1e-300]},  # a single row
+        {"x": [-0.0], "y%": [123456789.0], "z": [1e-5]},
+    ]
+    for start in (MonthStamp(1999, 11), MonthStamp(999, 12)):
+        for columns in bundles:
+            series = {name: TimeSeries(start, values) for name, values in columns.items()}
+            expected = oracles.render_csv(
+                list(series), start.year, start.month, [s.values for s in series.values()]
+            )
+            assert render_csv(series) == expected
+
+
 def test_render_parse_round_trip_on_generated_bundle(noisy_bundle):
     back = parse_csv(render_csv(noisy_bundle.series))
     assert set(back) == set(noisy_bundle.series)

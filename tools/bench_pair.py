@@ -3,10 +3,13 @@
     python3 tools/bench_pair.py --parent COMMIT --pr N
 
 Exports COMMIT with ``git archive`` to a temporary directory, then runs
-``python3 perfbench/run.py --workload all --seed S --seconds 35 --trace 0``
-in that copy and in the working tree, one after the other, for S = 1..10.
-The parent goes first on odd seeds and the change first on even ones, so a
-drift of the machine over the runs does not favour either side.
+``python3 perfbench/run.py --workload W --seed S --seconds 35 --trace 0``
+for each workload W in that copy and in the working tree, one after the
+other, for S = 1..10. Each workload runs in its own process, so its
+``peak_rss_mb`` is its own and not the high-water mark of the workloads run
+before it in the same process. The parent goes first on odd seeds and the
+change first on even ones, so a drift of the machine over the runs does not
+favour either side.
 
 Writes ``BENCH_<N>.json`` at the root of the working tree:
 
@@ -55,18 +58,18 @@ def export(root: str, commit: str, dest: str) -> None:
         tar.extractall(dest, filter="data")
 
 
-def command(seed: int) -> List[str]:
+def command(workload: str, seed: int) -> List[str]:
     return [
-        "python3", "perfbench/run.py", "--workload", "all",
+        "python3", "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0",
     ]
 
 
 def run(tree: str, seed: int) -> Dict[str, dict]:
-    """One benchmark run in `tree`; the record of each workload."""
-    subprocess.run(command(seed), cwd=tree, check=True, stdout=subprocess.DEVNULL)
+    """One benchmark run in `tree`, a process per workload; the record of each."""
     records = {}
     for name in WORKLOADS:
+        subprocess.run(command(name, seed), cwd=tree, check=True, stdout=subprocess.DEVNULL)
         path = os.path.join(tree, "perfbench", "out", f"{name}-seed{seed}-trace0.json")
         with open(path, encoding="utf-8") as fh:
             records[name] = json.load(fh)
@@ -130,13 +133,16 @@ def main(argv: List[str] | None = None) -> int:
     bench = {
         "parent": runs["parent"][0],
         "change": runs["change"][0],
-        "command": " ".join(command(1)),
+        "command": " ".join(command("{" + ",".join(WORKLOADS) + "}", 1)),
         "note": (
             f"parent and change hold the seed-1 records from perfbench/out/; parent is "
             f"{args.parent}, run from a git archive export, and change is the working tree, "
             f"whose env.git_sha names the commit it was checked out at, so env.src_sha256 "
             f"tells them apart. pairs holds {PAIRS} pairs of the same "
-            f"command with --seed 1..{PAIRS}, the parent first on odd seeds."
+            f"command with --seed 1..{PAIRS}, the parent first on odd seeds. Each workload "
+            f"ran in its own process, so peak_rss_mb is that workload's own; BENCH_7 to "
+            f"BENCH_10 ran --workload all in one process, so their peak_rss_mb is not like "
+            f"for like with this file's."
         ),
         "pairs": table,
     }
