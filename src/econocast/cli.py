@@ -21,7 +21,7 @@ from .artifacts import REQUIRED, JsonObject, is_file_stem, read_json, write_json
 # `train` is unused here but stays importable from cli: perfbench/selftest.py
 # checks that tracing rebinds it in every module that imported it.
 from .mlp import TrainConfig, TrainedExpert, TrainingDiverged, save_expert, train  # noqa: F401
-from .preprocess import FeatureSpec, WarmupError, assemble, dominant_cycle
+from .preprocess import FeatureSpec, WarmupError, dominant_cycle
 from .timeseries import (
     CsvFormatError,
     MonthStamp,
@@ -100,13 +100,13 @@ DEFAULT_SUB_EPOCHS = 120
 DEFAULT_MASTER_EPOCHS = 60
 
 
-def _positive_ints(value: Sequence[object]) -> bool:
-    return all(type(n) is int and n >= 1 for n in value)
-
-
-def _hidden(obj: JsonObject, key: str, default: Tuple[int, ...]) -> Tuple[int, ...]:
+def _hidden(
+    obj: JsonObject, key: str, default: Tuple[int, ...] | None
+) -> Tuple[int, ...] | None:
+    """Hidden layer sizes at `key`; null reads as absent only when default is None."""
     return obj.get(
-        key, default, (list,), lambda v: len(v) > 0 and _positive_ints(v),
+        key, default, (list,) if default is not None else (list, NoneType),
+        lambda v: len(v) > 0 and all(type(n) is int and n >= 1 for n in v),
         "a non-empty list of integers >= 1",
     )
 
@@ -128,9 +128,7 @@ def _network_entries(config: JsonObject, sub_hidden: Tuple[int, ...]) -> Tuple[N
         features = obj.get(
             "features", REQUIRED, (list,), lambda v: len(v) > 0, "a non-empty list of features"
         )
-        hidden = obj.get(
-            "hidden_layers", None, (list, NoneType), _positive_ints, "a list of integers >= 1"
-        )
+        hidden = _hidden(obj, "hidden_layers", None)
         obj.close()
         specs = tuple(
             FeatureSpec.from_dict(f, f"{where}.features[{j}]") for j, f in enumerate(features)
@@ -168,7 +166,7 @@ def config_from_dict(data: object) -> PipelineConfig:
     )
 
     scan = config.section("scan", {})
-    scan_max_lag = scan.get("max_lag", 12, (int,))
+    scan_max_lag = scan.get("max_lag", 12, (int,), lambda v: v >= 1, "an integer >= 1")
     scan_inputs = scan.get(
         "inputs", None, (list, NoneType), lambda v: all(type(n) is str for n in v),
         "a list of column names",
@@ -215,7 +213,11 @@ def _load_sources(config: PipelineConfig) -> Dict[str, TimeSeries]:
             sources = parse_csv(fh.read())
     else:
         p = config.synthetic
-        sources = dict(synthesize_economy(p.seed, p.months, p.cycle_period, p.noise_scale).series)
+        try:
+            bundle = synthesize_economy(p.seed, p.months, p.cycle_period, p.noise_scale)
+        except ValueError as exc:
+            raise ConfigError(f"config.data.synthetic: {exc}") from exc
+        sources = dict(bundle.series)
     if config.target not in sources:
         raise ConfigError(f"config.target {config.target!r} is not a column of the data")
     return sources
@@ -270,15 +272,16 @@ def _optimize_sub_specs(
     returning specs whose seeds/shapes reproduce the selected experts, and
     the restart winners themselves (None per sub without restarts). Selection
     logs land under out_dir/logs. A warm-up shortfall or a sub whose every
-    restart diverged is raised as a ValueError naming the sub."""
+    restart diverged is raised as a ValueError naming the sub; every sub is
+    assembled before any selection trains, so an assembly fault is named
+    first and no log is written."""
     core_range, val_range = _selection_ranges(config)
+    matrices = ens.assemble_subs(specs, sources, config.target, core_range, val_range)
     logs_dir = os.path.join(config.out_dir, "logs")
     out, selected = [], []
-    for number, spec in enumerate(specs, start=1):
+    for number, (spec, (m_core, m_val)) in enumerate(zip(specs, matrices), start=1):
         expert = None
         try:
-            m_core = assemble(spec.features, sources, config.target, None, *core_range)
-            m_val = assemble(spec.features, sources, config.target, None, *val_range)
             hidden = spec.hidden_layers
             if config.search is not None:
                 grid = replace(config.search, train_config=spec.train_config)
@@ -306,7 +309,7 @@ def _optimize_sub_specs(
                     search.restart_log_csv(ro),
                 )
         except (ValueError, TrainingDiverged) as exc:
-            raise ValueError(f"sub-network {number} ({spec.name!r}) failed: {exc}") from exc
+            raise ens.sub_failed(number, spec, exc) from exc
         out.append(replace(spec, hidden_layers=tuple(hidden), train_config=cfg))
         selected.append(expert)
     return out, selected

@@ -35,7 +35,9 @@ __all__ = [
     "EnsembleSpec",
     "EnsembleModel",
     "ExpertFit",
+    "assemble_subs",
     "fit_subs",
+    "sub_failed",
     "train_ensemble",
     "predict_ensemble",
     "save_ensemble",
@@ -151,8 +153,29 @@ def _fitted(expert: TrainedExpert, m_train: FeatureMatrix, m_test: FeatureMatrix
     return ExpertFit(expert, m_train, m_test, predict(expert, m_train), predict(expert, m_test))
 
 
-def _sub_failed(number: int, sub: SubNetworkSpec, exc: Exception) -> ValueError:
+def sub_failed(number: int, sub: SubNetworkSpec, exc: Exception) -> ValueError:
+    """The error naming sub `number` (1-based, in spec order) and its fault."""
     return ValueError(f"sub-network {number} ({sub.name!r}) failed: {exc}")
+
+
+def assemble_subs(
+    subs: Sequence[SubNetworkSpec],
+    sources: Mapping[str, TimeSeries],
+    target_name: str,
+    *ranges: Tuple[MonthStamp, MonthStamp],
+) -> List[Tuple[FeatureMatrix, ...]]:
+    """Each sub's feature matrix over each range, one tuple per sub. A
+    warm-up shortfall or missing series is raised by sub_failed, naming the
+    first failing sub."""
+    matrices = []
+    for number, sub in enumerate(subs, start=1):
+        try:
+            matrices.append(
+                tuple(assemble(sub.features, sources, target_name, None, *r) for r in ranges)
+            )
+        except ValueError as exc:
+            raise sub_failed(number, sub, exc) from exc
+    return matrices
 
 
 def fit_subs(
@@ -174,28 +197,20 @@ def fit_subs(
     naming the first failing sub (1-based, in spec order); every sub is
     assembled before any trains, so an assembly fault is named first."""
     experts: List[TrainedExpert | TrainingDiverged | None] = list(selected or [None] * len(subs))
-    matrices, nets = [], {}
-    for i, sub in enumerate(subs):
-        try:
-            m_train = assemble(sub.features, sources, target_name, None, *train_range)
-            m_test = assemble(sub.features, sources, target_name, None, *test_range)
-            if experts[i] is None:
-                nets[i] = init(sub.shape(), sub.train_config)
-        except ValueError as exc:
-            raise _sub_failed(i + 1, sub, exc) from exc
-        matrices.append((m_train, m_test))
-    if nets:
+    matrices = assemble_subs(subs, sources, target_name, train_range, test_range)
+    todo = [i for i, expert in enumerate(experts) if expert is None]
+    if todo:
         trained = train_many(
-            list(nets.values()),
-            [matrices[i][0] for i in nets],
-            [subs[i].train_config for i in nets],
+            [init(subs[i].shape(), subs[i].train_config) for i in todo],
+            [matrices[i][0] for i in todo],
+            [subs[i].train_config for i in todo],
         )
-        for i, result in zip(nets, trained):
+        for i, result in zip(todo, trained):
             experts[i] = result
     fits = []
     for i, (sub, expert) in enumerate(zip(subs, experts)):
         if isinstance(expert, TrainingDiverged):
-            raise _sub_failed(i + 1, sub, expert) from expert
+            raise sub_failed(i + 1, sub, expert) from expert
         fits.append(_fitted(replace(expert, test_range=test_range), *matrices[i]))
     return fits
 

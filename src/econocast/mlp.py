@@ -22,15 +22,16 @@ are multiples of 4). So each net's weights are bit-identical to training it
 alone, whatever K, its neighbours' widths and its place in the batch.
 `train` is the K = 1 case.
 
-A step creates no array (see _Lockstep). Every weight and bias of the batch
-lives in one flat buffer `theta`, the pattern's gradient in a second buffer
-`grad` of the same layout, and the stacked weights and biases are views into
-them, so the update for a pattern is two calls: grad *= eta, then
-theta -= grad. The activation and scratch buffers are allocated once per
-batch, and again only when a net leaves it, and every operation of the step
-writes through `out=`. The step keeps the operations and their order that
-fix the bits: the same BLAS products, the logistic as
-max(e, sign(z)) / (1 + e) with e = exp(-|z|), the slope as
+A batch is laid out in one place: _Lockstep builds itself from its nets, and
+a step creates no array. Every weight and bias of the batch lives in one flat
+buffer `theta`, the pattern's gradient in a second buffer `grad` of the same
+layout, and the stacked weights and biases are views into them, so the update
+for a pattern is two calls: grad *= eta, then theta -= grad. The activation
+and scratch buffers are allocated once per batch, and every operation of the
+step writes through `out=`. When nets leave a batch, the rest go on in a new
+batch that _Lockstep builds from them as they stand. The step keeps the
+operations and their order that fix the bits: the same BLAS products, the
+logistic as max(e, sign(z)) / (1 + e) with e = exp(-|z|), the slope as
 delta * (a * (1 - a)) and the update as eta * dw, then a subtraction.
 `gradients` runs the same step for one net, without the update.
 """
@@ -243,42 +244,62 @@ class _Layer(NamedTuple):
 
 
 class _Lockstep:
-    """The parameters of K nets stacked for lockstep training, their gradient
-    for one pattern, and the buffers of a step, all allocated once.
+    """One lockstep batch: the parameters of K nets, their gradient for one
+    pattern, and the buffers of a step, all allocated once, from the nets.
 
-    Every weight and bias lives in one flat buffer `theta`: per layer the
-    (K, out, in) weights, then the (K, out, 1) biases, the first layer's
-    weights zero-padded to the widest input. `grad` has the same layout, so
-    an update is two calls on the whole buffer. `ws`, `bs`, `dws` and `dbs`
-    are views into them. `backprop` writes every activation, delta and
-    gradient through `out=`: the bias, logistic, slope and delta arithmetic
-    on flat 1-D views of the (K, n, 1) columns, each delta straight into its
-    bias gradient, each outer product straight into its weight gradient."""
+    `_Lockstep(nets)` takes nets equal in everything but input width, sorted
+    by it, and is the one place a batch is laid out. Every weight and bias
+    lives in one flat buffer `theta`: per layer the (K, out, in) weights, then
+    the (K, out, 1) biases, the first layer's weights zero-padded to the
+    widest input. `grad` has the same layout, so an update is two calls on the
+    whole buffer. `ws`, `bs`, `dws` and `dbs` are views into them.
+    `net(pos)` cuts one net back out; when nets leave a batch, the nets left
+    are cut out that way and a new batch is built from them. `backprop`
+    writes every activation, delta and gradient through `out=`: the bias,
+    logistic, slope and delta arithmetic on flat 1-D views of the (K, n, 1)
+    columns, each delta straight into its bias gradient, each outer product
+    straight into its weight gradient."""
 
-    def __init__(
-        self,
-        kinds: Sequence[str],
-        ws: Sequence[np.ndarray],
-        bs: Sequence[np.ndarray],
-        groups: _WidthGroups,
-    ) -> None:
-        arrays = [a for pair in zip(ws, bs) for a in pair]
-        self.groups = groups
-        self.theta = np.concatenate([a.ravel() for a in arrays])
+    def __init__(self, nets: Sequence[MlpNetwork]) -> None:
+        like = self.like = nets[0]
+        self.widths = [net.n_in for net in nets]
+        K, sizes = len(nets), (self.widths[-1], *like.layer_sizes[1:])
+        shapes = [
+            shape
+            for n_in, n_out in zip(sizes, sizes[1:])
+            for shape in ((K, n_out, n_in), (K, n_out, 1))
+        ]
+        self.theta = np.zeros(sum(math.prod(shape) for shape in shapes))
         self.grad = np.empty_like(self.theta)
-        params, grads = _split(self.theta, arrays), _split(self.grad, arrays)
+        params, grads = _split(self.theta, shapes), _split(self.grad, shapes)
         self.ws, self.bs = params[0::2], params[1::2]
         self.dws, self.dbs = grads[0::2], grads[1::2]
-        self.acts = [np.empty(b.shape) for b in bs]
+        for pos, net in enumerate(nets):
+            for w, b, net_w, net_b in zip(self.ws, self.bs, net.weights, net.biases):
+                w[pos, :, : net_w.shape[1]] = net_w
+                b[pos, :, 0] = net_b
+        self.groups = _width_groups(self.widths)
+        self.acts = [np.empty(b.shape) for b in self.bs]
         # (weights, output) of each first-layer product, one per width group.
-        self.first = [(self.ws[0][i:j, :, :n], self.acts[0][i:j]) for i, j, n in groups]
+        self.first = [(self.ws[0][i:j, :, :n], self.acts[0][i:j]) for i, j, n in self.groups]
         self.layers = [
             _Layer(kind, a.reshape(-1), np.empty(a.size), b.reshape(-1), db.reshape(-1))
-            for kind, a, b, db in zip(kinds, self.acts, self.bs, self.dbs)
+            for kind, a, b, db in zip(_layer_kinds(like), self.acts, self.bs, self.dbs)
         ]
         self.wts = [w.swapaxes(-1, -2) for w in self.ws]
         self.act_rows = [a.swapaxes(-1, -2) for a in self.acts]
         self.bias_rows = [b.swapaxes(-1, -2) for b in self.bs]
+
+    def net(self, pos: int) -> MlpNetwork:
+        """The net at batch position pos, with its weights as they stand."""
+        width, like = self.widths[pos], self.like
+        return MlpNetwork(
+            (width, *like.layer_sizes[1:]),
+            (self.ws[0][pos, :, :width], *(w[pos] for w in self.ws[1:])),
+            tuple(b[pos, :, 0] for b in self.bs),
+            like.hidden_activation,
+            like.output_activation,
+        )
 
     def backprop(self, columns: Sequence[np.ndarray], x_row: np.ndarray, target: object) -> None:
         """Write into `grad` the gradient of E = 1/2 * sum((out - target)^2)
@@ -307,12 +328,13 @@ class _Lockstep:
                 np.matmul(self.wts[l], self.dbs[l], out=self.dbs[l - 1])
 
 
-def _split(buffer: np.ndarray, arrays: Sequence[np.ndarray]) -> List[np.ndarray]:
-    """Consecutive views of buffer shaped like arrays."""
+def _split(buffer: np.ndarray, shapes: Sequence[Tuple[int, ...]]) -> List[np.ndarray]:
+    """Consecutive views of buffer with the given shapes."""
     views, start = [], 0
-    for a in arrays:
-        views.append(buffer[start : start + a.size].reshape(a.shape))
-        start += a.size
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(buffer[start : start + size].reshape(shape))
+        start += size
     return views
 
 
@@ -325,12 +347,7 @@ def gradients(
     target = np.asarray(target, dtype=float)
     if x.shape != (net.n_in,) or target.shape != (net.n_out,):
         raise ValueError("input/target dimensions do not match the network")
-    step = _Lockstep(
-        _layer_kinds(net),
-        [w[None] for w in net.weights],
-        [b[None, :, None] for b in net.biases],
-        _width_groups([net.n_in]),
-    )
+    step = _Lockstep([net])
     step.backprop([x[None, :, None]], x[None, None, :], target)
     return [dw[0] for dw in step.dws], [db[0, :, 0] for db in step.dbs]
 
@@ -398,18 +415,6 @@ class TrainedExpert:
     test_range: Tuple[MonthStamp, MonthStamp] | None = None
 
 
-def _patterns(
-    X: np.ndarray, Y: np.ndarray, groups: _WidthGroups
-) -> List[Tuple[List[np.ndarray], np.ndarray, np.ndarray]]:
-    """(columns, x_row, target) of each pattern for _Lockstep.backprop, as
-    views of the (K, rows, in) inputs X and the (K, rows) targets Y."""
-    columns = X.transpose(1, 0, 2)[:, :, :, None]
-    return [
-        ([col[i:j, :n] for i, j, n in groups], X[:, p : p + 1], target)
-        for p, (col, target) in enumerate(zip(columns, np.ascontiguousarray(Y.T)))
-    ]
-
-
 def _train_lockstep(
     nets: Sequence[MlpNetwork],
     matrices: Sequence[FeatureMatrix],
@@ -419,81 +424,57 @@ def _train_lockstep(
     """train_many for one lockstep batch: nets with equal hidden and output
     layers and activations, matrices with equal rows, configs equal up to
     rng_seed, and the normalizer of each net's matrix with its normalized
-    inputs and targets."""
-    first, config, K = nets[0], configs[0], len(nets)
-    active = sorted(range(K), key=lambda slot: nets[slot].n_in)  # slot of each batch position
-    widths = [nets[slot].n_in for slot in active]
-    kinds = _layer_kinds(first)
-    X = np.zeros((K, matrices[0].rows, widths[-1]))
-    w0 = np.zeros((K, first.layer_sizes[1], widths[-1]))
-    for pos, slot in enumerate(active):
-        X[pos, :, : widths[pos]] = fits[slot][1]
-        w0[pos, :, : widths[pos]] = nets[slot].weights[0]
-    Y = np.stack([fits[slot][2] for slot in active])
-    ws = [w0] + [np.stack([nets[slot].weights[l] for slot in active]) for l in range(1, len(kinds))]
-    bs = [
-        np.stack([nets[slot].biases[l] for slot in active])[:, :, None] for l in range(len(kinds))
-    ]
-    step = _Lockstep(kinds, ws, bs, _width_groups(widths))
-    patterns = _patterns(X, Y, step.groups)
+    inputs and targets. When nets leave, the rest go on in a new batch built
+    from them as they stand, its padding trimmed to the widest of them."""
+    config, kinds = configs[0], _layer_kinds(nets[0])
     eta = config.learning_rate
-    results: List[TrainedExpert | TrainingDiverged] = [None] * K  # type: ignore[list-item]
-
-    def finish(pos: int, final_error: float) -> TrainedExpert:
-        slot, width = active[pos], widths[pos]
-        net = MlpNetwork(
-            (width, *first.layer_sizes[1:]),
-            (step.ws[0][pos, :, :width], *(w[pos] for w in step.ws[1:])),
-            tuple(b[pos, :, 0] for b in step.bs),
-            first.hidden_activation,
-            first.output_activation,
-        )
-        matrix = matrices[slot]
-        return TrainedExpert(
-            network=net,
-            normalizer=fits[slot][0],
-            features=matrix.specs,
-            train_range=(matrix.start, matrix.end),
-            final_train_error=final_error,
-            rng_seed=configs[slot].rng_seed,
-        )
-
+    results: List[TrainedExpert | TrainingDiverged] = [None] * len(nets)  # type: ignore[list-item]
+    slots = sorted(range(len(nets)), key=lambda slot: nets[slot].n_in)  # slot of each position
+    batch, epoch = [nets[slot] for slot in slots], 0
     # Overflow inside an epoch is how divergence manifests; it is detected at
     # the epoch-end error check rather than warned about per operation.
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(1, config.max_epochs + 1):
-            backprop, theta, grad = step.backprop, step.theta, step.grad
-            for columns, x_row, target in patterns:
-                backprop(columns, x_row, target)
-                np.multiply(grad, eta, out=grad)
-                np.subtract(theta, grad, out=theta)
-            out = _forward_batch(kinds, step.ws, step.bias_rows, X, step.groups)
-            keep = []
-            for pos, slot in enumerate(active):
-                error = float(np.mean((out[pos, :, 0] - Y[pos]) ** 2))
-                if not np.isfinite(error):
-                    results[slot] = TrainingDiverged(epoch)
-                elif error <= config.target_error or epoch == config.max_epochs:
-                    results[slot] = finish(pos, error)
-                else:
-                    keep.append(pos)
-            if len(keep) < len(active):
-                if not keep:
-                    break
-                # Rebuild the step for the nets left. The padding is trimmed
-                # to the widest of them, so a single width group left spans
-                # the whole first layer.
-                active = [active[pos] for pos in keep]
-                widths = [widths[pos] for pos in keep]
-                step = _Lockstep(
-                    kinds,
-                    [step.ws[0][keep, :, : widths[-1]]] + [w[keep] for w in step.ws[1:]],
-                    [b[keep] for b in step.bs],
-                    _width_groups(widths),
+        while batch:
+            step = _Lockstep(batch)
+            X = np.zeros((len(batch), matrices[0].rows, step.widths[-1]))
+            for pos, (slot, width) in enumerate(zip(slots, step.widths)):
+                X[pos, :, :width] = fits[slot][1]
+            Y = np.stack([fits[slot][2] for slot in slots])
+            # (columns, x_row, target) of each pattern for step.backprop.
+            patterns = [
+                ([col[i:j, :n] for i, j, n in step.groups], X[:, p : p + 1], target)
+                for p, (col, target) in enumerate(
+                    zip(X.transpose(1, 0, 2)[:, :, :, None], np.ascontiguousarray(Y.T))
                 )
-                X = np.ascontiguousarray(X[keep, :, : widths[-1]])
-                Y = Y[keep]
-                patterns = _patterns(X, Y, step.groups)
+            ]
+            backprop, theta, grad = step.backprop, step.theta, step.grad
+            for epoch in range(epoch + 1, config.max_epochs + 1):
+                for columns, x_row, target in patterns:
+                    backprop(columns, x_row, target)
+                    np.multiply(grad, eta, out=grad)
+                    np.subtract(theta, grad, out=theta)
+                out = _forward_batch(kinds, step.ws, step.bias_rows, X, step.groups)
+                keep = []
+                for pos, slot in enumerate(slots):
+                    error = float(np.mean((out[pos, :, 0] - Y[pos]) ** 2))
+                    if not np.isfinite(error):
+                        results[slot] = TrainingDiverged(epoch)
+                    elif error <= config.target_error or epoch == config.max_epochs:
+                        matrix = matrices[slot]
+                        results[slot] = TrainedExpert(
+                            network=step.net(pos),
+                            normalizer=fits[slot][0],
+                            features=matrix.specs,
+                            train_range=(matrix.start, matrix.end),
+                            final_train_error=error,
+                            rng_seed=configs[slot].rng_seed,
+                        )
+                    else:
+                        keep.append(pos)
+                if len(keep) < len(slots):
+                    break
+            slots = [slots[pos] for pos in keep]
+            batch = [step.net(pos) for pos in keep]
     return results
 
 

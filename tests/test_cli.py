@@ -449,16 +449,22 @@ def test_failed_sub_is_named_in_the_error(tmp_path, capsys, command, cause):
 
 @pytest.mark.parametrize("command", ["train", "ensemble"])
 @pytest.mark.parametrize("diverging", [False, True])
-def test_failed_later_sub_is_named_in_the_error(tmp_path, capsys, command, diverging):
+@pytest.mark.parametrize("selection", [False, True])
+def test_failed_later_sub_is_named_in_the_error(tmp_path, capsys, command, diverging, selection):
     # Network 3 reads 24 months back, but the data start only 12 months before
-    # the train range. Every sub is assembled before any trains, so with a
-    # learning rate that makes network 1 diverge, network 3 is still named.
+    # the train range. Every sub is assembled before any trains, model
+    # selection included, so with a learning rate that makes network 1
+    # diverge, network 3 is still named, and no selection log is written.
     deep = {"name": "deep", "features": [{"source": "activity", "lag": 24}]}
     cfg = base_config(str(tmp_path / "out"), networks=["network1", "network2", deep])
     if diverging:
         _divergence(cfg)
+    if selection:
+        cfg["search"] = {"hidden_layer_counts": [1], "nodes_per_layer_candidates": [2, 3]}
+        cfg["restarts"] = {"max_restarts": 3}
     assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
     assert capsys.readouterr().err.startswith("error: sub-network 3 ('deep') failed: ")
+    assert not (tmp_path / "out" / "logs").exists()
 
 
 @pytest.mark.parametrize("command", ["train", "ensemble"])
@@ -554,6 +560,12 @@ def wrong_type_cases():
     [
         ("sub_hidden_layers", "48", "sub_hidden_layers"),
         ("sub_hidden_layers", [], "sub_hidden_layers"),
+        ("networks.1.hidden_layers", [],
+         "config.networks[1].hidden_layers must be a non-empty list of integers >= 1, got []"),
+        ("scan.max_lag", 0, "config.scan.max_lag must be an integer >= 1, got 0"),
+        ("data.synthetic.months", 10, "config.data.synthetic: months must be >= 24, got 10"),
+        ("data.synthetic.cycle_period", 1,
+         "config.data.synthetic: cycle_period must be >= 2, got 1"),
         ("master_hidden_layers", [4, 0], "master_hidden_layers"),
         ("master_hidden_layers", [True], "master_hidden_layers"),
         ("networks", ["network1", {"name": "x", "features": [{"lag": 2}]}], "'source'"),

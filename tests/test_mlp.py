@@ -638,9 +638,29 @@ GOLDEN_TRAIN_MANY = {
 }
 
 
+# The size of each lockstep batch built for the batches of _golden_batch, in
+# order: one batch per case, and in "compaction" a new one from the nets left
+# after epochs 1, 6, 8 and 11.
+GOLDEN_BUILDS = {
+    "compaction": [7, 6, 4, 2, 1],
+    "deep_logistic": [4],
+    "ensemble_subs": [8],
+    "restarts": [20],
+}
+
+
 @pytest.mark.parametrize("case", sorted(GOLDEN_TRAIN_MANY))
-def test_train_many_matches_the_pinned_digests(case):
+def test_train_many_matches_the_pinned_digests(case, monkeypatch):
+    builds = []
+
+    def spy(nets):
+        builds.append(len(nets))
+        return lockstep(nets)
+
+    lockstep = mlp._Lockstep
+    monkeypatch.setattr(mlp, "_Lockstep", spy)
     assert [_golden_digest(r) for r in train_many(*_golden_batch(case))] == GOLDEN_TRAIN_MANY[case]
+    assert builds == GOLDEN_BUILDS[case]
 
 
 def test_error_decreases_with_more_epochs_on_sine():

@@ -3,13 +3,14 @@
     python3 tools/bench_pair.py --parent COMMIT --pr N
 
 Exports COMMIT with ``git archive`` to a temporary directory, then runs
-``python3 perfbench/run.py --workload W --seed S --seconds 35 --trace 0``
+``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0``
 for each workload W in that copy and in the working tree, one after the
-other, for S = 1..10. Each workload runs in its own process, so its
-``peak_rss_mb`` is its own and not the high-water mark of the workloads run
-before it in the same process. The parent goes first on odd seeds and the
-change first on even ones, so a drift of the machine over the runs does not
-favour either side.
+other, for S = 1..10. The workloads W, the run length T and the end-to-end
+metrics compared are those that ``BENCHMARK.json`` declares. Each workload
+runs in its own process, so its ``peak_rss_mb`` is its own and not the
+high-water mark of the workloads run before it in the same process. The
+parent goes first on odd seeds and the change first on even ones, so a drift
+of the machine over the runs does not favour either side.
 
 Writes ``BENCH_<N>.json`` at the root of the working tree:
 
@@ -36,10 +37,8 @@ import tarfile
 import tempfile
 from typing import Dict, List
 
-WORKLOADS = ("ensemble", "restarts", "scan")
-# The run length of BENCHMARK.json and the number of pairs, the same for every
-# comparison so that two BENCH files measure alike.
-SECONDS = 35
+# The number of pairs, the same for every comparison so that two BENCH files
+# measure alike.
 PAIRS = 10
 
 
@@ -58,18 +57,20 @@ def export(root: str, commit: str, dest: str) -> None:
         tar.extractall(dest, filter="data")
 
 
-def command(workload: str, seed: int) -> List[str]:
+def command(workload: str, seed: int, seconds: float) -> List[str]:
     return [
         "python3", "perfbench/run.py", "--workload", workload,
-        "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0",
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
     ]
 
 
-def run(tree: str, seed: int) -> Dict[str, dict]:
+def run(tree: str, seed: int, workloads: List[str], seconds: float) -> Dict[str, dict]:
     """One benchmark run in `tree`, a process per workload; the record of each."""
     records = {}
-    for name in WORKLOADS:
-        subprocess.run(command(name, seed), cwd=tree, check=True, stdout=subprocess.DEVNULL)
+    for name in workloads:
+        subprocess.run(
+            command(name, seed, seconds), cwd=tree, check=True, stdout=subprocess.DEVNULL
+        )
         path = os.path.join(tree, "perfbench", "out", f"{name}-seed{seed}-trace0.json")
         with open(path, encoding="utf-8") as fh:
             records[name] = json.load(fh)
@@ -82,10 +83,10 @@ def summarize(values: List[float]) -> Dict[str, object]:
 
 
 def pair_table(
-    runs: Dict[str, List[Dict[str, dict]]], metrics: List[dict]
+    runs: Dict[str, List[Dict[str, dict]]], workloads: List[str], metrics: List[dict]
 ) -> Dict[str, Dict[str, dict]]:
     table: Dict[str, Dict[str, dict]] = {}
-    for name in WORKLOADS:
+    for name in workloads:
         table[name] = {
             "failed": {side: sum(r[name]["failed"] for r in runs[side]) for side in runs}
         }
@@ -115,7 +116,9 @@ def main(argv: List[str] | None = None) -> int:
 
     root = repo_root()
     with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
-        metrics = json.load(fh)["end_to_end"]
+        benchmark = json.load(fh)
+    workloads = [w["name"] for w in benchmark["workloads"]]
+    seconds, metrics = benchmark["run_seconds"], benchmark["end_to_end"]
     runs: Dict[str, List[Dict[str, dict]]] = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="bench_pair_") as parent_tree:
         export(root, args.parent, parent_tree)
@@ -123,17 +126,17 @@ def main(argv: List[str] | None = None) -> int:
         for seed in range(1, PAIRS + 1):
             order = ("parent", "change") if seed % 2 else ("change", "parent")
             for side in order:
-                runs[side].append(run(trees[side], seed))
+                runs[side].append(run(trees[side], seed, workloads, seconds))
                 print(f"seed {seed} {side}: " + ", ".join(
                     f"{name} {runs[side][-1][name]['metrics']['op_p50_s']['value']:.4f} s"
-                    for name in WORKLOADS
+                    for name in workloads
                 ), file=sys.stderr)
 
-    table = pair_table(runs, metrics)
+    table = pair_table(runs, workloads, metrics)
     bench = {
         "parent": runs["parent"][0],
         "change": runs["change"][0],
-        "command": " ".join(command("{" + ",".join(WORKLOADS) + "}", 1)),
+        "command": " ".join(command("{" + ",".join(workloads) + "}", 1, seconds)),
         "note": (
             f"parent and change hold the seed-1 records from perfbench/out/; parent is "
             f"{args.parent}, run from a git archive export, and change is the working tree, "
