@@ -274,11 +274,10 @@ def _optimize_sub_specs(
     logs land under out_dir/logs. A warm-up shortfall or a sub whose every
     restart diverged is raised as a ValueError naming the sub; every sub is
     assembled before any selection trains, so an assembly fault is named
-    first and no log is written."""
+    first, and the logs are written only once every sub's pick succeeded."""
     core_range, val_range = _selection_ranges(config)
     matrices = ens.assemble_subs(specs, sources, config.target, core_range, val_range)
-    logs_dir = os.path.join(config.out_dir, "logs")
-    out, selected = [], []
+    out, selected, logs = [], [], {}
     for number, (spec, (m_core, m_val)) in enumerate(zip(specs, matrices), start=1):
         expert = None
         try:
@@ -287,10 +286,7 @@ def _optimize_sub_specs(
                 grid = replace(config.search, train_config=spec.train_config)
                 outcome = search.search_best_net(grid, m_core, m_val)
                 hidden = outcome.best_architecture[1:-1]
-                write_text(
-                    os.path.join(logs_dir, f"search_{spec.name}.csv"),
-                    search.search_log_csv(outcome),
-                )
+                logs[f"search_{spec.name}.csv"] = search.search_log_csv(outcome)
             cfg = spec.train_config
             if config.restarts is not None:
                 ro = search.maximize_sharpe(
@@ -304,14 +300,13 @@ def _optimize_sub_specs(
                 )
                 expert = ro.expert
                 cfg = replace(cfg, rng_seed=expert.rng_seed)
-                write_text(
-                    os.path.join(logs_dir, f"restarts_{spec.name}.csv"),
-                    search.restart_log_csv(ro),
-                )
+                logs[f"restarts_{spec.name}.csv"] = search.restart_log_csv(ro)
         except (ValueError, TrainingDiverged) as exc:
             raise ens.sub_failed(number, spec, exc) from exc
         out.append(replace(spec, hidden_layers=tuple(hidden), train_config=cfg))
         selected.append(expert)
+    for name, text in logs.items():
+        write_text(os.path.join(config.out_dir, "logs", name), text)
     return out, selected
 
 

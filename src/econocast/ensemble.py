@@ -324,6 +324,8 @@ def load_ensemble(directory: str) -> EnsembleModel:
     manifest.close()
     subs = tuple(load_expert(os.path.join(directory, f"{name}.json")) for name in names)
     master = load_expert(os.path.join(directory, "master.json"))
+    if master.features != tuple(FeatureSpec(name) for name in names):
+        raise ValueError(f"{path}.sub_networks are not the inputs of the saved master, in order")
     if list(seeds) != [expert.rng_seed for expert in (*subs, master)]:
         raise ValueError(f"{path}.seeds do not match the rng_seed of the saved experts")
     rows = tuple(

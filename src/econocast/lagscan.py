@@ -80,7 +80,7 @@ def scan(
     for k in range(1, max_lag + 1):
         lagged = TimeSeries(first, input_series.values[i - k : j - k + 1])  # lag k over first..last
         signals = signals_from_prediction(lagged)
-        rep = indicators(actual, lagged)
+        rep = indicators(actual, lagged, signals)
         strategy = TimeSeries(signals.start, (signals.values * moves).cumsum())
         rows.append(
             LagRow(

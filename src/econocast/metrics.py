@@ -4,7 +4,8 @@ A prediction is scored as if the target were a tradable price: a +1/-1 signal
 per monthly transition, cumulative profit curves, and a consistency-adjusted
 efficiency (the modified Sharpe ratio). A strategy that never loses gets a
 distinguished "no-loss" value (represented as None) that sorts above every
-finite ratio.
+finite ratio. The directional indicators take `(actual, signals)`, so a
+prediction's signals are derived once and shared by all of them.
 """
 
 from __future__ import annotations
@@ -68,9 +69,11 @@ def _check_aligned(actual: TimeSeries, predicted: TimeSeries) -> None:
         raise ValueError("actual and predicted series are misaligned")
 
 
-def _check_signals(actual: TimeSeries, signals: SignalSeries) -> None:
+def _actual_moves(actual: TimeSeries, signals: SignalSeries) -> np.ndarray:
+    """The actual series' moves, after checking the signals cover exactly them."""
     if len(signals) != len(actual) - 1 or signals.start != actual.start.plus(1):
         raise ValueError("signals are misaligned with the actual series")
+    return np.diff(actual.values)
 
 
 def signals_from_prediction(predicted: TimeSeries) -> SignalSeries:
@@ -85,12 +88,10 @@ def signals_from_prediction(predicted: TimeSeries) -> SignalSeries:
     return SignalSeries(predicted.start.plus(1), signs[last_move[1:]])
 
 
-def hit_rate(actual: TimeSeries, predicted: TimeSeries) -> float:
-    """Percent of transitions where the predicted direction matches the actual
+def hit_rate(actual: TimeSeries, signals: SignalSeries) -> float:
+    """Percent of transitions where the signal's direction matches the actual
     one; a flat actual move counts as a hit for either signal."""
-    _check_aligned(actual, predicted)
-    signals = signals_from_prediction(predicted)  # raises below two points
-    moves = np.diff(actual.values)
+    moves = _actual_moves(actual, signals)
     hits = int(np.count_nonzero((moves == 0) | ((moves > 0) == (signals.values > 0))))
     return 100.0 * hits / moves.size
 
@@ -99,8 +100,7 @@ def equity_curves(
     actual: TimeSeries, signals: SignalSeries
 ) -> Tuple[EquityCurve, EquityCurve, EquityCurve]:
     """(strategy, perfect, buy_hold) cumulative-profit curves over the signal dates."""
-    _check_signals(actual, signals)
-    moves = np.diff(actual.values)
+    moves = _actual_moves(actual, signals)
     start = signals.start
     strategy = TimeSeries(start, np.cumsum(signals.values * moves))
     perfect = TimeSeries(start, np.cumsum(np.abs(moves)))
@@ -110,8 +110,7 @@ def equity_curves(
 
 def efficiency(actual: TimeSeries, signals: SignalSeries) -> float:
     """Realized directional gain as a percent of the maximum attainable gain."""
-    _check_signals(actual, signals)
-    moves = np.diff(actual.values)
+    moves = _actual_moves(actual, signals)
     max_gain = float(np.sum(np.abs(moves)))
     if max_gain == 0:
         raise ValueError("flat actual series: maximum gain is zero")
@@ -134,8 +133,7 @@ def sharpe_modified(actual: TimeSeries, signals: SignalSeries) -> float | None:
     """Efficiency over the average per-event loss, normalized by the mean
     absolute move so the ratio is dimensionless. None means no losing events
     (ranks above every finite value)."""
-    _check_signals(actual, signals)
-    moves = np.diff(actual.values)
+    moves = _actual_moves(actual, signals)
     mean_abs = float(np.mean(np.abs(moves)))
     if mean_abs == 0:
         raise ValueError("flat actual series")
@@ -170,12 +168,11 @@ class MetricsReport:
     test_error_pct: float | None = None
 
 
-def indicators(actual: TimeSeries, predicted: TimeSeries) -> MetricsReport:
-    """All prediction-vs-actual indicators over one evaluation range."""
-    signals = signals_from_prediction(predicted)
+def indicators(actual: TimeSeries, predicted: TimeSeries, signals: SignalSeries) -> MetricsReport:
+    """All indicators of a prediction and its signals over one evaluation range."""
     return MetricsReport(
         efficiency_pct=efficiency(actual, signals),
-        hit_pct=hit_rate(actual, predicted),
+        hit_pct=hit_rate(actual, signals),
         sharpe_modified=sharpe_modified(actual, signals),
         rmse=rmse(actual, predicted),
         mean_error=mean_error(actual, predicted),
@@ -194,7 +191,7 @@ def report(
     percentages over each range."""
     actual_test = actual.slice_range(test_matrix.start, test_matrix.end)
     return replace(
-        indicators(actual_test, test_pred),
+        indicators(actual_test, test_pred, signals_from_prediction(test_pred)),
         train_error_pct=error_percent(train_pred, train_matrix),
         test_error_pct=error_percent(test_pred, test_matrix),
     )

@@ -5,7 +5,24 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from econocast import lagscan, metrics
 from econocast.timeseries import synthesize_economy
+
+
+@pytest.fixture
+def derivations(monkeypatch):
+    """The predictions passed to metrics.signals_from_prediction, spied on
+    under both names the package calls it by."""
+    calls = []
+    original = metrics.signals_from_prediction
+
+    def spy(predicted):
+        calls.append(predicted)
+        return original(predicted)
+
+    for module in (metrics, lagscan):
+        monkeypatch.setattr(module, "signals_from_prediction", spy)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -160,7 +160,7 @@ def test_criterion_3_metrics_oracle():
             predicted = TimeSeries(START, predicted_vals)
             sig = signals_from_prediction(predicted)
             assert list(sig.values) == oracles.signals(list(predicted_vals))
-            assert abs(hit_rate(actual, predicted) - oracles.hit_rate(actual_vals, predicted_vals)) <= 1e-12
+            assert abs(hit_rate(actual, sig) - oracles.hit_rate(actual_vals, predicted_vals)) <= 1e-12
             assert abs(mean_error(actual, predicted) - oracles.mean_error(actual_vals, predicted_vals)) <= 1e-12
             assert abs(rmse(actual, predicted) - oracles.rmse(actual_vals, predicted_vals)) <= 1e-12
             if np.any(np.diff(actual_vals) != 0):

@@ -471,12 +471,14 @@ def test_failed_later_sub_is_named_in_the_error(tmp_path, capsys, command, diver
 def test_every_restart_diverged_is_named_in_the_error(tmp_path, capsys, command):
     cfg = base_config(str(tmp_path / "out"))
     cfg["train"]["learning_rate"] = 1e7
+    cfg["search"] = {"hidden_layer_counts": [1], "nodes_per_layer_candidates": [2, 3]}
     cfg["restarts"] = {"max_restarts": 3}
     assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: sub-network 1 ('network1') failed: all 3 restarts diverged")
     epoch = int(re.search(r"the last at epoch (\d+)", err).group(1))
     assert 1 <= epoch <= cfg["train"]["max_epochs"]
+    assert not (tmp_path / "out" / "logs").exists()
 
 
 def test_diverged_master_is_named_in_the_error(tmp_path, capsys):
@@ -646,6 +648,13 @@ def _set_report_field(manifest):
     return manifest
 
 
+def _reverse_subs(manifest):
+    """Sub order reversed with its seeds, so only the master's inputs disagree."""
+    manifest["sub_networks"].reverse()
+    manifest["seeds"][:-1] = manifest["seeds"][-2::-1]
+    return manifest
+
+
 @pytest.mark.parametrize(
     "edit, named",
     [
@@ -656,6 +665,7 @@ def _set_report_field(manifest):
         (_set("sub_networks", ["../../config", "network2"]), "manifest.json.sub_networks"),
         (_set("sub_networks", ["master", "network2"]), "manifest.json.sub_networks"),
         (_set("seeds", [9, 9, 9]), "manifest.json.seeds"),
+        (_reverse_subs, "manifest.json.sub_networks"),
         (_set("reports", [5]), "manifest.json.reports"),
         (_set("train_range", ["1992-01"]), "manifest.json.train_range"),
         (_set("test_range", "1996"), "manifest.json.test_range"),

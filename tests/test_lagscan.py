@@ -43,11 +43,12 @@ def test_planted_lead_seven_recovers_with_perfect_hits(target):
     assert row.report.sharpe_modified is None  # no losses
 
 
-def test_scan_rows_respect_bounds(target):
+def test_scan_rows_respect_bounds(target, derivations):
     inp = shifted_input(target, 4)
     first, last = _range(target)
     result = scan(inp, target, 12, first, last)
     assert [row.lag for row in result.rows] == list(range(1, 13))
+    assert len(derivations) == 12  # each lag's signals are derived once
     for row in result.rows:
         assert row.report.efficiency_pct <= 100.0 + 1e-9
         assert row.final_equity <= result.perfect_equity.values[-1] + 1e-9
@@ -85,10 +86,9 @@ def reference_scan(inp, target, max_lag, first, last):
     rows = []
     for k in range(1, max_lag + 1):
         lagged = preprocess.lag(inp, k).slice_range(first, last)
-        strategy, perfect, buy_hold = metrics.equity_curves(
-            actual, metrics.signals_from_prediction(lagged)
-        )
-        rows.append((k, metrics.indicators(actual, lagged), strategy))
+        signals = metrics.signals_from_prediction(lagged)
+        strategy, perfect, buy_hold = metrics.equity_curves(actual, signals)
+        rows.append((k, metrics.indicators(actual, lagged, signals), strategy))
     best = max(rows, key=lambda r: metrics.srm_rank_key(
         r[1].sharpe_modified, r[1].efficiency_pct) + (-r[0],))
     return rows, best[0], perfect, buy_hold

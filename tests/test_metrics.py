@@ -52,7 +52,7 @@ def test_signals_alternating():
 
 
 def test_signals_too_short():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="two points"):
         signals_from_prediction(series(1.0))
 
 
@@ -62,29 +62,25 @@ def test_signals_too_short():
 
 def test_hit_rate_perfect():
     s = series(1, 3, 2, 5)
-    assert hit_rate(s, s) == 100.0
+    assert hit_rate(s, signals_from_prediction(s)) == 100.0
 
 
 def test_hit_rate_all_wrong():
     actual = series(1, 2, 1, 2)
     predicted = series(2, 1, 2, 1)
-    assert hit_rate(actual, predicted) == 0.0
+    assert hit_rate(actual, signals_from_prediction(predicted)) == 0.0
 
 
 def test_hit_rate_hand_enumeration():
     actual = series(1, 2, 1, 3)
     predicted = series(1, 3, 2, 2)
-    assert abs(hit_rate(actual, predicted) - 66.67) < 0.01
+    assert abs(hit_rate(actual, signals_from_prediction(predicted)) - 66.67) < 0.01
 
 
 def test_hit_rate_misaligned():
-    with pytest.raises(ValueError):
-        hit_rate(series(1, 2, 3), TimeSeries(START.plus(1), [1, 2, 3]))
-
-
-def test_hit_rate_needs_two_points():
-    with pytest.raises(ValueError, match="two points"):
-        hit_rate(series(1.0), series(1.0))
+    predicted = TimeSeries(START.plus(1), [1, 2, 3])
+    with pytest.raises(ValueError, match="signals are misaligned"):
+        hit_rate(series(1, 2, 3), signals_from_prediction(predicted))
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +202,7 @@ def test_signals_and_hit_rate_match_oracle_on_flat_runs():
     for actual_vals, predicted_vals in _flat_run_pairs(np.random.default_rng(7)):
         actual, predicted = TimeSeries(START, actual_vals), TimeSeries(START, predicted_vals)
         assert signals_from_prediction(predicted).values.tolist() == oracles.signals(predicted_vals)
-        got = hit_rate(actual, predicted)
+        got = hit_rate(actual, signals_from_prediction(predicted))
         want = oracles.hit_rate(actual_vals, predicted_vals)
         assert type(got) is float and repr(got) == repr(want)
 
@@ -221,7 +217,7 @@ def test_metrics_match_brute_force_oracle():
         predicted = TimeSeries(START, predicted_vals)
         sig = signals_from_prediction(predicted)
         assert list(sig.values) == oracles.signals(list(predicted_vals))
-        assert abs(hit_rate(actual, predicted) - oracles.hit_rate(actual_vals, predicted_vals)) < 1e-12
+        assert abs(hit_rate(actual, sig) - oracles.hit_rate(actual_vals, predicted_vals)) < 1e-12
         if np.any(np.diff(actual_vals) != 0):
             assert (
                 abs(efficiency(actual, sig) - oracles.efficiency(actual_vals, list(sig.values)))
@@ -264,7 +260,7 @@ def test_affine_rescaling_invariance():
     predicted = TimeSeries(START, predicted_vals)
     scaled = TimeSeries(START, 3.5 * actual_vals + 12.0)
     sig = signals_from_prediction(predicted)
-    assert abs(hit_rate(actual, predicted) - hit_rate(scaled, predicted)) < 1e-12
+    assert abs(hit_rate(actual, sig) - hit_rate(scaled, sig)) < 1e-12
     assert abs(efficiency(actual, sig) - efficiency(scaled, sig)) < 1e-9
     a, b = sharpe_modified(actual, sig), sharpe_modified(scaled, sig)
     if a is None:
@@ -307,7 +303,7 @@ def _identity_expert(n):
     return TrainedExpert(net, norm, specs, (START, START.plus(n - 1)), 0.0, 0)
 
 
-def test_report_of_perfect_expert():
+def test_report_of_perfect_expert(derivations):
     from econocast.mlp import predict
     from econocast.preprocess import FeatureMatrix
 
@@ -319,7 +315,9 @@ def test_report_of_perfect_expert():
     test_m = FeatureMatrix(
         values[16:].reshape(-1, 1), values[16:], START.plus(16), expert.features, "activity"
     )
-    rep = report(train_m, predict(expert, train_m), test_m, predict(expert, test_m), actual)
+    test_pred = predict(expert, test_m)
+    rep = report(train_m, predict(expert, train_m), test_m, test_pred, actual)
+    assert len(derivations) == 1 and derivations[0] is test_pred  # the test signals, once
     assert rep.efficiency_pct == 100.0
     assert rep.hit_pct == 100.0
     assert rep.sharpe_modified is None
