@@ -10,8 +10,9 @@ prediction's signals are derived once and shared by all of them.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -263,14 +264,16 @@ def render_report_csv(rows: Sequence[Tuple[str, MetricsReport]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.lru_cache(maxsize=8)
+def _labels(start: MonthStamp, n: int) -> Tuple[str, ...]:
+    """month_labels, kept across calls: a scan renders each input's curves over the same months."""
+    return tuple(month_labels(start, n))
+
+
 def equity_long_csv(curves: Mapping[str, EquityCurve]) -> str:
     """Long-format (date, value, curve_name) CSV for plotting, one format_rows per curve."""
     blocks = ["date,value,curve_name\n"]
-    labels: Dict[Tuple[MonthStamp, int], List[str]] = {}  # rendered once per (start, length)
     for name, curve in curves.items():
-        key = (curve.start, len(curve))
-        if key not in labels:
-            labels[key] = month_labels(*key)
         row = "%s,%.6g," + name.replace("%", "%%") + "\n"
-        blocks.append(format_rows(row, [labels[key], curve.values.tolist()]))
+        blocks.append(format_rows(row, [_labels(curve.start, len(curve)), curve.values.tolist()]))
     return "".join(blocks)

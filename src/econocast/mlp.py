@@ -26,22 +26,26 @@ A batch is laid out in one place: _Lockstep builds itself from its nets, and
 a step creates no array. Every weight and bias of the batch lives in one flat
 buffer `theta`, the pattern's gradient in a second buffer `grad` of the same
 layout, and the stacked weights and biases are views into them, so the update
-for a pattern is two calls: grad *= eta, then theta -= grad. The activation
-and scratch buffers are allocated once per batch, and every operation of the
-step writes through `out=`. When nets leave a batch, the rest go on in a new
-batch that _Lockstep builds from them as they stand. The step keeps the
+for a pattern is two calls: grad *= eta, then theta -= grad. The buffers are
+allocated once per batch, and so is the step: each pattern's is compiled to a
+flat list of prebound (numpy function, arguments) calls, outputs positional
+and the constants 1, -1 and eta arrays of their operand's size (the scalars'
+bits, without a conversion per call), and an epoch runs all patterns' calls
+as one loop. When nets leave a batch, the rest go on in a new batch that
+_Lockstep builds, and compiles, from them as they stand. The step keeps the
 operations and their order that fix the bits: the same BLAS products, the
 logistic as max(e, sign(z)) / (1 + e) with e = exp(-|z|), the slope as
 delta * (a * (1 - a)) and the update as eta * dw, then a subtraction.
-`gradients` runs the same step for one net, without the update.
+`gradients` runs the same calls for one net, without the update.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -81,19 +85,37 @@ class TrainingDiverged(RuntimeError):
         self.epoch = epoch
 
 
-def _logistic(z: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Overwrite z with its logistic and return it; e is scratch of z's shape.
+# One call of a compiled step: a numpy function and its arguments, outputs last.
+_Call = Tuple[Callable[..., object], Tuple[object, ...]]
+
+
+def _run(calls: Sequence[_Call]) -> None:
+    for f, args in calls:
+        f(*args)
+
+
+def _logistic_calls(z: np.ndarray, e: np.ndarray, minus_one: object, one: object) -> List[_Call]:
+    """The calls that overwrite z with its logistic; e is scratch of z's shape.
 
     1 / (1 + e) for z >= 0 and e / (1 + e) below, with e = exp(-|z|), which
     never overflows. The numerator max(e, sign(z)) is 1 for z >= 0 (as e <= 1
     there) and e below; one call cheaper than np.where on a comparison.
-    copysign(z, -1) is -|z| bit for bit, in one call."""
-    np.copysign(z, -1.0, out=e)
-    np.exp(e, out=e)
-    np.sign(z, out=z)
-    np.maximum(e, z, out=z)
-    np.add(e, 1.0, out=e)
-    return np.divide(z, e, out=z)
+    copysign(z, -1) is -|z| bit for bit, in one call. np.maximum takes its
+    output by keyword: a positional one is deprecated and warns on each call."""
+    return [
+        (np.copysign, (z, minus_one, e)),
+        (np.exp, (e, e)),
+        (np.sign, (z, z)),
+        (functools.partial(np.maximum, out=z), (e, z)),
+        (np.add, (e, one, e)),
+        (np.divide, (z, e, z)),
+    ]
+
+
+def _logistic(z: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Overwrite z with its logistic and return it; e is scratch of z's shape."""
+    _run(_logistic_calls(z, e, -1.0, 1.0))
+    return z
 
 
 def _activate(kind: str, z: np.ndarray) -> np.ndarray:
@@ -233,16 +255,6 @@ def _forward_batch(
     return a
 
 
-class _Layer(NamedTuple):
-    """Flat 1-D views of one layer's (K, out, 1) columns in a _Lockstep."""
-
-    kind: str
-    a: np.ndarray  # its pre-activation, overwritten by its activation
-    scratch: np.ndarray  # for the logistic and its slope
-    bias: np.ndarray
-    delta: np.ndarray  # dE/dz, which is also the bias gradient
-
-
 class _Lockstep:
     """One lockstep batch: the parameters of K nets, their gradient for one
     pattern, and the buffers of a step, all allocated once, from the nets.
@@ -254,11 +266,14 @@ class _Lockstep:
     widest input. `grad` has the same layout, so an update is two calls on the
     whole buffer. `ws`, `bs`, `dws` and `dbs` are views into them.
     `net(pos)` cuts one net back out; when nets leave a batch, the nets left
-    are cut out that way and a new batch is built from them. `backprop`
-    writes every activation, delta and gradient through `out=`: the bias,
-    logistic, slope and delta arithmetic on flat 1-D views of the (K, n, 1)
-    columns, each delta straight into its bias gradient, each outer product
-    straight into its weight gradient."""
+    are cut out that way and a new batch is built from them. `step` compiles
+    one pattern's gradient into calls that write every activation, delta and
+    gradient into these buffers: the bias, logistic, slope and delta
+    arithmetic on flat 1-D views of the (K, n, 1) columns, each delta straight
+    into its bias gradient, each outer product straight into its weight
+    gradient. Only the first layer's products, the output delta and the first
+    layer's weight gradient read the pattern; every other call is built once
+    per batch and shared by all patterns' lists."""
 
     def __init__(self, nets: Sequence[MlpNetwork]) -> None:
         like = self.like = nets[0]
@@ -282,13 +297,9 @@ class _Lockstep:
         self.acts = [np.empty(b.shape) for b in self.bs]
         # (weights, output) of each first-layer product, one per width group.
         self.first = [(self.ws[0][i:j, :, :n], self.acts[0][i:j]) for i, j, n in self.groups]
-        self.layers = [
-            _Layer(kind, a.reshape(-1), np.empty(a.size), b.reshape(-1), db.reshape(-1))
-            for kind, a, b, db in zip(_layer_kinds(like), self.acts, self.bs, self.dbs)
-        ]
-        self.wts = [w.swapaxes(-1, -2) for w in self.ws]
-        self.act_rows = [a.swapaxes(-1, -2) for a in self.acts]
         self.bias_rows = [b.swapaxes(-1, -2) for b in self.bs]
+        self.out, self.out_delta = self.acts[-1].reshape(-1), self.dbs[-1].reshape(-1)
+        self.forward, self.backward = self._shared_calls(_layer_kinds(like))
 
     def net(self, pos: int) -> MlpNetwork:
         """The net at batch position pos, with its weights as they stand."""
@@ -301,31 +312,52 @@ class _Lockstep:
             like.output_activation,
         )
 
-    def backprop(self, columns: Sequence[np.ndarray], x_row: np.ndarray, target: object) -> None:
-        """Write into `grad` the gradient of E = 1/2 * sum((out - target)^2)
-        for one pattern, by reverse accumulation. `columns` holds the input
-        as one (k, n, 1) block per width group, `x_row` as (K, 1, in), and
-        `target` one value per net and output. Every delta comes from the
-        weights in `theta`, so they may be updated once this returns."""
-        for (w, z), x in zip(self.first, columns):
-            np.matmul(w, x, out=z)
-        for l, (kind, a, e, b, _) in enumerate(self.layers):
+    def _shared_calls(self, kinds: Sequence[str]) -> Tuple[List[_Call], List[_Call]]:
+        """The pattern-free calls of a step: the forward pass after the first
+        layer's products, and the backward pass down to the first layer's
+        weight gradient. They work on flat 1-D views of the (K, out, 1)
+        columns: a, the pre-activation overwritten by the activation, and
+        delta, dE/dz, which is also the bias gradient."""
+        forward: List[_Call] = []
+        backward: List[_Call] = []
+        for l, kind in enumerate(kinds):
+            a, b, delta = (v.reshape(-1) for v in (self.acts[l], self.bs[l], self.dbs[l]))
+            scratch, one = np.empty(a.size), np.ones(a.size)  # for the logistic and its slope
             if l:
-                np.matmul(self.ws[l], self.acts[l - 1], out=self.acts[l])
-            np.add(a, b, out=a)
+                forward.append((np.matmul, (self.ws[l], self.acts[l - 1], self.acts[l])))
+            forward.append((np.add, (a, b, a)))
+            layer: List[_Call] = []
             if kind == "logistic":
-                _logistic(a, e)
-        np.subtract(self.layers[-1].a, target, out=self.layers[-1].delta)
-        for l in range(len(self.layers) - 1, -1, -1):
-            kind, a, slope, _, delta = self.layers[l]
-            if kind == "logistic":
+                forward += _logistic_calls(a, scratch, np.full(a.size, -1.0), one)
                 # The logistic slope expressed through the activation itself.
-                np.subtract(1.0, a, out=slope)
-                np.multiply(a, slope, out=slope)
-                np.multiply(delta, slope, out=delta)
-            np.multiply(self.dbs[l], self.act_rows[l - 1] if l else x_row, out=self.dws[l])
+                layer += [
+                    (np.subtract, (one, a, scratch)),
+                    (np.multiply, (a, scratch, scratch)),
+                    (np.multiply, (delta, scratch, delta)),
+                ]
             if l:
-                np.matmul(self.wts[l], self.dbs[l], out=self.dbs[l - 1])
+                x_row = self.acts[l - 1].swapaxes(-1, -2)
+                layer += [
+                    (np.multiply, (self.dbs[l], x_row, self.dws[l])),
+                    (np.matmul, (self.ws[l].swapaxes(-1, -2), self.dbs[l], self.dbs[l - 1])),
+                ]
+            backward[:0] = layer  # the backward pass runs from the last layer
+        return forward, backward
+
+    def step(self, columns: Sequence[np.ndarray], x_row: np.ndarray, target: object) -> List[_Call]:
+        """The calls that write into `grad` the gradient of
+        E = 1/2 * sum((out - target)^2) for one pattern, by reverse
+        accumulation. `columns` holds the input as one (k, n, 1) block per
+        width group, `x_row` as (K, 1, in), and `target` one value per net and
+        output. Every delta comes from the weights in `theta`, so they may be
+        updated once the calls have run."""
+        return [
+            *((np.matmul, (w, x, z)) for (w, z), x in zip(self.first, columns)),
+            *self.forward,
+            (np.subtract, (self.out, target, self.out_delta)),
+            *self.backward,
+            (np.multiply, (self.dbs[0], x_row, self.dws[0])),
+        ]
 
 
 def _split(buffer: np.ndarray, shapes: Sequence[Tuple[int, ...]]) -> List[np.ndarray]:
@@ -348,7 +380,7 @@ def gradients(
     if x.shape != (net.n_in,) or target.shape != (net.n_out,):
         raise ValueError("input/target dimensions do not match the network")
     step = _Lockstep([net])
-    step.backprop([x[None, :, None]], x[None, None, :], target)
+    _run(step.step([x[None, :, None]], x[None, None, :], target))
     return [dw[0] for dw in step.dws], [db[0, :, 0] for db in step.dbs]
 
 
@@ -427,7 +459,6 @@ def _train_lockstep(
     inputs and targets. When nets leave, the rest go on in a new batch built
     from them as they stand, its padding trimmed to the widest of them."""
     config, kinds = configs[0], _layer_kinds(nets[0])
-    eta = config.learning_rate
     results: List[TrainedExpert | TrainingDiverged] = [None] * len(nets)  # type: ignore[list-item]
     slots = sorted(range(len(nets)), key=lambda slot: nets[slot].n_in)  # slot of each position
     batch, epoch = [nets[slot] for slot in slots], 0
@@ -440,19 +471,17 @@ def _train_lockstep(
             for pos, (slot, width) in enumerate(zip(slots, step.widths)):
                 X[pos, :, :width] = fits[slot][1]
             Y = np.stack([fits[slot][2] for slot in slots])
-            # (columns, x_row, target) of each pattern for step.backprop.
-            patterns = [
-                ([col[i:j, :n] for i, j, n in step.groups], X[:, p : p + 1], target)
-                for p, (col, target) in enumerate(
-                    zip(X.transpose(1, 0, 2)[:, :, :, None], np.ascontiguousarray(Y.T))
-                )
-            ]
-            backprop, theta, grad = step.backprop, step.theta, step.grad
+            eta, grad, theta = np.full(step.grad.size, config.learning_rate), step.grad, step.theta
+            update = [(np.multiply, (grad, eta, grad)), (np.subtract, (theta, grad, theta))]
+            # One epoch: each pattern's step, then its update, in row order.
+            program: List[_Call] = []
+            for p, (col, target) in enumerate(
+                zip(X.transpose(1, 0, 2)[:, :, :, None], np.ascontiguousarray(Y.T))
+            ):
+                columns = [col[i:j, :n] for i, j, n in step.groups]
+                program += step.step(columns, X[:, p : p + 1], target) + update
             for epoch in range(epoch + 1, config.max_epochs + 1):
-                for columns, x_row, target in patterns:
-                    backprop(columns, x_row, target)
-                    np.multiply(grad, eta, out=grad)
-                    np.subtract(theta, grad, out=theta)
+                _run(program)
                 out = _forward_batch(kinds, step.ws, step.bias_rows, X, step.groups)
                 keep = []
                 for pos, slot in enumerate(slots):

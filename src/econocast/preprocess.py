@@ -291,14 +291,28 @@ class FeatureSpec:
         return cls(source, tuple(chain), lag)
 
 
+def _transformed(
+    source: str,
+    chain: Tuple[Transform, ...],
+    sources: Mapping[str, TimeSeries],
+    applied: Dict[Tuple[str, Tuple[Transform, ...]], TimeSeries],
+) -> TimeSeries:
+    """`chain` applied to the named source, each of its prefixes taken from or
+    added to `applied`, so that a prefix shared by several chains runs once."""
+    if source not in sources:
+        raise ValueError(f"unknown source series {source!r}")
+    s = sources[source]
+    for n in range(1, len(chain) + 1):
+        key = (source, chain[:n])
+        if key not in applied:
+            applied[key] = chain[n - 1].apply(s)
+        s = applied[key]
+    return s
+
+
 def apply_feature(spec: FeatureSpec, sources: Mapping[str, TimeSeries]) -> TimeSeries:
     """Resolve one FeatureSpec against named sources."""
-    if spec.source not in sources:
-        raise ValueError(f"unknown source series {spec.source!r}")
-    s = sources[spec.source]
-    for t in spec.transforms:
-        s = t.apply(s)
-    return lag(s, spec.lag)
+    return lag(_transformed(spec.source, spec.transforms, sources, {}), spec.lag)
 
 
 @dataclass(frozen=True)
@@ -369,9 +383,9 @@ def assemble(
         target_chain = (target_transform,)
     else:
         target_chain = tuple(target_transform)
-    target = sources[target_name]
-    for t in target_chain:
-        target = t.apply(target)
+    # The cycle features of a preset all smooth the target first.
+    applied: Dict[Tuple[str, Tuple[Transform, ...]], TimeSeries] = {}
+    target = _transformed(target_name, target_chain, sources, applied)
     if target.start > first:
         raise WarmupError(f"{target_name} (target)", target.start.months_since(first))
     if target.end < last:
@@ -379,7 +393,7 @@ def assemble(
 
     columns = []
     for spec in features:
-        s = apply_feature(spec, sources)
+        s = lag(_transformed(spec.source, spec.transforms, sources, applied), spec.lag)
         if s.start > first:
             raise WarmupError(spec.label(), s.start.months_since(first))
         if s.end < last:

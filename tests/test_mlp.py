@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -661,6 +662,18 @@ def test_train_many_matches_the_pinned_digests(case, monkeypatch):
     monkeypatch.setattr(mlp, "_Lockstep", spy)
     assert [_golden_digest(r) for r in train_many(*_golden_batch(case))] == GOLDEN_TRAIN_MANY[case]
     assert builds == GOLDEN_BUILDS[case]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_TRAIN_MANY))
+def test_training_raises_no_warning(case):
+    # A deprecated numpy call on the hot path warns on every step; here it
+    # fails instead of silently costing time. The overflow of a diverging net
+    # is ignored through np.errstate and is not a Python warning.
+    net = init([3, 4, 2, 1], TrainConfig(), output_activation="logistic")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        train_many(*_golden_batch(case))
+        gradients(net, [0.5, -1.0, 2.0], [0.3])
 
 
 def test_error_decreases_with_more_epochs_on_sine():

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 import oracles
+from econocast import preprocess
 from econocast.preprocess import (
     _KINDS,
     FeatureSpec,
     Transform,
     WarmupError,
+    apply_feature,
     assemble,
     block_avg,
     diff,
@@ -399,6 +401,36 @@ def test_assemble_lag_12_needs_exactly_one_year_of_warmup():
 def test_assemble_unknown_source():
     with pytest.raises(ValueError, match="nope"):
         assemble([FeatureSpec("nope")], _sources(), "b", None, START, START.plus(3))
+
+
+def test_assemble_applies_each_shared_prefix_once(monkeypatch):
+    # The target and three features smooth "b" alike and one smooths "a" so:
+    # the matrix equals the one built feature by feature, with one ewma per
+    # distinct (source, transform prefix).
+    sources = _sources(60)
+    smooth = Transform("ewma", beta=0.25)
+    specs = [
+        FeatureSpec("b", (smooth,), lag=2),
+        FeatureSpec("b", (smooth, Transform("sma", window=3))),
+        FeatureSpec("b", (smooth, Transform("block_avg", window=3, distance=4)), lag=1),
+        FeatureSpec("a", (smooth,)),
+        FeatureSpec("b", (Transform("ewma", beta=0.5),)),
+        FeatureSpec("a"),
+    ]
+    first, last = START.plus(12), START.plus(50)
+    columns = [apply_feature(spec, sources).slice_range(first, last).values for spec in specs]
+    target = ewma(sources["b"], 0.25).slice_range(first, last).values
+    calls = []
+
+    def spy(s, beta):
+        calls.append(beta)
+        return ewma(s, beta)
+
+    monkeypatch.setattr(preprocess, "ewma", spy)
+    m = assemble(specs, sources, "b", smooth, first, last)
+    assert np.array_equal(m.X, np.column_stack(columns))
+    assert np.array_equal(m.y, target)
+    assert sorted(calls) == [0.25, 0.25, 0.5]
 
 
 def test_assemble_never_fabricates(clean_bundle):

@@ -7,7 +7,9 @@ benchmark's workloads use, and prints the time per step (one pattern of
 every net in the batch) with each net's own time per step for comparison:
 
 - 20 restarts of a 9-4-1 net on one shared 72-row matrix;
-- the 8 ensemble subs, widths 8 to 21 with 4 hidden units, 96 rows each.
+- the 8 ensemble subs, widths 8 to 21 with 4 hidden units, 96 rows each;
+- the ensemble master, one 8-4-1 net (K = 1) on 96 rows, which makes a third
+  of an ensemble's steps.
 
 Each figure is the best of 7 trainings. Standard library and numpy only;
 run it from anywhere inside the repository.
@@ -71,6 +73,11 @@ def main() -> None:
         f"8 ensemble subs, 96 rows: {batch:.1f} us per step, "
         f"one net alone {alone:.1f} us on average, ratio {batch / alone:.2f}"
     )
+
+    master = matrix(rng.normal(size=(96, 8)), rng.normal(size=96))
+    config = TrainConfig(max_epochs=20, rng_seed=1)
+    alone = best_us_per_step([init([8, 4, 1], config)], [master], [config], 20 * 96)
+    print(f"ensemble master, 8-4-1, 96 rows: {alone:.1f} us per step")
 
 
 if __name__ == "__main__":
