@@ -357,9 +357,13 @@ def cmd_scan(config: PipelineConfig, locale_comma: bool = False) -> int:
     }
     scan_dir = os.path.join(config.out_dir, "scan")
     chosen = {}
+    benchmarks = None  # one target and range, so one perfect and buy-and-hold block for every input
     for name, result in results.items():
+        if benchmarks is None:
+            benchmarks = lagscan.benchmark_curves_csv(result)
         write_text(os.path.join(scan_dir, f"scan_{name}.csv"), lagscan.scan_table_csv(result))
-        write_text(os.path.join(scan_dir, f"curves_{name}.csv"), lagscan.scan_curves_csv(result))
+        curves = lagscan.lag_curves_csv(result) + benchmarks
+        write_text(os.path.join(scan_dir, f"curves_{name}.csv"), curves)
         chosen[name] = result.chosen_lag
     write_json(os.path.join(scan_dir, "chosen_lags.json"), chosen)
     print(f"scanned {len(results)} input(s); chosen lags in {scan_dir}/chosen_lags.json")

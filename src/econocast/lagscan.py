@@ -2,28 +2,48 @@
 predictor of the target and keep the one with the best modified Sharpe ratio.
 
 No model is trained here; the lagged input's own direction changes are the
-prediction, evaluated with the full indicator battery. Each lag's window is
-one slice of the input; the perfect and buy-and-hold curves do not depend on
-the lag and are computed once per input.
+prediction, evaluated with the full indicator battery. All lags of an input
+are scored in one pass: lag k is row k - 1 of a (max_lag, months) stack of
+windows over the input, and `metrics`' row functions score every row at once
+from the target's moves, diffed once per input. The perfect and buy-and-hold
+curves do not depend on the lag or the input, so `scan_curves_csv` is the
+lag block plus the benchmark block, and a caller writing many inputs' curves
+against one target renders the benchmark block once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .metrics import (
     EquityCurve,
     MetricsReport,
-    equity_curves,
+    benchmark_curves,
     equity_long_csv,
-    indicators,
-    signals_from_prediction,
+    equity_rows_csv,
+    indicator_rows,
+    signal_rows,
     srm_rank_key,
+    strategy_rows,
 )
+# `signals_from_prediction` is unused here but stays importable from lagscan:
+# perfbench/selftest.py checks that tracing rebinds it in every module that imported it.
+from .metrics import signals_from_prediction  # noqa: F401
 from .timeseries import MonthStamp, TimeSeries
 
-__all__ = ["LagRow", "LagScanResult", "scan", "scan_table_csv", "scan_curves_csv"]
+__all__ = [
+    "LagRow",
+    "LagScanResult",
+    "scan",
+    "scan_table_csv",
+    "lag_curves_csv",
+    "benchmark_curves_csv",
+    "scan_curves_csv",
+]
 
 
 @dataclass(frozen=True)
@@ -72,36 +92,28 @@ def scan(
         raise ValueError(f"input {input_name!r} ends before {last}")
 
     actual = target.slice_range(first, last)
-    moves = actual.values[1:] - actual.values[:-1]  # the same for every lag
+    moves = np.diff(actual.values)  # the same for every lag
     i, j = input_series.index_of(first), input_series.index_of(last)
-    rows = []
-    best_key = None
-    chosen = None
-    for k in range(1, max_lag + 1):
-        lagged = TimeSeries(first, input_series.values[i - k : j - k + 1])  # lag k over first..last
-        signals = signals_from_prediction(lagged)
-        rep = indicators(actual, lagged, signals)
-        strategy = TimeSeries(signals.start, (signals.values * moves).cumsum())
-        rows.append(
-            LagRow(
-                lag=k,
-                report=rep,
-                final_equity=float(strategy.values[-1]),
-                equity=strategy,
-            )
+    # Row k - 1 is lag k over first..last; contiguous, so the row reductions
+    # give each lag's 1-D bits.
+    windows = sliding_window_view(input_series.values[i - max_lag : j], j - i + 1)
+    predicted = np.ascontiguousarray(windows[::-1])
+    signals = signal_rows(predicted)
+    reports = indicator_rows(actual.values, moves, predicted, signals)
+    strategies = strategy_rows(moves, signals)
+    start = first.plus(1)
+    rows = tuple(
+        LagRow(lag=k, report=rep, final_equity=final, equity=TimeSeries(start, curve))
+        for k, rep, curve, final in zip(
+            range(1, max_lag + 1), reports, strategies, strategies[:, -1].tolist()
         )
-        key = srm_rank_key(rep.sharpe_modified, rep.efficiency_pct) + (-k,)
-        if best_key is None or key > best_key:
-            best_key = key
-            chosen = k
-    assert chosen is not None
-    _, perfect, buy_hold = equity_curves(actual, signals)  # the same for every lag
-    return LagScanResult(
-        rows=tuple(rows),
-        chosen_lag=chosen,
-        perfect_equity=perfect,
-        buy_hold_equity=buy_hold,
     )
+    chosen = max(
+        rows,
+        key=lambda r: srm_rank_key(r.report.sharpe_modified, r.report.efficiency_pct) + (-r.lag,),
+    ).lag
+    perfect, buy_hold = benchmark_curves(actual, moves)
+    return LagScanResult(rows, chosen, perfect, buy_hold)
 
 
 def scan_table_csv(result: LagScanResult) -> str:
@@ -115,9 +127,18 @@ def scan_table_csv(result: LagScanResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+def lag_curves_csv(result: LagScanResult) -> str:
+    """The header and every lag's equity curve, long format: the part of a
+    scan's curves file that depends on the input."""
+    return equity_long_csv({f"lag_{r.lag:02d}": r.equity for r in result.rows})
+
+
+def benchmark_curves_csv(result: LagScanResult) -> str:
+    """The perfect and buy-and-hold rows that end a scan's curves file; the
+    same for every input scanned against one target over one range."""
+    return equity_rows_csv({"perfect": result.perfect_equity, "buy_hold": result.buy_hold_equity})
+
+
 def scan_curves_csv(result: LagScanResult) -> str:
     """All lag equity curves plus both benchmarks, long format."""
-    curves: Dict[str, EquityCurve] = {f"lag_{r.lag:02d}": r.equity for r in result.rows}
-    curves["perfect"] = result.perfect_equity
-    curves["buy_hold"] = result.buy_hold_equity
-    return equity_long_csv(curves)
+    return lag_curves_csv(result) + benchmark_curves_csv(result)

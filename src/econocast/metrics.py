@@ -6,6 +6,17 @@ efficiency (the modified Sharpe ratio). A strategy that never loses gets a
 distinguished "no-loss" value (represented as None) that sorts above every
 finite ratio. The directional indicators take `(actual, signals)`, so a
 prediction's signals are derived once and shared by all of them.
+
+Each indicator is written once, for a stack of predictions over one actual
+series: `signal_rows`, `hit_rate_rows`, `efficiency_rows`,
+`sharpe_modified_rows`, `rmse_rows`, `mean_error_rows` and `strategy_rows`
+score every row of a (rows, months) array, the directional ones from the
+actual series' moves, diffed once by the caller. The functions on one
+`TimeSeries` are their one-row case, the way `mlp.train` is `train_many` with
+K = 1. For a C-contiguous stack, a row's figures are bit-identical to scoring
+that row alone: every sum and mean then runs along the contiguous last axis,
+which numpy reduces row by row in the same pairwise order as a 1-D array, and
+a row's mean loss is a mean over that row's losses only.
 """
 
 from __future__ import annotations
@@ -27,18 +38,27 @@ __all__ = [
     "EquityCurve",
     "MetricsReport",
     "signals_from_prediction",
+    "signal_rows",
     "hit_rate",
+    "hit_rate_rows",
     "equity_curves",
+    "benchmark_curves",
+    "strategy_rows",
     "efficiency",
+    "efficiency_rows",
     "mean_error",
+    "mean_error_rows",
     "rmse",
+    "rmse_rows",
     "sharpe_modified",
+    "sharpe_modified_rows",
     "srm_rank_key",
     "report",
     "REPORT_COLUMNS",
     "render_report_table",
     "render_report_csv",
     "equity_long_csv",
+    "equity_rows_csv",
 ]
 
 EquityCurve = TimeSeries
@@ -77,24 +97,41 @@ def _actual_moves(actual: TimeSeries, signals: SignalSeries) -> np.ndarray:
     return np.diff(actual.values)
 
 
-def signals_from_prediction(predicted: TimeSeries) -> SignalSeries:
-    """+1 on a predicted upswing, -1 on a downswing; an exactly flat step
-    carries the previous signal (and +1 before any signal exists)."""
-    if len(predicted) < 2:
-        raise ValueError("need at least two points to derive signals")
+def signal_rows(predicted: np.ndarray) -> np.ndarray:
+    """The +1/-1 signals of each row of a (rows, months) stack of predictions,
+    as a (rows, months - 1) integer array: +1 on a predicted upswing, -1 on a
+    downswing; an exactly flat step carries the previous signal (and +1
+    before any signal exists)."""
+    steps = np.sign(np.diff(predicted, axis=1)).astype(int)
     # A leading +1 stands for "before any move"; each step takes the sign of
     # the last nonzero move at or before it.
-    signs = np.concatenate(([1], np.sign(np.diff(predicted.values)).astype(int)))
-    last_move = np.maximum.accumulate(np.where(signs != 0, np.arange(signs.size), 0))
-    return SignalSeries(predicted.start.plus(1), signs[last_move[1:]])
+    signs = np.concatenate((np.ones((steps.shape[0], 1), int), steps), axis=1)
+    last_move = np.maximum.accumulate(np.where(signs != 0, np.arange(signs.shape[1]), 0), axis=1)
+    return np.take_along_axis(signs, last_move[:, 1:], axis=1)
+
+
+def signals_from_prediction(predicted: TimeSeries) -> SignalSeries:
+    """signal_rows of one prediction, dated from the month its first move completes."""
+    if len(predicted) < 2:
+        raise ValueError("need at least two points to derive signals")
+    return SignalSeries(predicted.start.plus(1), signal_rows(predicted.values[None])[0])
+
+
+def hit_rate_rows(moves: np.ndarray, signals: np.ndarray) -> np.ndarray:
+    """Percent of transitions where each row's signal matches the actual
+    move's direction; a flat actual move counts as a hit for either signal."""
+    hits = np.count_nonzero((moves == 0) | ((moves > 0) == (signals > 0)), axis=1)
+    return 100.0 * hits / moves.size
 
 
 def hit_rate(actual: TimeSeries, signals: SignalSeries) -> float:
-    """Percent of transitions where the signal's direction matches the actual
-    one; a flat actual move counts as a hit for either signal."""
-    moves = _actual_moves(actual, signals)
-    hits = int(np.count_nonzero((moves == 0) | ((moves > 0) == (signals.values > 0))))
-    return 100.0 * hits / moves.size
+    """hit_rate_rows of one signal series."""
+    return float(hit_rate_rows(_actual_moves(actual, signals), signals.values[None])[0])
+
+
+def strategy_rows(moves: np.ndarray, signals: np.ndarray) -> np.ndarray:
+    """Each row's cumulative profit from trading its signals on the actual moves."""
+    return np.cumsum(signals * moves, axis=1)
 
 
 def equity_curves(
@@ -102,49 +139,75 @@ def equity_curves(
 ) -> Tuple[EquityCurve, EquityCurve, EquityCurve]:
     """(strategy, perfect, buy_hold) cumulative-profit curves over the signal dates."""
     moves = _actual_moves(actual, signals)
-    start = signals.start
-    strategy = TimeSeries(start, np.cumsum(signals.values * moves))
+    strategy = TimeSeries(signals.start, strategy_rows(moves, signals.values[None])[0])
+    return (strategy, *benchmark_curves(actual, moves))
+
+
+def benchmark_curves(actual: TimeSeries, moves: np.ndarray) -> Tuple[EquityCurve, EquityCurve]:
+    """(perfect, buy_hold) cumulative-profit curves of the actual series, given
+    its moves, dated like any signals over it."""
+    start = actual.start.plus(1)
     perfect = TimeSeries(start, np.cumsum(np.abs(moves)))
     buy_hold = TimeSeries(start, actual.values[1:] - actual.values[0])
-    return strategy, perfect, buy_hold
+    return perfect, buy_hold
 
 
-def efficiency(actual: TimeSeries, signals: SignalSeries) -> float:
-    """Realized directional gain as a percent of the maximum attainable gain."""
-    moves = _actual_moves(actual, signals)
+def efficiency_rows(moves: np.ndarray, signals: np.ndarray) -> np.ndarray:
+    """Each row's realized directional gain as a percent of the maximum attainable gain."""
     max_gain = float(np.sum(np.abs(moves)))
     if max_gain == 0:
         raise ValueError("flat actual series: maximum gain is zero")
-    return 100.0 * float(np.sum(signals.values * moves)) / max_gain
+    return 100.0 * np.sum(signals * moves, axis=1) / max_gain
+
+
+def efficiency(actual: TimeSeries, signals: SignalSeries) -> float:
+    """efficiency_rows of one signal series."""
+    return float(efficiency_rows(_actual_moves(actual, signals), signals.values[None])[0])
+
+
+def mean_error_rows(actual: np.ndarray, predicted: np.ndarray) -> np.ndarray:
+    """Each row's mean absolute difference, in the units of the series."""
+    return np.mean(np.abs(actual - predicted), axis=1)
 
 
 def mean_error(actual: TimeSeries, predicted: TimeSeries) -> float:
-    """Mean absolute difference, in the units of the series."""
+    """mean_error_rows of one prediction."""
     _check_aligned(actual, predicted)
-    return float(np.mean(np.abs(actual.values - predicted.values)))
+    return float(mean_error_rows(actual.values, predicted.values[None])[0])
+
+
+def rmse_rows(actual: np.ndarray, predicted: np.ndarray) -> np.ndarray:
+    """Each row's root mean squared difference."""
+    return np.sqrt(np.mean((actual - predicted) ** 2, axis=1))
 
 
 def rmse(actual: TimeSeries, predicted: TimeSeries) -> float:
-    """Root mean squared difference."""
+    """rmse_rows of one prediction."""
     _check_aligned(actual, predicted)
-    return float(np.sqrt(np.mean((actual.values - predicted.values) ** 2)))
+    return float(rmse_rows(actual.values, predicted.values[None])[0])
 
 
-def sharpe_modified(actual: TimeSeries, signals: SignalSeries) -> float | None:
-    """Efficiency over the average per-event loss, normalized by the mean
-    absolute move so the ratio is dimensionless. None means no losing events
-    (ranks above every finite value)."""
-    moves = _actual_moves(actual, signals)
+def sharpe_modified_rows(moves: np.ndarray, signals: np.ndarray) -> List[float | None]:
+    """Each row's efficiency over its average per-event loss, normalized by
+    the mean absolute move so the ratio is dimensionless. None means no losing
+    events (ranks above every finite value)."""
     mean_abs = float(np.mean(np.abs(moves)))
     if mean_abs == 0:
         raise ValueError("flat actual series")
-    returns = signals.values * moves
-    losses = -returns[returns < 0]
-    if losses.size == 0:
-        return None
-    avg_drawdown = float(np.mean(losses))
-    eff_fraction = float(np.sum(returns)) / float(np.sum(np.abs(moves)))
-    return eff_fraction / (avg_drawdown / mean_abs)
+    returns = signals * moves
+    fractions = np.sum(returns, axis=1) / float(np.sum(np.abs(moves)))
+    ratios: List[float | None] = []
+    for row, eff_fraction in zip(returns, fractions.tolist()):
+        losses = -row[row < 0]
+        ratios.append(
+            None if losses.size == 0 else eff_fraction / (float(np.mean(losses)) / mean_abs)
+        )
+    return ratios
+
+
+def sharpe_modified(actual: TimeSeries, signals: SignalSeries) -> float | None:
+    """sharpe_modified_rows of one signal series."""
+    return sharpe_modified_rows(_actual_moves(actual, signals), signals.values[None])[0]
 
 
 def srm_rank_key(srm: float | None, efficiency_pct: float) -> Tuple[int, float, float]:
@@ -169,15 +232,28 @@ class MetricsReport:
     test_error_pct: float | None = None
 
 
+def indicator_rows(
+    actual: np.ndarray, moves: np.ndarray, predicted: np.ndarray, signals: np.ndarray
+) -> List[MetricsReport]:
+    """All indicators of each row of a prediction stack and its signal stack
+    over one evaluation range, given the actual values and their moves."""
+    return [
+        MetricsReport(*row)
+        for row in zip(
+            efficiency_rows(moves, signals).tolist(),
+            hit_rate_rows(moves, signals).tolist(),
+            sharpe_modified_rows(moves, signals),
+            rmse_rows(actual, predicted).tolist(),
+            mean_error_rows(actual, predicted).tolist(),
+        )
+    ]
+
+
 def indicators(actual: TimeSeries, predicted: TimeSeries, signals: SignalSeries) -> MetricsReport:
-    """All indicators of a prediction and its signals over one evaluation range."""
-    return MetricsReport(
-        efficiency_pct=efficiency(actual, signals),
-        hit_pct=hit_rate(actual, signals),
-        sharpe_modified=sharpe_modified(actual, signals),
-        rmse=rmse(actual, predicted),
-        mean_error=mean_error(actual, predicted),
-    )
+    """indicator_rows of one prediction and its signals."""
+    moves = _actual_moves(actual, signals)
+    _check_aligned(actual, predicted)
+    return indicator_rows(actual.values, moves, predicted.values[None], signals.values[None])[0]
 
 
 def report(
@@ -270,10 +346,15 @@ def _labels(start: MonthStamp, n: int) -> Tuple[str, ...]:
     return tuple(month_labels(start, n))
 
 
-def equity_long_csv(curves: Mapping[str, EquityCurve]) -> str:
-    """Long-format (date, value, curve_name) CSV for plotting, one format_rows per curve."""
-    blocks = ["date,value,curve_name\n"]
+def equity_rows_csv(curves: Mapping[str, EquityCurve]) -> str:
+    """The rows of equity_long_csv, without its header: one format_rows per curve."""
+    blocks = []
     for name, curve in curves.items():
         row = "%s,%.6g," + name.replace("%", "%%") + "\n"
         blocks.append(format_rows(row, [_labels(curve.start, len(curve)), curve.values.tolist()]))
     return "".join(blocks)
+
+
+def equity_long_csv(curves: Mapping[str, EquityCurve]) -> str:
+    """Long-format (date, value, curve_name) CSV for plotting."""
+    return "date,value,curve_name\n" + equity_rows_csv(curves)

@@ -483,9 +483,15 @@ def _train_lockstep(
             for epoch in range(epoch + 1, config.max_epochs + 1):
                 _run(program)
                 out = _forward_batch(kinds, step.ws, step.bias_rows, X, step.groups)
+                errors = np.mean((out[:, :, 0] - Y) ** 2, axis=1)  # each row's own 1-D bits
+                # Walk the nets only in an epoch where one leaves: its error is
+                # non-finite (NaN fails both tests), reached target_error, or
+                # it is the last epoch.
+                low, high = errors.min(), errors.max()
+                if epoch < config.max_epochs and low > config.target_error and high < np.inf:
+                    continue
                 keep = []
-                for pos, slot in enumerate(slots):
-                    error = float(np.mean((out[pos, :, 0] - Y[pos]) ** 2))
+                for pos, (slot, error) in enumerate(zip(slots, errors.tolist())):
                     if not np.isfinite(error):
                         results[slot] = TrainingDiverged(epoch)
                     elif error <= config.target_error or epoch == config.max_epochs:
@@ -500,8 +506,7 @@ def _train_lockstep(
                         )
                     else:
                         keep.append(pos)
-                if len(keep) < len(slots):
-                    break
+                break
             slots = [slots[pos] for pos in keep]
             batch = [step.net(pos) for pos in keep]
     return results

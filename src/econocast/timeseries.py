@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import chain, repeat
 from types import MappingProxyType, NoneType
 from typing import Dict, List, Mapping, Sequence, Tuple
 
@@ -86,7 +87,9 @@ class MonthStamp:
 def month_labels(start: MonthStamp, n: int) -> List[str]:
     """str() of the n months from start on, without a MonthStamp per month."""
     first = start.year * 12 + start.month - 1
-    return [f"{t // 12:04d}-{t % 12 + 1:02d}" for t in range(first, first + n)]
+    months = [f"-{m:02d}" for m in range(1, 13)]
+    years = range(first // 12, (first + n - 1) // 12 + 1)
+    return [f"{y:04d}" + m for y in years for m in months][first % 12 : first % 12 + n]
 
 
 def format_rows(row: str, columns: Sequence[Sequence[object]]) -> str:
@@ -240,6 +243,13 @@ def parse_csv(text: str) -> Dict[str, TimeSeries]:
             raise CsvFormatError(f"duplicate column name {name!r}", row=1, column=name)
         seen.add(name)
 
+    if len(lines) < 2:
+        raise CsvFormatError("no data rows", row=2)
+    bulk = _parse_clean_rows(lines[1:], len(header))
+    if bulk is not None:
+        start, values = bulk
+        return {name: TimeSeries(start, values[:, c]) for c, name in enumerate(names)}
+
     start: MonthStamp | None = None
     prev: MonthStamp | None = None
     columns: List[List[float]] = [[] for _ in names]
@@ -281,9 +291,38 @@ def parse_csv(text: str) -> Dict[str, TimeSeries]:
                     f"non-finite value at row {rownum}, column {name!r}", row=rownum, column=name
                 )
             col.append(value)
-    if start is None:
-        raise CsvFormatError("no data rows", row=2)
     return {name: TimeSeries(start, col) for name, col in zip(names, columns)}
+
+
+def _parse_clean_rows(lines: List[str], width: int) -> Tuple[MonthStamp, np.ndarray] | None:
+    """The first month and the (rows, columns) values of data rows that
+    parse_csv's per-cell loop would accept, checked and converted a block at
+    a time; None for anything else, so that the loop finds and names the
+    fault. The values are read by the same float() after the same ASCII and
+    "_" checks, one row's cells at a time."""
+    if (
+        not all(map(str.isascii, lines))
+        or any(map(str.__contains__, lines, repeat("_")))
+        or set(map(str.count, lines, repeat(","))) != {width - 1}
+    ):
+        return None
+    first_cells, cells = zip(*(line.split(",", 1) for line in lines))
+    dates = [date.strip() for date in first_cells]
+    try:
+        start = MonthStamp.parse(dates[0])
+        MonthStamp.parse(dates[-1])  # every month has a four-digit year
+        if dates != month_labels(start, len(dates)):
+            return None
+        values = np.fromiter(
+            map(float, chain.from_iterable(row.split(",") for row in cells)),
+            float,
+            len(dates) * (width - 1),
+        )
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return start, values.reshape(len(dates), width - 1)
 
 
 def render_csv(series: Mapping[str, TimeSeries]) -> str:

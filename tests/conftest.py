@@ -11,17 +11,18 @@ from econocast.timeseries import synthesize_economy
 
 @pytest.fixture
 def derivations(monkeypatch):
-    """The predictions passed to metrics.signals_from_prediction, spied on
-    under both names the package calls it by."""
+    """The prediction stacks passed to metrics.signal_rows, which every
+    signal derivation goes through, spied on under both names the package
+    calls it by."""
     calls = []
-    original = metrics.signals_from_prediction
+    original = metrics.signal_rows
 
     def spy(predicted):
         calls.append(predicted)
         return original(predicted)
 
     for module in (metrics, lagscan):
-        monkeypatch.setattr(module, "signals_from_prediction", spy)
+        monkeypatch.setattr(module, "signal_rows", spy)
     return calls
 
 

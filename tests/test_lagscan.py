@@ -48,7 +48,7 @@ def test_scan_rows_respect_bounds(target, derivations):
     first, last = _range(target)
     result = scan(inp, target, 12, first, last)
     assert [row.lag for row in result.rows] == list(range(1, 13))
-    assert len(derivations) == 12  # each lag's signals are derived once
+    assert [d.shape for d in derivations] == [(12, len(result.perfect_equity) + 1)]  # one stack
     for row in result.rows:
         assert row.report.efficiency_pct <= 100.0 + 1e-9
         assert row.final_equity <= result.perfect_equity.values[-1] + 1e-9

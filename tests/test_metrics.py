@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from econocast.metrics import (
@@ -9,17 +11,26 @@ from econocast.metrics import (
     SignalSeries,
     REPORT_COLUMNS,
     efficiency,
+    efficiency_rows,
     equity_curves,
     equity_long_csv,
     hit_rate,
+    hit_rate_rows,
+    indicator_rows,
+    indicators,
     mean_error,
+    mean_error_rows,
     render_report_csv,
     render_report_table,
     report,
     rmse,
+    rmse_rows,
     sharpe_modified,
+    sharpe_modified_rows,
+    signal_rows,
     signals_from_prediction,
     srm_rank_key,
+    strategy_rows,
 )
 from econocast.timeseries import MonthStamp, TimeSeries
 
@@ -238,6 +249,93 @@ def test_metrics_match_brute_force_oracle():
         assert abs(rmse(actual, predicted) - oracles.rmse(actual_vals, predicted_vals)) < 1e-12
 
 
+def _one_series(a, p):
+    """Each indicator of one prediction `p` of `a`, by 1-D numpy formulas
+    written out independently of the row functions: what every row of a
+    stack must reproduce bit for bit."""
+    signs = np.concatenate(([1], np.sign(np.diff(p)).astype(int)))
+    sig = signs[np.maximum.accumulate(np.where(signs != 0, np.arange(signs.size), 0))[1:]]
+    moves = np.diff(a)
+    returns = sig * moves
+    losses = -returns[returns < 0]
+    max_gain = float(np.sum(np.abs(moves)))
+    hits = int(np.count_nonzero((moves == 0) | ((moves > 0) == (sig > 0))))
+    return {
+        "signals": sig.tolist(),
+        "hit": 100.0 * hits / moves.size,
+        "strategy": np.cumsum(returns).tolist(),
+        "efficiency": None if max_gain == 0 else 100.0 * float(np.sum(returns)) / max_gain,
+        "srm": None if max_gain == 0 or losses.size == 0 else (
+            float(np.sum(returns)) / max_gain
+        ) / (float(np.mean(losses)) / float(np.mean(np.abs(moves)))),
+        "rmse": float(np.sqrt(np.mean((a - p) ** 2))),
+        "mean_error": float(np.mean(np.abs(a - p))),
+    }
+
+
+@st.composite
+def _stacks(draw):
+    """(actual, predicted stack); a drawn share of small integers makes flat
+    predicted steps and zero actual moves, and lengths up to 300 cross
+    numpy's pairwise-summation block sizes (8 and 128)."""
+    months, rows = draw(st.integers(2, 300)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def values(shape, coarse_share):
+        coarse = rng.integers(-2, 3, size=shape).astype(float)
+        return np.where(rng.random(shape) < coarse_share, coarse, rng.uniform(-1e3, 1e3, size=shape))
+
+    actual = values(months, draw(st.sampled_from([0.0, 0.5, 1.0])))
+    predicted = values((rows, months), draw(st.sampled_from([0.0, 0.5, 1.0])))
+    if draw(st.booleans()):
+        predicted[draw(st.integers(0, rows - 1))] = actual  # a no-loss row
+    return actual, predicted
+
+
+@settings(max_examples=200, deadline=None)
+@given(_stacks())
+@example((np.array([1.0, 2.0, 2.0, 1.0]), np.array([[0.0, 0.0, 1.0, 1.0]])))  # one row, as max_lag 1
+@example((np.array([1.0, 2.0, 2.0, 3.0]), np.array([[5.0, 5.0, 5.0, 5.0], [1.0, 2.0, 2.0, 3.0]])))
+@example((np.array([4.0, 4.0, 4.0]), np.array([[1.0, 3.0, 2.0], [2.0, 2.0, 2.0]])))  # flat actual
+def test_row_functions_equal_the_one_series_formulas_bit_for_bit(stack):
+    a, p = stack
+    moves = np.diff(a)
+    sig = signal_rows(p)
+    cols = {
+        "signals": sig.tolist(),
+        "hit": hit_rate_rows(moves, sig).tolist(),
+        "strategy": strategy_rows(moves, sig).tolist(),
+        "rmse": rmse_rows(a, p).tolist(),
+        "mean_error": mean_error_rows(a, p).tolist(),
+    }
+    flat = not np.any(moves)
+    if flat:
+        for rows_fn in (efficiency_rows, sharpe_modified_rows):
+            with pytest.raises(ValueError, match="flat actual series"):
+                rows_fn(moves, sig)
+    else:
+        cols["efficiency"] = efficiency_rows(moves, sig).tolist()
+        cols["srm"] = sharpe_modified_rows(moves, sig)
+        reports = indicator_rows(a, moves, p, sig)
+    actual = TimeSeries(START, a)
+    for r in range(p.shape[0]):
+        want = _one_series(a, p[r])
+        # `==` on Python floats (no tolerance), None where the row has no loss
+        assert {k: v[r] for k, v in cols.items()} == {k: want[k] for k in cols}
+        predicted = TimeSeries(START, p[r])
+        signals = signals_from_prediction(predicted)
+        assert signals.values.tolist() == want["signals"]
+        assert hit_rate(actual, signals) == want["hit"]
+        assert equity_curves(actual, signals)[0].values.tolist() == want["strategy"]
+        assert (rmse(actual, predicted), mean_error(actual, predicted)) == (want["rmse"], want["mean_error"])
+        if not flat:
+            assert efficiency(actual, signals) == want["efficiency"]
+            assert sharpe_modified(actual, signals) == want["srm"]
+            assert reports[r] == indicators(actual, predicted, signals) == MetricsReport(
+                want["efficiency"], want["hit"], want["srm"], want["rmse"], want["mean_error"]
+            )
+
+
 def test_strategy_never_beats_perfect_exhaustively():
     rng = np.random.default_rng(7)
     for n in range(2, 9):
@@ -317,7 +415,7 @@ def test_report_of_perfect_expert(derivations):
     )
     test_pred = predict(expert, test_m)
     rep = report(train_m, predict(expert, train_m), test_m, test_pred, actual)
-    assert len(derivations) == 1 and derivations[0] is test_pred  # the test signals, once
+    assert len(derivations) == 1 and np.array_equal(derivations[0], [test_pred.values])  # once
     assert rep.efficiency_pct == 100.0
     assert rep.hit_pct == 100.0
     assert rep.sharpe_modified is None

@@ -136,6 +136,50 @@ def test_parse_errors_carry_position(text, row, column):
     assert err.value.column == column
 
 
+_CLEAN_ROWS = "date,x,y_z\n1991-01,1.0,2\n1991-02,1.5,-2\n1991-03,2.0,3e2\n1991-04, 2.5 ,0\n"
+
+
+@pytest.mark.parametrize(
+    "bad_row,message,column",
+    [
+        ("1991-05,1,2,3", "row 6 has 4 cells, expected 3", None),
+        ("1991-05,1", "row 6 has 2 cells, expected 3", None),
+        ("1991-5,1,2", "row 6: malformed month '1991-5', expected YYYY-MM", "date"),
+        ("1991-13,1,2", "row 6: month must be in 1..12, got 13", "date"),
+        ("1991-06,1,2", "non-contiguous months at row 6: 1991-06 does not follow 1991-04", "date"),
+        ("1991-03,1,2", "non-contiguous months at row 6: 1991-03 does not follow 1991-04", "date"),
+        ("1991-05,,2", "empty cell at row 6, column 'x'", "x"),
+        ("1991-05,1,   ", "empty cell at row 6, column 'y_z'", "y_z"),
+        ("1991-05,abc,2", "non-numeric cell 'abc' at row 6, column 'x'", "x"),
+        ("1991-05,1_0,2", "non-numeric cell '1_0' at row 6, column 'x'", "x"),
+        ("1991-05,1,\u0661\u0662", "non-numeric cell '\u0661\u0662' at row 6, column 'y_z'", "y_z"),
+        ("\u0661\u0669\u0669\u0661-05,1,2",
+         "row 6: malformed month '\u0661\u0669\u0669\u0661-05', expected YYYY-MM", "date"),
+        ("1991-05,nan,2", "non-finite value at row 6, column 'x'", "x"),
+        ("1991-05,1,-inf", "non-finite value at row 6, column 'y_z'", "y_z"),
+        ("1991-05,1e999,2", "non-finite value at row 6, column 'x'", "x"),
+    ],
+)
+def test_parse_fault_after_clean_rows_gives_its_exact_message(bad_row, message, column):
+    # a fault in row 6 of otherwise clean rows: the block check rejects the
+    # file and the per-cell loop names the fault as it always has
+    with pytest.raises(CsvFormatError) as err:
+        parse_csv(_CLEAN_ROWS + bad_row + "\n1991-06,0,0\n")
+    assert (str(err.value), err.value.row, err.value.column) == (message, 6, column)
+
+
+def test_parse_month_past_year_9999_is_malformed():
+    with pytest.raises(CsvFormatError) as err:
+        parse_csv("date,x\n9999-11,1\n9999-12,2\n10000-01,3\n")
+    assert (str(err.value), err.value.row) == ("row 4: malformed month '10000-01', expected YYYY-MM", 4)
+
+
+def test_parse_reads_spaced_cells_and_blank_lines():
+    series = parse_csv("date,x,y_z\n\n 1991-01 , 1.5 ,\t-2\n   \n1991-02,3e2,0\n")
+    assert series["x"] == TimeSeries(MonthStamp(1991, 1), [1.5, 300.0])
+    assert series["y_z"] == TimeSeries(MonthStamp(1991, 1), [-2.0, 0.0])
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     year=st.integers(1, 9997),
