@@ -56,7 +56,7 @@ from .metrics import (
     signals_from_prediction,
 )
 from .lagscan import LagScanResult, scan
-from .search import ArchitectureGrid, SearchOutcome, maximize_sharpe, search_best_net
+from .search import ArchitectureGrid, SearchOutcome, maximize_sharpe, search_best_nets
 from .ensemble import EnsembleModel, EnsembleSpec, SubNetworkSpec, predict_ensemble, train_ensemble
 
 __version__ = "0.1.0"

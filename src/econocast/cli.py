@@ -263,31 +263,40 @@ def _selection_ranges(
     return (first, val_first.plus(-1)), (val_first, last)
 
 
-def _optimize_sub_specs(
-    config: PipelineConfig,
-    specs: List[ens.SubNetworkSpec],
-    sources: Mapping[str, TimeSeries],
-) -> Tuple[List[ens.SubNetworkSpec], List[TrainedExpert | None]]:
-    """Apply architecture search and/or Sharpe-maximizing restarts per sub,
-    returning specs whose seeds/shapes reproduce the selected experts, and
-    the restart winners themselves (None per sub without restarts). Selection
-    logs land under out_dir/logs. A warm-up shortfall or a sub whose every
-    restart diverged is raised as a ValueError naming the sub; every sub is
-    assembled before any selection trains, so an assembly fault is named
-    first, and the logs are written only once every sub's pick succeeded."""
+def _prepared_specs(
+    config: PipelineConfig, sources: Mapping[str, TimeSeries]
+) -> Tuple[List[ens.SubNetworkSpec], List[TrainedExpert | None], Tuple[MonthStamp, MonthStamp]]:
+    """Sub specs after the configured search/restarts, the experts the
+    restarts selected (None per sub still to train), and the range the final
+    experts train on (the core range when selection carved one out). A
+    restart winner was trained on that core range from the returned spec's
+    init and config, so it is the expert a final fit would train again.
+
+    Selection logs land under out_dir/logs. A warm-up shortfall or a sub
+    whose every restart diverged is raised as a ValueError naming the sub;
+    every sub is assembled before any selection trains, so an assembly fault
+    is named first, and the logs are written only once every sub's pick
+    succeeded."""
+    if config.test_range[0] <= config.train_range[1]:
+        raise ConfigError("config.test_range must start after config.train_range ends")
+    specs = _build_sub_specs(config, _detect_cycle(sources, config))
+    if config.search is None and config.restarts is None:
+        return specs, [None] * len(specs), config.train_range
     core_range, val_range = _selection_ranges(config)
     matrices = ens.assemble_subs(specs, sources, config.target, core_range, val_range)
-    out, selected, logs = [], [], {}
+    out, selected, logs, searched = [], [], {}, None
     for number, (spec, (m_core, m_val)) in enumerate(zip(specs, matrices), start=1):
-        expert = None
+        expert, hidden, cfg = None, spec.hidden_layers, spec.train_config
         try:
-            hidden = spec.hidden_layers
             if config.search is not None:
-                grid = replace(config.search, train_config=spec.train_config)
-                outcome = search.search_best_net(grid, m_core, m_val)
+                # A search fails only on the target (error_percent of an all-zero
+                # target), which every sub shares, so sub 1's turn searches every sub.
+                searched = searched or search.search_best_nets(
+                    config.search, matrices, [s.train_config for s in specs]
+                )
+                outcome = searched[number - 1]
                 hidden = outcome.best_architecture[1:-1]
                 logs[f"search_{spec.name}.csv"] = search.search_log_csv(outcome)
-            cfg = spec.train_config
             if config.restarts is not None:
                 ro = search.maximize_sharpe(
                     (m_core.width, *hidden, 1),
@@ -307,22 +316,7 @@ def _optimize_sub_specs(
         selected.append(expert)
     for name, text in logs.items():
         write_text(os.path.join(config.out_dir, "logs", name), text)
-    return out, selected
-
-
-def _prepared_specs(
-    config: PipelineConfig, sources: Mapping[str, TimeSeries]
-) -> Tuple[List[ens.SubNetworkSpec], List[TrainedExpert | None], Tuple[MonthStamp, MonthStamp]]:
-    """Sub specs after the configured search/restarts, the experts the
-    restarts selected (None per sub still to train), and the range the final
-    experts train on (the core range when selection carved one out). A
-    restart winner was trained on that core range from the returned spec's
-    init and config, so it is the expert a final fit would train again."""
-    specs = _build_sub_specs(config, _detect_cycle(sources, config))
-    if config.search is None and config.restarts is None:
-        return specs, [None] * len(specs), config.train_range
-    specs, selected = _optimize_sub_specs(config, specs, sources)
-    return specs, selected, _selection_ranges(config)[0]
+    return out, selected, core_range
 
 
 # ---------------------------------------------------------------------------

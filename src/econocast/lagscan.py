@@ -6,9 +6,9 @@ prediction, evaluated with the full indicator battery. All lags of an input
 are scored in one pass: lag k is row k - 1 of a (max_lag, months) stack of
 windows over the input, and `metrics`' row functions score every row at once
 from the target's moves, diffed once per input. The perfect and buy-and-hold
-curves do not depend on the lag or the input, so `scan_curves_csv` is the
-lag block plus the benchmark block, and a caller writing many inputs' curves
-against one target renders the benchmark block once.
+curves do not depend on the lag or the input, so an input's curves file is
+`lag_curves_csv` plus `benchmark_curves_csv`, and a caller writing many
+inputs' curves against one target renders the benchmark block once.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ __all__ = [
     "scan_table_csv",
     "lag_curves_csv",
     "benchmark_curves_csv",
-    "scan_curves_csv",
 ]
 
 
@@ -137,8 +136,3 @@ def benchmark_curves_csv(result: LagScanResult) -> str:
     """The perfect and buy-and-hold rows that end a scan's curves file; the
     same for every input scanned against one target over one range."""
     return equity_rows_csv({"perfect": result.perfect_equity, "buy_hold": result.buy_hold_equity})
-
-
-def scan_curves_csv(result: LagScanResult) -> str:
-    """All lag equity curves plus both benchmarks, long format."""
-    return lag_curves_csv(result) + benchmark_curves_csv(result)

@@ -2,13 +2,15 @@
 
 Both loops are deterministic: candidate seeds derive from a stable hash of the
 shape, restart seeds count up from a base seed, and every evaluation lands in
-the returned log.
+the returned log. Each loop trains in one mlp.train_many call, the search for
+every (train, validation) pair at once, and reads divergence from its slots.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import List, Sequence, Tuple
 
 from .artifacts import sizes
@@ -20,7 +22,7 @@ from .mlp import (
     error_percent,
     init,
     predict,
-    train,
+    train,  # noqa: F401 -- unused, but perfbench/selftest.py checks tracing rebinds it here
     train_many,
 )
 from .preprocess import FeatureMatrix
@@ -32,7 +34,7 @@ __all__ = [
     "RestartResult",
     "RestartOutcome",
     "candidate_seed",
-    "search_best_net",
+    "search_best_nets",
     "maximize_sharpe",
     "search_log_csv",
     "restart_log_csv",
@@ -50,7 +52,6 @@ class ArchitectureGrid:
 
     hidden_layer_counts: Tuple[int, ...] = (1, 2)
     nodes_per_layer_candidates: Tuple[int, ...] = (2, 4, 8, 16)
-    train_config: TrainConfig = TrainConfig()
 
     def __post_init__(self) -> None:
         for name in ("hidden_layer_counts", "nodes_per_layer_candidates"):
@@ -91,49 +92,54 @@ def _parameters(shape: Sequence[int]) -> int:
     return sum(shape[i + 1] * shape[i] + shape[i + 1] for i in range(len(shape) - 1))
 
 
-def search_best_net(
+def _better(best: CandidateResult, result: CandidateResult) -> CandidateResult:
+    """`result` if it scores lower by more than the tie band, or ties with fewer parameters."""
+    if result.combined < best.combined - SCORE_TIE_TOLERANCE:
+        return result
+    tie = abs(result.combined - best.combined) <= SCORE_TIE_TOLERANCE
+    return result if tie and result.parameters < best.parameters else best
+
+
+def search_best_nets(
     grid: ArchitectureGrid,
-    train_matrix: FeatureMatrix,
-    validation_matrix: FeatureMatrix,
-) -> SearchOutcome:
-    """Train one expert per candidate shape and keep the shape minimizing
-    max(train error %, validation error %). Near-ties (within
-    SCORE_TIE_TOLERANCE points) go to the smaller network. Divergent
-    candidates score worst but are not fatal."""
-    log: List[CandidateResult] = []
-    best: CandidateResult | None = None
-    for shape in grid.shapes(train_matrix.width):
-        seed = candidate_seed(shape, grid.train_config.rng_seed)
-        cfg = replace(grid.train_config, rng_seed=seed)
-        try:
-            expert = train(init(shape, cfg), train_matrix, cfg)
-            train_err = error_percent(predict(expert, train_matrix), train_matrix)
-            val_err = error_percent(predict(expert, validation_matrix), validation_matrix)
-            diverged = False
-        except TrainingDiverged:
+    matrices: Sequence[Tuple[FeatureMatrix, FeatureMatrix]],
+    configs: Sequence[TrainConfig],
+) -> List[SearchOutcome]:
+    """For each (train, validation) pair, train one expert per candidate shape
+    with the pair's config and keep the shape minimizing max(train error %,
+    validation error %). Near-ties (within SCORE_TIE_TOLERANCE points) go to
+    the smaller network. Divergent candidates score worst but are not fatal.
+    Every candidate of every pair trains in one train_many call; the pairs
+    are then scored in order, giving one outcome per pair."""
+    plan = [
+        (i, shape, replace(config, rng_seed=candidate_seed(shape, config.rng_seed)))
+        for i, ((train_matrix, _), config) in enumerate(zip(matrices, configs, strict=True))
+        for shape in grid.shapes(train_matrix.width)
+    ]
+    trained = train_many(
+        [init(shape, cfg) for _, shape, cfg in plan],
+        [matrices[i][0] for i, _, _ in plan],
+        [cfg for _, _, cfg in plan],
+    )
+    logs: List[List[CandidateResult]] = [[] for _ in matrices]
+    for (i, shape, cfg), expert in zip(plan, trained):
+        diverged = isinstance(expert, TrainingDiverged)
+        if diverged:
             train_err = val_err = float("inf")
-            diverged = True
-        result = CandidateResult(
-            shape=shape,
-            seed=seed,
-            train_error_pct=train_err,
-            validation_error_pct=val_err,
-            combined=max(train_err, val_err),
-            parameters=_parameters(shape),
-            diverged=diverged,
+        else:
+            train_err, val_err = (error_percent(predict(expert, m), m) for m in matrices[i])
+        logs[i].append(
+            CandidateResult(
+                shape=shape,
+                seed=cfg.rng_seed,
+                train_error_pct=train_err,
+                validation_error_pct=val_err,
+                combined=max(train_err, val_err),
+                parameters=_parameters(shape),
+                diverged=diverged,
+            )
         )
-        log.append(result)
-        if best is None:
-            best = result
-        elif result.combined < best.combined - SCORE_TIE_TOLERANCE:
-            best = result
-        elif (
-            abs(result.combined - best.combined) <= SCORE_TIE_TOLERANCE
-            and result.parameters < best.parameters
-        ):
-            best = result
-    assert best is not None
-    return SearchOutcome(best_architecture=best.shape, log=tuple(log))
+    return [SearchOutcome(reduce(_better, log).shape, tuple(log)) for log in logs]
 
 
 @dataclass(frozen=True)

@@ -481,6 +481,50 @@ def test_every_restart_diverged_is_named_in_the_error(tmp_path, capsys, command)
     assert not (tmp_path / "out" / "logs").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "ensemble"])
+def test_overlapping_test_range_is_named_before_anything_trains(tmp_path, capsys, command):
+    cfg = base_config(str(tmp_path / "out"))
+    cfg["test_range"] = ["1995-01", "1996-12"]  # the train range ends 1995-12
+    assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "error: config.test_range must start after config.train_range ends\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_scan_ignores_the_test_range(tmp_path):
+    cfg = base_config(str(tmp_path / "out"))
+    cfg["test_range"] = ["1995-01", "1996-12"]
+    cfg["scan"] = {"max_lag": 3, "inputs": ["gold"]}
+    assert main(["scan", "--config", write_config(tmp_path, cfg)]) == 0
+
+
+@pytest.mark.parametrize("command", ["train", "ensemble"])
+def test_search_on_an_all_zero_target_names_sub_1(tmp_path, capsys, command):
+    # The target is 0 over the core range (1992-01..1993-12), so no candidate's
+    # error percentage is defined; every sub shares the target, and sub 1 is named.
+    rows = []
+    for i in range(96):
+        month = f"{1990 + i // 12}-{i % 12 + 1:02d}"
+        activity = 0 if "1992-01" <= month <= "1993-12" else 100 + i % 12
+        rows.append(f"{month},{activity},{i % 7 + 0.1 * i}")
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text("date,activity,x\n" + "\n".join(rows) + "\n")
+    networks = [
+        {"name": "flat", "features": [{"source": "x", "lag": 1}]},
+        {"name": "wide", "features": [{"source": "x", "lag": 2}, {"source": "x", "lag": 3}]},
+    ]
+    cfg = base_config(str(tmp_path / "out"), epochs=5, networks=networks)
+    cfg["data"] = {"csv_path": str(csv_path)}
+    cfg["search"] = {"hidden_layer_counts": [1], "nodes_per_layer_candidates": [2, 3]}
+    cfg["restarts"] = {"max_restarts": 2}
+    assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "error: sub-network 1 ('flat') failed: error percentage undefined for an all-zero target\n"
+    )
+    assert not (tmp_path / "out" / "logs").exists()
+
+
 def test_diverged_master_is_named_in_the_error(tmp_path, capsys):
     cfg = base_config(str(tmp_path / "out"))
     cfg["master_train"] = {"learning_rate": 1e6, "max_epochs": 5}

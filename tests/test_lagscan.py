@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from econocast import metrics, preprocess
-from econocast.lagscan import scan, scan_curves_csv, scan_table_csv
+from econocast.lagscan import benchmark_curves_csv, lag_curves_csv, scan, scan_table_csv
 from econocast.timeseries import TimeSeries
 
 
@@ -163,7 +163,7 @@ def test_scan_csv_outputs(target):
     lines = table.splitlines()
     assert lines[0] == "lag,efficiency_pct,hit_pct,srm,final_equity"
     assert len(lines) == 13
-    curves = scan_curves_csv(result)
+    curves = lag_curves_csv(result) + benchmark_curves_csv(result)
     names = {line.rsplit(",", 1)[1] for line in curves.splitlines()[1:]}
     assert len(names) == 12 + 2  # every lag plus both benchmarks
     assert {"perfect", "buy_hold"} <= names

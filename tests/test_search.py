@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from econocast import search
 from econocast.mlp import TrainConfig, TrainingDiverged, expert_to_dict, init, train
 from econocast.preprocess import FeatureMatrix, FeatureSpec
 from econocast.search import (
@@ -15,7 +16,7 @@ from econocast.search import (
     candidate_seed,
     maximize_sharpe,
     restart_log_csv,
-    search_best_net,
+    search_best_nets,
     search_log_csv,
 )
 from econocast.timeseries import MonthStamp
@@ -37,6 +38,12 @@ def linear_problem(n=48, seed=0):
     return matrix(x[:split].reshape(-1, 1), y[:split]), matrix(
         x[split:].reshape(-1, 1), y[split:]
     )
+
+
+def search_one(grid, tr, va, cfg):
+    """search_best_nets on one (train, validation) pair."""
+    (outcome,) = search_best_nets(grid, [(tr, va)], [cfg])
+    return outcome
 
 
 def sine_problem(n=64):
@@ -72,8 +79,7 @@ def test_grid_takes_numpy_integers():
 
 def test_single_candidate_wins():
     tr, va = linear_problem()
-    grid = ArchitectureGrid((1,), (3,), TrainConfig(max_epochs=50))
-    outcome = search_best_net(grid, tr, va)
+    outcome = search_one(ArchitectureGrid((1,), (3,)), tr, va, TrainConfig(max_epochs=50))
     assert outcome.best_architecture == (1, 3, 1)
     assert len(outcome.log) == 1
 
@@ -81,8 +87,7 @@ def test_single_candidate_wins():
 def test_linear_target_tie_breaks_toward_fewer_parameters():
     tr, va = linear_problem()
     cfg = TrainConfig(learning_rate=0.1, init_weight_bound=1.0, max_epochs=3000)
-    grid = ArchitectureGrid((1,), (1, 8), cfg)
-    outcome = search_best_net(grid, tr, va)
+    outcome = search_one(ArchitectureGrid((1,), (1, 8)), tr, va, cfg)
     scores = {r.shape: r.combined for r in outcome.log}
     # both land within the tie band on an affine target; the small net wins
     assert all(s < 2.0 for s in scores.values())
@@ -91,16 +96,15 @@ def test_linear_target_tie_breaks_toward_fewer_parameters():
 
 def test_sine_target_needs_capacity():
     tr, va = sine_problem()
-    grid = ArchitectureGrid((1,), (2, 16), TrainConfig(max_epochs=800))
-    outcome = search_best_net(grid, tr, va)
+    outcome = search_one(ArchitectureGrid((1,), (2, 16)), tr, va, TrainConfig(max_epochs=800))
     assert outcome.best_architecture == (1, 16, 1)
 
 
 def test_search_is_deterministic_and_covers_every_candidate_once():
     tr, va = linear_problem()
-    grid = ArchitectureGrid((1, 2), (2, 4), TrainConfig(max_epochs=30))
-    a = search_best_net(grid, tr, va)
-    b = search_best_net(grid, tr, va)
+    grid, cfg = ArchitectureGrid((1, 2), (2, 4)), TrainConfig(max_epochs=30)
+    a = search_one(grid, tr, va, cfg)
+    b = search_one(grid, tr, va, cfg)
     assert a.best_architecture == b.best_architecture
     assert [r.shape for r in a.log] == [r.shape for r in b.log]
     assert [r.combined for r in a.log] == [r.combined for r in b.log]
@@ -114,17 +118,46 @@ def test_candidate_seed_is_stable():
 
 def test_divergent_candidate_scores_worst_but_not_fatal():
     tr, va = linear_problem()
-    grid = ArchitectureGrid((1,), (2, 4), TrainConfig(max_epochs=30, learning_rate=1e7))
-    outcome = search_best_net(grid, tr, va)
+    cfg = TrainConfig(max_epochs=30, learning_rate=1e7)
+    outcome = search_one(ArchitectureGrid((1,), (2, 4)), tr, va, cfg)
     assert all(r.diverged for r in outcome.log)
     assert all(r.combined == float("inf") for r in outcome.log)
 
 
 def test_search_log_csv_header():
     tr, va = linear_problem()
-    grid = ArchitectureGrid((1,), (2,), TrainConfig(max_epochs=10))
-    text = search_log_csv(search_best_net(grid, tr, va))
+    outcome = search_one(ArchitectureGrid((1,), (2,)), tr, va, TrainConfig(max_epochs=10))
+    text = search_log_csv(outcome)
     assert text.splitlines()[0] == "candidate,seed,train_err,val_err,srm,wallclock"
+
+
+def test_one_call_searches_every_pair_as_if_alone(monkeypatch):
+    # Equal rows, widths 1 to 3: the first two pairs' configs differ only in
+    # rng_seed, so their candidates share lockstep batches; the third diverges.
+    rng = np.random.default_rng(4)
+    X = rng.uniform(-1, 1, size=(48, 3))
+    y = X @ np.array([2.0, -1.0, 0.5]) + 1
+    pairs = [(matrix(X[:32, :k], y[:32]), matrix(X[32:, :k], y[32:])) for k in (1, 2, 3)]
+    configs = [
+        TrainConfig(max_epochs=30, rng_seed=1),
+        TrainConfig(max_epochs=30, rng_seed=2),
+        TrainConfig(max_epochs=30, learning_rate=1e7),
+    ]
+    grid = ArchitectureGrid((1, 2), (2, 3))
+    alone = [search_one(grid, tr, va, cfg) for (tr, va), cfg in zip(pairs, configs)]
+    calls = []
+    train_many = search.train_many
+
+    def spy(nets, *args):
+        calls.append(len(nets))
+        return train_many(nets, *args)
+
+    monkeypatch.setattr(search, "train_many", spy)
+    batched = search_best_nets(grid, pairs, configs)
+    assert calls == [12]
+    assert [o.best_architecture for o in batched] == [o.best_architecture for o in alone]
+    assert [o.log for o in batched] == [o.log for o in alone]
+    assert [[r.diverged for r in o.log] for o in batched] == [[False] * 4] * 2 + [[True] * 4]
 
 
 def test_selection_logs_render_exactly():
