@@ -20,7 +20,7 @@ from . import lagscan, metrics, presets, search
 from .artifacts import REQUIRED, JsonObject, is_file_stem, read_json, write_json, write_text
 # `train` is unused here but stays importable from cli: perfbench/selftest.py
 # checks that tracing rebinds it in every module that imported it.
-from .mlp import TrainConfig, TrainedExpert, TrainingDiverged, save_expert, train  # noqa: F401
+from .mlp import TrainConfig, TrainedExpert, save_expert, train  # noqa: F401
 from .preprocess import FeatureSpec, WarmupError, dominant_cycle
 from .timeseries import (
     CsvFormatError,
@@ -51,7 +51,7 @@ class SyntheticParams:
 
 @dataclass(frozen=True)
 class RestartSettings:
-    """The `restarts` section: the restart arguments of search.maximize_sharpe."""
+    """The `restarts` section: the restart arguments of search.maximize_sharpes."""
 
     max_restarts: int = 20
     target_srm: float | None = None
@@ -272,11 +272,9 @@ def _prepared_specs(
     restart winner was trained on that core range from the returned spec's
     init and config, so it is the expert a final fit would train again.
 
-    Selection logs land under out_dir/logs. A warm-up shortfall or a sub
-    whose every restart diverged is raised as a ValueError naming the sub;
-    every sub is assembled before any selection trains, so an assembly fault
-    is named first, and the logs are written only once every sub's pick
-    succeeded."""
+    Every sub is assembled before selection trains, so an assembly fault is
+    named first, then the first sub in spec order whose pick failed. The
+    selection logs land under out_dir/logs only once every pick succeeded."""
     if config.test_range[0] <= config.train_range[1]:
         raise ConfigError("config.test_range must start after config.train_range ends")
     specs = _build_sub_specs(config, _detect_cycle(sources, config))
@@ -284,36 +282,30 @@ def _prepared_specs(
         return specs, [None] * len(specs), config.train_range
     core_range, val_range = _selection_ranges(config)
     matrices = ens.assemble_subs(specs, sources, config.target, core_range, val_range)
-    out, selected, logs, searched = [], [], {}, None
-    for number, (spec, (m_core, m_val)) in enumerate(zip(specs, matrices), start=1):
-        expert, hidden, cfg = None, spec.hidden_layers, spec.train_config
+    configs, hidden = [s.train_config for s in specs], [s.hidden_layers for s in specs]
+    logs, picks = {}, [None] * len(specs)
+    if config.search is not None:
         try:
-            if config.search is not None:
-                # A search fails only on the target (error_percent of an all-zero
-                # target), which every sub shares, so sub 1's turn searches every sub.
-                searched = searched or search.search_best_nets(
-                    config.search, matrices, [s.train_config for s in specs]
-                )
-                outcome = searched[number - 1]
-                hidden = outcome.best_architecture[1:-1]
-                logs[f"search_{spec.name}.csv"] = search.search_log_csv(outcome)
-            if config.restarts is not None:
-                ro = search.maximize_sharpe(
-                    (m_core.width, *hidden, 1),
-                    m_core,
-                    m_val,
-                    cfg,
-                    target_srm=config.restarts.target_srm,
-                    max_restarts=config.restarts.max_restarts,
-                    base_seed=cfg.rng_seed,
-                )
-                expert = ro.expert
-                cfg = replace(cfg, rng_seed=expert.rng_seed)
-                logs[f"restarts_{spec.name}.csv"] = search.restart_log_csv(ro)
-        except (ValueError, TrainingDiverged) as exc:
-            raise ens.sub_failed(number, spec, exc) from exc
-        out.append(replace(spec, hidden_layers=tuple(hidden), train_config=cfg))
-        selected.append(expert)
+            searched = search.search_best_nets(config.search, matrices, configs)
+        except ValueError as exc:
+            # A search fails only on the target (all zero), which every sub shares.
+            raise ens.sub_failed(1, specs[0], exc) from exc
+        hidden = [outcome.best_architecture[1:-1] for outcome in searched]
+        logs = {f"search_{s.name}.csv": search.search_log_csv(o) for s, o in zip(specs, searched)}
+    if config.restarts is not None:
+        shapes = [(m_core.width, *h, 1) for (m_core, _), h in zip(matrices, hidden)]
+        picks = search.maximize_sharpes(
+            shapes, matrices, configs, config.restarts.target_srm, config.restarts.max_restarts
+        )
+    out, selected = [], []
+    for number, (spec, h, cfg, pick) in enumerate(zip(specs, hidden, configs, picks), start=1):
+        if isinstance(pick, Exception):
+            raise ens.sub_failed(number, spec, pick) from pick
+        if pick is not None:
+            cfg = replace(cfg, rng_seed=pick.expert.rng_seed)
+            logs[f"restarts_{spec.name}.csv"] = search.restart_log_csv(pick)
+        out.append(replace(spec, hidden_layers=tuple(h), train_config=cfg))
+        selected.append(None if pick is None else pick.expert)
     for name, text in logs.items():
         write_text(os.path.join(config.out_dir, "logs", name), text)
     return out, selected, core_range

@@ -44,12 +44,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .artifacts import REQUIRED, JsonObject, read_json, write_json
+from .artifacts import REQUIRED, JsonObject, is_number, read_json, write_json
 from .artifacts import sizes as checked_sizes
 from .preprocess import FeatureMatrix, FeatureSpec
 from .timeseries import MonthStamp, TimeSeries, range_to_json, read_range
@@ -134,6 +136,20 @@ class TrainConfig:
     rng_seed: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("max_epochs", "rng_seed"):
+            if not is_number(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        # target_error may be inf: every finite loss reaches it, so one epoch trains.
+        # Finite means a float can hold it: math.isfinite raises on an int above that.
+        for name, want in (
+            ("learning_rate", "a finite number"),
+            ("init_weight_bound", "a finite number"),
+            ("target_error", "a finite number or inf"),
+        ):
+            value = getattr(self, name)
+            finite = is_number(value, numbers.Real) and abs(value) <= sys.float_info.max
+            if not (finite or name == "target_error" and value == math.inf):
+                raise ValueError(f"{name} must be {want}, got {value!r}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
         if self.init_weight_bound < 0:
@@ -142,6 +158,8 @@ class TrainConfig:
             raise ValueError("max_epochs must be >= 1")
         if self.target_error < 0:
             raise ValueError("target_error must be >= 0")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
 
 
 @dataclass(frozen=True)

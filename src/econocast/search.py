@@ -2,18 +2,20 @@
 
 Both loops are deterministic: candidate seeds derive from a stable hash of the
 shape, restart seeds count up from a base seed, and every evaluation lands in
-the returned log. Each loop trains in one mlp.train_many call, the search for
-every (train, validation) pair at once, and reads divergence from its slots.
+the returned log. Each loop trains every (train, validation) pair at once, in
+one mlp.train_many call, and reads divergence from its slots.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import reduce
 from typing import List, Sequence, Tuple
 
-from .artifacts import sizes
+from .artifacts import is_number, sizes
 from .metrics import efficiency, sharpe_modified, signals_from_prediction, srm_rank_key
 from .mlp import (
     TrainConfig,
@@ -35,6 +37,7 @@ __all__ = [
     "RestartOutcome",
     "candidate_seed",
     "search_best_nets",
+    "maximize_sharpes",
     "maximize_sharpe",
     "search_log_csv",
     "restart_log_csv",
@@ -128,17 +131,8 @@ def search_best_nets(
             train_err = val_err = float("inf")
         else:
             train_err, val_err = (error_percent(predict(expert, m), m) for m in matrices[i])
-        logs[i].append(
-            CandidateResult(
-                shape=shape,
-                seed=cfg.rng_seed,
-                train_error_pct=train_err,
-                validation_error_pct=val_err,
-                combined=max(train_err, val_err),
-                parameters=_parameters(shape),
-                diverged=diverged,
-            )
-        )
+        scores = (train_err, val_err, max(train_err, val_err))
+        logs[i].append(CandidateResult(shape, cfg.rng_seed, *scores, _parameters(shape), diverged))
     return [SearchOutcome(reduce(_better, log).shape, tuple(log)) for log in logs]
 
 
@@ -160,6 +154,66 @@ class RestartOutcome:
     reached_target: bool
 
 
+def maximize_sharpes(
+    shapes: Sequence[Sequence[int]],
+    matrices: Sequence[Tuple[FeatureMatrix, FeatureMatrix]],
+    configs: Sequence[TrainConfig],
+    target_srm: float | None = None,
+    max_restarts: int = 20,
+) -> List[RestartOutcome | TrainingDiverged | ValueError]:
+    """For each (train, validation) pair, train its shape from fresh random
+    weights (seeds config.rng_seed + i) and keep the expert with the best
+    validation Sharpe ratio. Every restart of every pair trains in one
+    train_many call, then each pair's are scored in seed order until one
+    reaches target_srm (a no-loss outcome reaches any). One slot per pair: its
+    RestartOutcome, TrainingDiverged if every restart diverged, or the
+    ValueError of a validation target that cannot be scored."""
+    if not is_number(max_restarts, numbers.Integral) or max_restarts < 1:
+        raise ValueError(f"max_restarts must be an integer >= 1, got {max_restarts!r}")
+    seeded = [[replace(c, rng_seed=c.rng_seed + i) for i in range(max_restarts)] for c in configs]
+    trained = train_many(
+        [init(tuple(shape), c) for shape, cfgs in zip(shapes, seeded, strict=True) for c in cfgs],
+        [pair[0] for pair, cfgs in zip(matrices, seeded, strict=True) for _ in cfgs],
+        [cfg for cfgs in seeded for cfg in cfgs],
+    )
+    results = iter(trained)
+    return [
+        _best_restart(pair[1], [(cfg, next(results)) for cfg in cfgs], target_srm)
+        for pair, cfgs in zip(matrices, seeded)
+    ]
+
+
+def _best_restart(
+    validation_matrix: FeatureMatrix,
+    restarts: Sequence[Tuple[TrainConfig, TrainedExpert | TrainingDiverged]],
+    target_srm: float | None,
+) -> RestartOutcome | TrainingDiverged | ValueError:
+    """One pair's slot of maximize_sharpes: its restarts scored in seed order."""
+    actual = validation_matrix.target_series()
+    history, reached = [], False
+    try:
+        for i, (cfg, expert) in enumerate(restarts):
+            if isinstance(expert, TrainingDiverged):
+                history.append(RestartResult(i, cfg.rng_seed, -math.inf, -math.inf, math.inf, True))
+                continue
+            signals = signals_from_prediction(predict(expert, validation_matrix))
+            srm = sharpe_modified(actual, signals)
+            eff = efficiency(actual, signals)
+            history.append(RestartResult(i, cfg.rng_seed, srm, eff, expert.final_train_error))
+            if target_srm is not None and (srm is None or srm >= target_srm):
+                reached = True
+                break
+    except ValueError as exc:
+        return exc
+    scored = [r for r in history if not r.diverged]
+    if not scored:
+        last = max(exc.epoch for _, exc in restarts)
+        message = f"all {len(restarts)} restarts diverged, the last at epoch {last}"
+        return TrainingDiverged(last, f"{message} (non-finite loss)")
+    best = max(scored, key=lambda r: srm_rank_key(r.srm, r.efficiency_pct)).restart
+    return RestartOutcome(restarts[best][1], best, tuple(history), reached)
+
+
 def maximize_sharpe(
     shape: Sequence[int],
     train_matrix: FeatureMatrix,
@@ -169,60 +223,15 @@ def maximize_sharpe(
     max_restarts: int = 20,
     base_seed: int | None = None,
 ) -> RestartOutcome:
-    """Train from fresh random weights (seeds base_seed + i) and keep the
-    expert with the best validation Sharpe ratio. All restarts train in one
-    lockstep batch; they are then scored in seed order, and scoring stops
-    once target_srm is reached, so the history ends there. A no-loss outcome
-    satisfies any target. Raises TrainingDiverged if every restart diverges."""
-    if max_restarts < 1:
-        raise ValueError("max_restarts must be >= 1")
-    if base_seed is None:
-        base_seed = train_config.rng_seed
-    configs = [replace(train_config, rng_seed=base_seed + i) for i in range(max_restarts)]
-    nets = [init(tuple(shape), cfg) for cfg in configs]
-    trained = train_many(nets, [train_matrix] * max_restarts, configs)
-    actual = validation_matrix.target_series()
-    history: List[RestartResult] = []
-    best: TrainedExpert | None = None
-    best_key = None
-    best_index = -1
-    reached = False
-    for i, (cfg, expert) in enumerate(zip(configs, trained)):
-        diverged = isinstance(expert, TrainingDiverged)
-        if diverged:
-            srm = eff = float("-inf")
-            train_err = float("inf")
-        else:
-            predicted = predict(expert, validation_matrix)
-            signals = signals_from_prediction(predicted)
-            srm = sharpe_modified(actual, signals)
-            eff = efficiency(actual, signals)
-            train_err = expert.final_train_error
-        history.append(
-            RestartResult(
-                restart=i,
-                seed=cfg.rng_seed,
-                srm=srm,
-                efficiency_pct=eff,
-                train_error_pct=train_err,
-                diverged=diverged,
-            )
-        )
-        if diverged:
-            continue
-        key = srm_rank_key(srm, eff)
-        if best_key is None or key > best_key:
-            best, best_key, best_index = expert, key, i
-        if target_srm is not None and (srm is None or srm >= target_srm):
-            reached = True
-            break
-    if best is None:
-        last = max(exc.epoch for exc in trained)
-        message = f"all {max_restarts} restarts diverged, the last at epoch {last}"
-        raise TrainingDiverged(last, f"{message} (non-finite loss)")
-    return RestartOutcome(
-        expert=best, best_restart=best_index, history=tuple(history), reached_target=reached
+    """maximize_sharpes on one pair, seeds counting up from base_seed (default
+    train_config.rng_seed); raises the pair's TrainingDiverged or ValueError."""
+    config = train_config if base_seed is None else replace(train_config, rng_seed=base_seed)
+    (outcome,) = maximize_sharpes(
+        [shape], [(train_matrix, validation_matrix)], [config], target_srm, max_restarts
     )
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def search_log_csv(outcome: SearchOutcome) -> str:
@@ -231,9 +240,7 @@ def search_log_csv(outcome: SearchOutcome) -> str:
     lines = ["candidate,seed,train_err,val_err,srm,wallclock"]
     for r in outcome.log:
         shape = "x".join(str(n) for n in r.shape)
-        lines.append(
-            f"{shape},{r.seed},{r.train_error_pct:.6g},{r.validation_error_pct:.6g},,"
-        )
+        lines.append(f"{shape},{r.seed},{r.train_error_pct:.6g},{r.validation_error_pct:.6g},,")
     return "\n".join(lines) + "\n"
 
 

@@ -381,6 +381,49 @@ def test_ensemble_and_train_bytes_match_the_pinned_digests(tmp_path, case):
     assert written == LOCKSTEP_DIGESTS[case]
 
 
+# sha256 of logs/ and model/ after `ensemble` then `train` with the README
+# search grid, 20 restarts and target_srm 0.6: network1 and network4 stop at
+# restart 0, network5 at restart 5, network2 never reaches the target, and
+# network4 keeps restart 0, not the restart 1 it keeps with no target.
+TARGET_SRM_DIGESTS = {
+    "logs/restarts_network1.csv": "446c8256a8a32b8060953b13af964bd03b09456ba46d801e4e2189f63e42efb8",
+    "logs/restarts_network2.csv": "992670eef15527f58d0dd316375d7852455fa356f4742788eca10daa8112f772",
+    "logs/restarts_network4.csv": "a47cc3f49a90be383c68000cbfafbc70551dc25e5581d2669833add8ee1985e8",
+    "logs/restarts_network5.csv": "2667fa4ff80f34acc0b9dee32f0d648d775618a8d5ec60ee29b95fb94e403afb",
+    "logs/search_network1.csv": "38073a2379d1e8ddacd78e80d518e8bfe3043fa6bcaba771412e5bece2971fec",
+    "logs/search_network2.csv": "29e41a92cc3934d9881b869b0f91cc540998d722c90d33daf4abc1dec1063f82",
+    "logs/search_network4.csv": "69692446ce43dbf1b3828b5891930a40af1b64b080ccb2cde0fbe515e17b3d1a",
+    "logs/search_network5.csv": "4c1813ce5e344f4f1193f757756921fd1ab96cf6764cc56f8852361c602bd0db",
+    "model/manifest.json": "5c979c41ba20e460720d9b1d4401a819be472aa37fac9bd019c73712c8949861",
+    "model/master.json": "e18ae7cf6f4652e66e0112136818b4c1c5e6b9bb397b1506083d9a766b290b97",
+    "model/network1.json": "cc463fe6ef3785b982755fb1763657a29b2dc9d8a39560a7c831bbb8d471df2a",
+    "model/network2.json": "90a6b1a9bcf2fcc87f3fa55a847d62d3dbf4d90717252e752167afa6d993c2af",
+    "model/network4.json": "7fc0bccebefdc1ff47d6a19f50307fe18b24b4c2460e10579875c7b0dff7c3f5",
+    "model/network5.json": "acc20d398077a005ad88d2ff7419d6532891869c623e0411431948cfa1edf6a5",
+}
+
+
+def test_target_srm_stops_each_sub_where_the_pinned_digests_say(tmp_path):
+    out = tmp_path / "out"
+    networks = ["network1", "network2", "network4", "network5"]
+    cfg = base_config(str(out), months=96, epochs=8, networks=networks)
+    cfg["train_range"] = ["1992-01", "1997-12"]
+    cfg["test_range"] = ["1998-01", "1998-12"]
+    cfg["search"] = {"hidden_layer_counts": [1, 2], "nodes_per_layer_candidates": [2, 4, 8, 16]}
+    cfg["restarts"] = {"max_restarts": 20, "target_srm": 0.6}
+    path = write_config(tmp_path, cfg)
+    assert main(["ensemble", "--config", path]) == 0
+    assert main(["train", "--config", path]) == 0
+    written = {
+        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.rglob("*"))
+        if path.is_file() and path.parent.name in ("logs", "model")
+    }
+    assert written == TARGET_SRM_DIGESTS
+    logs = [(out / "logs" / f"restarts_{n}.csv").read_text() for n in networks]
+    assert [len(log.splitlines()) - 1 for log in logs] == [1, 20, 1, 6]
+
+
 def test_optimized_pipeline_is_deterministic(tmp_path):
     out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
     for name, out in (("a", out_a), ("b", out_b)):
@@ -409,14 +452,13 @@ def test_optimized_pipeline_is_deterministic(tmp_path):
 def test_leaky_selection_chooses_the_ranges_restarts_see(tmp_path, monkeypatch, leaky, fit_on,
                                                          scored_on):
     seen = []
-    maximize_sharpe = search.maximize_sharpe
+    maximize_sharpes = search.maximize_sharpes
 
-    def spy(shape, train_matrix, validation_matrix, *args, **kwargs):
-        ranges = [(str(m.start), str(m.end)) for m in (train_matrix, validation_matrix)]
-        seen.append(tuple(ranges))
-        return maximize_sharpe(shape, train_matrix, validation_matrix, *args, **kwargs)
+    def spy(shapes, matrices, *args):
+        seen.extend(tuple((str(m.start), str(m.end)) for m in pair) for pair in matrices)
+        return maximize_sharpes(shapes, matrices, *args)
 
-    monkeypatch.setattr(search, "maximize_sharpe", spy)
+    monkeypatch.setattr(search, "maximize_sharpes", spy)
     cfg = base_config(str(tmp_path / "out"), epochs=5)
     cfg["restarts"] = {"max_restarts": 2}
     if leaky == "config":

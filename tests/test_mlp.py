@@ -43,6 +43,53 @@ def matrix_from_arrays(X, y, names=None):
 
 
 # ---------------------------------------------------------------------------
+# TrainConfig
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "field, value, want",
+    [
+        # no loss reaches a nan target, so training could not stop early
+        ("target_error", float("nan"), "a finite number or inf"),
+        ("target_error", float("-inf"), "a finite number or inf"),
+        # numpy's uniform overflows on an infinite bound
+        ("init_weight_bound", float("inf"), "a finite number"),
+        # every loss would be nan, read as divergence
+        ("learning_rate", float("nan"), "a finite number"),
+        ("learning_rate", float("inf"), "a finite number"),
+        ("learning_rate", "0.1", "a finite number"),
+        ("learning_rate", True, "a finite number"),
+        # too large for a float: numpy failed to cast it in the first update
+        ("learning_rate", 10**400, "a finite number"),
+        # epochs and seeds are counted and seeded with integers
+        ("max_epochs", 2.5, "an integer"),
+        ("rng_seed", 1.5, "an integer"),
+        ("rng_seed", None, "an integer"),
+        # True would train one epoch
+        ("max_epochs", True, "an integer"),
+    ],
+)
+def test_train_config_rejects_values_that_are_not_finite_numbers_of_its_type(field, value, want):
+    with pytest.raises(ValueError) as err:
+        TrainConfig(**{field: value})
+    assert str(err.value) == f"{field} must be {want}, got {value!r}"
+
+
+def test_train_config_keeps_numpy_and_int_values_and_an_infinite_target():
+    cfg = TrainConfig(
+        learning_rate=1, init_weight_bound=np.float64(0.2), max_epochs=np.int64(3),
+        target_error=float("inf"), rng_seed=np.int32(4),
+    )
+    assert type(cfg.learning_rate) is int and type(cfg.max_epochs) is np.int64
+    assert cfg.target_error == float("inf") and cfg.rng_seed == 4
+    with pytest.raises(ValueError, match="^learning_rate must be > 0$"):
+        TrainConfig(learning_rate=0)
+    # numpy's default_rng would reject it without naming the field
+    with pytest.raises(ValueError, match="^rng_seed must be >= 0$"):
+        TrainConfig(rng_seed=-1)
+
+
+# ---------------------------------------------------------------------------
 # init
 # ---------------------------------------------------------------------------
 

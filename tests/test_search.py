@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from econocast.search import (
     SearchOutcome,
     candidate_seed,
     maximize_sharpe,
+    maximize_sharpes,
     restart_log_csv,
     search_best_nets,
     search_log_csv,
@@ -295,3 +297,74 @@ def test_every_restart_diverged_names_the_count_and_an_epoch():
     cfg = TrainConfig(learning_rate=3.0, max_epochs=20)
     with pytest.raises(TrainingDiverged, match=r"all 4 restarts diverged, the last at epoch \d+"):
         maximize_sharpe((tr.width, 3, 1), tr, va, cfg, max_restarts=4)
+
+
+def _restart_pairs():
+    """Four (train, validation) pairs on equal rows, widths 1 to 3, with a
+    shape and config each; the last pair diverges at every restart."""
+    rng = np.random.default_rng(4)
+    X = rng.uniform(-1, 1, size=(60, 3))
+    y = np.sin(3 * X[:, 0]) + X[:, 1] * X[:, 2] + 0.3 * rng.normal(size=60)
+    pairs = [(matrix(X[:40, :k], y[:40]), matrix(X[40:, :k], y[40:])) for k in (1, 2, 3, 3)]
+    shapes = [(1, 2, 1), (2, 3, 1), (3, 2, 2, 1), (3, 2, 1)]
+    configs = [TrainConfig(max_epochs=10, rng_seed=s) for s in (1, 30, 7)]
+    return shapes, pairs, configs + [TrainConfig(max_epochs=10, learning_rate=1e7)]
+
+
+@pytest.mark.parametrize(
+    "target, scored",
+    [
+        (None, [8, 8, 8]),
+        # restarts 0, 5 and 3 are the first to reach 1.4
+        (1.4, [1, 6, 4]),
+        # only the third pair reaches 1.42, at restart 3
+        (1.42, [8, 8, 4]),
+    ],
+)
+def test_one_call_runs_every_pairs_restarts_as_if_alone(monkeypatch, target, scored):
+    shapes, pairs, configs = _restart_pairs()
+    alone = []
+    for shape, (tr, va), cfg in zip(shapes, pairs, configs):
+        try:
+            alone.append(maximize_sharpe(shape, tr, va, cfg, target, 8))
+        except TrainingDiverged as exc:
+            alone.append(exc)
+    calls = []
+    train_many = search.train_many
+
+    def spy(nets, *args):
+        calls.append(len(nets))
+        return train_many(nets, *args)
+
+    monkeypatch.setattr(search, "train_many", spy)
+    batched = maximize_sharpes(shapes, pairs, configs, target, 8)
+    assert calls == [32]
+    for a, b in zip(batched[:3], alone):
+        assert a.history == b.history
+        assert (a.best_restart, a.reached_target) == (b.best_restart, b.reached_target)
+        assert json.dumps(expert_to_dict(a.expert)) == json.dumps(expert_to_dict(b.expert))
+    assert [len(o.history) for o in batched[:3]] == scored
+    assert [o.reached_target for o in batched[:3]] == [target is not None and n < 8 for n in scored]
+    message = "all 8 restarts diverged, the last at epoch 1 (non-finite loss)"
+    assert isinstance(batched[3], TrainingDiverged) and str(batched[3]) == str(alone[3]) == message
+
+
+def test_a_flat_validation_target_fills_only_its_own_slot():
+    shapes, pairs, configs = _restart_pairs()
+    (tr, va), shapes, configs = pairs[1], shapes[:3], configs[:3]
+    flat = matrix(va.X, np.ones(va.rows))
+    outcomes = maximize_sharpes(shapes, [pairs[0], (tr, flat), pairs[2]], configs, None, 2)
+    assert isinstance(outcomes[1], ValueError) and str(outcomes[1]) == "flat actual series"
+    assert [type(o) for o in outcomes[::2]] == [RestartOutcome] * 2
+    with pytest.raises(ValueError, match="^flat actual series$"):
+        maximize_sharpe(shapes[1], tr, flat, configs[1], max_restarts=2)
+
+
+@pytest.mark.parametrize("max_restarts", [0, 2.5, True, "3", None])
+def test_max_restarts_must_be_an_integer_ge_1(max_restarts):
+    shapes, pairs, configs = _restart_pairs()
+    message = f"^max_restarts must be an integer >= 1, got {re.escape(repr(max_restarts))}$"
+    with pytest.raises(ValueError, match=message):
+        maximize_sharpes(shapes, pairs, configs, max_restarts=max_restarts)
+    with pytest.raises(ValueError, match=message):
+        maximize_sharpe(shapes[0], *pairs[0], configs[0], max_restarts=max_restarts)
