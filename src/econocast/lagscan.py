@@ -13,12 +13,14 @@ inputs' curves against one target renders the benchmark block once.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .artifacts import is_number
 from .metrics import (
     EquityCurve,
     MetricsReport,
@@ -77,8 +79,8 @@ def scan(
     [first, last]. The chosen lag maximizes the modified Sharpe ratio; a
     no-loss lag outranks every finite one, then higher efficiency, then the
     smaller lag."""
-    if max_lag < 1:
-        raise ValueError(f"max_lag must be >= 1, got {max_lag}")
+    if not is_number(max_lag, numbers.Integral) or max_lag < 1:
+        raise ValueError(f"max_lag must be an integer >= 1, got {max_lag!r}")
     if not target.covers(first, last):
         raise ValueError(f"target does not cover {first}..{last}")
     needed = first.plus(-max_lag)

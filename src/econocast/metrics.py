@@ -16,7 +16,8 @@ actual series' moves, diffed once by the caller. The functions on one
 K = 1. For a C-contiguous stack, a row's figures are bit-identical to scoring
 that row alone: every sum and mean then runs along the contiguous last axis,
 which numpy reduces row by row in the same pairwise order as a 1-D array, and
-a row's mean loss is a mean over that row's losses only.
+a row's mean loss is one `add.reduce` over that row's losses only. Curve CSV
+rows come from a template per month range, filled by one float-only `%` format.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 # checks that tracing rebinds it in every module that imported it.
 from .mlp import error_percent, predict  # noqa: F401
 from .preprocess import FeatureMatrix
-from .timeseries import MonthStamp, TimeSeries, format_rows, month_labels
+from .timeseries import MonthStamp, TimeSeries, month_labels
 
 __all__ = [
     "SignalSeries",
@@ -196,13 +197,13 @@ def sharpe_modified_rows(moves: np.ndarray, signals: np.ndarray) -> List[float |
         raise ValueError("flat actual series")
     returns = signals * moves
     fractions = np.sum(returns, axis=1) / float(np.sum(np.abs(moves)))
-    ratios: List[float | None] = []
-    for row, eff_fraction in zip(returns, fractions.tolist()):
-        losses = -row[row < 0]
-        ratios.append(
-            None if losses.size == 0 else eff_fraction / (float(np.mean(losses)) / mean_abs)
-        )
-    return ratios
+    losing = returns < 0
+    losses, ends = -returns[losing], np.cumsum(np.count_nonzero(losing, axis=1)).tolist()
+    return [  # row i's losses are losses[ends[i-1]:ends[i]]; add.reduce / n is np.mean's bits
+        None if end == begin
+        else eff / (float(np.add.reduce(losses[begin:end])) / (end - begin) / mean_abs)
+        for eff, begin, end in zip(fractions.tolist(), [0, *ends], ends)
+    ]
 
 
 def sharpe_modified(actual: TimeSeries, signals: SignalSeries) -> float | None:
@@ -341,18 +342,17 @@ def render_report_csv(rows: Sequence[Tuple[str, MetricsReport]]) -> str:
 
 
 @functools.lru_cache(maxsize=8)
-def _labels(start: MonthStamp, n: int) -> Tuple[str, ...]:
-    """month_labels, kept across calls: a scan renders each input's curves over the same months."""
-    return tuple(month_labels(start, n))
+def _row_template(start: MonthStamp, n: int) -> str:
+    """`<month>,%.6g,\\0` rows over n months from start (no label holds a \\0). Keyed
+    on the months, not the name, so every lag and input curve of a scan reuses one."""
+    return "".join([label + ",%.6g,\0\n" for label in month_labels(start, n)])
 
 
 def equity_rows_csv(curves: Mapping[str, EquityCurve]) -> str:
-    """The rows of equity_long_csv, without its header: one format_rows per curve."""
-    blocks = []
-    for name, curve in curves.items():
-        row = "%s,%.6g," + name.replace("%", "%%") + "\n"
-        blocks.append(format_rows(row, [_labels(curve.start, len(curve)), curve.values.tolist()]))
-    return "".join(blocks)
+    """The rows of equity_long_csv, without its header: the name replaces each \\0 of its
+    months' template, not rescanned, then one float-only `%` format fills in the values."""
+    return "".join([_row_template(c.start, len(c)).replace("\0", name.replace("%", "%%"))
+                    % tuple(c.values.tolist()) for name, c in curves.items()])
 
 
 def equity_long_csv(curves: Mapping[str, EquityCurve]) -> str:

@@ -115,6 +115,35 @@ def test_scan_equals_a_lag_by_lag_reference(target, max_lag, spare_before, spare
     assert result.buy_hold_equity == buy_hold
 
 
+@pytest.mark.parametrize("max_lag", [0, -1, 2.5, True, "3", None])
+def test_scan_rejects_a_max_lag_that_is_not_an_integer_of_at_least_one(target, max_lag):
+    first, last = _range(target)
+    with pytest.raises(ValueError, match=r"^max_lag must be an integer >= 1, got "):
+        scan(target, target, max_lag, first, last)
+
+
+def test_scan_takes_a_numpy_integer_max_lag(target):
+    inp = shifted_input(target, 4)
+    first, last = _range(target)
+    got, want = scan(inp, target, np.int64(6), first, last), scan(inp, target, 6, first, last)
+    assert [r.report for r in got.rows] == [r.report for r in want.rows]
+    assert got.chosen_lag == want.chosen_lag
+
+
+@pytest.mark.parametrize("max_lag", [12, 70])
+def test_a_second_input_over_the_same_months_builds_no_curve_template(target, max_lag):
+    # the templates are keyed on the months, not the max_lag + 2 curve names,
+    # so however many lags a scan has, the next input reuses the first's
+    first, last = _range(target, max_lag)
+    a, b = (scan(shifted_input(target, lead), target, max_lag, first, last) for lead in (3, 5))
+    before = metrics._row_template.cache_info().misses
+    lag_curves_csv(a) + benchmark_curves_csv(a)
+    after_first = metrics._row_template.cache_info().misses
+    assert after_first - before <= 1
+    lag_curves_csv(b) + benchmark_curves_csv(b)
+    assert metrics._row_template.cache_info().misses == after_first
+
+
 def test_scan_insufficient_history(target):
     inp = shifted_input(target, 2)
     with pytest.raises(ValueError, match="insufficient history"):

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from econocast import metrics
 from econocast.metrics import (
     MetricsReport,
     SignalSeries,
@@ -273,6 +274,10 @@ def _one_series(a, p):
     }
 
 
+_A = np.array([1.0, 2.5, 2.0, 4.0, 3.0])
+_ONE_LOSS = np.array([1.0, 2.5, 3.0, 4.0, 3.0])  # misses only the 2.5 -> 2.0 move
+
+
 @st.composite
 def _stacks(draw):
     """(actual, predicted stack); a drawn share of small integers makes flat
@@ -297,6 +302,11 @@ def _stacks(draw):
 @example((np.array([1.0, 2.0, 2.0, 1.0]), np.array([[0.0, 0.0, 1.0, 1.0]])))  # one row, as max_lag 1
 @example((np.array([1.0, 2.0, 2.0, 3.0]), np.array([[5.0, 5.0, 5.0, 5.0], [1.0, 2.0, 2.0, 3.0]])))
 @example((np.array([4.0, 4.0, 4.0]), np.array([[1.0, 3.0, 2.0], [2.0, 2.0, 2.0]])))  # flat actual
+# every row loss-free (no losses in the whole stack); one row with exactly one
+# loss; loss-free rows around lossy ones
+@example((_A, np.stack([_A, 2 * _A])))
+@example((_A, _ONE_LOSS[None]))
+@example((_A, np.stack([_A, _ONE_LOSS, -_A, _A, -_ONE_LOSS])))
 def test_row_functions_equal_the_one_series_formulas_bit_for_bit(stack):
     a, p = stack
     moves = np.diff(a)
@@ -510,6 +520,8 @@ def test_equity_long_csv_matches_per_row_oracle():
         name: TimeSeries(start, rng.normal(size=n) * scale[:n]) for name, start, n in shapes
     }
     curves["flat"] = TimeSeries(MonthStamp(2000, 1), [0.0, -0.0, 123456789.0, 1e-5])
+    # exponent form, sign, negative zero and round-half-even at six digits
+    curves["edge"] = TimeSeries(MonthStamp(1999, 11), [1e-5, -1e-5, 1.5e7, -0.0, 123456.5])
     expected = oracles.equity_long_csv(
         (name, c.start.year, c.start.month, c.values) for name, c in curves.items()
     )
@@ -518,12 +530,32 @@ def test_equity_long_csv_matches_per_row_oracle():
 
 def test_equity_long_csv_keeps_percent_signs_in_curve_names():
     # each curve's rows are one `%` format, so a name must not be read as a
-    # conversion of it
+    # conversion of it; nor may the "\0" that a row template holds in place of
+    # the name be read in a name
     curve = TimeSeries(MonthStamp(2000, 1), [1.5, -0.0, 2e-7])
-    names = ("a%b", "%s", "%%", "%.6g", "100%", "%(x)s")
+    names = ("a%b", "%s", "%%", "%.6g", "100%", "%(x)s", "\0", "lag\0%s")
     curves = {name: curve for name in names}
     expected = oracles.equity_long_csv((name, 2000, 1, curve.values) for name in names)
     assert equity_long_csv(curves) == expected
+
+
+def test_equity_long_csv_renders_many_names_alike_cold_and_warm():
+    # more names than the template cache holds entries: the cache is keyed on
+    # the months, so 80 names over two ranges build two templates once
+    rng = np.random.default_rng(11)
+    starts = (MonthStamp(2001, 3), MonthStamp(1998, 12))
+    curves = {
+        f"lag_{i:02d}%": TimeSeries(starts[i % 2], rng.normal(size=40) * 10.0 ** (i % 9 - 4))
+        for i in range(80)
+    }
+    expected = oracles.equity_long_csv(
+        (name, c.start.year, c.start.month, c.values) for name, c in curves.items()
+    )
+    metrics._row_template.cache_clear()
+    assert equity_long_csv(curves) == expected  # cold
+    assert metrics._row_template.cache_info().misses == 2
+    assert equity_long_csv(curves) == expected  # warm
+    assert metrics._row_template.cache_info().misses == 2
 
 
 def test_equity_long_csv_shape():
