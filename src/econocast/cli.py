@@ -325,7 +325,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_scan(config: PipelineConfig, locale_comma: bool = False) -> int:
+def cmd_scan(config: PipelineConfig) -> int:
     sources = _load_sources(config)
     target = sources[config.target]
     names = config.scan_inputs
@@ -455,10 +455,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="write a synthetic bundle CSV plus planted-lag metadata")
-    g.add_argument("--seed", type=int, default=1)
-    g.add_argument("--months", type=int, default=156)
-    g.add_argument("--cycle-period", type=int, default=12)
-    g.add_argument("--noise-scale", type=float, default=0.1)
+    defaults = SyntheticParams()
+    g.add_argument("--seed", type=int, default=defaults.seed)
+    g.add_argument("--months", type=int, default=defaults.months)
+    g.add_argument("--cycle-period", type=int, default=defaults.cycle_period)
+    g.add_argument("--noise-scale", type=float, default=defaults.noise_scale)
     g.add_argument("--out", default="out")
 
     for name, helptext in (
@@ -469,22 +470,23 @@ def main(argv: Sequence[str] | None = None) -> int:
     ):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True)
-        p.add_argument("--seed", type=int, default=None, help="override the synthetic seed")
+        if name != "report":  # report reads the saved model, not the data
+            p.add_argument("--seed", type=int, default=None, help="override the synthetic seed")
         p.add_argument("--out", default=None, help="override the output directory")
-        p.add_argument("--leaky-selection", action="store_true")
-        p.add_argument("--locale-comma", action="store_true", help="comma decimals in text tables")
+        if name in ("train", "ensemble"):
+            p.add_argument("--leaky-selection", action="store_true")
+        if name != "scan":
+            p.add_argument("--locale-comma", action="store_true",
+                           help="comma decimals in text tables")
 
     args = parser.parse_args(argv)
     try:
         if args.command == "generate":
             return cmd_generate(args)
         config = _apply_overrides(load_config(args.config), args)
-        handler = {
-            "scan": cmd_scan,
-            "train": cmd_train,
-            "ensemble": cmd_ensemble,
-            "report": cmd_report,
-        }[args.command]
+        if args.command == "scan":
+            return cmd_scan(config)
+        handler = {"train": cmd_train, "ensemble": cmd_ensemble, "report": cmd_report}[args.command]
         return handler(config, locale_comma=args.locale_comma)
     except (ConfigError, CsvFormatError, WarmupError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

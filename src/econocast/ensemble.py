@@ -123,7 +123,6 @@ def _master_matrix(
     target: TimeSeries,
     first: MonthStamp,
     last: MonthStamp,
-    target_name: str,
 ) -> FeatureMatrix:
     columns = [p.slice_range(first, last).values for p in predictions]
     return FeatureMatrix(
@@ -131,7 +130,6 @@ def _master_matrix(
         y=target.slice_range(first, last).values,
         start=first,
         specs=tuple(FeatureSpec(name) for name in names),
-        target_name=target_name,
     )
 
 
@@ -238,8 +236,8 @@ def train_ensemble(
     fits = fit_subs(spec.sub_specs, sources, target_name, train_range, test_range, selected)
     train_preds = [fit.train_pred for fit in fits]
     test_preds = [fit.test_pred for fit in fits]
-    master_train = _master_matrix(train_preds, names, target, *train_range, target_name)
-    master_test = _master_matrix(test_preds, names, target, *test_range, target_name)
+    master_train = _master_matrix(train_preds, names, target, *train_range)
+    master_test = _master_matrix(test_preds, names, target, *test_range)
     cfg = spec.master_train_config
     try:
         master = train(init(spec.master_shape(), cfg), master_train, cfg)
@@ -274,7 +272,7 @@ def predict_ensemble(
     for expert in model.sub_experts:
         matrix = assemble(list(expert.features), sources, model.target_name, None, first, last)
         preds.append(predict(expert, matrix))
-    master_matrix = _master_matrix(preds, model.sub_names, target, first, last, model.target_name)
+    master_matrix = _master_matrix(preds, model.sub_names, target, first, last)
     return tuple(preds), predict(model.master, master_matrix)
 
 

@@ -16,13 +16,13 @@ actual series' moves, diffed once by the caller. The functions on one
 K = 1. For a C-contiguous stack, a row's figures are bit-identical to scoring
 that row alone: every sum and mean then runs along the contiguous last axis,
 which numpy reduces row by row in the same pairwise order as a 1-D array, and
-a row's mean loss is one `add.reduce` over that row's losses only. Curve CSV
-rows come from a template per month range, filled by one float-only `%` format.
+a row's mean loss is one `add.reduce` over that row's losses only. Each equity
+curve's CSV rows are one float-only `%` format of its `timeseries.month_rows`
+template.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 from typing import List, Mapping, Sequence, Tuple
 
@@ -32,7 +32,7 @@ import numpy as np
 # checks that tracing rebinds it in every module that imported it.
 from .mlp import error_percent, predict  # noqa: F401
 from .preprocess import FeatureMatrix
-from .timeseries import MonthStamp, TimeSeries, month_labels
+from .timeseries import MonthStamp, TimeSeries, month_rows
 
 __all__ = [
     "SignalSeries",
@@ -341,17 +341,11 @@ def render_report_csv(rows: Sequence[Tuple[str, MetricsReport]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-@functools.lru_cache(maxsize=8)
-def _row_template(start: MonthStamp, n: int) -> str:
-    """`<month>,%.6g,\\0` rows over n months from start (no label holds a \\0). Keyed
-    on the months, not the name, so every lag and input curve of a scan reuses one."""
-    return "".join([label + ",%.6g,\0\n" for label in month_labels(start, n)])
-
-
 def equity_rows_csv(curves: Mapping[str, EquityCurve]) -> str:
-    """The rows of equity_long_csv, without its header: the name replaces each \\0 of its
-    months' template, not rescanned, then one float-only `%` format fills in the values."""
-    return "".join([_row_template(c.start, len(c)).replace("\0", name.replace("%", "%%"))
+    """The rows of equity_long_csv, without its header: in each curve's month_rows
+    template the name replaces each \\0 (no month label holds one), not rescanned,
+    then one float-only `%` format fills in the values."""
+    return "".join([month_rows(c.start, len(c), ",%.6g,\0").replace("\0", name.replace("%", "%%"))
                     % tuple(c.values.tolist()) for name, c in curves.items()])
 
 

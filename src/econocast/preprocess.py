@@ -324,7 +324,6 @@ class FeatureMatrix:
     y: np.ndarray
     start: MonthStamp
     specs: Tuple[FeatureSpec, ...]
-    target_name: str
 
     def __post_init__(self) -> None:
         X = np.array(self.X, dtype=float)
@@ -407,5 +406,4 @@ def assemble(
         y=target.slice_range(first, last).values,
         start=first,
         specs=tuple(features),
-        target_name=target_name,
     )

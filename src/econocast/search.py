@@ -60,12 +60,10 @@ class ArchitectureGrid:
         for name in ("hidden_layer_counts", "nodes_per_layer_candidates"):
             object.__setattr__(self, name, sizes(name, getattr(self, name)))
 
-    def shapes(self, n_in: int, n_out: int = 1) -> List[Tuple[int, ...]]:
-        out = []
-        for count in self.hidden_layer_counts:
-            for nodes in self.nodes_per_layer_candidates:
-                out.append(tuple([n_in] + [nodes] * count + [n_out]))
-        return out
+    def shapes(self, n_in: int) -> List[Tuple[int, ...]]:
+        """Every (n_in, *hidden, 1) shape, layer counts outermost."""
+        return [(n_in, *[nodes] * count, 1)
+                for count in self.hidden_layer_counts for nodes in self.nodes_per_layer_candidates]
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Monthly time series: calendar stamps, CSV round-trip, fixed-weight index math,
-and a seeded synthetic-economy generator.
+and a seeded synthetic-economy generator. Every monthly-row CSV the package
+writes (`render_csv` here, the equity curves of `metrics`) is one `%` format of
+a `month_rows` template.
 
 Every series is a contiguous run of finite monthly values anchored at a start
 month. All containers are immutable after construction and safe to share
@@ -8,6 +10,7 @@ between concurrent tasks.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -34,7 +37,7 @@ __all__ = [
     "range_from_json",
     "read_range",
     "month_labels",
-    "format_rows",
+    "month_rows",
     "parse_csv",
     "render_csv",
     "laspeyres_index",
@@ -92,13 +95,12 @@ def month_labels(start: MonthStamp, n: int) -> List[str]:
     return [f"{y:04d}" + m for y in years for m in months][first % 12 : first % 12 + n]
 
 
-def format_rows(row: str, columns: Sequence[Sequence[object]]) -> str:
-    """`row` %-filled with item i of each column, for every i, in one C-level format."""
-    width, n = len(columns), len(columns[0])
-    cells = [None] * (width * n)
-    for c, column in enumerate(columns):
-        cells[c::width] = column
-    return (row * n) % tuple(cells)
+@functools.lru_cache(maxsize=8)
+def month_rows(start: MonthStamp, n: int, cells: str) -> str:
+    """The `%` template of the n monthly rows from start: each row is its month
+    label, then `cells`, then a newline. Cached for the curves of a scan, which
+    share one range and one `cells`; `__wrapped__` builds one without caching."""
+    return "".join([label + cells + "\n" for label in month_labels(start, n)])
 
 
 def range_to_json(months: Tuple[MonthStamp, MonthStamp]) -> List[str]:
@@ -335,8 +337,12 @@ def render_csv(series: Mapping[str, TimeSeries]) -> str:
         if not s.aligned_with(first):
             raise ValueError(f"series {name!r} is not aligned with the others")
     header = "date," + ",".join(name for name, _ in items) + "\n"
-    columns = [month_labels(first.start, len(first)), *(s.values.tolist() for _, s in items)]
-    return header + format_rows("%s" + ",%.6g" * len(items) + "\n", columns)
+    k = len(items)
+    values = [None] * (k * len(first))  # row-major, column c every k-th
+    for c, (_, s) in enumerate(items):
+        values[c::k] = s.values.tolist()
+    # Uncached: a table is rendered once, and a cached template would outlive it.
+    return header + month_rows.__wrapped__(first.start, len(first), ",%.6g" * k) % tuple(values)
 
 
 def laspeyres_index(

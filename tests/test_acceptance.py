@@ -135,7 +135,7 @@ def test_criterion_2_sine_fit():
         started = time.perf_counter()
         x = np.arange(64) / 64.0
         y = np.sin(2 * np.pi * x)
-        matrix = FeatureMatrix(x.reshape(-1, 1), y, START, (FeatureSpec("x"),), "y")
+        matrix = FeatureMatrix(x.reshape(-1, 1), y, START, (FeatureSpec("x"),))
         cfg = TrainConfig()  # shipped defaults: lr 0.05, bound 0.3, 5000 epochs, seed 1
         expert = train(init([1, 16, 1], cfg), matrix, cfg)
         fit_rmse = float(np.sqrt(np.mean((predict(expert, matrix).values - y) ** 2)))

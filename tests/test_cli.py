@@ -269,6 +269,30 @@ def test_report_locale_comma(tmp_path):
     assert any("," in line for line in data_lines)
 
 
+def tree_state(root):
+    """Every file under root, with the inode and mtime that a rewrite would change."""
+    return {p: (p.stat().st_ino, p.stat().st_mtime_ns) for p in Path(root).rglob("*")}
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("scan", ["--locale-comma"]),
+    ("scan", ["--leaky-selection"]),
+    ("report", ["--seed", "3"]),
+    ("report", ["--leaky-selection"]),
+])
+def test_a_command_rejects_a_flag_it_does_not_read(tmp_path, capsys, command, flag):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, base_config(str(out)))
+    if command == "report":
+        assert main(["ensemble", "--config", path]) == 0
+    before = tree_state(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", path, *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert tree_state(tmp_path) == before
+
+
 def test_report_without_model_errors(tmp_path):
     out = str(tmp_path / "out")
     path = write_config(tmp_path, base_config(out))

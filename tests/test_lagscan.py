@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from econocast import metrics, preprocess
+from econocast import metrics, preprocess, timeseries
 from econocast.lagscan import benchmark_curves_csv, lag_curves_csv, scan, scan_table_csv
 from econocast.timeseries import TimeSeries
 
@@ -136,12 +136,12 @@ def test_a_second_input_over_the_same_months_builds_no_curve_template(target, ma
     # so however many lags a scan has, the next input reuses the first's
     first, last = _range(target, max_lag)
     a, b = (scan(shifted_input(target, lead), target, max_lag, first, last) for lead in (3, 5))
-    before = metrics._row_template.cache_info().misses
+    before = timeseries.month_rows.cache_info().misses
     lag_curves_csv(a) + benchmark_curves_csv(a)
-    after_first = metrics._row_template.cache_info().misses
+    after_first = timeseries.month_rows.cache_info().misses
     assert after_first - before <= 1
     lag_curves_csv(b) + benchmark_curves_csv(b)
-    assert metrics._row_template.cache_info().misses == after_first
+    assert timeseries.month_rows.cache_info().misses == after_first
 
 
 def test_scan_insufficient_history(target):

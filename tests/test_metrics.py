@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from econocast import metrics
+from econocast import timeseries
 from econocast.metrics import (
     MetricsReport,
     SignalSeries,
@@ -419,9 +419,9 @@ def test_report_of_perfect_expert(derivations):
     values = rng.normal(size=24).cumsum() + 100
     actual = TimeSeries(START, values)
     expert = _identity_expert(24)
-    train_m = FeatureMatrix(values[:16].reshape(-1, 1), values[:16], START, expert.features, "activity")
+    train_m = FeatureMatrix(values[:16].reshape(-1, 1), values[:16], START, expert.features)
     test_m = FeatureMatrix(
-        values[16:].reshape(-1, 1), values[16:], START.plus(16), expert.features, "activity"
+        values[16:].reshape(-1, 1), values[16:], START.plus(16), expert.features
     )
     test_pred = predict(expert, test_m)
     rep = report(train_m, predict(expert, train_m), test_m, test_pred, actual)
@@ -444,10 +444,10 @@ def test_report_matches_brute_force_oracle():
     actual = TimeSeries(START, actual_vals)
     expert = _identity_expert(n)
     train_m = FeatureMatrix(
-        feature_vals[:25].reshape(-1, 1), actual_vals[:25], START, expert.features, "activity"
+        feature_vals[:25].reshape(-1, 1), actual_vals[:25], START, expert.features
     )
     test_m = FeatureMatrix(
-        feature_vals[25:].reshape(-1, 1), actual_vals[25:], START.plus(25), expert.features, "activity"
+        feature_vals[25:].reshape(-1, 1), actual_vals[25:], START.plus(25), expert.features
     )
     rep = report(train_m, predict(expert, train_m), test_m, predict(expert, test_m), actual)
     predicted = list(predict(expert, test_m).values)
@@ -551,11 +551,11 @@ def test_equity_long_csv_renders_many_names_alike_cold_and_warm():
     expected = oracles.equity_long_csv(
         (name, c.start.year, c.start.month, c.values) for name, c in curves.items()
     )
-    metrics._row_template.cache_clear()
+    timeseries.month_rows.cache_clear()
     assert equity_long_csv(curves) == expected  # cold
-    assert metrics._row_template.cache_info().misses == 2
+    assert timeseries.month_rows.cache_info().misses == 2
     assert equity_long_csv(curves) == expected  # warm
-    assert metrics._row_template.cache_info().misses == 2
+    assert timeseries.month_rows.cache_info().misses == 2
 
 
 def test_equity_long_csv_shape():

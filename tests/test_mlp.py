@@ -39,7 +39,7 @@ def matrix_from_arrays(X, y, names=None):
     X = np.atleast_2d(np.asarray(X, dtype=float))
     names = names or [f"f{i}" for i in range(X.shape[1])]
     specs = tuple(FeatureSpec(n) for n in names)
-    return FeatureMatrix(X, np.asarray(y, dtype=float), START, specs, "target")
+    return FeatureMatrix(X, np.asarray(y, dtype=float), START, specs)
 
 
 # ---------------------------------------------------------------------------
@@ -752,7 +752,7 @@ def test_predict_constant_network_and_row_order_invariance():
     # row-wise evaluation: any sub-block of rows predicts identically
     for i in range(0, 10, 3):
         rows = slice(i, min(i + 3, 10))
-        sub = FeatureMatrix(m.X[rows], m.y[rows], START.plus(i), m.specs, "target")
+        sub = FeatureMatrix(m.X[rows], m.y[rows], START.plus(i), m.specs)
         assert np.array_equal(predict(expert, sub).values, full[rows])
 
 
@@ -790,23 +790,23 @@ def test_error_percent_hand_values():
     X = np.zeros((n, 1))
     m = matrix_from_arrays(X, target)
     expert, _ = _constant_prediction_expert(55.0, n)
-    m = FeatureMatrix(m.X, target, START, expert.features, "target")
+    m = FeatureMatrix(m.X, target, START, expert.features)
     assert abs(error_percent(predict(expert, m), m) - 10.0) < 1e-9  # uniformly 10% above
 
     zero_expert, _ = _constant_prediction_expert(0.0, n)
-    m0 = FeatureMatrix(m.X, target, START, zero_expert.features, "target")
+    m0 = FeatureMatrix(m.X, target, START, zero_expert.features)
     assert abs(error_percent(predict(zero_expert, m0), m0) - 100.0) < 1e-9
 
     perfect, _ = _constant_prediction_expert(50.0, n)
-    mp = FeatureMatrix(m.X, target, START, perfect.features, "target")
+    mp = FeatureMatrix(m.X, target, START, perfect.features)
     assert error_percent(predict(perfect, mp), mp) == 0.0
 
 
 def test_error_percent_rejects_a_prediction_of_other_rows():
     expert, m = _constant_prediction_expert(5.0)
     predicted = predict(expert, m)
-    shifted = FeatureMatrix(m.X, m.y, START.plus(1), m.specs, "target")
-    shorter = FeatureMatrix(m.X[1:], m.y[1:], START, m.specs, "target")
+    shifted = FeatureMatrix(m.X, m.y, START.plus(1), m.specs)
+    shorter = FeatureMatrix(m.X[1:], m.y[1:], START, m.specs)
     for other in (shifted, shorter):
         with pytest.raises(ValueError, match="does not cover"):
             error_percent(predicted, other)
@@ -815,7 +815,7 @@ def test_error_percent_rejects_a_prediction_of_other_rows():
 
 def test_error_percent_all_zero_target():
     expert, m = _constant_prediction_expert(0.0)
-    zero = FeatureMatrix(m.X, np.zeros(m.rows), START, expert.features, "target")
+    zero = FeatureMatrix(m.X, np.zeros(m.rows), START, expert.features)
     with pytest.raises(ValueError):
         error_percent(predict(expert, zero), zero)
 

@@ -29,7 +29,7 @@ START = MonthStamp(1991, 1)
 def matrix(X, y):
     X = np.atleast_2d(np.asarray(X, dtype=float))
     specs = tuple(FeatureSpec(f"f{i}") for i in range(X.shape[1]))
-    return FeatureMatrix(X, np.asarray(y, dtype=float), START, specs, "target")
+    return FeatureMatrix(X, np.asarray(y, dtype=float), START, specs)
 
 
 def linear_problem(n=48, seed=0):

@@ -15,6 +15,7 @@ from econocast.timeseries import (
     TimeSeries,
     laspeyres_index,
     month_labels,
+    month_rows,
     parse_csv,
     render_csv,
     synthesize_economy,
@@ -214,6 +215,36 @@ def test_render_csv_matches_per_row_oracle():
                 list(series), start.year, start.month, [s.values for s in series.values()]
             )
             assert render_csv(series) == expected
+
+
+RENDER_CASES = {
+    "one series": lambda: {"x": TimeSeries(MonthStamp(2001, 5), [1.5, -0.0, 2e-7, 123456.5])},
+    "one month": lambda: {"a": TimeSeries(MonthStamp(1999, 12), [1e-5]),
+                          "b%s": TimeSeries(MonthStamp(1999, 12), [-1.5e7])},
+    "december to january": lambda: {
+        name: TimeSeries(MonthStamp(1998, 11), np.arange(5) * scale - 2.5)
+        for name, scale in (("p", 0.1), ("q%", -1e-5), ("r", 7e6))
+    },
+    "600 months, 25 columns": lambda: synthesize_economy(1, 600).series,
+}
+
+
+@pytest.mark.parametrize("case", RENDER_CASES)
+def test_render_csv_matches_per_row_oracle_cold_and_warm(case):
+    # the rows fill a month_rows template that render_csv builds without
+    # caching it (a table is rendered once, so a cached copy would only hold
+    # memory); a cache warmed with that very template changes nothing
+    series = RENDER_CASES[case]()
+    first = next(iter(series.values()))
+    expected = oracles.render_csv(
+        list(series), first.start.year, first.start.month, [s.values for s in series.values()]
+    )
+    month_rows.cache_clear()
+    assert render_csv(series) == expected  # cold
+    assert month_rows.cache_info().currsize == 0
+    month_rows(first.start, len(first), ",%.6g" * len(series))
+    assert render_csv(series) == expected  # warm
+    assert month_rows.cache_info().currsize == 1
 
 
 def test_render_parse_round_trip_on_generated_bundle(noisy_bundle):

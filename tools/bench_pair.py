@@ -21,7 +21,9 @@ Writes ``BENCH_<N>.json`` at the root of the working tree:
   metric the value of every run on each side, their median and quartiles,
   and on how many seeds the change was better than the parent.
 
-Standard library only; run it from anywhere inside the repository.
+Stopped by Ctrl-C or SIGTERM, it removes the export and stops the benchmark
+it is running. Standard library only; run it from anywhere inside the
+repository.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import argparse
 import io
 import json
 import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -47,6 +50,13 @@ def repo_root() -> str:
         ["git", "rev-parse", "--show-toplevel"], check=True, capture_output=True, text=True
     )
     return out.stdout.strip()
+
+
+def exit_on_sigterm() -> None:
+    """Make SIGTERM raise SystemExit, as Ctrl-C raises KeyboardInterrupt, so that
+    a stopped run unwinds: the temporary export is removed, and subprocess.run
+    kills the benchmark it is waiting for."""
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
 
 
 def export(root: str, commit: str, dest: str) -> None:
@@ -113,6 +123,7 @@ def main(argv: List[str] | None = None) -> int:
     parser.add_argument("--parent", required=True, help="commit to compare against")
     parser.add_argument("--pr", required=True, help="suffix of the BENCH_<pr>.json written")
     args = parser.parse_args(argv)
+    exit_on_sigterm()
 
     root = repo_root()
     with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:

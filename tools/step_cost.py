@@ -38,7 +38,7 @@ from econocast.timeseries import MonthStamp
 
 def matrix(X: np.ndarray, y: np.ndarray) -> FeatureMatrix:
     specs = tuple(FeatureSpec(f"f{i}") for i in range(X.shape[1]))
-    return FeatureMatrix(X, y, MonthStamp(1991, 1), specs, "target")
+    return FeatureMatrix(X, y, MonthStamp(1991, 1), specs)
 
 
 def us_per_step(cases, steps: int) -> List[float]:
