@@ -50,7 +50,6 @@ from .metrics import (
     equity_curves,
     hit_rate,
     mean_error,
-    report,
     rmse,
     sharpe_modified,
     signals_from_prediction,

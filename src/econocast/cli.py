@@ -343,10 +343,11 @@ def cmd_scan(config: PipelineConfig) -> int:
     }
     scan_dir = os.path.join(config.out_dir, "scan")
     chosen = {}
-    benchmarks = None  # one target and range, so one perfect and buy-and-hold block for every input
+    # one target and range, so one perfect and buy-and-hold block for every input; only
+    # a scanned input has checked that the target covers the range
+    if results:
+        benchmarks = lagscan.benchmark_curves_csv(target.slice_range(*config.train_range))
     for name, result in results.items():
-        if benchmarks is None:
-            benchmarks = lagscan.benchmark_curves_csv(result)
         write_text(os.path.join(scan_dir, f"scan_{name}.csv"), lagscan.scan_table_csv(result))
         curves = lagscan.lag_curves_csv(result) + benchmarks
         write_text(os.path.join(scan_dir, f"curves_{name}.csv"), curves)
@@ -368,11 +369,9 @@ def cmd_train(config: PipelineConfig, locale_comma: bool = False) -> int:
     specs, selected, train_range = _prepared_specs(config, sources)
     fits = ens.fit_subs(specs, sources, config.target, train_range, config.test_range, selected)
     experts_dir = os.path.join(config.out_dir, "experts")
-    actual = sources[config.target]
-    rows = []
+    rows = list(zip([spec.name for spec in specs], ens.report_rows(fits, sources[config.target])))
     for spec, fit in zip(specs, fits):
         save_expert(fit.expert, os.path.join(experts_dir, f"{spec.name}.json"))
-        rows.append((spec.name, fit.report(actual)))
     _write_report(config.out_dir, rows, locale_comma)
     print(f"trained {len(rows)} expert(s); report in {config.out_dir}/report.txt")
     return 0
@@ -394,13 +393,10 @@ def _write_ensemble_outputs(
     write_text(os.path.join(out, "predictions.csv"), render_csv(columns))
 
     signals = metrics.signals_from_prediction(master_pred)
-    strategy, perfect, buy_hold = metrics.equity_curves(actual, signals)
-    write_text(
-        os.path.join(out, "equity.csv"),
-        metrics.equity_long_csv(
-            {"master_strategy": strategy, "perfect": perfect, "buy_hold": buy_hold}
-        ),
-    )
+    curves = metrics.equity_curves(actual, signals)
+    names = ("master_strategy", "perfect", "buy_hold")
+    equity = metrics.equity_long_csv(signals.start, {n: c.values for n, c in zip(names, curves)})
+    write_text(os.path.join(out, "equity.csv"), equity)
 
 
 def cmd_ensemble(config: PipelineConfig, locale_comma: bool = False) -> int:

@@ -15,11 +15,12 @@ from typing import List, Mapping, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .artifacts import REQUIRED, JsonObject, is_file_stem, read_json, sizes, write_json
-from .metrics import MetricsReport, report
+from .metrics import MetricsReport, indicator_rows, signal_rows
 from .mlp import (
     TrainConfig,
     TrainedExpert,
     TrainingDiverged,
+    error_percent,
     init,
     load_expert,
     predict,
@@ -35,6 +36,7 @@ __all__ = [
     "EnsembleSpec",
     "EnsembleModel",
     "ExpertFit",
+    "report_rows",
     "assemble_subs",
     "fit_subs",
     "sub_failed",
@@ -143,8 +145,23 @@ class ExpertFit(NamedTuple):
     train_pred: TimeSeries
     test_pred: TimeSeries
 
-    def report(self, actual: TimeSeries) -> MetricsReport:
-        return report(self.train_matrix, self.train_pred, self.test_matrix, self.test_pred, actual)
+
+def report_rows(fits: Sequence[ExpertFit], actual: TimeSeries) -> List[MetricsReport]:
+    """Each fit's indicator row: every test prediction scored as one stack
+    against `actual` over the testing range the fits share, then each fit's
+    error percentages over its own matrices."""
+    test = fits[0].test_matrix
+    actual_test = actual.slice_range(test.start, test.end)
+    if len(actual_test) < 2:
+        raise ValueError("need at least two points to derive signals")
+    predicted = np.array([fit.test_pred.values for fit in fits])
+    moves = np.diff(actual_test.values)
+    rows = indicator_rows(actual_test.values, moves, predicted, signal_rows(predicted))
+    return [
+        replace(row, train_error_pct=error_percent(fit.train_pred, fit.train_matrix),
+                test_error_pct=error_percent(fit.test_pred, fit.test_matrix))
+        for row, fit in zip(rows, fits)
+    ]
 
 
 def _fitted(expert: TrainedExpert, m_train: FeatureMatrix, m_test: FeatureMatrix) -> ExpertFit:
@@ -245,8 +262,7 @@ def train_ensemble(
         raise ValueError(f"master network failed: {exc}") from exc
     master_fit = _fitted(replace(master, test_range=test_range), master_train, master_test)
 
-    rows = [(name, fit.report(target)) for name, fit in zip(names, fits)]
-    rows.append((MASTER_NAME, master_fit.report(target)))
+    rows = zip([*names, MASTER_NAME], report_rows([*fits, master_fit], target))
     return EnsembleModel(
         sub_experts=tuple(fit.expert for fit in fits),
         sub_names=tuple(names),
@@ -313,8 +329,9 @@ def load_ensemble(directory: str) -> EnsembleModel:
     seeds = manifest.get("seeds", REQUIRED, (list,))
     reports = manifest.get(
         "reports", REQUIRED, (list,),
-        lambda v: all(type(r) is list and len(r) == 2 and type(r[0]) is str for r in v),
-        "a list of [name, report] pairs",
+        lambda v: all(type(r) is list and len(r) == 2 for r in v)
+        and [r[0] for r in v] == [*names, MASTER_NAME],
+        f"a list of [name, report] pairs, named as the sub_networks and then {MASTER_NAME!r}",
     )
     target_name = manifest.get("target", REQUIRED, (str,))
     train_range = read_range(manifest, "train_range")

@@ -5,10 +5,12 @@ No model is trained here; the lagged input's own direction changes are the
 prediction, evaluated with the full indicator battery. All lags of an input
 are scored in one pass: lag k is row k - 1 of a (max_lag, months) stack of
 windows over the input, and `metrics`' row functions score every row at once
-from the target's moves, diffed once per input. The perfect and buy-and-hold
-curves do not depend on the lag or the input, so an input's curves file is
-`lag_curves_csv` plus `benchmark_curves_csv`, and a caller writing many
-inputs' curves against one target renders the benchmark block once.
+from the target's moves, diffed once per input. A `LagScanResult` keeps those
+stacks: one indicator row and one strategy curve per lag. The perfect and
+buy-and-hold curves depend only on the target over the scanned range, so an
+input's curves file is `lag_curves_csv` plus `benchmark_curves_csv` of that
+target, and a caller writing many inputs' curves renders the benchmark block
+once.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .artifacts import is_number
 from .metrics import (
-    EquityCurve,
     MetricsReport,
     benchmark_curves,
     equity_long_csv,
@@ -38,7 +39,6 @@ from .metrics import signals_from_prediction  # noqa: F401
 from .timeseries import MonthStamp, TimeSeries
 
 __all__ = [
-    "LagRow",
     "LagScanResult",
     "scan",
     "scan_table_csv",
@@ -48,23 +48,15 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class LagRow:
-    """Indicator results for one candidate lag."""
-
-    lag: int
-    report: MetricsReport
-    final_equity: float
-    equity: EquityCurve
-
-
-@dataclass(frozen=True)
 class LagScanResult:
-    """Per-lag table plus the chosen lag and benchmark curves."""
+    """Lag k's indicators are reports[k - 1] and its strategy curve is row
+    k - 1 of the read-only (max_lag, months - 1) `equity` stack, every curve
+    dated from `start`, the month the first scanned move completes."""
 
-    rows: Tuple[LagRow, ...]
+    start: MonthStamp
+    reports: Tuple[MetricsReport, ...]
+    equity: np.ndarray
     chosen_lag: int
-    perfect_equity: EquityCurve
-    buy_hold_equity: EquityCurve
 
 
 def scan(
@@ -100,41 +92,35 @@ def scan(
     windows = sliding_window_view(input_series.values[i - max_lag : j], j - i + 1)
     predicted = np.ascontiguousarray(windows[::-1])
     signals = signal_rows(predicted)
-    reports = indicator_rows(actual.values, moves, predicted, signals)
-    strategies = strategy_rows(moves, signals)
-    start = first.plus(1)
-    rows = tuple(
-        LagRow(lag=k, report=rep, final_equity=final, equity=TimeSeries(start, curve))
-        for k, rep, curve, final in zip(
-            range(1, max_lag + 1), reports, strategies, strategies[:, -1].tolist()
-        )
-    )
-    chosen = max(
-        rows,
-        key=lambda r: srm_rank_key(r.report.sharpe_modified, r.report.efficiency_pct) + (-r.lag,),
-    ).lag
-    perfect, buy_hold = benchmark_curves(actual, moves)
-    return LagScanResult(rows, chosen, perfect, buy_hold)
+    reports = tuple(indicator_rows(actual.values, moves, predicted, signals))
+    equity = strategy_rows(moves, signals)
+    equity.flags.writeable = False
+    # max keeps the first of equal keys, so a tie goes to the smaller lag
+    best = max(range(max_lag), key=lambda k: srm_rank_key(reports[k].sharpe_modified,
+                                                          reports[k].efficiency_pct))
+    return LagScanResult(first.plus(1), reports, equity, best + 1)
 
 
 def scan_table_csv(result: LagScanResult) -> str:
     """Per-lag summary: lag, efficiency, hits, srm, final_equity."""
     lines = ["lag,efficiency_pct,hit_pct,srm,final_equity"]
-    for r in result.rows:
-        srm = "no-loss" if r.report.sharpe_modified is None else repr(r.report.sharpe_modified)
-        lines.append(
-            f"{r.lag},{r.report.efficiency_pct:.6g},{r.report.hit_pct:.6g},{srm},{r.final_equity:.6g}"
-        )
+    finals = result.equity[:, -1].tolist()
+    for lag, (rep, final) in enumerate(zip(result.reports, finals), start=1):
+        srm = "no-loss" if rep.sharpe_modified is None else repr(rep.sharpe_modified)
+        lines.append(f"{lag},{rep.efficiency_pct:.6g},{rep.hit_pct:.6g},{srm},{final:.6g}")
     return "\n".join(lines) + "\n"
 
 
 def lag_curves_csv(result: LagScanResult) -> str:
     """The header and every lag's equity curve, long format: the part of a
     scan's curves file that depends on the input."""
-    return equity_long_csv({f"lag_{r.lag:02d}": r.equity for r in result.rows})
+    curves = {f"lag_{k:02d}": curve for k, curve in enumerate(result.equity, start=1)}
+    return equity_long_csv(result.start, curves)
 
 
-def benchmark_curves_csv(result: LagScanResult) -> str:
-    """The perfect and buy-and-hold rows that end a scan's curves file; the
-    same for every input scanned against one target over one range."""
-    return equity_rows_csv({"perfect": result.perfect_equity, "buy_hold": result.buy_hold_equity})
+def benchmark_curves_csv(actual: TimeSeries) -> str:
+    """The perfect and buy-and-hold rows that end a scan's curves file, from
+    the target over the scanned range; the same for every input scanned
+    against it."""
+    perfect, buy_hold = benchmark_curves(actual, np.diff(actual.values))
+    return equity_rows_csv(perfect.start, {"perfect": perfect.values, "buy_hold": buy_hold.values})

@@ -11,27 +11,29 @@ Each indicator is written once, for a stack of predictions over one actual
 series: `signal_rows`, `hit_rate_rows`, `efficiency_rows`,
 `sharpe_modified_rows`, `rmse_rows`, `mean_error_rows` and `strategy_rows`
 score every row of a (rows, months) array, the directional ones from the
-actual series' moves, diffed once by the caller. The functions on one
-`TimeSeries` are their one-row case, the way `mlp.train` is `train_many` with
-K = 1. For a C-contiguous stack, a row's figures are bit-identical to scoring
-that row alone: every sum and mean then runs along the contiguous last axis,
-which numpy reduces row by row in the same pairwise order as a 1-D array, and
-a row's mean loss is one `add.reduce` over that row's losses only. Each equity
-curve's CSV rows are one float-only `%` format of its `timeseries.month_rows`
-template.
+actual series' moves, diffed once by the caller. The package scores its
+stacks whole: a sub's restarts (`search`), an ensemble's report table
+(`ensemble.report_rows`) and a scan's lags (`lagscan`). The functions on one
+`TimeSeries` are the public one-row case, the way `mlp.train` is `train_many`
+with K = 1. For a C-contiguous stack, a row's figures are bit-identical to
+scoring that row alone: every sum and mean then runs along the contiguous last
+axis, which numpy reduces row by row in the same pairwise order as a 1-D
+array, and a row's mean loss is one `add.reduce` over that row's losses only.
+The curves of one equity CSV share their dates, so it takes one start and a
+1-D array per curve; each curve's rows are one float-only `%` format of its
+`timeseries.month_rows` template.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 # `predict` is unused here but stays importable from metrics: perfbench/selftest.py
 # checks that tracing rebinds it in every module that imported it.
-from .mlp import error_percent, predict  # noqa: F401
-from .preprocess import FeatureMatrix
+from .mlp import predict  # noqa: F401
 from .timeseries import MonthStamp, TimeSeries, month_rows
 
 __all__ = [
@@ -54,7 +56,6 @@ __all__ = [
     "sharpe_modified",
     "sharpe_modified_rows",
     "srm_rank_key",
-    "report",
     "REPORT_COLUMNS",
     "render_report_table",
     "render_report_csv",
@@ -250,31 +251,6 @@ def indicator_rows(
     ]
 
 
-def indicators(actual: TimeSeries, predicted: TimeSeries, signals: SignalSeries) -> MetricsReport:
-    """indicator_rows of one prediction and its signals."""
-    moves = _actual_moves(actual, signals)
-    _check_aligned(actual, predicted)
-    return indicator_rows(actual.values, moves, predicted.values[None], signals.values[None])[0]
-
-
-def report(
-    train_matrix: FeatureMatrix,
-    train_pred: TimeSeries,
-    test_matrix: FeatureMatrix,
-    test_pred: TimeSeries,
-    actual: TimeSeries,
-) -> MetricsReport:
-    """Full indicator row for one expert from its predictions of each matrix:
-    directional indicators and error magnitudes over the testing range, error
-    percentages over each range."""
-    actual_test = actual.slice_range(test_matrix.start, test_matrix.end)
-    return replace(
-        indicators(actual_test, test_pred, signals_from_prediction(test_pred)),
-        train_error_pct=error_percent(train_pred, train_matrix),
-        test_error_pct=error_percent(test_pred, test_matrix),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Rendering
 # ---------------------------------------------------------------------------
@@ -341,14 +317,15 @@ def render_report_csv(rows: Sequence[Tuple[str, MetricsReport]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def equity_rows_csv(curves: Mapping[str, EquityCurve]) -> str:
+def equity_rows_csv(start: MonthStamp, curves: Mapping[str, np.ndarray]) -> str:
     """The rows of equity_long_csv, without its header: in each curve's month_rows
     template the name replaces each \\0 (no month label holds one), not rescanned,
     then one float-only `%` format fills in the values."""
-    return "".join([month_rows(c.start, len(c), ",%.6g,\0").replace("\0", name.replace("%", "%%"))
-                    % tuple(c.values.tolist()) for name, c in curves.items()])
+    return "".join([month_rows(start, len(c), ",%.6g,\0").replace("\0", name.replace("%", "%%"))
+                    % tuple(c.tolist()) for name, c in curves.items()])
 
 
-def equity_long_csv(curves: Mapping[str, EquityCurve]) -> str:
-    """Long-format (date, value, curve_name) CSV for plotting."""
-    return "date,value,curve_name\n" + equity_rows_csv(curves)
+def equity_long_csv(start: MonthStamp, curves: Mapping[str, np.ndarray]) -> str:
+    """Long-format (date, value, curve_name) CSV for plotting: each 1-D curve
+    of values is dated from `start`."""
+    return "date,value,curve_name\n" + equity_rows_csv(start, curves)

@@ -352,9 +352,6 @@ class FeatureMatrix:
     def end(self) -> MonthStamp:
         return self.start.plus(self.rows - 1)
 
-    def target_series(self) -> TimeSeries:
-        return TimeSeries(self.start, self.y)
-
 
 def assemble(
     features: Sequence[FeatureSpec],

@@ -3,7 +3,9 @@
 Both loops are deterministic: candidate seeds derive from a stable hash of the
 shape, restart seeds count up from a base seed, and every evaluation lands in
 the returned log. Each loop trains every (train, validation) pair at once, in
-one mlp.train_many call, and reads divergence from its slots.
+one mlp.train_many call, and reads divergence from its slots. A pair's
+restarts are scored as one stack of validation predictions, through one call
+of each `metrics` row function; both loops write their logs in one CSV layout.
 """
 
 from __future__ import annotations
@@ -13,10 +15,12 @@ import math
 import numbers
 from dataclasses import dataclass, replace
 from functools import reduce
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
+
+import numpy as np
 
 from .artifacts import is_number, sizes
-from .metrics import efficiency, sharpe_modified, signals_from_prediction, srm_rank_key
+from .metrics import efficiency_rows, sharpe_modified_rows, signal_rows, srm_rank_key
 from .mlp import (
     TrainConfig,
     TrainedExpert,
@@ -162,8 +166,9 @@ def maximize_sharpes(
     """For each (train, validation) pair, train its shape from fresh random
     weights (seeds config.rng_seed + i) and keep the expert with the best
     validation Sharpe ratio. Every restart of every pair trains in one
-    train_many call, then each pair's are scored in seed order until one
-    reaches target_srm (a no-loss outcome reaches any). One slot per pair: its
+    train_many call, then each pair's trained restarts are scored at once and
+    picked from in seed order up to the first that reaches target_srm (a
+    no-loss outcome reaches any). One slot per pair: its
     RestartOutcome, TrainingDiverged if every restart diverged, or the
     ValueError of a validation target that cannot be scored."""
     if not is_number(max_restarts, numbers.Integral) or max_restarts < 1:
@@ -186,28 +191,33 @@ def _best_restart(
     restarts: Sequence[Tuple[TrainConfig, TrainedExpert | TrainingDiverged]],
     target_srm: float | None,
 ) -> RestartOutcome | TrainingDiverged | ValueError:
-    """One pair's slot of maximize_sharpes: its restarts scored in seed order."""
-    actual = validation_matrix.target_series()
-    history, reached = [], False
-    try:
-        for i, (cfg, expert) in enumerate(restarts):
-            if isinstance(expert, TrainingDiverged):
-                history.append(RestartResult(i, cfg.rng_seed, -math.inf, -math.inf, math.inf, True))
-                continue
-            signals = signals_from_prediction(predict(expert, validation_matrix))
-            srm = sharpe_modified(actual, signals)
-            eff = efficiency(actual, signals)
-            history.append(RestartResult(i, cfg.rng_seed, srm, eff, expert.final_train_error))
-            if target_srm is not None and (srm is None or srm >= target_srm):
-                reached = True
-                break
-    except ValueError as exc:
-        return exc
-    scored = [r for r in history if not r.diverged]
-    if not scored:
+    """One pair's slot of maximize_sharpes: its trained restarts predicted into
+    one stack and scored in one pass, then logged in seed order up to the
+    first that reaches target_srm."""
+    trained = [expert for _, expert in restarts if not isinstance(expert, TrainingDiverged)]
+    if not trained:
         last = max(exc.epoch for _, exc in restarts)
         message = f"all {len(restarts)} restarts diverged, the last at epoch {last}"
         return TrainingDiverged(last, f"{message} (non-finite loss)")
+    try:
+        if validation_matrix.rows < 2:
+            raise ValueError("need at least two points to derive signals")
+        predicted = np.array([predict(expert, validation_matrix).values for expert in trained])
+        moves, signals = np.diff(validation_matrix.y), signal_rows(predicted)
+        srms, effs = sharpe_modified_rows(moves, signals), efficiency_rows(moves, signals).tolist()
+    except ValueError as exc:
+        return exc
+    history, reached, scores = [], False, iter(zip(srms, effs))
+    for i, (cfg, expert) in enumerate(restarts):
+        if isinstance(expert, TrainingDiverged):
+            history.append(RestartResult(i, cfg.rng_seed, -math.inf, -math.inf, math.inf, True))
+            continue
+        srm, eff = next(scores)
+        history.append(RestartResult(i, cfg.rng_seed, srm, eff, expert.final_train_error))
+        if target_srm is not None and (srm is None or srm >= target_srm):
+            reached = True
+            break
+    scored = [r for r in history if not r.diverged]
     best = max(scored, key=lambda r: srm_rank_key(r.srm, r.efficiency_pct)).restart
     return RestartOutcome(restarts[best][1], best, tuple(history), reached)
 
@@ -232,19 +242,27 @@ def maximize_sharpe(
     return outcome
 
 
-def search_log_csv(outcome: SearchOutcome) -> str:
-    """Candidate log as CSV. The wallclock column stays empty, so repeated
-    runs are byte-identical."""
+def _log_csv(rows: Iterable[Tuple[str, int, str, str, str]]) -> str:
+    """A selection log: one (candidate, seed, train_err, val_err, srm) row per
+    entry. The wallclock column stays empty, so repeated runs are byte-identical."""
     lines = ["candidate,seed,train_err,val_err,srm,wallclock"]
-    for r in outcome.log:
-        shape = "x".join(str(n) for n in r.shape)
-        lines.append(f"{shape},{r.seed},{r.train_error_pct:.6g},{r.validation_error_pct:.6g},,")
+    lines += [f"{name},{seed},{train},{val},{srm}," for name, seed, train, val, srm in rows]
     return "\n".join(lines) + "\n"
+
+
+def search_log_csv(outcome: SearchOutcome) -> str:
+    """Candidate log as CSV: each shape, its seed and its two error percentages."""
+    return _log_csv(
+        ("x".join(map(str, r.shape)), r.seed, f"{r.train_error_pct:.6g}",
+         f"{r.validation_error_pct:.6g}", "")
+        for r in outcome.log
+    )
 
 
 def restart_log_csv(outcome: RestartOutcome) -> str:
-    lines = ["candidate,seed,train_err,val_err,srm,wallclock"]
-    for r in outcome.history:
-        srm = "no-loss" if r.srm is None else f"{r.srm:.6g}"
-        lines.append(f"restart{r.restart},{r.seed},{r.train_error_pct:.6g},,{srm},")
-    return "\n".join(lines) + "\n"
+    """Restart log as CSV: each restart, its seed, training error and validation srm."""
+    return _log_csv(
+        (f"restart{r.restart}", r.seed, f"{r.train_error_pct:.6g}", "",
+         "no-loss" if r.srm is None else f"{r.srm:.6g}")
+        for r in outcome.history
+    )

@@ -5,15 +5,14 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from econocast import lagscan, metrics
+from econocast import metrics
 from econocast.timeseries import synthesize_economy
 
 
 @pytest.fixture
 def derivations(monkeypatch):
     """The prediction stacks passed to metrics.signal_rows, which every
-    signal derivation goes through, spied on under both names the package
-    calls it by."""
+    signal derivation goes through, spied on in every module that imports it."""
     calls = []
     original = metrics.signal_rows
 
@@ -21,8 +20,9 @@ def derivations(monkeypatch):
         calls.append(predicted)
         return original(predicted)
 
-    for module in (metrics, lagscan):
-        monkeypatch.setattr(module, "signal_rows", spy)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "econocast" and getattr(module, "signal_rows", None) is original:
+            monkeypatch.setattr(module, "signal_rows", spy)
     return calls
 
 

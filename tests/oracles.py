@@ -14,6 +14,7 @@ from dataclasses import replace
 from typing import List, Sequence, Tuple
 
 from econocast import metrics, mlp
+from econocast.timeseries import TimeSeries
 
 
 def signals(predicted: Sequence[float]) -> List[int]:
@@ -163,7 +164,7 @@ def serial_maximize_sharpe(shape, train_matrix, validation_matrix, train_config,
     Each history row is (seed, srm, efficiency, train error, diverged)."""
     if base_seed is None:
         base_seed = train_config.rng_seed
-    actual = validation_matrix.target_series()
+    actual = TimeSeries(validation_matrix.start, validation_matrix.y)
     history, best, best_key, best_index, reached = [], None, None, -1, False
     for i in range(max_restarts):
         cfg = replace(train_config, rng_seed=base_seed + i)

@@ -565,6 +565,19 @@ def test_scan_ignores_the_test_range(tmp_path):
     assert main(["scan", "--config", write_config(tmp_path, cfg)]) == 0
 
 
+def test_a_scan_of_no_inputs_writes_only_an_empty_choice_even_off_the_target(tmp_path):
+    # nothing is scanned, so nothing checks the train_range against the
+    # 72-month target, nor is a benchmark block built over it
+    out = tmp_path / "out"
+    cfg = base_config(str(out))
+    cfg["train_range"] = ["2030-01", "2031-12"]
+    cfg["scan"] = {"inputs": []}
+    assert main(["scan", "--config", write_config(tmp_path, cfg)]) == 0
+    written = [p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()]
+    assert written == ["scan/chosen_lags.json"]
+    assert json.loads((out / "scan" / "chosen_lags.json").read_text()) == {}
+
+
 @pytest.mark.parametrize("command", ["train", "ensemble"])
 def test_search_on_an_all_zero_target_names_sub_1(tmp_path, capsys, command):
     # The target is 0 over the core range (1992-01..1993-12), so no candidate's
@@ -758,10 +771,22 @@ def _set_report_field(manifest):
     return manifest
 
 
+def _rename_first_report(manifest):
+    manifest["reports"][0][0] = "bogus"
+    return manifest
+
+
+def _truncate_reports(manifest):
+    del manifest["reports"][2:]  # the master's row goes
+    return manifest
+
+
 def _reverse_subs(manifest):
-    """Sub order reversed with its seeds, so only the master's inputs disagree."""
+    """Sub order reversed with its seeds and report rows, so only the master's
+    inputs disagree."""
     manifest["sub_networks"].reverse()
     manifest["seeds"][:-1] = manifest["seeds"][-2::-1]
+    manifest["reports"][:-1] = manifest["reports"][-2::-1]
     return manifest
 
 
@@ -777,6 +802,8 @@ def _reverse_subs(manifest):
         (_set("seeds", [9, 9, 9]), "manifest.json.seeds"),
         (_reverse_subs, "manifest.json.sub_networks"),
         (_set("reports", [5]), "manifest.json.reports"),
+        (_rename_first_report, "manifest.json.reports"),
+        (_truncate_reports, "manifest.json.reports"),
         (_set("train_range", ["1992-01"]), "manifest.json.train_range"),
         (_set("test_range", "1996"), "manifest.json.test_range"),
         (_set("extra", 1), "unknown key(s) ['extra']"),

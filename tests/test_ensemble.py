@@ -175,6 +175,19 @@ def test_subs_train_as_one_batch_each_equal_training_alone(bundle, monkeypatch):
         assert json.dumps(expert_to_dict(expert)) == _solo_fit(sub, bundle), sub.name
 
 
+def test_an_ensemble_scores_its_nine_report_rows_as_one_stack(bundle, derivations):
+    spec = EnsembleSpec(_preset_subs(), (3,), TrainConfig(max_epochs=4, rng_seed=99))
+    model = train_ensemble(spec, bundle.series, "activity", TRAIN, TEST)
+    held_subs, held_master = model.test_predictions
+    assert [d.shape for d in derivations] == [(9, 12)]
+    assert np.array_equal(derivations[0], [p.values for p in (*held_subs, held_master)])
+
+
+def test_a_one_month_test_range_cannot_be_scored(bundle):
+    with pytest.raises(ValueError, match="^need at least two points to derive signals$"):
+        train_ensemble(small_spec(bundle), bundle.series, "activity", TRAIN, (TEST[0], TEST[0]))
+
+
 def test_fit_subs_batches_by_hidden_layers_and_keeps_selected_experts(bundle, monkeypatch):
     subs = list(_preset_subs()[:4])
     subs[1] = dataclasses.replace(subs[1], hidden_layers=(2, 2))

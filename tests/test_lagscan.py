@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from econocast import metrics, preprocess, timeseries
 from econocast.lagscan import benchmark_curves_csv, lag_curves_csv, scan, scan_table_csv
 from econocast.timeseries import TimeSeries
@@ -37,22 +38,26 @@ def test_planted_lead_seven_recovers_with_perfect_hits(target):
     first, last = _range(target)
     result = scan(inp, target, 12, first, last)
     assert result.chosen_lag == 7
-    row = result.rows[6]
-    assert row.lag == 7
-    assert row.report.hit_pct == 100.0
-    assert row.report.sharpe_modified is None  # no losses
+    rep = result.reports[6]  # lag 7
+    assert rep.hit_pct == 100.0
+    assert rep.sharpe_modified is None  # no losses
 
 
 def test_scan_rows_respect_bounds(target, derivations):
     inp = shifted_input(target, 4)
     first, last = _range(target)
     result = scan(inp, target, 12, first, last)
-    assert [row.lag for row in result.rows] == list(range(1, 13))
-    assert [d.shape for d in derivations] == [(12, len(result.perfect_equity) + 1)]  # one stack
-    for row in result.rows:
-        assert row.report.efficiency_pct <= 100.0 + 1e-9
-        assert row.final_equity <= result.perfect_equity.values[-1] + 1e-9
-        assert np.all(row.equity.values <= result.perfect_equity.values + 1e-9)
+    months = last.months_since(first) + 1
+    assert len(result.reports) == 12 and result.equity.shape == (12, months - 1)
+    assert result.start == first.plus(1)
+    assert [d.shape for d in derivations] == [(12, months)]  # one stack
+    perfect = np.cumsum(np.abs(np.diff(target.slice_range(first, last).values)))
+    for rep, curve in zip(result.reports, result.equity):
+        assert rep.efficiency_pct <= 100.0 + 1e-9
+        assert curve[-1] <= perfect[-1] + 1e-9
+        assert np.all(curve <= perfect + 1e-9)
+    with pytest.raises(ValueError, match="read-only"):
+        result.equity[0, 0] = 0.0
 
 
 def test_scan_is_pure(target):
@@ -61,9 +66,8 @@ def test_scan_is_pure(target):
     a = scan(inp, target, 12, first, last)
     b = scan(inp, target, 12, first, last)
     assert a.chosen_lag == b.chosen_lag
-    for ra, rb in zip(a.rows, b.rows):
-        assert ra.report == rb.report
-        assert np.array_equal(ra.equity.values, rb.equity.values)
+    assert a.reports == b.reports
+    assert np.array_equal(a.equity, b.equity)
 
 
 def test_scan_recomputes_on_truncated_data(target):
@@ -76,19 +80,25 @@ def test_scan_recomputes_on_truncated_data(target):
     fresh = scan(short_input, short_target, 12, first, last.plus(-1))
     again = scan(short_input, short_target, 12, first, last.plus(-1))
     assert fresh.chosen_lag == again.chosen_lag
-    assert [r.report for r in fresh.rows] == [r.report for r in again.rows]
+    assert fresh.reports == again.reports
 
 
 def reference_scan(inp, target, max_lag, first, last):
     """(rows of (lag, report, strategy), chosen lag, perfect, buy_hold), each
-    lag built by preprocess.lag and slice_range and scored on its own."""
+    lag built by preprocess.lag and slice_range and scored on its own by the
+    one-series functions."""
     actual = target.slice_range(first, last)
     rows = []
     for k in range(1, max_lag + 1):
         lagged = preprocess.lag(inp, k).slice_range(first, last)
         signals = metrics.signals_from_prediction(lagged)
         strategy, perfect, buy_hold = metrics.equity_curves(actual, signals)
-        rows.append((k, metrics.indicators(actual, lagged, signals), strategy))
+        rep = metrics.MetricsReport(
+            metrics.efficiency(actual, signals), metrics.hit_rate(actual, signals),
+            metrics.sharpe_modified(actual, signals), metrics.rmse(actual, lagged),
+            metrics.mean_error(actual, lagged),
+        )
+        rows.append((k, rep, strategy))
     best = max(rows, key=lambda r: metrics.srm_rank_key(
         r[1].sharpe_modified, r[1].efficiency_pct) + (-r[0],))
     return rows, best[0], perfect, buy_hold
@@ -107,12 +117,23 @@ def test_scan_equals_a_lag_by_lag_reference(target, max_lag, spare_before, spare
     result = scan(inp, target, max_lag, first, last)
     rows, chosen, perfect, buy_hold = reference_scan(inp, target, max_lag, first, last)
     assert result.chosen_lag == chosen
-    assert len(result.rows) == len(rows)
-    for row, (k, rep, strategy) in zip(result.rows, rows):
-        assert (row.lag, row.report, row.equity) == (k, rep, strategy)
-        assert row.final_equity == float(strategy.values[-1])
-    assert result.perfect_equity == perfect
-    assert result.buy_hold_equity == buy_hold
+    assert result.reports == tuple(rep for _, rep, _ in rows)
+    assert result.equity.tolist() == [strategy.values.tolist() for _, _, strategy in rows]
+    assert result.start == perfect.start
+    curves = [(f"lag_{k:02d}", strategy) for k, _, strategy in rows]
+    curves += [("perfect", perfect), ("buy_hold", buy_hold)]
+    expected = oracles.equity_long_csv((name, c.start.year, c.start.month, c.values) for name, c in curves)
+    actual = target.slice_range(first, last)
+    assert lag_curves_csv(result) + benchmark_curves_csv(actual) == expected
+
+
+def test_lags_that_score_alike_go_to_the_smallest(target):
+    # a rising ramp signals "up" at every lag, so every lag ranks the same
+    first, last = _range(target)
+    ramp = TimeSeries(target.start, np.arange(len(target), dtype=float))
+    result = scan(ramp, target, 12, first, last)
+    assert len({(r.sharpe_modified, r.efficiency_pct) for r in result.reports}) == 1
+    assert result.chosen_lag == 1
 
 
 @pytest.mark.parametrize("max_lag", [0, -1, 2.5, True, "3", None])
@@ -126,7 +147,7 @@ def test_scan_takes_a_numpy_integer_max_lag(target):
     inp = shifted_input(target, 4)
     first, last = _range(target)
     got, want = scan(inp, target, np.int64(6), first, last), scan(inp, target, 6, first, last)
-    assert [r.report for r in got.rows] == [r.report for r in want.rows]
+    assert got.reports == want.reports
     assert got.chosen_lag == want.chosen_lag
 
 
@@ -136,11 +157,12 @@ def test_a_second_input_over_the_same_months_builds_no_curve_template(target, ma
     # so however many lags a scan has, the next input reuses the first's
     first, last = _range(target, max_lag)
     a, b = (scan(shifted_input(target, lead), target, max_lag, first, last) for lead in (3, 5))
+    actual = target.slice_range(first, last)
     before = timeseries.month_rows.cache_info().misses
-    lag_curves_csv(a) + benchmark_curves_csv(a)
+    lag_curves_csv(a) + benchmark_curves_csv(actual)
     after_first = timeseries.month_rows.cache_info().misses
     assert after_first - before <= 1
-    lag_curves_csv(b) + benchmark_curves_csv(b)
+    lag_curves_csv(b) + benchmark_curves_csv(actual)
     assert timeseries.month_rows.cache_info().misses == after_first
 
 
@@ -178,7 +200,7 @@ def test_pure_noise_input_has_low_confidence(target):
     for _ in range(trials):
         noise = TimeSeries(target.start, rng.normal(size=len(target)).cumsum())
         result = scan(noise, target, 12, first, last)
-        srm = result.rows[result.chosen_lag - 1].report.sharpe_modified
+        srm = result.reports[result.chosen_lag - 1].sharpe_modified
         if srm is not None and srm < 0.35:
             low += 1
     assert low >= 0.9 * trials
@@ -192,7 +214,7 @@ def test_scan_csv_outputs(target):
     lines = table.splitlines()
     assert lines[0] == "lag,efficiency_pct,hit_pct,srm,final_equity"
     assert len(lines) == 13
-    curves = lag_curves_csv(result) + benchmark_curves_csv(result)
+    curves = lag_curves_csv(result) + benchmark_curves_csv(target.slice_range(first, last))
     names = {line.rsplit(",", 1)[1] for line in curves.splitlines()[1:]}
     assert len(names) == 12 + 2  # every lag plus both benchmarks
     assert {"perfect", "buy_hold"} <= names

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from econocast import timeseries
+from econocast.ensemble import ExpertFit, report_rows
 from econocast.metrics import (
     MetricsReport,
     SignalSeries,
@@ -18,12 +19,10 @@ from econocast.metrics import (
     hit_rate,
     hit_rate_rows,
     indicator_rows,
-    indicators,
     mean_error,
     mean_error_rows,
     render_report_csv,
     render_report_table,
-    report,
     rmse,
     rmse_rows,
     sharpe_modified,
@@ -341,7 +340,8 @@ def test_row_functions_equal_the_one_series_formulas_bit_for_bit(stack):
         if not flat:
             assert efficiency(actual, signals) == want["efficiency"]
             assert sharpe_modified(actual, signals) == want["srm"]
-            assert reports[r] == indicators(actual, predicted, signals) == MetricsReport(
+            one_row = indicator_rows(a, moves, p[r : r + 1], sig[r : r + 1])[0]
+            assert reports[r] == one_row == MetricsReport(
                 want["efficiency"], want["hit"], want["srm"], want["rmse"], want["mean_error"]
             )
 
@@ -411,21 +411,24 @@ def _identity_expert(n):
     return TrainedExpert(net, norm, specs, (START, START.plus(n - 1)), 0.0, 0)
 
 
-def test_report_of_perfect_expert(derivations):
+def _identity_fit(feature_vals, actual_vals, split):
+    """An ExpertFit of _identity_expert on the rows before and from `split`."""
     from econocast.mlp import predict
     from econocast.preprocess import FeatureMatrix
 
+    expert = _identity_expert(len(actual_vals))
+    columns = np.asarray(feature_vals, dtype=float).reshape(-1, 1)
+    train_m = FeatureMatrix(columns[:split], actual_vals[:split], START, expert.features)
+    test_m = FeatureMatrix(columns[split:], actual_vals[split:], START.plus(split), expert.features)
+    return ExpertFit(expert, train_m, test_m, predict(expert, train_m), predict(expert, test_m))
+
+
+def test_report_of_perfect_expert(derivations):
     rng = np.random.default_rng(5)
     values = rng.normal(size=24).cumsum() + 100
-    actual = TimeSeries(START, values)
-    expert = _identity_expert(24)
-    train_m = FeatureMatrix(values[:16].reshape(-1, 1), values[:16], START, expert.features)
-    test_m = FeatureMatrix(
-        values[16:].reshape(-1, 1), values[16:], START.plus(16), expert.features
-    )
-    test_pred = predict(expert, test_m)
-    rep = report(train_m, predict(expert, train_m), test_m, test_pred, actual)
-    assert len(derivations) == 1 and np.array_equal(derivations[0], [test_pred.values])  # once
+    fit = _identity_fit(values, values, 16)
+    (rep,) = report_rows([fit], TimeSeries(START, values))
+    assert len(derivations) == 1 and np.array_equal(derivations[0], [fit.test_pred.values])  # once
     assert rep.efficiency_pct == 100.0
     assert rep.hit_pct == 100.0
     assert rep.sharpe_modified is None
@@ -433,35 +436,33 @@ def test_report_of_perfect_expert(derivations):
     assert rep.train_error_pct == 0.0 and rep.test_error_pct == 0.0
 
 
-def test_report_matches_brute_force_oracle():
-    from econocast.mlp import predict
-    from econocast.preprocess import FeatureMatrix
-
+def test_report_matches_brute_force_oracle(derivations):
+    # three imperfect predictors, scored as one stack, each row equal to the
+    # brute-force oracle of its own prediction
     rng = np.random.default_rng(9)
     n = 40
     actual_vals = rng.normal(size=n).cumsum() + 50
-    feature_vals = actual_vals + rng.normal(scale=0.8, size=n)  # imperfect predictor
-    actual = TimeSeries(START, actual_vals)
-    expert = _identity_expert(n)
-    train_m = FeatureMatrix(
-        feature_vals[:25].reshape(-1, 1), actual_vals[:25], START, expert.features
-    )
-    test_m = FeatureMatrix(
-        feature_vals[25:].reshape(-1, 1), actual_vals[25:], START.plus(25), expert.features
-    )
-    rep = report(train_m, predict(expert, train_m), test_m, predict(expert, test_m), actual)
-    predicted = list(predict(expert, test_m).values)
+    fits = [_identity_fit(actual_vals + rng.normal(scale=s, size=n), actual_vals, 25)
+            for s in (0.8, 0.3, 2.0)]
+    reps = report_rows(fits, TimeSeries(START, actual_vals))
+    assert [d.shape for d in derivations] == [(3, n - 25)]
     actual_test = list(actual_vals[25:])
-    sig = oracles.signals(predicted)
-    assert abs(rep.hit_pct - oracles.hit_rate(actual_test, predicted)) < 1e-12
-    assert abs(rep.efficiency_pct - oracles.efficiency(actual_test, sig)) < 1e-12
-    assert abs(rep.rmse - oracles.rmse(actual_test, predicted)) < 1e-12
-    assert abs(rep.mean_error - oracles.mean_error(actual_test, predicted)) < 1e-12
-    ref = oracles.sharpe_modified(actual_test, sig)
-    if rep.sharpe_modified is None:
-        assert ref is None
-    else:
-        assert abs(rep.sharpe_modified - ref) < 1e-12
+    for rep, fit in zip(reps, fits):
+        predicted = list(fit.test_pred.values)
+        sig = oracles.signals(predicted)
+        assert abs(rep.hit_pct - oracles.hit_rate(actual_test, predicted)) < 1e-12
+        assert abs(rep.efficiency_pct - oracles.efficiency(actual_test, sig)) < 1e-12
+        assert abs(rep.rmse - oracles.rmse(actual_test, predicted)) < 1e-12
+        assert abs(rep.mean_error - oracles.mean_error(actual_test, predicted)) < 1e-12
+        ref = oracles.sharpe_modified(actual_test, sig)
+        if rep.sharpe_modified is None:
+            assert ref is None
+        else:
+            assert abs(rep.sharpe_modified - ref) < 1e-12
+        for pred, m, got in ((fit.train_pred, fit.train_matrix, rep.train_error_pct),
+                             (fit.test_pred, fit.test_matrix, rep.test_error_pct)):
+            want = 100 * np.mean(np.abs(pred.values - m.y)) / np.mean(np.abs(m.y))
+            assert abs(got - want) < 1e-12
 
 
 def _sample_rows():
@@ -507,36 +508,37 @@ def test_report_csv_keeps_periods():
 
 
 def test_equity_long_csv_matches_per_row_oracle():
-    # Curves that share a start and length, and curves that differ in either,
-    # including a year below 1000, interleaved.
-    shapes = [
-        ("a", MonthStamp(1999, 11), 5), ("b", MonthStamp(1999, 11), 5),
-        ("c", MonthStamp(2000, 1), 30), ("d", MonthStamp(1999, 11), 7),
-        ("e", MonthStamp(999, 12), 3), ("f", MonthStamp(1999, 11), 5),
-    ]
+    # curves of one length and of others, from several starts (a year below
+    # 1000 among them), one file per start
+    shapes = {
+        MonthStamp(1999, 11): [("a", 5), ("b", 5), ("d", 7), ("f", 5)],
+        MonthStamp(2000, 1): [("c", 30)],
+        MonthStamp(999, 12): [("e", 3)],
+    }
     rng = np.random.default_rng(5)
     scale = 10.0 ** rng.integers(-7, 9, size=30)
-    curves = {
-        name: TimeSeries(start, rng.normal(size=n) * scale[:n]) for name, start, n in shapes
+    files = {
+        start: {name: rng.normal(size=n) * scale[:n] for name, n in curves}
+        for start, curves in shapes.items()
     }
-    curves["flat"] = TimeSeries(MonthStamp(2000, 1), [0.0, -0.0, 123456789.0, 1e-5])
+    files[MonthStamp(2000, 1)]["flat"] = np.array([0.0, -0.0, 123456789.0, 1e-5])
     # exponent form, sign, negative zero and round-half-even at six digits
-    curves["edge"] = TimeSeries(MonthStamp(1999, 11), [1e-5, -1e-5, 1.5e7, -0.0, 123456.5])
-    expected = oracles.equity_long_csv(
-        (name, c.start.year, c.start.month, c.values) for name, c in curves.items()
-    )
-    assert equity_long_csv(curves) == expected
+    files[MonthStamp(1999, 11)]["edge"] = np.array([1e-5, -1e-5, 1.5e7, -0.0, 123456.5])
+    for start, curves in files.items():
+        expected = oracles.equity_long_csv(
+            (name, start.year, start.month, values) for name, values in curves.items()
+        )
+        assert equity_long_csv(start, curves) == expected
 
 
 def test_equity_long_csv_keeps_percent_signs_in_curve_names():
     # each curve's rows are one `%` format, so a name must not be read as a
     # conversion of it; nor may the "\0" that a row template holds in place of
     # the name be read in a name
-    curve = TimeSeries(MonthStamp(2000, 1), [1.5, -0.0, 2e-7])
+    values = np.array([1.5, -0.0, 2e-7])
     names = ("a%b", "%s", "%%", "%.6g", "100%", "%(x)s", "\0", "lag\0%s")
-    curves = {name: curve for name in names}
-    expected = oracles.equity_long_csv((name, 2000, 1, curve.values) for name in names)
-    assert equity_long_csv(curves) == expected
+    expected = oracles.equity_long_csv((name, 2000, 1, values) for name in names)
+    assert equity_long_csv(MonthStamp(2000, 1), {name: values for name in names}) == expected
 
 
 def test_equity_long_csv_renders_many_names_alike_cold_and_warm():
@@ -544,23 +546,24 @@ def test_equity_long_csv_renders_many_names_alike_cold_and_warm():
     # the months, so 80 names over two ranges build two templates once
     rng = np.random.default_rng(11)
     starts = (MonthStamp(2001, 3), MonthStamp(1998, 12))
-    curves = {
-        f"lag_{i:02d}%": TimeSeries(starts[i % 2], rng.normal(size=40) * 10.0 ** (i % 9 - 4))
-        for i in range(80)
-    }
-    expected = oracles.equity_long_csv(
-        (name, c.start.year, c.start.month, c.values) for name, c in curves.items()
-    )
+    files = [
+        {f"lag_{i:02d}%": rng.normal(size=40) * 10.0 ** (i % 9 - 4) for i in range(k, 80, 2)}
+        for k in (0, 1)
+    ]
+    expected = [
+        oracles.equity_long_csv((name, start.year, start.month, v) for name, v in curves.items())
+        for start, curves in zip(starts, files)
+    ]
     timeseries.month_rows.cache_clear()
-    assert equity_long_csv(curves) == expected  # cold
+    assert [equity_long_csv(*file) for file in zip(starts, files)] == expected  # cold
     assert timeseries.month_rows.cache_info().misses == 2
-    assert equity_long_csv(curves) == expected  # warm
+    assert [equity_long_csv(*file) for file in zip(starts, files)] == expected  # warm
     assert timeseries.month_rows.cache_info().misses == 2
 
 
 def test_equity_long_csv_shape():
-    curve = TimeSeries(START, [0.5, 1.0])
-    text = equity_long_csv({"strategy": curve, "perfect": curve})
+    curve = np.array([0.5, 1.0])
+    text = equity_long_csv(START, {"strategy": curve, "perfect": curve})
     lines = text.splitlines()
     assert lines[0] == "date,value,curve_name"
     assert len(lines) == 1 + 2 * 2

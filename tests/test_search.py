@@ -368,3 +368,35 @@ def test_max_restarts_must_be_an_integer_ge_1(max_restarts):
         maximize_sharpes(shapes, pairs, configs, max_restarts=max_restarts)
     with pytest.raises(ValueError, match=message):
         maximize_sharpe(shapes[0], *pairs[0], configs[0], max_restarts=max_restarts)
+
+
+def test_each_pairs_restarts_are_scored_as_one_stack(derivations):
+    # one (trained restarts, validation months) stack per pair; the last
+    # pair's restarts all diverge, so nothing of it is scored
+    shapes, pairs, configs = _restart_pairs()
+    outcomes = maximize_sharpes(shapes, pairs, configs, None, 5)
+    assert [d.shape for d in derivations] == [(5, va.rows) for _, va in pairs[:3]]
+    assert all(d.flags.c_contiguous for d in derivations)
+    assert isinstance(outcomes[3], TrainingDiverged)
+
+
+def test_a_one_row_validation_matrix_fills_only_its_own_slot():
+    shapes, pairs, configs = _restart_pairs()
+    tr, va = pairs[1]
+    one_row = matrix(va.X[:1], va.y[:1])
+    outcomes = maximize_sharpes(shapes[:3], [pairs[0], (tr, one_row), pairs[2]], configs[:3], None, 2)
+    message = "need at least two points to derive signals"
+    assert isinstance(outcomes[1], ValueError) and str(outcomes[1]) == message
+    assert [type(o) for o in outcomes[::2]] == [RestartOutcome] * 2
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        maximize_sharpe(shapes[1], tr, one_row, configs[1], max_restarts=2)
+
+
+def test_a_restart_that_cannot_predict_fills_only_its_own_slot():
+    shapes, pairs, configs = _restart_pairs()
+    tr, va = pairs[1]
+    renamed = FeatureMatrix(va.X, va.y, va.start, (FeatureSpec("g0"), FeatureSpec("g1")))
+    outcomes = maximize_sharpes(shapes[:3], [pairs[0], (tr, renamed), pairs[2]], configs[:3], None, 2)
+    assert isinstance(outcomes[1], ValueError)
+    assert str(outcomes[1]) == "matrix columns do not match the expert's features"
+    assert [type(o) for o in outcomes[::2]] == [RestartOutcome] * 2
