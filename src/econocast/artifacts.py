@@ -1,6 +1,7 @@
-"""How an artifact reaches disk, and how values from outside are checked: each
-file is written to a temp file beside it and renamed over it, so a reader sees the
-old bytes or the new ones; JSON is read through JsonObject, numbers by is_number."""
+"""How artifacts reach disk, and how values from outside are checked: a
+command's files are written by one write_tree call, which replaces each
+top-level file or directory whole and writes nothing for a failed run; JSON is read through
+JsonObject, numbers by is_number."""
 
 from __future__ import annotations
 
@@ -10,11 +11,12 @@ import math
 import numbers
 import os
 import re
+import shutil
 import typing
 from types import NoneType
 from typing import Callable, Iterable, Set, Tuple
 
-__all__ = ["write_text", "write_json", "read_json", "is_file_stem", "is_number", "sizes",
+__all__ = ["json_text", "write_tree", "read_json", "is_file_stem", "is_number", "sizes",
            "JsonObject", "REQUIRED"]
 
 _FILE_STEM = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*")
@@ -24,23 +26,42 @@ _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a finite number
                str: "a string", list: "a list", dict: "an object", NoneType: "null"}
 
 
-def write_text(path: str, text: str) -> None:
-    """Write UTF-8 text atomically, creating parent directories. The temp name
-    carries the process id, so two runs into one directory do not share it."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    tmp = f"{path}.{os.getpid()}.tmp"
+def json_text(data: object) -> str:
+    """The text of every JSON artifact: one-space indents and a final newline."""
+    return json.dumps(data, indent=1) + "\n"
+
+
+def write_tree(directory: str, files: Iterable[Tuple[str, str]]) -> None:
+    """Write each (relative path, UTF-8 text) of `files` under `directory`.
+
+    Every file goes first into a temp directory named with the process id, in
+    `directory` or, when it is absent, in its nearest existing ancestor. Only
+    once all are written is `directory` made, if need be, and each top-level
+    entry moved in: a file by os.replace, a subdirectory swapped in whole. If
+    `files` or a write raises first, only the temp directory is removed:
+    nothing else was made or changed."""
+    directory = base = os.path.abspath(directory)
+    while not os.path.isdir(base):
+        base = os.path.dirname(base)
+    tmp = os.path.join(base, f".{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def write_json(path: str, data: object) -> None:
-    write_text(path, json.dumps(data, indent=1) + "\n")
+        os.mkdir(tmp)
+        for relpath, text in files:
+            path = os.path.join(tmp, relpath)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        os.makedirs(directory, exist_ok=True)
+        for name in sorted(os.listdir(tmp)):
+            new, old = os.path.join(tmp, name), os.path.join(directory, name)
+            if os.path.isdir(new) and os.path.isdir(old):
+                os.rename(old, f"{old}.{os.getpid()}.old")
+                os.rename(new, old)
+                shutil.rmtree(f"{old}.{os.getpid()}.old")
+            else:
+                os.replace(new, old)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
 
 
 def read_json(path: str) -> object:

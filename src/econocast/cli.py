@@ -2,8 +2,9 @@
 build the stacked ensemble, and emit reports and plot data.
 
 Commands are idempotent: identical config and seed produce byte-identical
-outputs, and inputs are never mutated. Every file goes through a temp-file
-rename (see artifacts.write_text).
+outputs, and inputs are never mutated. Each command returns its files, and
+main writes them with one artifacts.write_tree call, so a failed run writes
+nothing.
 """
 
 from __future__ import annotations
@@ -13,14 +14,14 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from types import NoneType
-from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Sequence, Tuple
 
 from . import ensemble as ens
 from . import lagscan, metrics, presets, search
-from .artifacts import REQUIRED, JsonObject, is_file_stem, read_json, write_json, write_text
+from .artifacts import REQUIRED, JsonObject, is_file_stem, json_text, read_json, write_tree
 # `train` is unused here but stays importable from cli: perfbench/selftest.py
 # checks that tracing rebinds it in every module that imported it.
-from .mlp import TrainConfig, TrainedExpert, save_expert, train  # noqa: F401
+from .mlp import TrainConfig, TrainedExpert, expert_to_dict, train  # noqa: F401
 from .preprocess import FeatureSpec, WarmupError, dominant_cycle
 from .timeseries import (
     CsvFormatError,
@@ -35,6 +36,9 @@ from .timeseries import (
 __all__ = ["main", "PipelineConfig", "load_config"]
 
 SCHEMA_VERSION = 1
+
+# What a command returns: its files as (path under the output directory, text), and its message.
+Output = Tuple[Iterable[Tuple[str, str]], str]
 
 
 class ConfigError(ValueError):
@@ -263,23 +267,24 @@ def _selection_ranges(
     return (first, val_first.plus(-1)), (val_first, last)
 
 
-def _prepared_specs(
-    config: PipelineConfig, sources: Mapping[str, TimeSeries]
-) -> Tuple[List[ens.SubNetworkSpec], List[TrainedExpert | None], Tuple[MonthStamp, MonthStamp]]:
+def _prepared_specs(config: PipelineConfig, sources: Mapping[str, TimeSeries]) -> Tuple[
+    List[ens.SubNetworkSpec], List[TrainedExpert | None], Tuple[MonthStamp, MonthStamp],
+    Dict[str, str],
+]:
     """Sub specs after the configured search/restarts, the experts the
-    restarts selected (None per sub still to train), and the range the final
-    experts train on (the core range when selection carved one out). A
-    restart winner was trained on that core range from the returned spec's
-    init and config, so it is the expert a final fit would train again.
+    restarts selected (None per sub still to train), the range the final
+    experts train on (the core range when selection carved one out), and the
+    selection logs as files under logs/. A restart winner was trained on that
+    core range from the returned spec's init and config, so it is the expert
+    a final fit would train again.
 
     Every sub is assembled before selection trains, so an assembly fault is
-    named first, then the first sub in spec order whose pick failed. The
-    selection logs land under out_dir/logs only once every pick succeeded."""
+    named first, then the first sub in spec order whose pick failed."""
     if config.test_range[0] <= config.train_range[1]:
         raise ConfigError("config.test_range must start after config.train_range ends")
     specs = _build_sub_specs(config, _detect_cycle(sources, config))
     if config.search is None and config.restarts is None:
-        return specs, [None] * len(specs), config.train_range
+        return specs, [None] * len(specs), config.train_range, {}
     core_range, val_range = _selection_ranges(config)
     matrices = ens.assemble_subs(specs, sources, config.target, core_range, val_range)
     configs, hidden = [s.train_config for s in specs], [s.hidden_layers for s in specs]
@@ -291,7 +296,8 @@ def _prepared_specs(
             # A search fails only on the target (all zero), which every sub shares.
             raise ens.sub_failed(1, specs[0], exc) from exc
         hidden = [outcome.best_architecture[1:-1] for outcome in searched]
-        logs = {f"search_{s.name}.csv": search.search_log_csv(o) for s, o in zip(specs, searched)}
+        logs = {f"logs/search_{s.name}.csv": search.search_log_csv(o)
+                for s, o in zip(specs, searched)}
     if config.restarts is not None:
         shapes = [(m_core.width, *h, 1) for (m_core, _), h in zip(matrices, hidden)]
         picks = search.maximize_sharpes(
@@ -303,12 +309,10 @@ def _prepared_specs(
             raise ens.sub_failed(number, spec, pick) from pick
         if pick is not None:
             cfg = replace(cfg, rng_seed=pick.expert.rng_seed)
-            logs[f"restarts_{spec.name}.csv"] = search.restart_log_csv(pick)
+            logs[f"logs/restarts_{spec.name}.csv"] = search.restart_log_csv(pick)
         out.append(replace(spec, hidden_layers=tuple(h), train_config=cfg))
         selected.append(None if pick is None else pick.expert)
-    for name, text in logs.items():
-        write_text(os.path.join(config.out_dir, "logs", name), text)
-    return out, selected, core_range
+    return out, selected, core_range, logs
 
 
 # ---------------------------------------------------------------------------
@@ -316,16 +320,14 @@ def _prepared_specs(
 # ---------------------------------------------------------------------------
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
+def cmd_generate(args: argparse.Namespace) -> Output:
     bundle = synthesize_economy(args.seed, args.months, args.cycle_period, args.noise_scale)
-    out_dir = args.out
-    write_text(os.path.join(out_dir, "bundle.csv"), render_csv(bundle.series))
-    write_json(os.path.join(out_dir, "planted_lags.json"), bundle.metadata())
-    print(f"wrote {os.path.join(out_dir, 'bundle.csv')} ({args.months} rows)")
-    return 0
+    files = {"bundle.csv": render_csv(bundle.series),
+             "planted_lags.json": json_text(bundle.metadata())}
+    return files.items(), f"wrote {os.path.join(args.out, 'bundle.csv')} ({args.months} rows)"
 
 
-def cmd_scan(config: PipelineConfig) -> int:
+def cmd_scan(config: PipelineConfig) -> Output:
     sources = _load_sources(config)
     target = sources[config.target]
     names = config.scan_inputs
@@ -338,70 +340,48 @@ def cmd_scan(config: PipelineConfig) -> int:
     if unsafe:
         raise ConfigError(f"input column name(s) {unsafe} cannot name the scan files")
     results = {
-        n: lagscan.scan(sources[n], target, config.scan_max_lag, *config.train_range, input_name=n)
+        n: lagscan.scan(sources[n], target, config.scan_max_lag, *config.train_range,
+                        input_name=n, target_name=config.target)
         for n in names
     }
+
+    def files() -> Iterator[Tuple[str, str]]:
+        # one target and range, so one perfect and buy-and-hold block for every input; only
+        # a scanned input has checked that the target covers the range
+        if results:
+            benchmarks = lagscan.benchmark_curves_csv(target.slice_range(*config.train_range))
+        for name, result in results.items():
+            yield f"scan/scan_{name}.csv", lagscan.scan_table_csv(result)
+            # kept until the next is built: freed, its pages would fault in again (3x faults)
+            curves = lagscan.lag_curves_csv(result) + benchmarks
+            yield f"scan/curves_{name}.csv", curves
+        yield "scan/chosen_lags.json", json_text({n: r.chosen_lag for n, r in results.items()})
+
     scan_dir = os.path.join(config.out_dir, "scan")
-    chosen = {}
-    # one target and range, so one perfect and buy-and-hold block for every input; only
-    # a scanned input has checked that the target covers the range
-    if results:
-        benchmarks = lagscan.benchmark_curves_csv(target.slice_range(*config.train_range))
-    for name, result in results.items():
-        write_text(os.path.join(scan_dir, f"scan_{name}.csv"), lagscan.scan_table_csv(result))
-        curves = lagscan.lag_curves_csv(result) + benchmarks
-        write_text(os.path.join(scan_dir, f"curves_{name}.csv"), curves)
-        chosen[name] = result.chosen_lag
-    write_json(os.path.join(scan_dir, "chosen_lags.json"), chosen)
-    print(f"scanned {len(results)} input(s); chosen lags in {scan_dir}/chosen_lags.json")
-    return 0
+    return files(), f"scanned {len(results)} input(s); chosen lags in {scan_dir}/chosen_lags.json"
 
 
-def _write_report(
-    out_dir: str, rows: Sequence[Tuple[str, metrics.MetricsReport]], locale_comma: bool
-) -> None:
-    write_text(os.path.join(out_dir, "report.txt"), metrics.render_report_table(rows, locale_comma))
-    write_text(os.path.join(out_dir, "report.csv"), metrics.render_report_csv(rows))
+def _report_files(
+    rows: Sequence[Tuple[str, metrics.MetricsReport]], locale_comma: bool
+) -> Dict[str, str]:
+    return {"report.txt": metrics.render_report_table(rows, locale_comma),
+            "report.csv": metrics.render_report_csv(rows)}
 
 
-def cmd_train(config: PipelineConfig, locale_comma: bool = False) -> int:
+def cmd_train(config: PipelineConfig, locale_comma: bool = False) -> Output:
     sources = _load_sources(config)
-    specs, selected, train_range = _prepared_specs(config, sources)
+    specs, selected, train_range, files = _prepared_specs(config, sources)
     fits = ens.fit_subs(specs, sources, config.target, train_range, config.test_range, selected)
-    experts_dir = os.path.join(config.out_dir, "experts")
     rows = list(zip([spec.name for spec in specs], ens.report_rows(fits, sources[config.target])))
     for spec, fit in zip(specs, fits):
-        save_expert(fit.expert, os.path.join(experts_dir, f"{spec.name}.json"))
-    _write_report(config.out_dir, rows, locale_comma)
-    print(f"trained {len(rows)} expert(s); report in {config.out_dir}/report.txt")
-    return 0
+        files[f"experts/{spec.name}.json"] = json_text(expert_to_dict(fit.expert))
+    files.update(_report_files(rows, locale_comma))
+    return files.items(), f"trained {len(rows)} expert(s); report in {config.out_dir}/report.txt"
 
 
-def _write_ensemble_outputs(
-    config: PipelineConfig,
-    model: ens.EnsembleModel,
-    sources: Mapping[str, TimeSeries],
-    locale_comma: bool,
-) -> None:
-    out = config.out_dir
-    ens.save_ensemble(model, os.path.join(out, "model"))
-    _write_report(out, model.reports, locale_comma)
-
-    actual = sources[model.target_name].slice_range(*model.test_range)
-    sub_preds, master_pred = model.test_predictions
-    columns = {"actual": actual, **dict(zip(model.sub_names, sub_preds)), "master": master_pred}
-    write_text(os.path.join(out, "predictions.csv"), render_csv(columns))
-
-    signals = metrics.signals_from_prediction(master_pred)
-    curves = metrics.equity_curves(actual, signals)
-    names = ("master_strategy", "perfect", "buy_hold")
-    equity = metrics.equity_long_csv(signals.start, {n: c.values for n, c in zip(names, curves)})
-    write_text(os.path.join(out, "equity.csv"), equity)
-
-
-def cmd_ensemble(config: PipelineConfig, locale_comma: bool = False) -> int:
+def cmd_ensemble(config: PipelineConfig, locale_comma: bool = False) -> Output:
     sources = _load_sources(config)
-    specs, selected, train_range = _prepared_specs(config, sources)
+    specs, selected, train_range, files = _prepared_specs(config, sources)
     spec = ens.EnsembleSpec(
         sub_specs=tuple(specs),
         master_hidden_layers=config.master_hidden_layers,
@@ -410,19 +390,29 @@ def cmd_ensemble(config: PipelineConfig, locale_comma: bool = False) -> int:
     model = ens.train_ensemble(
         spec, sources, config.target, train_range, config.test_range, selected
     )
-    _write_ensemble_outputs(config, model, sources, locale_comma)
-    print(f"ensemble trained; artifacts in {config.out_dir}/")
-    return 0
+    for name, text in ens.model_files(model).items():
+        files[f"model/{name}"] = text
+    files.update(_report_files(model.reports, locale_comma))
+
+    actual = sources[model.target_name].slice_range(*model.test_range)
+    sub_preds, master_pred = model.test_predictions
+    columns = {"actual": actual, **dict(zip(model.sub_names, sub_preds)), "master": master_pred}
+    files["predictions.csv"] = render_csv(columns)
+
+    signals = metrics.signals_from_prediction(master_pred)
+    curves = metrics.equity_curves(actual, signals)
+    names = ("master_strategy", "perfect", "buy_hold")
+    equity = metrics.equity_long_csv(signals.start, {n: c.values for n, c in zip(names, curves)})
+    files["equity.csv"] = equity
+    return files.items(), f"ensemble trained; artifacts in {config.out_dir}/"
 
 
-def cmd_report(config: PipelineConfig, locale_comma: bool = False) -> int:
+def cmd_report(config: PipelineConfig, locale_comma: bool = False) -> Output:
     model_dir = os.path.join(config.out_dir, "model")
     if not os.path.isdir(model_dir):
         raise ConfigError(f"no saved model at {model_dir}; run `ensemble` first")
     model = ens.load_ensemble(model_dir)
-    _write_report(config.out_dir, model.reports, locale_comma)
-    print(f"report rewritten from {model_dir}")
-    return 0
+    return _report_files(model.reports, locale_comma).items(), f"report rewritten from {model_dir}"
 
 
 # ---------------------------------------------------------------------------
@@ -478,18 +468,24 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "generate":
-            return cmd_generate(args)
-        config = _apply_overrides(load_config(args.config), args)
-        if args.command == "scan":
-            return cmd_scan(config)
-        handler = {"train": cmd_train, "ensemble": cmd_ensemble, "report": cmd_report}[args.command]
-        return handler(config, locale_comma=args.locale_comma)
+            out_dir, (files, message) = args.out, cmd_generate(args)
+        else:
+            config = _apply_overrides(load_config(args.config), args)
+            out_dir = config.out_dir
+            if args.command == "scan":
+                files, message = cmd_scan(config)
+            else:
+                handler = {"train": cmd_train, "ensemble": cmd_ensemble, "report": cmd_report}
+                files, message = handler[args.command](config, locale_comma=args.locale_comma)
+        write_tree(out_dir, files)
     except (ConfigError, CsvFormatError, WarmupError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1
+    print(message)
+    return 0
 
 
 if __name__ == "__main__":

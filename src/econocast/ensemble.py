@@ -10,21 +10,21 @@ from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass, field, replace
-from typing import List, Mapping, NamedTuple, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .artifacts import REQUIRED, JsonObject, is_file_stem, read_json, sizes, write_json
+from .artifacts import REQUIRED, JsonObject, is_file_stem, json_text, read_json, sizes
 from .metrics import MetricsReport, indicator_rows, signal_rows
 from .mlp import (
     TrainConfig,
     TrainedExpert,
     TrainingDiverged,
     error_percent,
+    expert_to_dict,
     init,
     load_expert,
     predict,
-    save_expert,
     train,
     train_many,
 )
@@ -42,7 +42,7 @@ __all__ = [
     "sub_failed",
     "train_ensemble",
     "predict_ensemble",
-    "save_ensemble",
+    "model_files",
     "load_ensemble",
     "MASTER_NAME",
     "SUB_NAME_WANT",
@@ -297,14 +297,12 @@ def predict_ensemble(
 # ---------------------------------------------------------------------------
 
 
-def save_ensemble(model: EnsembleModel, directory: str) -> None:
-    """One JSON per expert, then a manifest with ranges and report rows. The
-    manifest goes last: a save into a fresh directory that fails part-way
-    leaves nothing that load_ensemble accepts."""
-    for name, expert in zip(model.sub_names, model.sub_experts):
-        save_expert(expert, os.path.join(directory, f"{name}.json"))
-    save_expert(model.master, os.path.join(directory, "master.json"))
-    manifest = {
+def model_files(model: EnsembleModel) -> Dict[str, str]:
+    """The model directory's files by name: one JSON per expert and a manifest
+    with the ranges and report rows."""
+    experts = zip([*model.sub_names, "master"], [*model.sub_experts, model.master])
+    files = {f"{name}.json": json_text(expert_to_dict(expert)) for name, expert in experts}
+    files["manifest.json"] = json_text({
         "schema_version": MODEL_SCHEMA_VERSION,
         "target": model.target_name,
         "train_range": range_to_json(model.train_range),
@@ -312,8 +310,8 @@ def save_ensemble(model: EnsembleModel, directory: str) -> None:
         "sub_networks": list(model.sub_names),
         "seeds": [expert.rng_seed for expert in model.sub_experts] + [model.master.rng_seed],
         "reports": [[name, asdict(rep)] for name, rep in model.reports],
-    }
-    write_json(os.path.join(directory, "manifest.json"), manifest)
+    })
+    return files
 
 
 def load_ensemble(directory: str) -> EnsembleModel:

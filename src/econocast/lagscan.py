@@ -16,6 +16,7 @@ once.
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -59,6 +60,13 @@ class LagScanResult:
     chosen_lag: int
 
 
+def _check_scale(values: np.ndarray, name: str) -> None:
+    """Reject values so large that an indicator's sums over them could overflow."""
+    with np.errstate(over="ignore"):
+        if not np.sum(np.square(values)) <= sys.float_info.max / 4:
+            raise ValueError(f"{name} is too large to score: squares sum past max float / 4")
+
+
 def scan(
     input_series: TimeSeries,
     target: TimeSeries,
@@ -66,6 +74,7 @@ def scan(
     first: MonthStamp,
     last: MonthStamp,
     input_name: str = "input",
+    target_name: str = "target",
 ) -> LagScanResult:
     """Evaluate lags 1..max_lag of `input_series` against `target` over
     [first, last]. The chosen lag maximizes the modified Sharpe ratio; a
@@ -85,8 +94,10 @@ def scan(
         raise ValueError(f"input {input_name!r} ends before {last}")
 
     actual = target.slice_range(first, last)
-    moves = np.diff(actual.values)  # the same for every lag
     i, j = input_series.index_of(first), input_series.index_of(last)
+    _check_scale(actual.values, f"target {target_name!r} over {first}..{last}")
+    _check_scale(input_series.values[i - max_lag : j], f"input {input_name!r}")
+    moves = np.diff(actual.values)  # the same for every lag
     # Row k - 1 is lag k over first..last; contiguous, so the row reductions
     # give each lag's 1-D bits.
     windows = sliding_window_view(input_series.values[i - max_lag : j], j - i + 1)

@@ -293,13 +293,9 @@ def render_report_table(
     rows: Sequence[Tuple[str, MetricsReport]], locale_comma: bool = False
 ) -> str:
     """Aligned plain-text indicator table, one row per expert."""
-    table = [list(REPORT_COLUMNS)]
-    for name, rep in rows:
-        table.append(_report_cells(name, rep, locale_comma))
+    table = [list(REPORT_COLUMNS), *(_report_cells(name, rep, locale_comma) for name, rep in rows)]
     widths = [max(len(r[c]) for r in table) for c in range(len(REPORT_COLUMNS))]
-    lines = []
-    for r in table:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() for r in table]
     return "\n".join(lines) + "\n"
 
 

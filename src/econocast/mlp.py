@@ -51,7 +51,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .artifacts import REQUIRED, JsonObject, is_number, read_json, write_json
+from .artifacts import REQUIRED, JsonObject, is_number, read_json
 from .artifacts import sizes as checked_sizes
 from .preprocess import FeatureMatrix, FeatureSpec
 from .timeseries import MonthStamp, TimeSeries, range_to_json, read_range
@@ -72,7 +72,6 @@ __all__ = [
     "error_percent",
     "expert_to_dict",
     "expert_from_dict",
-    "save_expert",
     "load_expert",
 ]
 
@@ -152,8 +151,11 @@ class TrainConfig:
                 raise ValueError(f"{name} must be {want}, got {value!r}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
-        if self.init_weight_bound < 0:
-            raise ValueError("init_weight_bound must be >= 0")
+        # rng.uniform(-b, b) draws only while 2b is finite, and never from b = -0.0
+        bound = self.init_weight_bound
+        if math.copysign(1, bound) < 0 or bound > sys.float_info.max / 2:
+            raise ValueError(f"init_weight_bound must be in [0, {sys.float_info.max / 2!r}] "
+                             f"and not -0.0, got {bound!r}")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
         if self.target_error < 0:
@@ -380,12 +382,8 @@ class _Lockstep:
 
 def _split(buffer: np.ndarray, shapes: Sequence[Tuple[int, ...]]) -> List[np.ndarray]:
     """Consecutive views of buffer with the given shapes."""
-    views, start = [], 0
-    for shape in shapes:
-        size = math.prod(shape)
-        views.append(buffer[start : start + size].reshape(shape))
-        start += size
-    return views
+    ends = list(itertools.accumulate(math.prod(shape) for shape in shapes))
+    return [part.reshape(shape) for part, shape in zip(np.split(buffer, ends[:-1]), shapes)]
 
 
 def gradients(
@@ -702,10 +700,6 @@ def expert_from_dict(data: object, path: str = "expert") -> TrainedExpert:
         rng_seed=rng_seed,
         test_range=test_range,
     )
-
-
-def save_expert(expert: TrainedExpert, path: str) -> None:
-    write_json(path, expert_to_dict(expert))
 
 
 def load_expert(path: str) -> TrainedExpert:

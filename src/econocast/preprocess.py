@@ -88,8 +88,7 @@ def block_avg(s: TimeSeries, window: int, distance: int) -> TimeSeries:
         raise ValueError(
             f"series length {len(s)} insufficient for window {window} + distance {distance}"
         )
-    n = len(s)
-    means = _sliding_mean(s.values[: n - distance], window)
+    means = _sliding_mean(s.values[: len(s) - distance], window)
     return TimeSeries(s.start.plus(window + distance - 1), means)
 
 
@@ -255,13 +254,8 @@ class FeatureSpec:
     lag: int = 0
 
     def __post_init__(self) -> None:
-        chain = self.transforms
-        if isinstance(chain, Transform):
-            chain = (chain,)
-        chain = tuple(chain)
-        if not chain:
-            chain = (Transform("identity"),)
-        object.__setattr__(self, "transforms", chain)
+        chain = (self.transforms,) if isinstance(self.transforms, Transform) else self.transforms
+        object.__setattr__(self, "transforms", tuple(chain) or (Transform("identity"),))
         if not is_number(self.lag, numbers.Integral) or self.lag < 0:
             raise ValueError(f"lag must be an integer >= 0, got {self.lag!r}")
         object.__setattr__(self, "lag", int(self.lag))
@@ -373,12 +367,9 @@ def assemble(
     if target_name not in sources:
         raise ValueError(f"unknown target series {target_name!r}")
 
-    if target_transform is None:
-        target_chain: Tuple[Transform, ...] = (Transform("identity"),)
-    elif isinstance(target_transform, Transform):
-        target_chain = (target_transform,)
-    else:
-        target_chain = tuple(target_transform)
+    if isinstance(target_transform, Transform):
+        target_transform = (target_transform,)
+    target_chain = (Transform("identity"),) if target_transform is None else tuple(target_transform)
     # The cycle features of a preset all smooth the target first.
     applied: Dict[Tuple[str, Tuple[Transform, ...]], TimeSeries] = {}
     target = _transformed(target_name, target_chain, sources, applied)

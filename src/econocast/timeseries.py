@@ -237,13 +237,11 @@ def parse_csv(text: str) -> Dict[str, TimeSeries]:
     names = header[1:]
     if not names:
         raise CsvFormatError("no data columns in header", row=1)
-    seen = set()
-    for name in names:
+    for i, name in enumerate(names):
         if name == "":
             raise CsvFormatError("empty column name in header", row=1)
-        if name in seen:
+        if name in names[:i]:
             raise CsvFormatError(f"duplicate column name {name!r}", row=1, column=name)
-        seen.add(name)
 
     if len(lines) < 2:
         raise CsvFormatError("no data rows", row=2)
@@ -358,20 +356,15 @@ def laspeyres_index(
     total = weights.total()
     if total <= 0:
         raise ValueError("total weight must be positive")
-    missing = [name for name in weights.sectors() if name not in sector_relatives]
+    names = weights.sectors()
+    missing = [name for name in names if name not in sector_relatives]
     if missing:
         raise ValueError(f"missing sector series: {', '.join(sorted(missing))}")
-    reference: TimeSeries | None = None
-    acc: np.ndarray | None = None
-    for name in weights.sectors():
-        s = sector_relatives[name]
-        if reference is None:
-            reference = s
-            acc = np.zeros(len(s))
-        elif not s.aligned_with(reference):
-            raise ValueError(f"sector series {name!r} is not aligned with {weights.sectors()[0]!r}")
-        acc = acc + weights.weights[name] * s.values
-    assert reference is not None and acc is not None
+    reference = sector_relatives[names[0]]
+    for name in names:
+        if not sector_relatives[name].aligned_with(reference):
+            raise ValueError(f"sector series {name!r} is not aligned with {names[0]!r}")
+    acc = sum(weights.weights[name] * sector_relatives[name].values for name in names)
     return TimeSeries(reference.start, base_value * acc / total)
 
 

@@ -6,30 +6,62 @@ from pathlib import Path
 import pytest
 
 import econocast
-from econocast.artifacts import REQUIRED, JsonObject, read_json, write_json, write_text
+from econocast.artifacts import REQUIRED, JsonObject, json_text, read_json, write_tree
 from econocast.mlp import TrainConfig
 
 
-def test_write_json_round_trip_and_format(tmp_path):
-    path, data = str(tmp_path / "sub" / "data.json"), {"b": [1, 2.5], "a": None}
-    write_json(path, data)
-    assert Path(path).read_text() == json.dumps(data, indent=1) + "\n"
-    assert read_json(path) == data
-    assert os.listdir(tmp_path / "sub") == ["data.json"]
+def test_json_text_round_trip_and_format(tmp_path):
+    data = {"b": [1, 2.5], "a": None}
+    assert json_text(data) == json.dumps(data, indent=1) + "\n"
+    write_tree(str(tmp_path / "out"), [("sub/data.json", json_text(data))])
+    assert read_json(str(tmp_path / "out" / "sub" / "data.json")) == data
+    assert os.listdir(tmp_path) == ["out"] and os.listdir(tmp_path / "out") == ["sub"]
 
 
-def test_failed_write_keeps_previous_file_and_leaves_no_temp(tmp_path, monkeypatch):
-    path = tmp_path / "report.txt"
-    write_text(str(path), "old\n")
+def test_failed_rename_keeps_previous_file_and_leaves_no_temp(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    write_tree(str(out), [("report.txt", "old\n")])
 
     def failing_replace(src, dst):
         raise OSError("rename failed")
 
     monkeypatch.setattr(os, "replace", failing_replace)
     with pytest.raises(OSError, match="rename failed"):
-        write_text(str(path), "new\n")
-    assert path.read_text() == "old\n"
-    assert os.listdir(tmp_path) == ["report.txt"]
+        write_tree(str(out), [("report.txt", "new\n")])
+    assert (out / "report.txt").read_text() == "old\n"
+    assert os.listdir(out) == ["report.txt"]
+
+
+def _failing(files):
+    yield from files
+    raise ValueError("built part way")
+
+
+@pytest.mark.parametrize("directory", ["out", "a/b/out"])
+def test_a_failed_first_write_makes_nothing(tmp_path, directory):
+    with pytest.raises(ValueError, match="built part way"):
+        write_tree(str(tmp_path / directory), _failing([("model/a.json", "{}"), ("x.txt", "x")]))
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_failed_write_leaves_the_previous_tree_exactly(tmp_path):
+    out = tmp_path / "out"
+    write_tree(str(out), [("report.txt", "old\n"), ("model/a.json", "a"), ("model/b.json", "b")])
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    with pytest.raises(ValueError, match="built part way"):
+        write_tree(str(out), _failing([("report.txt", "new\n"), ("model/a.json", "A")]))
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+    assert sorted(os.listdir(out)) == ["model", "report.txt"]
+
+
+def test_a_subdirectory_is_swapped_whole_and_other_entries_are_kept(tmp_path):
+    out = tmp_path / "out"
+    write_tree(str(out), [("keep.txt", "k"), ("model/a.json", "a"), ("model/b.json", "b")])
+    write_tree(str(out), [("model/a.json", "A"), ("report.txt", "r")])
+    assert sorted(os.listdir(out)) == ["keep.txt", "model", "report.txt"]
+    assert os.listdir(out / "model") == ["a.json"]
+    assert (out / "model" / "a.json").read_text() == "A"
+    assert (out / "keep.txt").read_text() == "k"
 
 
 def _file_writes(source):
@@ -67,5 +99,5 @@ def test_json_object_checks_exact_types_and_unread_keys():
 def test_only_artifacts_writes_files():
     package = Path(econocast.__file__).parent
     found = {path.name: list(_file_writes(path.read_text())) for path in package.glob("*.py")}
-    assert found.pop("artifacts.py") == ["open(tmp, 'w', encoding='utf-8')"]
+    assert found.pop("artifacts.py") == ["open(path, 'w', encoding='utf-8')"]
     assert {name: calls for name, calls in found.items() if calls} == {}

@@ -1,13 +1,16 @@
 import hashlib
 import json
+import os
 import re
 import shutil
+import warnings
 from pathlib import Path
 
 import pytest
 
-from econocast import search
+from econocast import cli, metrics, search
 from econocast.cli import config_from_dict, main
+from econocast.ensemble import load_ensemble, model_files
 from econocast.metrics import REPORT_COLUMNS
 from econocast.mlp import expert_to_dict, load_expert
 
@@ -892,3 +895,133 @@ def test_report_reloads_saved_experts_bit_exact(tmp_path, saved_run):
         assert (json.dumps(expert_to_dict(expert), indent=1) + "\n").encode() == read(
             saved / "model" / name
         )
+
+
+# ---------------------------------------------------------------------------
+# one writer: a command returns its files, main writes them, a failed run writes nothing
+# ---------------------------------------------------------------------------
+
+def files_under(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in Path(root).rglob("*")
+            if p.is_file()}
+
+
+def test_an_ensemble_failing_while_it_builds_its_files_keeps_the_previous_run(
+    tmp_path, monkeypatch, capsys
+):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, base_config(str(out)))
+    assert main(["ensemble", "--config", path, "--seed", "1"]) == 0
+    before, first = files_under(out), load_ensemble(str(out / "model"))
+
+    def failing_equity(*args):
+        raise ValueError("equity failed")
+
+    monkeypatch.setattr(metrics, "equity_long_csv", failing_equity)
+    assert main(["ensemble", "--config", path, "--seed", "2"]) == 2
+    assert capsys.readouterr().err == "error: equity failed\n"
+    assert files_under(out) == before
+    assert sorted(p.name for p in out.iterdir()) == [
+        "equity.csv", "model", "predictions.csv", "report.csv", "report.txt"
+    ]
+    assert model_files(load_ensemble(str(out / "model"))) == model_files(first)
+
+
+def test_a_scan_replaces_the_scan_directory_whole(tmp_path):
+    out = tmp_path / "out"
+    cfg = base_config(str(out))
+    cfg["scan"] = {"max_lag": 3, "inputs": ["gold", "crude"]}
+    assert main(["scan", "--config", write_config(tmp_path, cfg)]) == 0
+    cfg["scan"]["inputs"] = ["gold"]
+    assert main(["scan", "--config", write_config(tmp_path, cfg)]) == 0
+    assert sorted(files_under(out)) == [
+        "scan/chosen_lags.json", "scan/curves_gold.csv", "scan/scan_gold.csv"
+    ]
+    assert json.loads((out / "scan" / "chosen_lags.json").read_text()).keys() == {"gold"}
+
+
+def test_two_runs_of_a_command_build_the_same_files_in_memory(tmp_path):
+    cfg = base_config(str(tmp_path / "never-written"), months=96)
+    cfg["train_range"] = ["1992-01", "1997-12"]
+    cfg["test_range"] = ["1998-01", "1998-12"]
+    cfg["search"] = {"hidden_layer_counts": [1], "nodes_per_layer_candidates": [2, 3]}
+    cfg["restarts"] = {"max_restarts": 2, "target_srm": None}
+    cfg["scan"] = {"max_lag": 4, "inputs": ["gold", "crude"]}
+    config = config_from_dict(cfg)
+    for command in (cli.cmd_ensemble, cli.cmd_scan):
+        (files_a, message_a), (files_b, message_b) = command(config), command(config)
+        built = dict(files_a)
+        assert built == dict(files_b) and message_a == message_b
+        assert len(built) == (12 if command is cli.cmd_ensemble else 5)
+    assert not (tmp_path / "never-written").exists()
+
+
+@pytest.mark.parametrize("section", ["train", "master_train"])
+@pytest.mark.parametrize("bound", [1e308, -0.0])
+def test_a_weight_bound_init_cannot_draw_from_is_named(tmp_path, capsys, section, bound):
+    cfg = base_config(str(tmp_path / "out"))
+    cfg[section] = {"init_weight_bound": bound}
+    assert main(["ensemble", "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config.{section}: init_weight_bound must be in [0, ")
+    assert err.endswith(f", got {bound!r}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_target_too_large_to_score_is_named_without_warnings(tmp_path, capsys):
+    rows = [f"{1990 + i // 12}-{i % 12 + 1:02d},{100 + i % 12},{i % 7}" for i in range(96)]
+    rows[30] = "1992-07,1e308,3"  # inside the scanned train range
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text("date,activity,x\n" + "\n".join(rows) + "\n")
+    cfg = base_config(str(tmp_path / "out"))
+    cfg["data"] = {"csv_path": str(csv_path)}
+    cfg["scan"] = {"max_lag": 3}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["scan", "--config", write_config(tmp_path, cfg)]) == 2
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err.startswith(
+        "error: target 'activity' over 1992-01..1995-12 is too large to score"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+SWEEP_VALUES = [None, True, -1, 0, 2.5, "x", [], {}, 1e308, -0.0, [1], "1992-13"]
+
+
+def small_readme_config():
+    """The README config with schedules short enough to train in a blink."""
+    cfg = readme_config()
+    cfg["train"]["max_epochs"] = cfg["master_train"]["max_epochs"] = 2
+    cfg["search"] = {"hidden_layer_counts": [1], "nodes_per_layer_candidates": [2]}
+    cfg["restarts"]["max_restarts"] = 2
+    cfg["out_dir"] = "out"
+    return cfg
+
+
+def leaf_keys(node, path=""):
+    """The dotted path of every value under a JSON value, list items included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield f"{path}{key}"
+        if isinstance(value, (dict, list)):
+            yield from leaf_keys(value, f"{path}{key}.")
+
+
+@pytest.mark.parametrize("key", list(leaf_keys(small_readme_config())))
+def test_any_value_at_any_key_exits_0_or_2_and_a_failed_run_writes_nothing(
+    tmp_path, monkeypatch, capsys, key
+):
+    for i, value in enumerate(SWEEP_VALUES):
+        run_dir = tmp_path / str(i)
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        cfg = small_readme_config()
+        set_key(cfg, key, value)
+        code = main(["ensemble", "--config", write_config(run_dir, cfg)])
+        err = capsys.readouterr().err
+        assert code in (0, 2), (value, err)
+        if code == 2:
+            assert re.match(r"error: .*(config\.|sub-network \d+ \(|master network)", err), (
+                value, err)
+            assert os.listdir(run_dir) == ["config.json"], value

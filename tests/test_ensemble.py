@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 
 from econocast import ensemble, mlp
+from econocast.artifacts import write_tree
 from econocast.ensemble import (
     EnsembleSpec,
     MASTER_NAME,
     SubNetworkSpec,
     fit_subs,
     load_ensemble,
+    model_files,
     predict_ensemble,
-    save_ensemble,
     train_ensemble,
 )
 from econocast.mlp import TrainConfig, expert_to_dict, init, predict, train
@@ -238,7 +239,7 @@ def test_predict_ensemble_reproduces_the_test_predictions_training_made(tmp_path
     for held, again in zip((*held_subs, held_master), (*subs, master)):
         assert held.start == again.start == TEST[0]
         assert held.values.tobytes() == again.values.tobytes()
-    save_ensemble(model, str(tmp_path / "model"))
+    write_tree(str(tmp_path / "model"), model_files(model).items())
     assert load_ensemble(str(tmp_path / "model")).test_predictions is None
 
 
@@ -259,7 +260,7 @@ def test_save_load_round_trip(tmp_path, bundle):
     spec = small_spec(bundle)
     model = train_ensemble(spec, bundle.series, "activity", TRAIN, TEST)
     directory = str(tmp_path / "model")
-    save_ensemble(model, directory)
+    write_tree(directory, model_files(model).items())
     clone = load_ensemble(directory)
     assert clone.sub_names == model.sub_names
     assert clone.reports == model.reports
@@ -275,7 +276,7 @@ def model(bundle):
 
 def test_load_rejects_other_schema_version(tmp_path, model):
     directory = tmp_path / "model"
-    save_ensemble(model, str(directory))
+    write_tree(str(directory), model_files(model).items())
     manifest = json.loads((directory / "manifest.json").read_text())
     manifest["schema_version"] = 2
     (directory / "manifest.json").write_text(json.dumps(manifest))
@@ -283,14 +284,13 @@ def test_load_rejects_other_schema_version(tmp_path, model):
         load_ensemble(str(directory))
 
 
-def test_save_failing_on_master_leaves_no_manifest(tmp_path, model, monkeypatch):
-    def save_expert(expert, path):
-        if path.endswith("master.json"):
-            raise OSError("disk full")
-        mlp.save_expert(expert, path)
+def test_a_failed_save_leaves_no_model(tmp_path, model):
+    def files():
+        for name, text in model_files(model).items():
+            if name == "master.json":
+                raise OSError("disk full")
+            yield name, text
 
-    monkeypatch.setattr(ensemble, "save_expert", save_expert)
-    directory = tmp_path / "model"
-    with pytest.raises(OSError):
-        save_ensemble(model, str(directory))
-    assert sorted(p.name for p in directory.iterdir()) == ["network1.json", "network2.json"]
+    with pytest.raises(OSError, match="disk full"):
+        write_tree(str(tmp_path / "model"), files())
+    assert list(tmp_path.iterdir()) == []

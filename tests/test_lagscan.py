@@ -166,6 +166,22 @@ def test_a_second_input_over_the_same_months_builds_no_curve_template(target, ma
     assert timeseries.month_rows.cache_info().misses == after_first
 
 
+@pytest.mark.parametrize("big", ["target", "input"])
+def test_a_series_too_large_to_score_is_named_without_warnings(target, big, recwarn):
+    first, last = _range(target)
+    inp = shifted_input(target, 7)
+    values = (target if big == "target" else inp).values.copy()
+    values[target.start.plus(12 + 5).months_since(target.start)] = 1e200  # its square overflows
+    if big == "target":
+        target = TimeSeries(target.start, values)
+    else:
+        inp = TimeSeries(inp.start, values)
+    name = f"target 'activity' over {first}..{last}" if big == "target" else "input 'gold'"
+    with pytest.raises(ValueError, match=rf"^{name} is too large to score: "):
+        scan(inp, target, 12, first, last, input_name="gold", target_name="activity")
+    assert len(recwarn) == 0
+
+
 def test_scan_insufficient_history(target):
     inp = shifted_input(target, 2)
     with pytest.raises(ValueError, match="insufficient history"):

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import re
+import sys
 import warnings
 from dataclasses import replace
 
@@ -24,11 +26,11 @@ from econocast.mlp import (
     init,
     load_expert,
     predict,
-    save_expert,
     train,
     train_many,
     _logistic,
 )
+from econocast.artifacts import json_text
 from econocast.preprocess import FeatureMatrix, FeatureSpec
 from econocast.timeseries import MonthStamp
 
@@ -87,6 +89,20 @@ def test_train_config_keeps_numpy_and_int_values_and_an_infinite_target():
     # numpy's default_rng would reject it without naming the field
     with pytest.raises(ValueError, match="^rng_seed must be >= 0$"):
         TrainConfig(rng_seed=-1)
+
+
+@pytest.mark.parametrize("bound", [1e308, np.nextafter(sys.float_info.max / 2, np.inf), -0.0, -1])
+def test_train_config_rejects_a_weight_bound_init_cannot_draw_from(bound):
+    # -0.0 passes `< 0`, and numpy's uniform(0.0, -0.0) raises "high - low < 0"
+    want = rf"^init_weight_bound must be in \[0, {re.escape(repr(sys.float_info.max / 2))}\] "
+    with pytest.raises(ValueError, match=want + r"and not -0\.0, got "):
+        TrainConfig(init_weight_bound=bound)
+
+
+def test_the_largest_weight_bound_init_can_draw_from_is_accepted():
+    net = init([2, 3, 1], TrainConfig(init_weight_bound=sys.float_info.max / 2))
+    assert all(np.all(np.isfinite(w)) for w in net.weights)
+    assert init([2, 3, 1], TrainConfig(init_weight_bound=0.0)).weights[0].tolist() == [[0.0, 0.0]] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -864,7 +880,7 @@ def test_expert_json_round_trip_bit_exact(tmp_path):
     assert clone.features == expert.features
     assert clone.train_range == expert.train_range
     path = tmp_path / "expert.json"
-    save_expert(expert, str(path))
+    path.write_text(json_text(expert_to_dict(expert)))
     assert path.read_bytes() == (json.dumps(expert_to_dict(expert), indent=1) + "\n").encode()
     assert expert_to_dict(load_expert(str(path))) == expert_to_dict(expert)
 
