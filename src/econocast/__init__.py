@@ -37,23 +37,12 @@ from .mlp import (
     TrainedExpert,
     TrainingDiverged,
     error_percent,
-    forward,
     gradients,
     init,
     predict,
     train,
 )
-from .metrics import (
-    MetricsReport,
-    SignalSeries,
-    efficiency,
-    equity_curves,
-    hit_rate,
-    mean_error,
-    rmse,
-    sharpe_modified,
-    signals_from_prediction,
-)
+from .metrics import MetricsReport, SignalSeries, signals_from_prediction
 from .lagscan import LagScanResult, scan
 from .search import ArchitectureGrid, SearchOutcome, maximize_sharpe, search_best_nets
 from .ensemble import EnsembleModel, EnsembleSpec, SubNetworkSpec, predict_ensemble, train_ensemble

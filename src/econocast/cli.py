@@ -16,6 +16,8 @@ from dataclasses import dataclass, replace
 from types import NoneType
 from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Sequence, Tuple
 
+import numpy as np
+
 from . import ensemble as ens
 from . import lagscan, metrics, presets, search
 from .artifacts import REQUIRED, JsonObject, is_file_stem, json_text, read_json, write_tree
@@ -399,11 +401,11 @@ def cmd_ensemble(config: PipelineConfig, locale_comma: bool = False) -> Output:
     columns = {"actual": actual, **dict(zip(model.sub_names, sub_preds)), "master": master_pred}
     files["predictions.csv"] = render_csv(columns)
 
-    signals = metrics.signals_from_prediction(master_pred)
-    curves = metrics.equity_curves(actual, signals)
-    names = ("master_strategy", "perfect", "buy_hold")
-    equity = metrics.equity_long_csv(signals.start, {n: c.values for n, c in zip(names, curves)})
-    files["equity.csv"] = equity
+    moves = np.diff(actual.values)
+    strategy = metrics.strategy_rows(moves, metrics.signal_rows(master_pred.values[None]))[0]
+    perfect, buy_hold = metrics.benchmark_curves(actual, moves)
+    curves = {"master_strategy": strategy, "perfect": perfect.values, "buy_hold": buy_hold.values}
+    files["equity.csv"] = metrics.equity_long_csv(perfect.start, curves)
     return files.items(), f"ensemble trained; artifacts in {config.out_dir}/"
 
 

@@ -16,7 +16,6 @@ once.
 from __future__ import annotations
 
 import numbers
-import sys
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -37,6 +36,7 @@ from .metrics import (
 # `signals_from_prediction` is unused here but stays importable from lagscan:
 # perfbench/selftest.py checks that tracing rebinds it in every module that imported it.
 from .metrics import signals_from_prediction  # noqa: F401
+from .preprocess import check_scale
 from .timeseries import MonthStamp, TimeSeries
 
 __all__ = [
@@ -58,13 +58,6 @@ class LagScanResult:
     reports: Tuple[MetricsReport, ...]
     equity: np.ndarray
     chosen_lag: int
-
-
-def _check_scale(values: np.ndarray, name: str) -> None:
-    """Reject values so large that an indicator's sums over them could overflow."""
-    with np.errstate(over="ignore"):
-        if not np.sum(np.square(values)) <= sys.float_info.max / 4:
-            raise ValueError(f"{name} is too large to score: squares sum past max float / 4")
 
 
 def scan(
@@ -95,8 +88,8 @@ def scan(
 
     actual = target.slice_range(first, last)
     i, j = input_series.index_of(first), input_series.index_of(last)
-    _check_scale(actual.values, f"target {target_name!r} over {first}..{last}")
-    _check_scale(input_series.values[i - max_lag : j], f"input {input_name!r}")
+    check_scale(actual.values, f"target {target_name!r} over {first}..{last}")
+    check_scale(input_series.values[i - max_lag : j], f"input {input_name!r}")
     moves = np.diff(actual.values)  # the same for every lag
     # Row k - 1 is lag k over first..last; contiguous, so the row reductions
     # give each lag's 1-D bits.

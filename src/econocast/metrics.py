@@ -4,7 +4,7 @@ A prediction is scored as if the target were a tradable price: a +1/-1 signal
 per monthly transition, cumulative profit curves, and a consistency-adjusted
 efficiency (the modified Sharpe ratio). A strategy that never loses gets a
 distinguished "no-loss" value (represented as None) that sorts above every
-finite ratio. The directional indicators take `(actual, signals)`, so a
+finite ratio. The directional indicators take `(moves, signals)`, so a
 prediction's signals are derived once and shared by all of them.
 
 Each indicator is written once, for a stack of predictions over one actual
@@ -13,12 +13,13 @@ series: `signal_rows`, `hit_rate_rows`, `efficiency_rows`,
 score every row of a (rows, months) array, the directional ones from the
 actual series' moves, diffed once by the caller. The package scores its
 stacks whole: a sub's restarts (`search`), an ensemble's report table
-(`ensemble.report_rows`) and a scan's lags (`lagscan`). The functions on one
-`TimeSeries` are the public one-row case, the way `mlp.train` is `train_many`
-with K = 1. For a C-contiguous stack, a row's figures are bit-identical to
-scoring that row alone: every sum and mean then runs along the contiguous last
-axis, which numpy reduces row by row in the same pairwise order as a 1-D
-array, and a row's mean loss is one `add.reduce` over that row's losses only.
+(`ensemble.report_rows`), a scan's lags (`lagscan`) and the master's equity
+curve (`cli`, a one-row stack); there is no separate one-series API. For a
+C-contiguous stack, a row's figures are bit-identical to scoring that row
+alone as a one-row stack: every sum and mean then runs along the contiguous
+last axis, which numpy reduces row by row in the same pairwise order as a
+1-D array, and a row's mean loss is one `add.reduce` over that row's losses
+only.
 The curves of one equity CSV share their dates, so it takes one start and a
 1-D array per curve; each curve's rows are one float-only `%` format of its
 `timeseries.month_rows` template.
@@ -38,22 +39,15 @@ from .timeseries import MonthStamp, TimeSeries, month_rows
 
 __all__ = [
     "SignalSeries",
-    "EquityCurve",
     "MetricsReport",
     "signals_from_prediction",
     "signal_rows",
-    "hit_rate",
     "hit_rate_rows",
-    "equity_curves",
     "benchmark_curves",
     "strategy_rows",
-    "efficiency",
     "efficiency_rows",
-    "mean_error",
     "mean_error_rows",
-    "rmse",
     "rmse_rows",
-    "sharpe_modified",
     "sharpe_modified_rows",
     "srm_rank_key",
     "REPORT_COLUMNS",
@@ -62,9 +56,6 @@ __all__ = [
     "equity_long_csv",
     "equity_rows_csv",
 ]
-
-EquityCurve = TimeSeries
-
 
 @dataclass(frozen=True)
 class SignalSeries:
@@ -85,18 +76,6 @@ class SignalSeries:
 
     def __len__(self) -> int:
         return int(self.values.size)
-
-
-def _check_aligned(actual: TimeSeries, predicted: TimeSeries) -> None:
-    if not actual.aligned_with(predicted):
-        raise ValueError("actual and predicted series are misaligned")
-
-
-def _actual_moves(actual: TimeSeries, signals: SignalSeries) -> np.ndarray:
-    """The actual series' moves, after checking the signals cover exactly them."""
-    if len(signals) != len(actual) - 1 or signals.start != actual.start.plus(1):
-        raise ValueError("signals are misaligned with the actual series")
-    return np.diff(actual.values)
 
 
 def signal_rows(predicted: np.ndarray) -> np.ndarray:
@@ -126,26 +105,12 @@ def hit_rate_rows(moves: np.ndarray, signals: np.ndarray) -> np.ndarray:
     return 100.0 * hits / moves.size
 
 
-def hit_rate(actual: TimeSeries, signals: SignalSeries) -> float:
-    """hit_rate_rows of one signal series."""
-    return float(hit_rate_rows(_actual_moves(actual, signals), signals.values[None])[0])
-
-
 def strategy_rows(moves: np.ndarray, signals: np.ndarray) -> np.ndarray:
     """Each row's cumulative profit from trading its signals on the actual moves."""
     return np.cumsum(signals * moves, axis=1)
 
 
-def equity_curves(
-    actual: TimeSeries, signals: SignalSeries
-) -> Tuple[EquityCurve, EquityCurve, EquityCurve]:
-    """(strategy, perfect, buy_hold) cumulative-profit curves over the signal dates."""
-    moves = _actual_moves(actual, signals)
-    strategy = TimeSeries(signals.start, strategy_rows(moves, signals.values[None])[0])
-    return (strategy, *benchmark_curves(actual, moves))
-
-
-def benchmark_curves(actual: TimeSeries, moves: np.ndarray) -> Tuple[EquityCurve, EquityCurve]:
+def benchmark_curves(actual: TimeSeries, moves: np.ndarray) -> Tuple[TimeSeries, TimeSeries]:
     """(perfect, buy_hold) cumulative-profit curves of the actual series, given
     its moves, dated like any signals over it."""
     start = actual.start.plus(1)
@@ -162,31 +127,14 @@ def efficiency_rows(moves: np.ndarray, signals: np.ndarray) -> np.ndarray:
     return 100.0 * np.sum(signals * moves, axis=1) / max_gain
 
 
-def efficiency(actual: TimeSeries, signals: SignalSeries) -> float:
-    """efficiency_rows of one signal series."""
-    return float(efficiency_rows(_actual_moves(actual, signals), signals.values[None])[0])
-
-
 def mean_error_rows(actual: np.ndarray, predicted: np.ndarray) -> np.ndarray:
     """Each row's mean absolute difference, in the units of the series."""
     return np.mean(np.abs(actual - predicted), axis=1)
 
 
-def mean_error(actual: TimeSeries, predicted: TimeSeries) -> float:
-    """mean_error_rows of one prediction."""
-    _check_aligned(actual, predicted)
-    return float(mean_error_rows(actual.values, predicted.values[None])[0])
-
-
 def rmse_rows(actual: np.ndarray, predicted: np.ndarray) -> np.ndarray:
     """Each row's root mean squared difference."""
     return np.sqrt(np.mean((actual - predicted) ** 2, axis=1))
-
-
-def rmse(actual: TimeSeries, predicted: TimeSeries) -> float:
-    """rmse_rows of one prediction."""
-    _check_aligned(actual, predicted)
-    return float(rmse_rows(actual.values, predicted.values[None])[0])
 
 
 def sharpe_modified_rows(moves: np.ndarray, signals: np.ndarray) -> List[float | None]:
@@ -205,11 +153,6 @@ def sharpe_modified_rows(moves: np.ndarray, signals: np.ndarray) -> List[float |
         else eff / (float(np.add.reduce(losses[begin:end])) / (end - begin) / mean_abs)
         for eff, begin, end in zip(fractions.tolist(), [0, *ends], ends)
     ]
-
-
-def sharpe_modified(actual: TimeSeries, signals: SignalSeries) -> float | None:
-    """sharpe_modified_rows of one signal series."""
-    return sharpe_modified_rows(_actual_moves(actual, signals), signals.values[None])[0]
 
 
 def srm_rank_key(srm: float | None, efficiency_pct: float) -> Tuple[int, float, float]:

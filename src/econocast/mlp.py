@@ -64,7 +64,6 @@ __all__ = [
     "Normalizer",
     "TrainedExpert",
     "init",
-    "forward",
     "gradients",
     "train",
     "train_many",
@@ -242,14 +241,6 @@ def _width_groups(widths: Sequence[int]) -> _WidthGroups:
         groups.append((start, stop, width))
         start = stop
     return groups
-
-
-def forward(net: MlpNetwork, x: Sequence[float]) -> np.ndarray:
-    """Single forward pass; input length must equal the input layer size."""
-    a = np.asarray(x, dtype=float)
-    if a.shape != (net.n_in,):
-        raise ValueError(f"input length {a.shape} does not match n_in {net.n_in}")
-    return _forward_batch(_layer_kinds(net), net.weights, net.biases, a)
 
 
 def _forward_batch(

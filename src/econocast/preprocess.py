@@ -8,6 +8,7 @@ feature matrix starts only once every transform/lag warm-up is satisfied.
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, NamedTuple, Sequence, Tuple
 
@@ -41,6 +42,15 @@ class WarmupError(ValueError):
         super().__init__(f"feature {label!r} needs {months_short} more month(s) of warm-up history")
         self.label = label
         self.months_short = months_short
+
+
+def check_scale(values: np.ndarray, name: str) -> None:
+    """Reject values so large that a sum over them could overflow: an
+    indicator's or a normalizer's, bounded by their squares' sum, which must
+    stay within a quarter of the largest float. Prints no overflow warning."""
+    with np.errstate(over="ignore"):
+        if not np.sum(np.square(values)) <= sys.float_info.max / 4:
+            raise ValueError(f"{name} is too large to score: squares sum past max float / 4")
 
 
 def diff(s: TimeSeries) -> TimeSeries:
@@ -358,7 +368,8 @@ def assemble(
     """Build the aligned matrix over [first, last].
 
     Errors if any feature's warm-up (or tail) does not cover the range,
-    reporting the feature and how many months it is short.
+    reporting the feature and how many months it is short, or if a column or
+    the target fails check_scale over it, naming it.
     """
     if first > last:
         raise ValueError(f"empty range {first}..{last}")
@@ -388,10 +399,13 @@ def assemble(
                 f"feature {spec.label()!r} ends {last.months_since(s.end)} month(s) before {last}"
             )
         columns.append(s.slice_range(first, last).values)
+        check_scale(columns[-1], f"feature {spec.label()!r} over {first}..{last}")
+    y = target.slice_range(first, last).values
+    check_scale(y, f"target {target_name!r} over {first}..{last}")
 
     return FeatureMatrix(
         X=np.column_stack(columns),
-        y=target.slice_range(first, last).values,
+        y=y,
         start=first,
         specs=tuple(features),
     )

@@ -14,7 +14,6 @@ from dataclasses import replace
 from typing import List, Sequence, Tuple
 
 from econocast import metrics, mlp
-from econocast.timeseries import TimeSeries
 
 
 def signals(predicted: Sequence[float]) -> List[int]:
@@ -164,7 +163,7 @@ def serial_maximize_sharpe(shape, train_matrix, validation_matrix, train_config,
     Each history row is (seed, srm, efficiency, train error, diverged)."""
     if base_seed is None:
         base_seed = train_config.rng_seed
-    actual = TimeSeries(validation_matrix.start, validation_matrix.y)
+    moves = validation_matrix.y[1:] - validation_matrix.y[:-1]
     history, best, best_key, best_index, reached = [], None, None, -1, False
     for i in range(max_restarts):
         cfg = replace(train_config, rng_seed=base_seed + i)
@@ -173,9 +172,9 @@ def serial_maximize_sharpe(shape, train_matrix, validation_matrix, train_config,
         except mlp.TrainingDiverged:
             history.append((cfg.rng_seed, float("-inf"), float("-inf"), float("inf"), True))
             continue
-        sig = metrics.signals_from_prediction(mlp.predict(expert, validation_matrix))
-        srm = metrics.sharpe_modified(actual, sig)
-        eff = metrics.efficiency(actual, sig)
+        sig = metrics.signals_from_prediction(mlp.predict(expert, validation_matrix)).values[None]
+        srm = metrics.sharpe_modified_rows(moves, sig)[0]
+        eff = metrics.efficiency_rows(moves, sig)[0]
         history.append((cfg.rng_seed, srm, eff, expert.final_train_error, False))
         key = metrics.srm_rank_key(srm, eff)
         if best_key is None or key > best_key:

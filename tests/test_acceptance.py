@@ -17,14 +17,15 @@ from econocast import ensemble as ens
 from econocast.lagscan import scan
 from econocast.metrics import (
     SignalSeries,
-    efficiency,
-    equity_curves,
-    hit_rate,
-    mean_error,
+    benchmark_curves,
+    efficiency_rows,
+    hit_rate_rows,
+    mean_error_rows,
     render_report_table,
-    rmse,
-    sharpe_modified,
+    rmse_rows,
+    sharpe_modified_rows,
     signals_from_prediction,
+    strategy_rows,
     MetricsReport,
     REPORT_COLUMNS,
 )
@@ -156,33 +157,39 @@ def test_criterion_3_metrics_oracle():
             n = int(rng.integers(3, 51))
             actual_vals = np.round(rng.normal(size=n).cumsum() + 30, 2)
             predicted_vals = np.round(rng.normal(size=n).cumsum() + 30, 2)
-            actual = TimeSeries(START, actual_vals)
-            predicted = TimeSeries(START, predicted_vals)
-            sig = signals_from_prediction(predicted)
+            # each indicator of one prediction, as the one-row stack it is scored in
+            sig = signals_from_prediction(TimeSeries(START, predicted_vals))
+            moves, row = np.diff(actual_vals), sig.values[None]
             assert list(sig.values) == oracles.signals(list(predicted_vals))
-            assert abs(hit_rate(actual, sig) - oracles.hit_rate(actual_vals, predicted_vals)) <= 1e-12
-            assert abs(mean_error(actual, predicted) - oracles.mean_error(actual_vals, predicted_vals)) <= 1e-12
-            assert abs(rmse(actual, predicted) - oracles.rmse(actual_vals, predicted_vals)) <= 1e-12
-            if np.any(np.diff(actual_vals) != 0):
-                assert abs(efficiency(actual, sig) - oracles.efficiency(actual_vals, list(sig.values))) <= 1e-12
-                mine = sharpe_modified(actual, sig)
+            hit = hit_rate_rows(moves, row)[0]
+            assert abs(hit - oracles.hit_rate(actual_vals, predicted_vals)) <= 1e-12
+            mean_error = mean_error_rows(actual_vals, predicted_vals[None])[0]
+            assert abs(mean_error - oracles.mean_error(actual_vals, predicted_vals)) <= 1e-12
+            rmse = rmse_rows(actual_vals, predicted_vals[None])[0]
+            assert abs(rmse - oracles.rmse(actual_vals, predicted_vals)) <= 1e-12
+            if np.any(moves != 0):
+                eff = efficiency_rows(moves, row)[0]
+                assert abs(eff - oracles.efficiency(actual_vals, list(sig.values))) <= 1e-12
+                mine = sharpe_modified_rows(moves, row)[0]
                 ref = oracles.sharpe_modified(actual_vals, list(sig.values))
                 assert (mine is None) == (ref is None)
                 if mine is not None:
                     assert abs(mine - ref) <= 1e-12
-                curves = equity_curves(actual, sig)
+                perfect, buy_hold = benchmark_curves(TimeSeries(START, actual_vals), moves)
+                curves = (strategy_rows(moves, row)[0], perfect.values, buy_hold.values)
                 refs = oracles.equity_curves(actual_vals, list(sig.values))
                 for curve, ref_curve in zip(curves, refs):
-                    assert np.all(np.abs(curve.values - np.asarray(ref_curve)) <= 1e-12)
+                    assert np.all(np.abs(curve - np.asarray(ref_curve)) <= 1e-12)
 
         # exhaustive: every signal vector for n <= 8
         for n in range(2, 9):
             actual_vals = rng.normal(size=n).cumsum() + 5
-            actual = TimeSeries(START, actual_vals)
+            moves = np.diff(actual_vals)
+            perfect, _ = benchmark_curves(TimeSeries(START, actual_vals), moves)
             for bits in itertools.product((1, -1), repeat=n - 1):
                 sig = SignalSeries(START.plus(1), list(bits))
-                strategy, perfect, _ = equity_curves(actual, sig)
-                assert np.all(strategy.values <= perfect.values + 1e-12)
+                strategy = strategy_rows(moves, sig.values[None])[0]
+                assert np.all(strategy <= perfect.values + 1e-12)
 
 
 # ---------------------------------------------------------------------------

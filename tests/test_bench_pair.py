@@ -35,3 +35,21 @@ def test_sigterm_removes_the_export_and_stops_the_running_benchmark(tmp_path):
     tree = Path(proc.stdout.strip())
     assert tree.parent == tmp_path and tree.name.startswith("bench_pair_")
     assert not tree.exists() and list(tmp_path.iterdir()) == []
+
+
+def test_the_parent_pair_holds_both_runs_and_their_relative_difference():
+    sys.path.insert(0, str(TOOLS))
+    try:
+        import bench_pair
+    finally:
+        sys.path.remove(str(TOOLS))
+
+    def record(op_p50_s, failed):
+        return {"scan": {"failed": failed, "metrics": {"op_p50_s": {"value": op_p50_s}}}}
+
+    metrics = [{"name": "op_p50_s", "better": "lower"}]
+    table = bench_pair.same_code_pair(record(0.2, 0), record(0.21, 1), ["scan"], metrics)
+    row = table["scan"]["op_p50_s"]
+    assert table["scan"]["failed"] == [0, 1]
+    assert row["values"] == [0.2, 0.21]
+    assert abs(row["relative_difference"] - 0.05) < 1e-12

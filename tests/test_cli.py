@@ -986,6 +986,33 @@ def test_a_target_too_large_to_score_is_named_without_warnings(tmp_path, capsys)
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "ensemble"])
+@pytest.mark.parametrize("column, named", [
+    ("activity", "target 'activity' over 1992-01..1995-12"),
+    ("x", "feature 'x~lag1' over 1992-01..1995-12"),
+], ids=["target", "input"])
+def test_a_cell_too_large_to_train_on_is_named_without_warnings(
+    tmp_path, capsys, command, column, named
+):
+    rows = [{"date": f"{1990 + i // 12}-{i % 12 + 1:02d}", "activity": str(100 + i % 12),
+             "x": str(i % 7)} for i in range(96)]
+    rows[30][column] = "1e308"  # 1992-07, inside the train range
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text("date,activity,x\n" + "".join(",".join(r.values()) + "\n" for r in rows))
+    networks = [{"name": "on_x", "features": [{"source": "x", "lag": 1}]},
+                {"name": "on_activity", "features": [{"source": "activity", "lag": 1}]}]
+    cfg = base_config(str(tmp_path / "out"), networks=networks)
+    cfg["data"] = {"csv_path": str(csv_path)}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err.startswith(
+        f"error: sub-network 1 ('on_x') failed: {named} is too large to score"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 SWEEP_VALUES = [None, True, -1, 0, 2.5, "x", [], {}, 1e308, -0.0, [1], "1992-13"]
 
 
@@ -1025,3 +1052,48 @@ def test_any_value_at_any_key_exits_0_or_2_and_a_failed_run_writes_nothing(
             assert re.match(r"error: .*(config\.|sub-network \d+ \(|master network)", err), (
                 value, err)
             assert os.listdir(run_dir) == ["config.json"], value
+
+
+@pytest.fixture(scope="module")
+def readme_bundle(tmp_path_factory):
+    """The README config's synthetic data, as `generate` writes it."""
+    out = tmp_path_factory.mktemp("readme_bundle")
+    synthetic = readme_config()["data"]["synthetic"]
+    args = ["--seed", str(synthetic["seed"]), "--months", str(synthetic["months"])]
+    assert main(["generate", *args, "--out", str(out)]) == 0
+    return (out / "bundle.csv").read_text().splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("column", ["activity", "gold"])  # the target and an input of both
+@pytest.mark.parametrize("cell", ["1e308", "-1e308", "1e200", "5e-324"])
+def test_any_extreme_cell_exits_0_or_2_and_a_failed_run_writes_nothing(
+    tmp_path, monkeypatch, capsys, readme_bundle, column, cell
+):
+    # the CSV-cell half of the boundary sweep: one training-range cell (1996-03)
+    # of the README data set in turn to each value, and every command run on it
+    header = readme_bundle[0].rstrip("\n").split(",")
+    lines = list(readme_bundle)
+    (row,) = [n for n, line in enumerate(lines) if line.startswith("1996-03,")]
+    cells = lines[row].rstrip("\n").split(",")
+    cells[header.index(column)] = cell
+    lines[row] = ",".join(cells) + "\n"
+    (tmp_path / "data.csv").write_text("".join(lines))
+    cfg = small_readme_config()
+    cfg["data"] = {"csv_path": str(tmp_path / "data.csv")}
+    for command in ("ensemble", "train", "scan"):
+        run_dir = tmp_path / command
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        config_path = write_config(run_dir, cfg)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, "--config", config_path])
+        err = capsys.readouterr().err
+        assert [str(w.message) for w in caught] == [] and "Warning" not in err, (command, err)
+        assert code in (0, 2), (command, err)
+        if code == 2:
+            assert re.match(r"error: .*(sub-network \d+ \(|column|row|target '|input ')", err), (
+                command, err)
+            assert os.listdir(run_dir) == ["config.json"], command
+        elif command == "ensemble":
+            assert main(["report", "--config", config_path]) == 0, capsys.readouterr().err

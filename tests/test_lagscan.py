@@ -85,20 +85,23 @@ def test_scan_recomputes_on_truncated_data(target):
 
 def reference_scan(inp, target, max_lag, first, last):
     """(rows of (lag, report, strategy), chosen lag, perfect, buy_hold), each
-    lag built by preprocess.lag and slice_range and scored on its own by the
-    one-series functions."""
+    lag built by preprocess.lag and slice_range and scored on its own, as a
+    one-row stack, by each row function."""
     actual = target.slice_range(first, last)
+    moves = np.diff(actual.values)
+    perfect, buy_hold = metrics.benchmark_curves(actual, moves)
     rows = []
     for k in range(1, max_lag + 1):
         lagged = preprocess.lag(inp, k).slice_range(first, last)
         signals = metrics.signals_from_prediction(lagged)
-        strategy, perfect, buy_hold = metrics.equity_curves(actual, signals)
+        row, predicted = signals.values[None], lagged.values[None]
         rep = metrics.MetricsReport(
-            metrics.efficiency(actual, signals), metrics.hit_rate(actual, signals),
-            metrics.sharpe_modified(actual, signals), metrics.rmse(actual, lagged),
-            metrics.mean_error(actual, lagged),
+            metrics.efficiency_rows(moves, row)[0], metrics.hit_rate_rows(moves, row)[0],
+            metrics.sharpe_modified_rows(moves, row)[0],
+            metrics.rmse_rows(actual.values, predicted)[0],
+            metrics.mean_error_rows(actual.values, predicted)[0],
         )
-        rows.append((k, rep, strategy))
+        rows.append((k, rep, TimeSeries(signals.start, metrics.strategy_rows(moves, row)[0])))
     best = max(rows, key=lambda r: metrics.srm_rank_key(
         r[1].sharpe_modified, r[1].efficiency_pct) + (-r[0],))
     return rows, best[0], perfect, buy_hold

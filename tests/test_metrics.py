@@ -12,20 +12,15 @@ from econocast.metrics import (
     MetricsReport,
     SignalSeries,
     REPORT_COLUMNS,
-    efficiency,
+    benchmark_curves,
     efficiency_rows,
-    equity_curves,
     equity_long_csv,
-    hit_rate,
     hit_rate_rows,
     indicator_rows,
-    mean_error,
     mean_error_rows,
     render_report_csv,
     render_report_table,
-    rmse,
     rmse_rows,
-    sharpe_modified,
     sharpe_modified_rows,
     signal_rows,
     signals_from_prediction,
@@ -43,6 +38,24 @@ def series(*values):
 
 def signals_of(*values):
     return SignalSeries(START.plus(1), list(values))
+
+
+def scored(rows_fn, actual, signals):
+    """A directional row function on the one-row stack of `signals` over
+    `actual`'s moves."""
+    return rows_fn(np.diff(actual.values), signals.values[None])[0]
+
+
+def errors(actual, predicted):
+    """(rmse, mean error) of the one-row stack of `predicted` against `actual`."""
+    return tuple(f(actual.values, predicted.values[None])[0] for f in (rmse_rows, mean_error_rows))
+
+
+def curves(actual, signals):
+    """(strategy, perfect, buy_hold) cumulative-profit values of one signal series."""
+    moves = np.diff(actual.values)
+    perfect, buy_hold = benchmark_curves(actual, moves)
+    return strategy_rows(moves, signals.values[None])[0], perfect.values, buy_hold.values
 
 
 # ---------------------------------------------------------------------------
@@ -73,25 +86,19 @@ def test_signals_too_short():
 
 def test_hit_rate_perfect():
     s = series(1, 3, 2, 5)
-    assert hit_rate(s, signals_from_prediction(s)) == 100.0
+    assert scored(hit_rate_rows, s, signals_from_prediction(s)) == 100.0
 
 
 def test_hit_rate_all_wrong():
     actual = series(1, 2, 1, 2)
     predicted = series(2, 1, 2, 1)
-    assert hit_rate(actual, signals_from_prediction(predicted)) == 0.0
+    assert scored(hit_rate_rows, actual, signals_from_prediction(predicted)) == 0.0
 
 
 def test_hit_rate_hand_enumeration():
     actual = series(1, 2, 1, 3)
     predicted = series(1, 3, 2, 2)
-    assert abs(hit_rate(actual, signals_from_prediction(predicted)) - 66.67) < 0.01
-
-
-def test_hit_rate_misaligned():
-    predicted = TimeSeries(START.plus(1), [1, 2, 3])
-    with pytest.raises(ValueError, match="signals are misaligned"):
-        hit_rate(series(1, 2, 3), signals_from_prediction(predicted))
+    assert abs(scored(hit_rate_rows, actual, signals_from_prediction(predicted)) - 66.67) < 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -100,24 +107,24 @@ def test_hit_rate_misaligned():
 
 def test_equity_hand_example():
     actual = series(10, 12, 11, 14)
-    strategy, perfect, buy_hold = equity_curves(actual, signals_of(1, 1, 1))
-    assert list(strategy.values) == [2, 1, 4]
-    assert list(perfect.values) == [2, 3, 6]
-    assert list(buy_hold.values) == [2, 1, 4]
-    assert strategy.start == START.plus(1)
+    strategy, perfect, buy_hold = curves(actual, signals_of(1, 1, 1))
+    assert list(strategy) == [2, 1, 4]
+    assert list(perfect) == [2, 3, 6]
+    assert list(buy_hold) == [2, 1, 4]
+    assert benchmark_curves(actual, np.diff(actual.values))[0].start == START.plus(1)
 
 
 def test_equity_perfect_signals_reach_perfect_curve():
     actual = series(3, 5, 2, 8, 6)
     sig = signals_from_prediction(actual)
-    strategy, perfect, _ = equity_curves(actual, sig)
-    assert np.array_equal(strategy.values, perfect.values)
+    strategy, perfect, _ = curves(actual, sig)
+    assert np.array_equal(strategy, perfect)
 
 
 def test_equity_always_long_equals_buy_hold():
     actual = series(4, 7, 3, 9)
-    strategy, _, buy_hold = equity_curves(actual, signals_of(1, 1, 1))
-    assert np.array_equal(strategy.values, buy_hold.values)
+    strategy, _, buy_hold = curves(actual, signals_of(1, 1, 1))
+    assert np.array_equal(strategy, buy_hold)
 
 
 # ---------------------------------------------------------------------------
@@ -126,16 +133,16 @@ def test_equity_always_long_equals_buy_hold():
 
 def test_efficiency_bounds_and_hand_value():
     actual = series(10, 12, 11, 14)  # moves +2, -1, +3
-    assert abs(efficiency(actual, signals_of(1, 1, 1)) - 100 * 4 / 6) < 1e-12
+    assert abs(scored(efficiency_rows, actual, signals_of(1, 1, 1)) - 100 * 4 / 6) < 1e-12
     sig = signals_from_prediction(actual)
-    assert efficiency(actual, sig) == 100.0
+    assert scored(efficiency_rows, actual, sig) == 100.0
     flipped = SignalSeries(sig.start, -sig.values)
-    assert efficiency(actual, flipped) == -100.0
+    assert scored(efficiency_rows, actual, flipped) == -100.0
 
 
 def test_efficiency_flat_series_errors():
     with pytest.raises(ValueError):
-        efficiency(series(5, 5, 5), signals_of(1, 1))
+        scored(efficiency_rows, series(5, 5, 5), signals_of(1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -144,21 +151,23 @@ def test_efficiency_flat_series_errors():
 
 def test_errors_identical_series():
     s = series(1, 2, 3)
-    assert mean_error(s, s) == 0.0 and rmse(s, s) == 0.0
+    assert errors(s, s) == (0.0, 0.0)
 
 
 def test_errors_hand_values():
     actual = series(1, 2, 3)
     predicted = series(2, 2, 5)
-    assert mean_error(actual, predicted) == 1.0
-    assert abs(rmse(actual, predicted) - np.sqrt(5 / 3)) < 1e-12
+    rmse, mean_error = errors(actual, predicted)
+    assert mean_error == 1.0
+    assert abs(rmse - np.sqrt(5 / 3)) < 1e-12
 
 
 def test_errors_constant_offset_equality():
     actual = series(4, 9, 2, 7)
     predicted = TimeSeries(START, actual.values + 3.0)
-    assert mean_error(actual, predicted) == 3.0
-    assert abs(rmse(actual, predicted) - 3.0) < 1e-12
+    rmse, mean_error = errors(actual, predicted)
+    assert mean_error == 3.0
+    assert abs(rmse - 3.0) < 1e-12
 
 
 def test_rmse_at_least_mean_error():
@@ -167,7 +176,8 @@ def test_rmse_at_least_mean_error():
         n = int(rng.integers(2, 30))
         a = TimeSeries(START, rng.normal(size=n))
         p = TimeSeries(START, rng.normal(size=n))
-        assert rmse(a, p) >= mean_error(a, p) - 1e-12
+        rmse, mean_error = errors(a, p)
+        assert rmse >= mean_error - 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -176,13 +186,13 @@ def test_rmse_at_least_mean_error():
 
 def test_srm_no_loss_sentinel():
     actual = series(1, 2, 3)
-    assert sharpe_modified(actual, signals_of(1, 1)) is None
+    assert scored(sharpe_modified_rows, actual, signals_of(1, 1)) is None
     assert srm_rank_key(None, 50.0) > srm_rank_key(1e9, 100.0)
 
 
 def test_srm_hand_value():
     actual = series(10, 12, 11, 14)  # moves +2, -1, +3; mean|move| = 2
-    srm = sharpe_modified(actual, signals_of(1, 1, 1))
+    srm = scored(sharpe_modified_rows, actual, signals_of(1, 1, 1))
     assert abs(srm - (4 / 6) / (1 / 2)) < 1e-12
 
 
@@ -190,7 +200,8 @@ def test_srm_scale_invariance():
     actual = series(10, 12, 11, 14)
     sig = signals_of(1, 1, -1)  # loses on the final +3 move
     doubled = TimeSeries(START, 2.0 * actual.values)
-    assert abs(sharpe_modified(actual, sig) - sharpe_modified(doubled, sig)) < 1e-12
+    srm, srm_doubled = (scored(sharpe_modified_rows, a, sig) for a in (actual, doubled))
+    assert abs(srm - srm_doubled) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +224,9 @@ def test_signals_and_hit_rate_match_oracle_on_flat_runs():
     for actual_vals, predicted_vals in _flat_run_pairs(np.random.default_rng(7)):
         actual, predicted = TimeSeries(START, actual_vals), TimeSeries(START, predicted_vals)
         assert signals_from_prediction(predicted).values.tolist() == oracles.signals(predicted_vals)
-        got = hit_rate(actual, signals_from_prediction(predicted))
+        got = scored(hit_rate_rows, actual, signals_from_prediction(predicted)).item()
         want = oracles.hit_rate(actual_vals, predicted_vals)
-        assert type(got) is float and repr(got) == repr(want)
+        assert repr(got) == repr(want)
 
 
 def test_metrics_match_brute_force_oracle():
@@ -228,25 +239,25 @@ def test_metrics_match_brute_force_oracle():
         predicted = TimeSeries(START, predicted_vals)
         sig = signals_from_prediction(predicted)
         assert list(sig.values) == oracles.signals(list(predicted_vals))
-        assert abs(hit_rate(actual, sig) - oracles.hit_rate(actual_vals, predicted_vals)) < 1e-12
+        hit = scored(hit_rate_rows, actual, sig)
+        assert abs(hit - oracles.hit_rate(actual_vals, predicted_vals)) < 1e-12
         if np.any(np.diff(actual_vals) != 0):
-            assert (
-                abs(efficiency(actual, sig) - oracles.efficiency(actual_vals, list(sig.values)))
-                < 1e-12
-            )
-            mine = sharpe_modified(actual, sig)
+            eff = scored(efficiency_rows, actual, sig)
+            assert abs(eff - oracles.efficiency(actual_vals, list(sig.values))) < 1e-12
+            mine = scored(sharpe_modified_rows, actual, sig)
             theirs = oracles.sharpe_modified(actual_vals, list(sig.values))
             if mine is None:
                 assert theirs is None
             else:
                 assert abs(mine - theirs) < 1e-12
-            s_mine, p_mine, b_mine = equity_curves(actual, sig)
+            s_mine, p_mine, b_mine = curves(actual, sig)
             s_or, p_or, b_or = oracles.equity_curves(actual_vals, list(sig.values))
-            assert np.all(np.abs(s_mine.values - s_or) < 1e-12)
-            assert np.all(np.abs(p_mine.values - p_or) < 1e-12)
-            assert np.all(np.abs(b_mine.values - b_or) < 1e-12)
-        assert abs(mean_error(actual, predicted) - oracles.mean_error(actual_vals, predicted_vals)) < 1e-12
-        assert abs(rmse(actual, predicted) - oracles.rmse(actual_vals, predicted_vals)) < 1e-12
+            assert np.all(np.abs(s_mine - s_or) < 1e-12)
+            assert np.all(np.abs(p_mine - p_or) < 1e-12)
+            assert np.all(np.abs(b_mine - b_or) < 1e-12)
+        rmse, mean_error = errors(actual, predicted)
+        assert abs(mean_error - oracles.mean_error(actual_vals, predicted_vals)) < 1e-12
+        assert abs(rmse - oracles.rmse(actual_vals, predicted_vals)) < 1e-12
 
 
 def _one_series(a, p):
@@ -334,12 +345,12 @@ def test_row_functions_equal_the_one_series_formulas_bit_for_bit(stack):
         predicted = TimeSeries(START, p[r])
         signals = signals_from_prediction(predicted)
         assert signals.values.tolist() == want["signals"]
-        assert hit_rate(actual, signals) == want["hit"]
-        assert equity_curves(actual, signals)[0].values.tolist() == want["strategy"]
-        assert (rmse(actual, predicted), mean_error(actual, predicted)) == (want["rmse"], want["mean_error"])
+        assert scored(hit_rate_rows, actual, signals) == want["hit"]
+        assert curves(actual, signals)[0].tolist() == want["strategy"]
+        assert errors(actual, predicted) == (want["rmse"], want["mean_error"])
         if not flat:
-            assert efficiency(actual, signals) == want["efficiency"]
-            assert sharpe_modified(actual, signals) == want["srm"]
+            assert scored(efficiency_rows, actual, signals) == want["efficiency"]
+            assert scored(sharpe_modified_rows, actual, signals) == want["srm"]
             one_row = indicator_rows(a, moves, p[r : r + 1], sig[r : r + 1])[0]
             assert reports[r] == one_row == MetricsReport(
                 want["efficiency"], want["hit"], want["srm"], want["rmse"], want["mean_error"]
@@ -353,10 +364,10 @@ def test_strategy_never_beats_perfect_exhaustively():
         actual = TimeSeries(START, actual_vals)
         for bits in itertools.product((1, -1), repeat=n - 1):
             sig = SignalSeries(START.plus(1), list(bits))
-            strategy, perfect, _ = equity_curves(actual, sig)
-            assert np.all(strategy.values <= perfect.values + 1e-12)
-            eff = efficiency(actual, sig)
-            equals_perfect = np.allclose(strategy.values, perfect.values)
+            strategy, perfect, _ = curves(actual, sig)
+            assert np.all(strategy <= perfect + 1e-12)
+            eff = scored(efficiency_rows, actual, sig)
+            equals_perfect = np.allclose(strategy, perfect)
             assert (abs(eff - 100.0) < 1e-9) == equals_perfect
 
 
@@ -368,9 +379,9 @@ def test_affine_rescaling_invariance():
     predicted = TimeSeries(START, predicted_vals)
     scaled = TimeSeries(START, 3.5 * actual_vals + 12.0)
     sig = signals_from_prediction(predicted)
-    assert abs(hit_rate(actual, sig) - hit_rate(scaled, sig)) < 1e-12
-    assert abs(efficiency(actual, sig) - efficiency(scaled, sig)) < 1e-9
-    a, b = sharpe_modified(actual, sig), sharpe_modified(scaled, sig)
+    assert abs(scored(hit_rate_rows, actual, sig) - scored(hit_rate_rows, scaled, sig)) < 1e-12
+    assert abs(scored(efficiency_rows, actual, sig) - scored(efficiency_rows, scaled, sig)) < 1e-9
+    a, b = (scored(sharpe_modified_rows, s, sig) for s in (actual, scaled))
     if a is None:
         assert b is None
     else:
@@ -385,7 +396,8 @@ def test_flipping_signals_negates_efficiency_and_hits():
     predicted = TimeSeries(START, rng.normal(size=25).cumsum())
     sig = signals_from_prediction(predicted)
     flipped = SignalSeries(sig.start, -sig.values)
-    assert abs(efficiency(actual, sig) + efficiency(actual, flipped)) < 1e-12
+    eff, eff_flipped = (scored(efficiency_rows, actual, s) for s in (sig, flipped))
+    assert abs(eff + eff_flipped) < 1e-12
     hits = sum(1 for m, s in zip(np.diff(actual.values), sig.values) if (m > 0) == (s > 0))
     assert hits / 24 * 100 + (24 - hits) / 24 * 100 == 100.0
 

@@ -21,7 +21,6 @@ from econocast.mlp import (
     error_percent,
     expert_from_dict,
     expert_to_dict,
-    forward,
     gradients,
     init,
     load_expert,
@@ -161,19 +160,27 @@ def test_init_takes_numpy_integer_sizes():
 
 
 # ---------------------------------------------------------------------------
-# forward
+# the forward pass, through predict
 # ---------------------------------------------------------------------------
+
+def raw_outputs(net, X):
+    """predict through an identity Normalizer (shift 0, scale 1): the net's
+    own output for each row of X."""
+    m = matrix_from_arrays(X, np.zeros(len(X)))
+    identity = Normalizer(np.zeros(m.width), np.ones(m.width), 0.0, 1.0)
+    return predict(TrainedExpert(net, identity, m.specs, (START, START), 0.0, 0), m).values
+
 
 def test_forward_identity_linear_layer():
     net = MlpNetwork(
-        (2, 2, 2),
-        (np.eye(2), np.eye(2)),
-        (np.zeros(2), np.zeros(2)),
+        (2, 2, 1),
+        (np.eye(2), np.array([[1.0, 10.0]])),
+        (np.zeros(2), np.zeros(1)),
         hidden_activation="linear",
         output_activation="linear",
     )
-    out = forward(net, [3.0, -1.5])
-    assert np.allclose(out, [3.0, -1.5])
+    out = raw_outputs(net, [[3.0, -1.5], [0.0, 2.0]])
+    assert np.allclose(out, [3.0 - 15.0, 20.0])
 
 
 def test_forward_logistic_of_zero_is_half():
@@ -183,7 +190,7 @@ def test_forward_logistic_of_zero_is_half():
         (np.zeros(1), np.zeros(1)),
         output_activation="logistic",
     )
-    out = forward(net, [7.0])
+    out = raw_outputs(net, [[7.0]])
     # hidden logistic(0) = 0.5, output logistic(0*0.5 + 0) = 0.5
     assert np.allclose(out, [0.5])
 
@@ -198,7 +205,7 @@ def test_forward_hand_computed_1_2_1():
     h1 = 1.0 / (1.0 + np.exp(-(0.5 * x + 0.1)))
     h2 = 1.0 / (1.0 + np.exp(-(-1.0 * x + 0.2)))
     expected = 2.0 * h1 - 0.5 * h2 + 0.3
-    assert abs(forward(net, [x])[0] - expected) < 1e-6
+    assert abs(raw_outputs(net, [[x]])[0] - expected) < 1e-6
 
 
 def test_logistic_takes_the_exact_branch_for_each_sign():
@@ -214,8 +221,10 @@ def test_logistic_takes_the_exact_branch_for_each_sign():
 
 def test_forward_dimension_mismatch():
     net = init([3, 4, 1], TrainConfig())
-    with pytest.raises(ValueError):
-        forward(net, [1.0, 2.0])
+    expert = TrainedExpert(net, Normalizer(np.zeros(3), np.ones(3), 0.0, 1.0),
+                           matrix_from_arrays(np.zeros((1, 3)), [0.0]).specs, (START, START), 0.0, 0)
+    with pytest.raises(ValueError, match="matrix columns do not match the expert's features"):
+        predict(expert, matrix_from_arrays([[1.0, 2.0]], [0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +239,7 @@ def test_gradients_zero_at_exact_fit():
         hidden_activation="linear",
         output_activation="linear",
     )
-    y = forward(net, [0.7])
+    y = raw_outputs(net, [[0.7]])
     dws, dbs = gradients(net, [0.7], y)
     assert all(np.allclose(g, 0.0) for g in dws + dbs)
 

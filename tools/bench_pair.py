@@ -5,8 +5,9 @@
 Exports COMMIT with ``git archive`` to a temporary directory, then runs
 ``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0``
 for each workload W in that copy and in the working tree, one after the
-other, for S = 1..10. The workloads W, the run length T and the end-to-end
-metrics compared are those that ``BENCHMARK.json`` declares. Each workload
+other, for S = 1..10, then one more pair of the parent against itself at
+S = 1. The workloads W, the run length T and the end-to-end metrics
+compared are those that ``BENCHMARK.json`` declares. Each workload
 runs in its own process, so its ``peak_rss_mb`` is its own and not the
 high-water mark of the workloads run before it in the same process. The
 parent goes first on odd seeds and the change first on even ones, so a drift
@@ -19,7 +20,11 @@ Writes ``BENCH_<N>.json`` at the root of the working tree:
 - ``command`` and ``note``: how the records were made;
 - ``pairs``: per workload, the failed ops of each side, and per end-to-end
   metric the value of every run on each side, their median and quartiles,
-  and on how many seeds the change was better than the parent.
+  and on how many seeds the change was better than the parent;
+- ``parent_pair``: per workload, the failed ops and each end-to-end metric
+  of the two runs of the parent against itself, and the second's relative
+  difference from the first: how far apart the harness reads the same code,
+  to set beside each change.
 
 Stopped by Ctrl-C or SIGTERM, it removes the export and stops the benchmark
 it is running. Standard library only; run it from anywhere inside the
@@ -118,6 +123,22 @@ def pair_table(
     return table
 
 
+def same_code_pair(
+    first: Dict[str, dict], second: Dict[str, dict], workloads: List[str], metrics: List[dict]
+) -> Dict[str, Dict[str, object]]:
+    """Per workload, two runs of one tree: their failed ops and, per metric,
+    both values and the second's relative difference from the first."""
+    table: Dict[str, Dict[str, object]] = {}
+    for name in workloads:
+        table[name] = {"failed": [first[name]["failed"], second[name]["failed"]]}
+        for metric in metrics:
+            a, b = (r[name]["metrics"][metric["name"]]["value"] for r in (first, second))
+            table[name][metric["name"]] = {
+                "values": [a, b], "relative_difference": (b - a) / a if a else None
+            }
+    return table
+
+
 def main(argv: List[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="commit to compare against")
@@ -142,6 +163,8 @@ def main(argv: List[str] | None = None) -> int:
                     f"{name} {runs[side][-1][name]['metrics']['op_p50_s']['value']:.4f} s"
                     for name in workloads
                 ), file=sys.stderr)
+        # the harness's own spread: the parent against itself, as pair 1 ran it
+        same = [run(parent_tree, 1, workloads, seconds) for _ in range(2)]
 
     table = pair_table(runs, workloads, metrics)
     bench = {
@@ -156,9 +179,12 @@ def main(argv: List[str] | None = None) -> int:
             f"command with --seed 1..{PAIRS}, the parent first on odd seeds. Each workload "
             f"ran in its own process, so peak_rss_mb is that workload's own; BENCH_7 to "
             f"BENCH_10 ran --workload all in one process, so their peak_rss_mb is not like "
-            f"for like with this file's."
+            f"for like with this file's. parent_pair holds one more pair, the parent "
+            f"against itself at --seed 1 after the {PAIRS} pairs: a relative difference "
+            f"there comes from the harness and the machine, not from the code."
         ),
         "pairs": table,
+        "parent_pair": same_code_pair(*same, workloads, metrics),
     }
     out = os.path.join(root, f"BENCH_{args.pr}.json")
     with open(out, "w", encoding="utf-8") as fh:
@@ -176,6 +202,11 @@ def main(argv: List[str] | None = None) -> int:
                 f"{p['quartiles'][1]:.4g}] -> {c['median']:.4g} [{c['quartiles'][0]:.4g}, "
                 f"{c['quartiles'][1]:.4g}], change better {row['change_wins']}/{PAIRS}"
             )
+    for name, rows in bench["parent_pair"].items():
+        print(f"{name}: parent against parent, " + ", ".join(
+            f"{key} {row['relative_difference']:+.2%}" for key, row in rows.items()
+            if key != "failed" and row["relative_difference"] is not None
+        ))
     print(f"wrote {out}")
     return 0
 
