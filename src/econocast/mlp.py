@@ -11,37 +11,43 @@ and their config up to rng_seed, and may differ in input width. Each
 normalizer, with the normalized inputs and targets, is computed once per
 distinct matrix object and output activation. A batch steps its K nets
 through the patterns together. Their weights are stacked (K, out, in) and
-their activations kept as (K, n, 1) columns, so a contraction is one batched
-matmul, which numpy runs as the same BLAS call per net that a lone net would
-make. The first layer is the exception: it is held zero-padded to the widest
-input, with the nets sorted by width, and its product runs once per run of
-equal widths, on views of the unpadded width. A padded product is not
-bit-identical: a BLAS dot product sums in another order once its length
-changes (with OpenBLAS on x86, padding keeps the bits only for widths that
-are multiples of 4). So each net's weights are bit-identical to training it
-alone, whatever K, its neighbours' widths and its place in the batch.
-`train` is the K = 1 case.
+their activations kept as (K, n, 1) columns, so a contraction is one call
+for all K nets, at the cheapest numpy entry that makes the same IEEE
+operations in the same order: a batched matmul, which numpy runs as the same
+BLAS call per net that a lone net would make; np.dot on 2-D and 1-D views
+where the stack holds one net, which reaches that same BLAS call; and an
+elementwise multiply where the contraction has length one, as through an
+output layer of one unit. The first layer is the exception: it is held
+zero-padded to the widest input, with the nets sorted by width, and its
+product runs once per run of equal widths, on views of the unpadded width. A
+padded product is not bit-identical: a BLAS dot product sums in another
+order once its length changes (with OpenBLAS on x86, padding keeps the bits
+only for widths that are multiples of 4). So each net's weights are
+bit-identical to training it alone, whatever K, its neighbours' widths and
+its place in the batch. `train` is the K = 1 case.
 
 A batch is laid out in one place: _Lockstep builds itself from its nets, and
-a step creates no array. Every weight and bias of the batch lives in one flat
-buffer `theta`, the pattern's gradient in a second buffer `grad` of the same
-layout, and the stacked weights and biases are views into them, so the update
-for a pattern is two calls: grad *= eta, then theta -= grad. The buffers are
-allocated once per batch, and so is the step: each pattern's is compiled to a
-flat list of prebound (numpy function, arguments) calls, outputs positional
-and the constants 1, -1 and eta arrays of their operand's size (the scalars'
-bits, without a conversion per call), and an epoch runs all patterns' calls
-as one loop. When nets leave a batch, the rest go on in a new batch that
-_Lockstep builds, and compiles, from them as they stand. The step keeps the
-operations and their order that fix the bits: the same BLAS products, the
-logistic as max(e, sign(z)) / (1 + e) with e = exp(-|z|), the slope as
-delta * (a * (1 - a)) and the update as eta * dw, then a subtraction.
-`gradients` runs the same calls for one net, without the update.
+a step creates no array at the Python level (np.dot copies a strided one-net
+weight view inside numpy). Every weight and bias of the batch lives in one
+flat buffer `theta`, the pattern's gradient in a second buffer `grad` of the
+same layout, and the stacked weights and biases are views into them, so the
+update for a pattern is two calls: grad *= eta, then theta -= grad. The
+buffers are allocated once per batch, and so is the step: each pattern's is
+compiled to a flat list of prebound (numpy function, arguments) calls,
+outputs positional and the constants 1, -1 and eta arrays of their operand's
+size (the scalars' bits, without a conversion per call), and an epoch runs
+all patterns' calls as one loop. Which function each product calls, and the
+views it takes, are decided once per batch. When nets leave a batch, the
+rest go on in a new batch that _Lockstep builds, and compiles, from them as
+they stand. The step keeps the operations and their order that fix the bits:
+the same BLAS products, the logistic as max(e, sign(z)) / (1 + e) with
+e = exp(-|z|), the slope as delta * (a * (1 - a)) and the update as
+eta * dw, then a subtraction. `gradients` runs the same calls for one net, without the
+update.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import numbers
@@ -100,13 +106,17 @@ def _logistic_calls(z: np.ndarray, e: np.ndarray, minus_one: object, one: object
     1 / (1 + e) for z >= 0 and e / (1 + e) below, with e = exp(-|z|), which
     never overflows. The numerator max(e, sign(z)) is 1 for z >= 0 (as e <= 1
     there) and e below; one call cheaper than np.where on a comparison.
-    copysign(z, -1) is -|z| bit for bit, in one call. np.maximum takes its
-    output by keyword: a positional one is deprecated and warns on each call."""
+    copysign(z, -1) is -|z| bit for bit, in one call. The max is np.fmax,
+    the cheaper call, which takes its output positionally (np.maximum warns
+    on that). The two differ only where an operand is NaN, and e and sign(z)
+    are NaN together, so both give NaN there, at most with another sign bit,
+    which no output shows: a NaN loss stops the net as diverged, and text
+    prints a NaN without its sign."""
     return [
         (np.copysign, (z, minus_one, e)),
         (np.exp, (e, e)),
         (np.sign, (z, z)),
-        (functools.partial(np.maximum, out=z), (e, z)),
+        (np.fmax, (e, z, z)),
         (np.add, (e, one, e)),
         (np.divide, (z, e, z)),
     ]
@@ -306,8 +316,20 @@ class _Lockstep:
                 b[pos, :, 0] = net_b
         self.groups = _width_groups(self.widths)
         self.acts = [np.empty(b.shape) for b in self.bs]
-        # (weights, output) of each first-layer product, one per width group.
-        self.first = [(self.ws[0][i:j, :, :n], self.acts[0][i:j]) for i, j, n in self.groups]
+        # (function, weights, output, input index) of each first-layer
+        # product, one per width group; x[index] cuts its operand from the
+        # pattern's (K, in) inputs x.
+        self.first = []
+        for i, j, n in self.groups:
+            f, w, z = _product(self.ws[0][i:j, :, :n], self.acts[0][i:j])
+            cut = (i, slice(n)) if f is np.dot else (slice(i, j), slice(n), None)
+            self.first.append((f, w, z, cut))
+        # A one-net batch takes its outer products as 2-D broadcasts. The
+        # first layer's is (delta, x[row], gradient), x[row] the pattern's
+        # inputs as a row.
+        self.outer = (lambda v: v[0]) if K == 1 else (lambda v: v)
+        self.row = () if K == 1 else (slice(None), None)
+        self.delta, self.dw = self.outer(self.dbs[0]), self.outer(self.dws[0])
         self.bias_rows = [b.swapaxes(-1, -2) for b in self.bs]
         self.out, self.out_delta = self.acts[-1].reshape(-1), self.dbs[-1].reshape(-1)
         self.forward, self.backward = self._shared_calls(_layer_kinds(like))
@@ -335,7 +357,7 @@ class _Lockstep:
             a, b, delta = (v.reshape(-1) for v in (self.acts[l], self.bs[l], self.dbs[l]))
             scratch, one = np.empty(a.size), np.ones(a.size)  # for the logistic and its slope
             if l:
-                forward.append((np.matmul, (self.ws[l], self.acts[l - 1], self.acts[l])))
+                forward.append(_column_product(self.ws[l], self.acts[l - 1], self.acts[l]))
             forward.append((np.add, (a, b, a)))
             layer: List[_Call] = []
             if kind == "logistic":
@@ -348,27 +370,55 @@ class _Lockstep:
                 ]
             if l:
                 x_row = self.acts[l - 1].swapaxes(-1, -2)
+                w_t = self.ws[l].swapaxes(-1, -2)
                 layer += [
-                    (np.multiply, (self.dbs[l], x_row, self.dws[l])),
-                    (np.matmul, (self.ws[l].swapaxes(-1, -2), self.dbs[l], self.dbs[l - 1])),
+                    (np.multiply, tuple(map(self.outer, (self.dbs[l], x_row, self.dws[l])))),
+                    _column_product(w_t, self.dbs[l], self.dbs[l - 1]),
                 ]
             backward[:0] = layer  # the backward pass runs from the last layer
         return forward, backward
 
-    def step(self, columns: Sequence[np.ndarray], x_row: np.ndarray, target: object) -> List[_Call]:
+    def step(self, x: np.ndarray, target: object) -> List[_Call]:
         """The calls that write into `grad` the gradient of
         E = 1/2 * sum((out - target)^2) for one pattern, by reverse
-        accumulation. `columns` holds the input as one (k, n, 1) block per
-        width group, `x_row` as (K, 1, in), and `target` one value per net and
-        output. Every delta comes from the weights in `theta`, so they may be
-        updated once the calls have run."""
+        accumulation. `x` holds the input as (K, in) rows, zero-padded to the
+        widest, and `target` one value per net and output. Every delta comes
+        from the weights in `theta`, so they may be updated once the calls
+        have run. The calls hold one view of x per width group and one row."""
         return [
-            *((np.matmul, (w, x, z)) for (w, z), x in zip(self.first, columns)),
+            *((f, (w, x[cut], z)) for f, w, z, cut in self.first),
             *self.forward,
             (np.subtract, (self.out, target, self.out_delta)),
             *self.backward,
-            (np.multiply, (self.dbs[0], x_row, self.dws[0])),
+            (np.multiply, (self.delta, x[self.row], self.dw)),
         ]
+
+
+def _product(
+    w: np.ndarray, out: np.ndarray
+) -> Tuple[Callable[..., object], np.ndarray, np.ndarray]:
+    """The cheapest numpy function that writes w @ x into out, with the views
+    of w and out it takes, for weights stacked (k, m, n) over k nets and out
+    the (k, m, 1) columns. A contraction of length one (n = 1) is an
+    elementwise np.multiply of w by the (k, 1, 1) x; one net's product is
+    np.dot on w as (m, n) and x and out as 1-D; any other is np.matmul on the
+    stacks. np.dot and np.matmul make the same BLAS call (gemv, or a dot for
+    m = 1) for one net, so they give the same bits. A BLAS sum of one product
+    starts from +0, so np.multiply differs only by giving -0 for a zero
+    product where BLAS gives +0. The sign is lost in the bias addition or
+    update that follows unless the other operand is a -0.0 bias or weight,
+    which init never draws and an update never makes."""
+    if w.shape[2] == 1:
+        return np.multiply, w, out
+    if len(w) == 1:
+        return np.dot, w[0], out[0, :, 0]
+    return np.matmul, w, out
+
+
+def _column_product(w: np.ndarray, x: np.ndarray, out: np.ndarray) -> _Call:
+    """The call of _product for x given as (k, n, 1) columns."""
+    f, w, out = _product(w, out)
+    return f, (w, x[0, :, 0] if f is np.dot else x, out)
 
 
 def _split(buffer: np.ndarray, shapes: Sequence[Tuple[int, ...]]) -> List[np.ndarray]:
@@ -387,7 +437,7 @@ def gradients(
     if x.shape != (net.n_in,) or target.shape != (net.n_out,):
         raise ValueError("input/target dimensions do not match the network")
     step = _Lockstep([net])
-    _run(step.step([x[None, :, None]], x[None, None, :], target))
+    _run(step.step(x[None], target))
     return [dw[0] for dw in step.dws], [db[0, :, 0] for db in step.dbs]
 
 
@@ -482,11 +532,8 @@ def _train_lockstep(
             update = [(np.multiply, (grad, eta, grad)), (np.subtract, (theta, grad, theta))]
             # One epoch: each pattern's step, then its update, in row order.
             program: List[_Call] = []
-            for p, (col, target) in enumerate(
-                zip(X.transpose(1, 0, 2)[:, :, :, None], np.ascontiguousarray(Y.T))
-            ):
-                columns = [col[i:j, :n] for i, j, n in step.groups]
-                program += step.step(columns, X[:, p : p + 1], target) + update
+            for x, target in zip(X.transpose(1, 0, 2), np.ascontiguousarray(Y.T)):
+                program += step.step(x, target) + update
             for epoch in range(epoch + 1, config.max_epochs + 1):
                 _run(program)
                 out = _forward_batch(kinds, step.ws, step.bias_rows, X, step.groups)

@@ -15,7 +15,7 @@ from typing import Callable, Dict, Mapping, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .artifacts import REQUIRED, JsonObject, is_number
-from .timeseries import MonthStamp, TimeSeries
+from .timeseries import MonthStamp, NonFiniteError, TimeSeries
 
 __all__ = [
     "WarmupError",
@@ -296,27 +296,38 @@ class FeatureSpec:
 
 
 def _transformed(
+    name: str,
     source: str,
     chain: Tuple[Transform, ...],
     sources: Mapping[str, TimeSeries],
     applied: Dict[Tuple[str, Tuple[Transform, ...]], TimeSeries],
 ) -> TimeSeries:
     """`chain` applied to the named source, each of its prefixes taken from or
-    added to `applied`, so that a prefix shared by several chains runs once."""
+    added to `applied`, so that a prefix shared by several chains runs once.
+    A transform whose values overflow fails, naming `name`, the column the
+    chain is for, without an overflow warning."""
     if source not in sources:
         raise ValueError(f"unknown source series {source!r}")
     s = sources[source]
-    for n in range(1, len(chain) + 1):
-        key = (source, chain[:n])
-        if key not in applied:
-            applied[key] = chain[n - 1].apply(s)
-        s = applied[key]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, len(chain) + 1):
+            key = (source, chain[:n])
+            if key not in applied:
+                try:
+                    applied[key] = chain[n - 1].apply(s)
+                except NonFiniteError:
+                    raise ValueError(
+                        f"{name} is too large to transform: "
+                        f"{chain[n - 1].label()} gives a value that is not finite"
+                    ) from None
+            s = applied[key]
     return s
 
 
 def apply_feature(spec: FeatureSpec, sources: Mapping[str, TimeSeries]) -> TimeSeries:
     """Resolve one FeatureSpec against named sources."""
-    return lag(_transformed(spec.source, spec.transforms, sources, {}), spec.lag)
+    chain = _transformed(f"feature {spec.label()!r}", spec.source, spec.transforms, sources, {})
+    return lag(chain, spec.lag)
 
 
 @dataclass(frozen=True)
@@ -368,8 +379,9 @@ def assemble(
     """Build the aligned matrix over [first, last].
 
     Errors if any feature's warm-up (or tail) does not cover the range,
-    reporting the feature and how many months it is short, or if a column or
-    the target fails check_scale over it, naming it.
+    reporting the feature and how many months it is short, or if a transform
+    of a column or the target overflows, or the column or target fails
+    check_scale over the range, naming it.
     """
     if first > last:
         raise ValueError(f"empty range {first}..{last}")
@@ -383,7 +395,7 @@ def assemble(
     target_chain = (Transform("identity"),) if target_transform is None else tuple(target_transform)
     # The cycle features of a preset all smooth the target first.
     applied: Dict[Tuple[str, Tuple[Transform, ...]], TimeSeries] = {}
-    target = _transformed(target_name, target_chain, sources, applied)
+    target = _transformed(f"target {target_name!r}", target_name, target_chain, sources, applied)
     if target.start > first:
         raise WarmupError(f"{target_name} (target)", target.start.months_since(first))
     if target.end < last:
@@ -391,15 +403,17 @@ def assemble(
 
     columns = []
     for spec in features:
-        s = lag(_transformed(spec.source, spec.transforms, sources, applied), spec.lag)
+        label = spec.label()
+        chain = _transformed(f"feature {label!r}", spec.source, spec.transforms, sources, applied)
+        s = lag(chain, spec.lag)
         if s.start > first:
-            raise WarmupError(spec.label(), s.start.months_since(first))
+            raise WarmupError(label, s.start.months_since(first))
         if s.end < last:
             raise ValueError(
-                f"feature {spec.label()!r} ends {last.months_since(s.end)} month(s) before {last}"
+                f"feature {label!r} ends {last.months_since(s.end)} month(s) before {last}"
             )
         columns.append(s.slice_range(first, last).values)
-        check_scale(columns[-1], f"feature {spec.label()!r} over {first}..{last}")
+        check_scale(columns[-1], f"feature {label!r} over {first}..{last}")
     y = target.slice_range(first, last).values
     check_scale(y, f"target {target_name!r} over {first}..{last}")
 

@@ -24,6 +24,7 @@ from .artifacts import REQUIRED, JsonObject
 
 __all__ = [
     "CsvFormatError",
+    "NonFiniteError",
     "MonthStamp",
     "TimeSeries",
     "SectorWeights",
@@ -45,6 +46,10 @@ __all__ = [
 ]
 
 _MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$", re.ASCII)
+
+
+class NonFiniteError(ValueError):
+    """A series given values that are not all finite."""
 
 
 class CsvFormatError(ValueError):
@@ -145,7 +150,7 @@ class TimeSeries:
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("series must be a non-empty one-dimensional sequence")
         if not np.all(np.isfinite(arr)):
-            raise ValueError("series values must all be finite")
+            raise NonFiniteError("series values must all be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 

@@ -987,19 +987,25 @@ def test_a_target_too_large_to_score_is_named_without_warnings(tmp_path, capsys)
 
 
 @pytest.mark.parametrize("command", ["train", "ensemble"])
-@pytest.mark.parametrize("column, named", [
-    ("activity", "target 'activity' over 1992-01..1995-12"),
-    ("x", "feature 'x~lag1' over 1992-01..1995-12"),
-], ids=["target", "input"])
+@pytest.mark.parametrize("column, cells, transforms, error", [
+    ("activity", ["1e308"], [], "target 'activity' over 1992-01..1995-12 is too large to score"),
+    ("x", ["1e308"], [], "feature 'x~lag1' over 1992-01..1995-12 is too large to score"),
+    # A transform that sums the huge cells overflows before any scale check.
+    ("x", ["1e308", "1e308"], [{"kind": "sma", "window": 2}],
+     "feature 'x~sma2~lag1' is too large to transform: sma2 gives a value that is not finite"),
+    ("x", ["1e308", "-1e308"], [{"kind": "diff"}],
+     "feature 'x~diff~lag1' is too large to transform: diff gives a value that is not finite"),
+], ids=["target", "input", "input-sma", "input-diff"])
 def test_a_cell_too_large_to_train_on_is_named_without_warnings(
-    tmp_path, capsys, command, column, named
+    tmp_path, capsys, command, column, cells, transforms, error
 ):
     rows = [{"date": f"{1990 + i // 12}-{i % 12 + 1:02d}", "activity": str(100 + i % 12),
              "x": str(i % 7)} for i in range(96)]
-    rows[30][column] = "1e308"  # 1992-07, inside the train range
+    for i, cell in enumerate(cells):
+        rows[30 + i][column] = cell  # from 1992-07 on, inside the train range
     csv_path = tmp_path / "data.csv"
     csv_path.write_text("date,activity,x\n" + "".join(",".join(r.values()) + "\n" for r in rows))
-    networks = [{"name": "on_x", "features": [{"source": "x", "lag": 1}]},
+    networks = [{"name": "on_x", "features": [{"source": "x", "transforms": transforms, "lag": 1}]},
                 {"name": "on_activity", "features": [{"source": "activity", "lag": 1}]}]
     cfg = base_config(str(tmp_path / "out"), networks=networks)
     cfg["data"] = {"csv_path": str(csv_path)}
@@ -1007,9 +1013,7 @@ def test_a_cell_too_large_to_train_on_is_named_without_warnings(
         warnings.simplefilter("always")
         assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
     assert [str(w.message) for w in caught] == []
-    assert capsys.readouterr().err.startswith(
-        f"error: sub-network 1 ('on_x') failed: {named} is too large to score"
-    )
+    assert capsys.readouterr().err.startswith(f"error: sub-network 1 ('on_x') failed: {error}")
     assert not (tmp_path / "out").exists()
 
 
