@@ -42,8 +42,8 @@ rest go on in a new batch that _Lockstep builds, and compiles, from them as
 they stand. The step keeps the operations and their order that fix the bits:
 the same BLAS products, the logistic as max(e, sign(z)) / (1 + e) with
 e = exp(-|z|), the slope as delta * (a * (1 - a)) and the update as
-eta * dw, then a subtraction. `gradients` runs the same calls for one net, without the
-update.
+eta * dw, then a subtraction. `gradients` runs the same calls for one net,
+without the update.
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -401,6 +403,29 @@ def test_assemble_lag_12_needs_exactly_one_year_of_warmup():
 def test_assemble_unknown_source():
     with pytest.raises(ValueError, match="nope"):
         assemble([FeatureSpec("nope")], _sources(), "b", None, START, START.plus(3))
+
+
+@pytest.mark.parametrize("transform, cells", [
+    (Transform("diff"), (1e308, -1e308)),
+    (Transform("sma", window=2), (1e308, 1e308)),
+    (Transform("block_avg", window=2, distance=1), (1e308, 1e308)),
+    (Transform("log_var_ma", window=2), (1e308, 1e308)),
+    (Transform("rolling_std", window=2), (1e308, -1e308)),
+])
+def test_assemble_names_a_column_whose_transform_overflows(transform, cells):
+    sources = _sources()
+    values = sources["a"].values.copy()
+    values[20:22] = cells
+    sources["a"] = TimeSeries(START, values)
+    spec = FeatureSpec("a", (transform,), lag=1)
+    first, last = START.plus(12), START.plus(40)
+    tail = f" is too large to transform: {transform.label()} gives a value that is not finite"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"feature {spec.label()!r}{tail}")):
+            assemble([spec], sources, "b", None, first, last)
+        with pytest.raises(ValueError, match=re.escape(f"target 'a'{tail}")):
+            assemble([FeatureSpec("b")], sources, "a", transform, first, last)
 
 
 def test_assemble_applies_each_shared_prefix_once(monkeypatch):

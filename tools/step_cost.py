@@ -13,8 +13,11 @@ every net in the batch) with each net's own time per step for comparison:
 
 Each figure is the median of 21 trainings. A batch and the nets it is
 compared with train in turn, one training of each per round, so a drift of
-a shared machine's speed moves both sides of a ratio alike. Standard
-library and numpy only; run it from anywhere inside the repository.
+a shared machine's speed moves both sides of a ratio alike. Under each
+figure it prints the batch's call mix: the numpy calls of one step, counted
+by function, as read from the epoch program that train_many compiles (the
+update's two calls included). Standard library and numpy only; run it from
+anywhere inside the repository.
 """
 
 import os
@@ -22,6 +25,7 @@ import os
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import collections
 import statistics
 import sys
 import time
@@ -31,6 +35,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 
 import numpy as np
 
+from econocast import mlp
 from econocast.mlp import TrainConfig, init, train_many
 from econocast.preprocess import FeatureMatrix, FeatureSpec
 from econocast.timeseries import MonthStamp
@@ -53,6 +58,28 @@ def us_per_step(cases, steps: int) -> List[float]:
     return [statistics.median(t) / steps * 1e6 for t in times]
 
 
+def call_mix(case, rows: int) -> str:
+    """The numpy calls of one step of the case's (nets, matrices, configs),
+    counted by function, from the longest call list train_many runs: one
+    epoch of `rows` steps."""
+    programs = []
+    run = mlp._run
+
+    def spy(calls):
+        programs.append(calls)
+        run(calls)
+
+    mlp._run = spy
+    try:
+        train_many(*case)
+    finally:
+        mlp._run = run
+    program = max(programs, key=len)
+    counts = collections.Counter(f.__name__ for f, _ in program)
+    mix = ", ".join(f"{n // rows} {name}" for name, n in counts.most_common())
+    return f"  calls per step: {mix} ({len(program) // rows} in all)"
+
+
 def main() -> None:
     rng = np.random.default_rng(0)
 
@@ -66,6 +93,7 @@ def main() -> None:
         f"20 restarts, 9-4-1, 72 rows: {batch:.1f} us per step, "
         f"one net alone {alone:.1f} us, ratio {batch / alone:.2f}"
     )
+    print(call_mix((nets, [shared] * 20, configs), 72))
 
     widths = [8, 9, 9, 9, 10, 12, 14, 21]
     matrices = [matrix(rng.normal(size=(96, w)), rng.normal(size=96)) for w in widths]
@@ -78,11 +106,14 @@ def main() -> None:
         f"8 ensemble subs, 96 rows: {batch:.1f} us per step, "
         f"one net alone {alone:.1f} us on average, ratio {batch / alone:.2f}"
     )
+    print(call_mix((nets, matrices, configs), 96))
 
     master = matrix(rng.normal(size=(96, 8)), rng.normal(size=96))
     config = TrainConfig(max_epochs=20, rng_seed=1)
-    (alone,) = us_per_step([([init([8, 4, 1], config)], [master], [config])], 20 * 96)
+    case = ([init([8, 4, 1], config)], [master], [config])
+    (alone,) = us_per_step([case], 20 * 96)
     print(f"ensemble master, 8-4-1, 96 rows: {alone:.1f} us per step")
+    print(call_mix(case, 96))
 
 
 if __name__ == "__main__":
