@@ -229,6 +229,15 @@ def _load_sources(config: PipelineConfig) -> Dict[str, TimeSeries]:
     return sources
 
 
+def _check_covered(config: PipelineConfig, target: TimeSeries, *keys: str) -> None:
+    """Name the first configured range, of `keys`, that runs outside the target."""
+    for key in keys:
+        first, last = getattr(config, key)
+        if not target.covers(first, last):
+            raise ConfigError(f"config.{key} {first}..{last} runs outside the target "
+                              f"{config.target!r}, which covers {target.start}..{target.end}")
+
+
 def _detect_cycle(sources: Mapping[str, TimeSeries], config: PipelineConfig) -> int:
     target = sources[config.target].slice_range(*config.train_range)
     try:
@@ -284,6 +293,7 @@ def _prepared_specs(config: PipelineConfig, sources: Mapping[str, TimeSeries]) -
     named first, then the first sub in spec order whose pick failed."""
     if config.test_range[0] <= config.train_range[1]:
         raise ConfigError("config.test_range must start after config.train_range ends")
+    _check_covered(config, sources[config.target], "train_range", "test_range")
     specs = _build_sub_specs(config, _detect_cycle(sources, config))
     if config.search is None and config.restarts is None:
         return specs, [None] * len(specs), config.train_range, {}
@@ -341,6 +351,8 @@ def cmd_scan(config: PipelineConfig) -> Output:
     unsafe = [n for n in names if not is_file_stem(n)]
     if unsafe:
         raise ConfigError(f"input column name(s) {unsafe} cannot name the scan files")
+    if names:  # a scan of no input reads no range
+        _check_covered(config, target, "train_range")
     results = {
         n: lagscan.scan(sources[n], target, config.scan_max_lag, *config.train_range,
                         input_name=n, target_name=config.target)
@@ -348,8 +360,7 @@ def cmd_scan(config: PipelineConfig) -> Output:
     }
 
     def files() -> Iterator[Tuple[str, str]]:
-        # one target and range, so one perfect and buy-and-hold block for every input; only
-        # a scanned input has checked that the target covers the range
+        # one target and range, so one perfect and buy-and-hold block for every input
         if results:
             benchmarks = lagscan.benchmark_curves_csv(target.slice_range(*config.train_range))
         for name, result in results.items():

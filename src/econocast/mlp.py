@@ -1,19 +1,19 @@
 """Multi-layer perceptron with supervised online gradient training.
 
-Hidden layers are logistic; the output layer is logistic or linear. Training
-runs per-pattern (stochastic) weight updates in fixed row order for exact
-reproducibility, minimizing the half-sum-of-squares error.
+Hidden layers are logistic and the output layer is linear, the one kind of
+net every command trains. Training runs per-pattern (stochastic) weight
+updates in fixed row order for exact reproducibility, minimizing the
+half-sum-of-squares error.
 
 `train_many` is the one training loop. It takes any nets, one feature matrix
 and one config per net, and sorts them into lockstep batches: the nets of a
-batch share their hidden and output layers and activations, their row count
-and their config up to rng_seed, and may differ in input width. Each
-normalizer, with the normalized inputs and targets, is computed once per
-distinct matrix object and output activation. A batch steps its K nets
-through the patterns together. Their weights are stacked (K, out, in) and
-their activations kept as (K, n, 1) columns, so a contraction is one call
-for all K nets, at the cheapest numpy entry that makes the same IEEE
-operations in the same order: a batched matmul, which numpy runs as the same
+batch share their hidden and output layers, their row count and their config
+up to rng_seed, and may differ in input width. Each normalizer, with the
+normalized inputs and targets, is computed once per distinct matrix object.
+A batch steps its K nets through the patterns together. Their weights are
+stacked (K, out, in) and their activations kept as (K, n, 1) columns, so a
+contraction is one call for all K nets, at the cheapest numpy entry that
+makes the same IEEE operations in the same order: a batched matmul, which numpy runs as the same
 BLAS call per net that a lone net would make; np.dot on 2-D and 1-D views
 where the stack holds one net, which reaches that same BLAS call; and an
 elementwise multiply where the contraction has length one, as through an
@@ -63,7 +63,6 @@ from .preprocess import FeatureMatrix, FeatureSpec
 from .timeseries import MonthStamp, TimeSeries, range_to_json, read_range
 
 __all__ = [
-    "ACTIVATIONS",
     "TrainingDiverged",
     "TrainConfig",
     "MlpNetwork",
@@ -79,9 +78,6 @@ __all__ = [
     "expert_from_dict",
     "load_expert",
 ]
-
-ACTIVATIONS = ("logistic", "linear")
-
 
 class TrainingDiverged(RuntimeError):
     """Loss became non-finite; carries the epoch at which it happened."""
@@ -128,11 +124,6 @@ def _logistic(z: np.ndarray, e: np.ndarray) -> np.ndarray:
     return z
 
 
-def _activate(kind: str, z: np.ndarray) -> np.ndarray:
-    """Activation of a fresh array z, computed in place."""
-    return _logistic(z, np.empty_like(z)) if kind == "logistic" else z
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Knobs of the online training loop."""
@@ -175,20 +166,17 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class MlpNetwork:
-    """Layered weights/biases; weights[l] maps layer l activations to layer l+1."""
+    """Layered weights/biases; weights[l] maps layer l activations to layer l+1.
+    Every layer but the last is logistic; the last is linear."""
 
     layer_sizes: Tuple[int, ...]
     weights: Tuple[np.ndarray, ...]
     biases: Tuple[np.ndarray, ...]
-    hidden_activation: str = "logistic"
-    output_activation: str = "linear"
 
     def __post_init__(self) -> None:
         sizes = checked_sizes("layer_sizes", self.layer_sizes)
         if len(sizes) < 2:
             raise ValueError(f"bad layer sizes {sizes}")
-        if self.hidden_activation not in ACTIVATIONS or self.output_activation not in ACTIVATIONS:
-            raise ValueError("unknown activation kind")
         ws, bs = [], []
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
             w = np.array(w, dtype=float)
@@ -216,12 +204,7 @@ class MlpNetwork:
         return self.layer_sizes[-1]
 
 
-def init(
-    layer_sizes: Sequence[int],
-    config: TrainConfig,
-    hidden_activation: str = "logistic",
-    output_activation: str = "linear",
-) -> MlpNetwork:
+def init(layer_sizes: Sequence[int], config: TrainConfig) -> MlpNetwork:
     """Draw every weight and bias uniformly from [-bound, +bound], seeded."""
     sizes = checked_sizes("layer_sizes", layer_sizes)
     if len(sizes) < 3:
@@ -232,12 +215,7 @@ def init(
     for l in range(len(sizes) - 1):
         weights.append(rng.uniform(-b, b, size=(sizes[l + 1], sizes[l])))
         biases.append(rng.uniform(-b, b, size=sizes[l + 1]))
-    return MlpNetwork(sizes, tuple(weights), tuple(biases), hidden_activation, output_activation)
-
-
-def _layer_kinds(net: MlpNetwork) -> List[str]:
-    n_layers = len(net.weights)
-    return [net.hidden_activation] * (n_layers - 1) + [net.output_activation]
+    return MlpNetwork(sizes, tuple(weights), tuple(biases))
 
 
 # (start, stop, width) of each run of equal input widths in a batch sorted by width.
@@ -254,7 +232,6 @@ def _width_groups(widths: Sequence[int]) -> _WidthGroups:
 
 
 def _forward_batch(
-    kinds: Sequence[str],
     ws: Sequence[np.ndarray],
     bs: Sequence[np.ndarray],
     X: np.ndarray,
@@ -265,14 +242,16 @@ def _forward_batch(
     which gives (K, n, n_out). X is (n, in) for every net, or (K, n, in)
     with the first layer's product taken per width group (see _width_groups)."""
     a = X
-    for l, (kind, w, b) in enumerate(zip(kinds, ws, bs)):
+    for l, (w, b) in enumerate(zip(ws, bs)):
         if l == 0 and groups is not None:
             z = np.concatenate(
                 [a[i:j, :, :n] @ w[i:j, :, :n].swapaxes(-1, -2) for i, j, n in groups]
             )
         else:
             z = a @ w.swapaxes(-1, -2)
-        a = _activate(kind, z + b)
+        a = z + b
+        if l < len(ws) - 1:
+            _logistic(a, np.empty_like(a))
     return a
 
 
@@ -332,7 +311,7 @@ class _Lockstep:
         self.delta, self.dw = self.outer(self.dbs[0]), self.outer(self.dws[0])
         self.bias_rows = [b.swapaxes(-1, -2) for b in self.bs]
         self.out, self.out_delta = self.acts[-1].reshape(-1), self.dbs[-1].reshape(-1)
-        self.forward, self.backward = self._shared_calls(_layer_kinds(like))
+        self.forward, self.backward = self._shared_calls()
 
     def net(self, pos: int) -> MlpNetwork:
         """The net at batch position pos, with its weights as they stand."""
@@ -341,26 +320,25 @@ class _Lockstep:
             (width, *like.layer_sizes[1:]),
             (self.ws[0][pos, :, :width], *(w[pos] for w in self.ws[1:])),
             tuple(b[pos, :, 0] for b in self.bs),
-            like.hidden_activation,
-            like.output_activation,
         )
 
-    def _shared_calls(self, kinds: Sequence[str]) -> Tuple[List[_Call], List[_Call]]:
+    def _shared_calls(self) -> Tuple[List[_Call], List[_Call]]:
         """The pattern-free calls of a step: the forward pass after the first
         layer's products, and the backward pass down to the first layer's
         weight gradient. They work on flat 1-D views of the (K, out, 1)
-        columns: a, the pre-activation overwritten by the activation, and
-        delta, dE/dz, which is also the bias gradient."""
+        columns: a, the pre-activation overwritten by the activation (the
+        logistic, except at the linear output), and delta, dE/dz, which is
+        also the bias gradient."""
         forward: List[_Call] = []
         backward: List[_Call] = []
-        for l, kind in enumerate(kinds):
+        for l in range(len(self.acts)):
             a, b, delta = (v.reshape(-1) for v in (self.acts[l], self.bs[l], self.dbs[l]))
-            scratch, one = np.empty(a.size), np.ones(a.size)  # for the logistic and its slope
             if l:
                 forward.append(_column_product(self.ws[l], self.acts[l - 1], self.acts[l]))
             forward.append((np.add, (a, b, a)))
             layer: List[_Call] = []
-            if kind == "logistic":
+            if l < len(self.acts) - 1:
+                scratch, one = np.empty(a.size), np.ones(a.size)  # for the logistic and its slope
                 forward += _logistic_calls(a, scratch, np.full(a.size, -1.0), one)
                 # The logistic slope expressed through the activation itself.
                 layer += [
@@ -443,11 +421,8 @@ def gradients(
 
 @dataclass(frozen=True)
 class Normalizer:
-    """Per-column affine maps fitted on training rows only.
-
-    Inputs are standardized; the target is standardized for a linear output
-    unit and mapped into [0.1, 0.9] for a logistic one.
-    """
+    """Per-column affine maps fitted on training rows only: inputs and target
+    are standardized."""
 
     input_shift: np.ndarray
     input_scale: np.ndarray
@@ -467,19 +442,10 @@ class Normalizer:
         object.__setattr__(self, "input_scale", scale)
 
     @classmethod
-    def fit(cls, X: np.ndarray, y: np.ndarray, output_activation: str) -> "Normalizer":
-        shift = X.mean(axis=0)
+    def fit(cls, X: np.ndarray, y: np.ndarray) -> "Normalizer":
         scale = X.std(axis=0)
         scale = np.where(scale > 0, scale, 1.0)
-        if output_activation == "logistic":
-            lo, hi = float(y.min()), float(y.max())
-            span = hi - lo
-            t_scale = span / 0.8 if span > 0 else 1.0
-            t_shift = lo - 0.1 * t_scale
-        else:
-            t_shift = float(y.mean())
-            t_scale = float(y.std()) or 1.0
-        return cls(shift, scale, t_shift, t_scale)
+        return cls(X.mean(axis=0), scale, float(y.mean()), float(y.std()) or 1.0)
 
     def normalize_inputs(self, X: np.ndarray) -> np.ndarray:
         return (X - self.input_shift) / self.input_scale
@@ -511,11 +477,11 @@ def _train_lockstep(
     fits: Sequence[Tuple[Normalizer, np.ndarray, np.ndarray]],
 ) -> List[TrainedExpert | TrainingDiverged]:
     """train_many for one lockstep batch: nets with equal hidden and output
-    layers and activations, matrices with equal rows, configs equal up to
-    rng_seed, and the normalizer of each net's matrix with its normalized
-    inputs and targets. When nets leave, the rest go on in a new batch built
-    from them as they stand, its padding trimmed to the widest of them."""
-    config, kinds = configs[0], _layer_kinds(nets[0])
+    layers, matrices with equal rows, configs equal up to rng_seed, and the
+    normalizer of each net's matrix with its normalized inputs and targets.
+    When nets leave, the rest go on in a new batch built from them as they
+    stand, its padding trimmed to the widest of them."""
+    config = configs[0]
     results: List[TrainedExpert | TrainingDiverged] = [None] * len(nets)  # type: ignore[list-item]
     slots = sorted(range(len(nets)), key=lambda slot: nets[slot].n_in)  # slot of each position
     batch, epoch = [nets[slot] for slot in slots], 0
@@ -536,7 +502,7 @@ def _train_lockstep(
                 program += step.step(x, target) + update
             for epoch in range(epoch + 1, config.max_epochs + 1):
                 _run(program)
-                out = _forward_batch(kinds, step.ws, step.bias_rows, X, step.groups)
+                out = _forward_batch(step.ws, step.bias_rows, X, step.groups)
                 errors = np.mean((out[:, :, 0] - Y) ** 2, axis=1)  # each row's own 1-D bits
                 # Walk the nets only in an epoch where one leaves: its error is
                 # non-finite (NaN fails both tests), reached target_error, or
@@ -574,35 +540,35 @@ def train_many(
     """Train each net on its matrix with its config; one slot per net.
 
     The nets are sorted into lockstep batches: those with equal hidden and
-    output layers and activations, equal matrix rows and configs equal up to
-    rng_seed train together, whatever their input widths. Each net gets the
-    normalizer fitted on its matrix; nets given one matrix object and one
-    output activation share one normalizer, fitted once. Online gradient
-    descent: one update per pattern, fixed order, one full pass per epoch. A
-    net stops once its epoch-end mean squared error (normalized space)
-    reaches target_error, or at max_epochs; a net whose error turns
-    non-finite stops too and its slot holds TrainingDiverged. Either way it
-    leaves its batch with its weights frozen and the others go on. Each net's
-    result is bit-identical to training it alone, whatever its neighbours and
-    its place in the call."""
+    output layers, equal matrix rows and configs equal up to rng_seed train
+    together, whatever their input widths. Each net gets the normalizer
+    fitted on its matrix; nets given one matrix object share one normalizer,
+    fitted once. Online gradient descent: one update per pattern, fixed
+    order, one full pass per epoch. A net stops once its epoch-end mean
+    squared error (normalized space) reaches target_error, or at max_epochs;
+    a net whose error turns non-finite stops too and its slot holds
+    TrainingDiverged. Either way it leaves its batch with its weights frozen
+    and the others go on. Each net's result is bit-identical to training it
+    alone, whatever its neighbours and its place in the call. Every net is
+    logistic with a linear output, so activations play no part in a batch."""
     if not nets or not len(nets) == len(matrices) == len(configs):
         raise ValueError(
             f"need one matrix and one config per net, got {len(nets)} nets, "
             f"{len(matrices)} matrices and {len(configs)} configs"
         )
-    normalized: Dict[Tuple[int, str], Tuple[Normalizer, np.ndarray, np.ndarray]] = {}
+    normalized: Dict[int, Tuple[Normalizer, np.ndarray, np.ndarray]] = {}
     fits, batches = [], {}
     for i, (net, matrix, config) in enumerate(zip(nets, matrices, configs)):
         if net.n_in != matrix.width:
             raise ValueError(f"net {i} expects {net.n_in} inputs, its matrix has {matrix.width}")
         if net.n_out != 1:
             raise ValueError("time-series experts have a single output")
-        key = (id(matrix), net.output_activation)
+        key = id(matrix)
         if key not in normalized:
-            norm = Normalizer.fit(matrix.X, matrix.y, net.output_activation)
+            norm = Normalizer.fit(matrix.X, matrix.y)
             normalized[key] = norm, norm.normalize_inputs(matrix.X), norm.normalize_target(matrix.y)
         fits.append(normalized[key])
-        layout = (net.layer_sizes[1:], net.hidden_activation, net.output_activation, matrix.rows)
+        layout = (net.layer_sizes[1:], matrix.rows)
         batches.setdefault((layout, replace(config, rng_seed=0)), []).append(i)
     results: List[TrainedExpert | TrainingDiverged] = [None] * len(nets)  # type: ignore[list-item]
     for slots in batches.values():
@@ -625,9 +591,7 @@ def predict(expert: TrainedExpert, matrix: FeatureMatrix) -> TimeSeries:
     if matrix.specs != expert.features:
         raise ValueError("matrix columns do not match the expert's features")
     net = expert.network
-    out = _forward_batch(
-        _layer_kinds(net), net.weights, net.biases, expert.normalizer.normalize_inputs(matrix.X)
-    )
+    out = _forward_batch(net.weights, net.biases, expert.normalizer.normalize_inputs(matrix.X))
     return TimeSeries(matrix.start, expert.normalizer.denormalize_target(out[:, 0]))
 
 
@@ -651,8 +615,8 @@ def expert_to_dict(expert: TrainedExpert) -> Dict[str, object]:
     net = expert.network
     return {
         "layer_sizes": list(net.layer_sizes),
-        "hidden_activation": net.hidden_activation,
-        "output_activation": net.output_activation,
+        "hidden_activation": "logistic",
+        "output_activation": "linear",
         "weights": [w.tolist() for w in net.weights],
         "biases": [b.tolist() for b in net.biases],
         "normalizer": {
@@ -689,9 +653,9 @@ def expert_from_dict(data: object, path: str = "expert") -> TrainedExpert:
     """Inverse of expert_to_dict; errors name the key's path under `path`."""
     obj = JsonObject(data, path)
     sizes = obj.get("layer_sizes", REQUIRED, (list,), _is_ints, "a list of integers")
-    kind = "'logistic' or 'linear'"
-    hidden = obj.get("hidden_activation", REQUIRED, (str,), ACTIVATIONS.__contains__, kind)
-    output = obj.get("output_activation", REQUIRED, (str,), ACTIVATIONS.__contains__, kind)
+    # The one kind of net there is, written into every expert file.
+    obj.get("hidden_activation", REQUIRED, (str,), "logistic".__eq__, "'logistic'")
+    obj.get("output_activation", REQUIRED, (str,), "linear".__eq__, "'linear'")
     finite = "of finite numbers"
     weights = obj.get("weights", REQUIRED, (list,), _is_matrices, f"a list of matrices {finite}")
     biases = obj.get("biases", REQUIRED, (list,), _is_vectors, f"a list of vectors {finite}")
@@ -713,8 +677,6 @@ def expert_from_dict(data: object, path: str = "expert") -> TrainedExpert:
             sizes,
             tuple(np.array(w, dtype=float) for w in weights),
             tuple(np.array(b, dtype=float) for b in biases),
-            hidden,
-            output,
         )
         norm = Normalizer(
             np.array(shift, dtype=float),

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import re
+import sys
 from dataclasses import dataclass
 from itertools import chain, repeat
 from types import MappingProxyType, NoneType
@@ -20,7 +22,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .artifacts import REQUIRED, JsonObject
+from .artifacts import REQUIRED, JsonObject, is_number
 
 __all__ = [
     "CsvFormatError",
@@ -455,12 +457,19 @@ def synthesize_economy(
     index. Each predictor is an affine image of the clean index component
     `planted_leads[name]` months ahead, plus its own noise.
     """
+    if not is_number(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     if months < 24:
         raise ValueError(f"months must be >= 24, got {months}")
+    most = MonthStamp(9999, 12).months_since(SYNTH_START) + 1  # 9999-12: the last YYYY-MM
+    if months > most:
+        raise ValueError(f"months must be <= {most}, the months from {SYNTH_START} to 9999-12, "
+                         f"got {months}")
     if cycle_period < 2:
         raise ValueError(f"cycle_period must be >= 2, got {cycle_period}")
-    if noise_scale < 0:
-        raise ValueError(f"noise_scale must be >= 0, got {noise_scale}")
+    # NaN and inf fail a comparison, as does an int too large for a float
+    if not (is_number(noise_scale, numbers.Real) and 0 <= noise_scale <= sys.float_info.max):
+        raise ValueError(f"noise_scale must be a finite number >= 0, got {noise_scale!r}")
 
     rng = np.random.default_rng(seed)
     max_lead = max(PREDICTOR_LEADS.values())

@@ -13,8 +13,8 @@ runs this once per OpenBLAS kernel):
    product through it).
 2. train_many gives each net the bytes of training it alone, for batches with
    one-net and multi-net width groups, hidden layers of 2, 3 and 4 units and
-   of 3 then 2, and logistic and linear outputs. Alone, a net is a one-net
-   batch, whose products all go through np.dot or np.multiply.
+   of 3 then 2. Alone, a net is a one-net batch, whose products all go
+   through np.dot or np.multiply.
 
 Prints the OpenBLAS core name it ran under (or "unknown") and exits non-zero
 at the first mismatch.
@@ -91,18 +91,16 @@ def check_batches(rng: np.random.Generator) -> None:
         for w in widths
     ]
     for hidden in ((2,), (3,), (4,), (3, 2)):
-        for output in ("logistic", "linear"):
-            configs = [TrainConfig(learning_rate=0.1, max_epochs=4, rng_seed=s) for s in range(8)]
-            nets = [init([w, *hidden, 1], c, output_activation=output)
-                    for w, c in zip(widths, configs)]
-            alone = []
-            for net, m, c in zip(nets, matrices, configs):
-                try:
-                    alone.append(as_bytes(train(net, m, c)))
-                except TrainingDiverged as exc:
-                    alone.append(as_bytes(exc))
-            batch = [as_bytes(r) for r in train_many(nets, matrices, configs)]
-            assert batch == alone, ("train_many", hidden, output)
+        configs = [TrainConfig(learning_rate=0.1, max_epochs=4, rng_seed=s) for s in range(8)]
+        nets = [init([w, *hidden, 1], c) for w, c in zip(widths, configs)]
+        alone = []
+        for net, m, c in zip(nets, matrices, configs):
+            try:
+                alone.append(as_bytes(train(net, m, c)))
+            except TrainingDiverged as exc:
+                alone.append(as_bytes(exc))
+        batch = [as_bytes(r) for r in train_many(nets, matrices, configs)]
+        assert batch == alone, ("train_many", hidden)
 
 
 def main() -> int:

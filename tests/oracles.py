@@ -128,25 +128,25 @@ def dft_dominant_period(values: Sequence[float]) -> int:
     return round(n / best_k)
 
 
-def gradients(weights, biases, kinds, x, target):
+def gradients(weights, biases, x, target):
     """(dWs, dbs) of E = 1/2 * sum((out - target)^2) for one pattern, as
     nested lists: weights[l][j][i] maps unit i of layer l to unit j of layer
-    l + 1, and kinds[l] ("logistic" or "linear") is that layer's activation.
-    A forward pass that keeps every activation, then the chain rule backwards
+    l + 1. Every layer but the last is logistic; the last is linear. A
+    forward pass that keeps every activation, then the chain rule backwards
     one unit at a time."""
     acts = [list(x)]
-    for w, b, kind in zip(weights, biases, kinds):
+    for l, (w, b) in enumerate(zip(weights, biases)):
         a = []
         for row, bias in zip(w, b):
             z = bias + sum(wi * ai for wi, ai in zip(row, acts[-1]))
-            a.append(1.0 / (1.0 + math.exp(-z)) if kind == "logistic" else z)
+            a.append(1.0 / (1.0 + math.exp(-z)) if l < len(weights) - 1 else z)
         acts.append(a)
     # dE/da of the output units, then layer by layer dE/dz and dE/da below.
     dout = [a - t for a, t in zip(acts[-1], target)]
     dws, dbs = [None] * len(weights), [None] * len(weights)
     for l in range(len(weights) - 1, -1, -1):
         a = acts[l + 1]
-        if kinds[l] == "logistic":
+        if l < len(weights) - 1:
             dz = [d * a[j] * (1.0 - a[j]) for j, d in enumerate(dout)]
         else:
             dz = list(dout)

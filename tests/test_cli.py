@@ -74,6 +74,21 @@ def test_generate_rejects_short_history(tmp_path):
     assert main(["generate", "--months", "12", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("args, error", [
+    # the last of 96,109 months from 1991-01 is 10000-01, which no CSV can date;
+    # the count is checked before anything is built
+    (["--months", "96109"],
+     "months must be <= 96108, the months from 1991-01 to 9999-12, got 96109"),
+    (["--noise-scale", "nan"], "noise_scale must be a finite number >= 0, got nan"),
+    (["--noise-scale", "inf"], "noise_scale must be a finite number >= 0, got inf"),
+    (["--seed", "-1"], "seed must be an integer >= 0, got -1"),
+], ids=["months=96109", "noise-scale=nan", "noise-scale=inf", "seed=-1"])
+def test_generate_names_a_bad_argument_and_writes_nothing(tmp_path, capsys, args, error):
+    assert main(["generate", *args, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # config validation
 # ---------------------------------------------------------------------------
@@ -561,6 +576,34 @@ def test_overlapping_test_range_is_named_before_anything_trains(tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("scan", "train_range", ["1990-01", "1995-12"]),
+    ("train", "train_range", ["1990-01", "1995-12"]),
+    ("ensemble", "train_range", ["1991-06", "1997-01"]),
+    ("train", "test_range", ["1996-01", "1997-01"]),
+    ("ensemble", "test_range", ["1996-06", "1999-12"]),
+])
+def test_a_range_the_target_does_not_cover_is_named_before_any_work(
+    tmp_path, capsys, monkeypatch, command, key, value
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "_detect_cycle", no_work)
+    monkeypatch.setattr(cli.lagscan, "scan", no_work)
+    cfg = base_config(str(tmp_path / "out"))  # 72 months, 1991-01..1996-12
+    cfg[key] = value
+    if key == "train_range":
+        cfg["test_range"] = ["2000-01", "2000-12"]  # after it, and off the target too
+    cfg["scan"] = {"max_lag": 3, "inputs": ["gold"]}
+    assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: config.{key} {value[0]}..{value[1]} runs outside the target 'activity', "
+        "which covers 1991-01..1996-12\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_scan_ignores_the_test_range(tmp_path):
     cfg = base_config(str(tmp_path / "out"))
     cfg["test_range"] = ["1995-01", "1996-12"]
@@ -699,6 +742,7 @@ def wrong_type_cases():
         ("networks", ["network1", {"name": "x", "features": [{"lag": 2}]}], "'source'"),
         ("networks", ["network1", {"name": "actual", "features": [{"source": "gold"}]}], "'actual'"),
         ("networks", ["network1", {"name": "master", "features": [{"source": "gold"}]}], "'master'"),
+        ("data.synthetic.seed", -1, "config.data.synthetic: seed must be an integer >= 0, got -1"),
         *(
             pytest.param(key, value, key_path(named), id=f"{key}={value!r}")
             for key, value, named in [

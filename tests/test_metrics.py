@@ -406,33 +406,17 @@ def test_flipping_signals_negates_efficiency_and_hits():
 # report rendering
 # ---------------------------------------------------------------------------
 
-def _identity_expert(n):
-    """Expert whose prediction equals its single (identity) feature column."""
-    from econocast.mlp import MlpNetwork, Normalizer, TrainedExpert
-    from econocast.preprocess import FeatureSpec
-
-    net = MlpNetwork(
-        (1, 1, 1),
-        (np.array([[1.0]]), np.array([[1.0]])),
-        (np.zeros(1), np.zeros(1)),
-        hidden_activation="linear",
-        output_activation="linear",
-    )
-    norm = Normalizer(np.zeros(1), np.ones(1), 0.0, 1.0)
-    specs = (FeatureSpec("activity"),)
-    return TrainedExpert(net, norm, specs, (START, START.plus(n - 1)), 0.0, 0)
-
-
 def _identity_fit(feature_vals, actual_vals, split):
-    """An ExpertFit of _identity_expert on the rows before and from `split`."""
-    from econocast.mlp import predict
-    from econocast.preprocess import FeatureMatrix
+    """An ExpertFit that predicts its one feature column exactly, on the rows
+    before and from `split`. report_rows reads no expert, so it holds none."""
+    from econocast.preprocess import FeatureMatrix, FeatureSpec
 
-    expert = _identity_expert(len(actual_vals))
-    columns = np.asarray(feature_vals, dtype=float).reshape(-1, 1)
-    train_m = FeatureMatrix(columns[:split], actual_vals[:split], START, expert.features)
-    test_m = FeatureMatrix(columns[split:], actual_vals[split:], START.plus(split), expert.features)
-    return ExpertFit(expert, train_m, test_m, predict(expert, train_m), predict(expert, test_m))
+    specs = (FeatureSpec("activity"),)
+    values = np.asarray(feature_vals, dtype=float)
+    train_m = FeatureMatrix(values[:split, None], actual_vals[:split], START, specs)
+    test_m = FeatureMatrix(values[split:, None], actual_vals[split:], START.plus(split), specs)
+    return ExpertFit(None, train_m, test_m, TimeSeries(START, values[:split]),
+                     TimeSeries(START.plus(split), values[split:]))
 
 
 def test_report_of_perfect_expert(derivations):

@@ -31,7 +31,7 @@ from econocast.mlp import (
 )
 from econocast.artifacts import json_text
 from econocast.preprocess import FeatureMatrix, FeatureSpec
-from econocast.timeseries import MonthStamp
+from econocast.timeseries import MonthStamp, TimeSeries
 
 START = MonthStamp(1991, 1)
 
@@ -171,30 +171,6 @@ def raw_outputs(net, X):
     return predict(TrainedExpert(net, identity, m.specs, (START, START), 0.0, 0), m).values
 
 
-def test_forward_identity_linear_layer():
-    net = MlpNetwork(
-        (2, 2, 1),
-        (np.eye(2), np.array([[1.0, 10.0]])),
-        (np.zeros(2), np.zeros(1)),
-        hidden_activation="linear",
-        output_activation="linear",
-    )
-    out = raw_outputs(net, [[3.0, -1.5], [0.0, 2.0]])
-    assert np.allclose(out, [3.0 - 15.0, 20.0])
-
-
-def test_forward_logistic_of_zero_is_half():
-    net = MlpNetwork(
-        (1, 1, 1),
-        (np.zeros((1, 1)), np.zeros((1, 1))),
-        (np.zeros(1), np.zeros(1)),
-        output_activation="logistic",
-    )
-    out = raw_outputs(net, [[7.0]])
-    # hidden logistic(0) = 0.5, output logistic(0*0.5 + 0) = 0.5
-    assert np.allclose(out, [0.5])
-
-
 def test_forward_hand_computed_1_2_1():
     w1 = np.array([[0.5], [-1.0]])
     b1 = np.array([0.1, 0.2])
@@ -236,29 +212,28 @@ def test_gradients_zero_at_exact_fit():
         (1, 1, 1),
         (np.array([[1.0]]), np.array([[1.0]])),
         (np.zeros(1), np.zeros(1)),
-        hidden_activation="linear",
-        output_activation="linear",
     )
     y = raw_outputs(net, [[0.7]])
     dws, dbs = gradients(net, [0.7], y)
     assert all(np.allclose(g, 0.0) for g in dws + dbs)
 
 
-def test_gradients_single_linear_unit_hand_formula():
+def test_gradients_one_hidden_unit_hand_formula():
     w = 0.4
     b = -0.2
     net = MlpNetwork(
         (1, 1, 1),
         (np.array([[w]]), np.array([[1.0]])),
         (np.array([b]), np.zeros(1)),
-        hidden_activation="linear",
-        output_activation="linear",
     )
     x, y = 1.3, 0.9
     dws, dbs = gradients(net, [x], [y])
-    residual = (w * x + b) - y
-    assert abs(dws[0][0, 0] - residual * x) < 1e-12
-    assert abs(dbs[0][0] - residual) < 1e-12
+    h = 1.0 / (1.0 + np.exp(-(w * x + b)))
+    residual = h - y  # the output unit is linear, with weight 1 and bias 0
+    assert abs(dws[1][0, 0] - residual * h) < 1e-12
+    assert abs(dbs[1][0] - residual) < 1e-12
+    assert abs(dws[0][0, 0] - residual * h * (1 - h) * x) < 1e-12
+    assert abs(dbs[0][0] - residual * h * (1 - h)) < 1e-12
 
 
 def _finite_difference(net, x, y, eps=1e-5):
@@ -266,10 +241,9 @@ def _finite_difference(net, x, y, eps=1e-5):
 
     def loss(ws, bs):
         a = np.asarray(x, dtype=float)
-        kinds = ["logistic"] * (len(ws) - 1) + [net.output_activation]
-        for kind, w, b in zip(kinds, ws, bs):
+        for l, (w, b) in enumerate(zip(ws, bs)):
             z = w @ a + b
-            a = 1.0 / (1.0 + np.exp(-z)) if kind == "logistic" else z
+            a = 1.0 / (1.0 + np.exp(-z)) if l < len(ws) - 1 else z
         return 0.5 * float(np.sum((a - np.asarray(y)) ** 2))
 
     fd_ws, fd_bs = [], []
@@ -303,7 +277,7 @@ def _finite_difference(net, x, y, eps=1e-5):
 def test_gradients_match_finite_differences_3_5_2():
     rng = np.random.default_rng(11)
     cfg = TrainConfig(init_weight_bound=0.7, rng_seed=5)
-    net = init([3, 5, 2], cfg, output_activation="linear")
+    net = init([3, 5, 2], cfg)
     x = rng.normal(size=3)
     y = rng.normal(size=2)
     dws, dbs = gradients(net, x, y)
@@ -312,23 +286,19 @@ def test_gradients_match_finite_differences_3_5_2():
         assert np.all(np.abs(g - fd) <= 1e-6 * (1.0 + np.abs(fd)))
 
 
-@pytest.mark.parametrize(
-    "sizes, output_activation",
-    [([3, 5, 2], "linear"), ([3, 4, 2, 1], "logistic"), ([3, 4, 2, 1], "linear")],
-)
-def test_gradients_match_the_loop_oracle(sizes, output_activation):
+@pytest.mark.parametrize("sizes", [[3, 5, 2], [3, 4, 2, 1]])
+def test_gradients_match_the_loop_oracle(sizes):
     # gradients() runs the training step, so this checks that step against an
     # implementation that shares no code with it.
     rng = np.random.default_rng(17)
     cfg = TrainConfig(init_weight_bound=0.7, rng_seed=6)
-    net = init(sizes, cfg, output_activation=output_activation)
+    net = init(sizes, cfg)
     x = rng.normal(size=sizes[0])
     y = rng.normal(size=sizes[-1])
     dws, dbs = gradients(net, x, y)
-    kinds = ["logistic"] * (len(sizes) - 2) + [output_activation]
     weights = [w.tolist() for w in net.weights]
     biases = [b.tolist() for b in net.biases]
-    want_ws, want_bs = oracles.gradients(weights, biases, kinds, x.tolist(), y.tolist())
+    want_ws, want_bs = oracles.gradients(weights, biases, x.tolist(), y.tolist())
     for got, want in zip(dws + dbs, want_ws + want_bs):
         want = np.array(want)
         assert got.shape == want.shape
@@ -347,16 +317,15 @@ def test_train_stops_after_one_epoch_with_infinite_target():
     assert np.isfinite(expert.final_train_error)
 
 
-@pytest.mark.parametrize("output_activation", ["linear", "logistic"])
 @pytest.mark.parametrize("rows", [1, 2])
-def test_one_epoch_of_train_replays_gradients(rows, output_activation):
+def test_one_epoch_of_train_replays_gradients(rows):
     # Each pattern moves the weights by exactly -eta * gradients() at the
     # current weights on the normalized row, so the gradient oracle checks
     # the step that trains.
     rng = np.random.default_rng(5)
     m = matrix_from_arrays(rng.normal(size=(rows, 3)), rng.normal(size=rows))
     cfg = TrainConfig(learning_rate=0.3, max_epochs=1, rng_seed=4)
-    net = init([3, 4, 2, 1], cfg, output_activation=output_activation)
+    net = init([3, 4, 2, 1], cfg)
     expert = train(net, m, cfg)
     Xn = expert.normalizer.normalize_inputs(m.X)
     yn = expert.normalizer.normalize_target(m.y)
@@ -367,8 +336,6 @@ def test_one_epoch_of_train_replays_gradients(rows, output_activation):
             net.layer_sizes,
             tuple(w - eta * dw for w, dw in zip(net.weights, dws)),
             tuple(b - eta * db for b, db in zip(net.biases, dbs)),
-            net.hidden_activation,
-            net.output_activation,
         )
     for got, want in zip(expert.network.weights + expert.network.biases, net.weights + net.biases):
         assert np.array_equal(got, want)
@@ -434,8 +401,6 @@ def lockstep_batch(draw, rng):
     one matrix shared by every net, or one matrix per net with input widths
     drawn from 1..6."""
     hidden = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
-    activations = draw(st.sampled_from([("logistic", "linear"), ("logistic", "logistic"),
-                                        ("linear", "linear")]))
     rows = draw(st.integers(2, 12))
     cfg = TrainConfig(
         learning_rate=draw(st.sampled_from([0.05, 0.3, 1.0])), max_epochs=draw(st.integers(1, 8))
@@ -451,7 +416,7 @@ def lockstep_batch(draw, rng):
             matrix_from_arrays(rng.normal(size=(rows, w)), rng.normal(size=rows)) for w in widths
         ]
     configs = [replace(cfg, rng_seed=seed) for seed in seeds]
-    nets = [init([m.width, *hidden, 1], c, *activations) for m, c in zip(matrices, configs)]
+    nets = [init([m.width, *hidden, 1], c) for m, c in zip(matrices, configs)]
     # A target between the nets' final errors stops them at different epochs.
     finals = []
     for net, m, c in zip(nets, matrices, configs):
@@ -574,22 +539,20 @@ def test_train_many_batches_any_mix_each_equal_training_alone(monkeypatch):
     m3 = matrix_from_arrays(rng.normal(size=(6, 3)), rng.normal(size=6))
     short = matrix_from_arrays(rng.normal(size=(5, 2)), rng.normal(size=5))
     cfg = TrainConfig(max_epochs=2)
-    calls = [  # (net shape, activations, matrix, config) of each slot
-        ([2, 3, 1], (), m, cfg),
-        ([2, 4, 1], (), m, cfg),  # other hidden layers
-        ([3, 3, 3, 1], (), m3, cfg),
-        ([2, 3, 1], ("logistic", "logistic"), m, cfg),  # other output activation
-        ([2, 3, 1], ("linear",), m, cfg),  # other hidden activation
-        ([2, 3, 1], (), short, cfg),  # other rows
-        ([2, 3, 1], (), m, replace(cfg, learning_rate=0.1)),
-        ([2, 3, 1], (), m, replace(cfg, max_epochs=3)),
-        ([3, 3, 1], (), m3, replace(cfg, target_error=0.5)),
-        ([3, 3, 1], (), m3, replace(cfg, rng_seed=9)),  # joins slot 0
-        ([2, 4, 1], (), m, replace(cfg, rng_seed=9)),  # joins slot 1
+    calls = [  # (net shape, matrix, config) of each slot
+        ([2, 3, 1], m, cfg),
+        ([2, 4, 1], m, cfg),  # other hidden layers
+        ([3, 3, 3, 1], m3, cfg),
+        ([2, 3, 1], short, cfg),  # other rows
+        ([2, 3, 1], m, replace(cfg, learning_rate=0.1)),
+        ([2, 3, 1], m, replace(cfg, max_epochs=3)),
+        ([3, 3, 1], m3, replace(cfg, target_error=0.5)),
+        ([3, 3, 1], m3, replace(cfg, rng_seed=9)),  # joins slot 0
+        ([2, 4, 1], m, replace(cfg, rng_seed=9)),  # joins slot 1
     ]
-    nets = [init(shape, c, *acts) for shape, acts, _, c in calls]
-    matrices = [matrix for _, _, matrix, _ in calls]
-    configs = [c for _, _, _, c in calls]
+    nets = [init(shape, c) for shape, _, c in calls]
+    matrices = [matrix for _, matrix, _ in calls]
+    configs = [c for _, _, c in calls]
     batches = []
 
     def spy(batch_nets, *batch):
@@ -599,12 +562,12 @@ def test_train_many_batches_any_mix_each_equal_training_alone(monkeypatch):
     lockstep = mlp._train_lockstep
     monkeypatch.setattr(mlp, "_train_lockstep", spy)
     results = train_many(nets, matrices, configs)
-    assert batches == [[0, 9], [1, 10], [2], [3], [4], [5], [6], [7], [8]]
+    assert batches == [[0, 7], [1, 8], [2], [3], [4], [5], [6]]
     assert [_bytes(r) for r in results] == [_solo(*args) for args in zip(nets, matrices, configs)]
-    # One normalizer per matrix object and output activation.
-    assert all(results[i].normalizer is results[0].normalizer for i in (1, 4, 6, 7, 10))
+    # One normalizer per matrix object.
+    assert all(results[i].normalizer is results[0].normalizer for i in (1, 4, 5, 8))
     assert results[3].normalizer is not results[0].normalizer
-    assert results[2].normalizer is results[8].normalizer is results[9].normalizer
+    assert results[2].normalizer is results[6].normalizer is results[7].normalizer
 
 
 def _golden_batch(case):
@@ -624,14 +587,6 @@ def _golden_batch(case):
         ]
         configs = [TrainConfig(max_epochs=5, rng_seed=s) for s in range(1, 9)]
         return [init([w, 4, 1], c) for w, c in zip(widths, configs)], matrices, configs
-    if case == "deep_logistic":
-        # 3-4-2-1 nets with a logistic output, one matrix each of one width.
-        matrices = [
-            matrix_from_arrays(rng.normal(size=(16, 3)), rng.normal(size=16)) for _ in range(4)
-        ]
-        configs = [TrainConfig(learning_rate=0.3, max_epochs=6, rng_seed=s) for s in range(4)]
-        nets = [init([3, 4, 2, 1], c, output_activation="logistic") for c in configs]
-        return nets, matrices, configs
     # "compaction": solo, the nets reach the target at epochs 11, 6, 6, never
     # (12), 8 and 8, and the huge one diverges at epoch 1, so the batch is
     # compacted after epochs 1, 6, 8 and 11, the widest net leaving at 6.
@@ -669,12 +624,6 @@ GOLDEN_TRAIN_MANY = {
         "c393826354aa12d8c249caf1eb74eb4242e4d01c90f825cac7986dda0f62e2bc",
         "1b0ca1ed876dcb7dcefed880e943d7484fbca68bdf89e0e655a0b65e13711644",
         "diverged at epoch 1",
-    ],
-    "deep_logistic": [
-        "9d3c27abe44a50a423abdc75b4ff2336c8418620149f1e374d9c55e7d6c31246",
-        "f46d870e7d7268778dc6b6426cbafb2c4f99516298460d1924aeb519cb3460e6",
-        "d9f9e1ce73e735b5bd91c52f1a5535de96cb2342a904a4eba1310e4446463d3a",
-        "5b432b5a29a8190d2c602639fea7a2121769ecef0455b481763f4c0d82f6719f",
     ],
     "ensemble_subs": [
         "e502b693bd1ca9a9948c96714c61158a79d8e46d41703c7f6c4e701a9e3dda1f",
@@ -716,7 +665,6 @@ GOLDEN_TRAIN_MANY = {
 # after epochs 1, 6, 8 and 11.
 GOLDEN_BUILDS = {
     "compaction": [7, 6, 4, 2, 1],
-    "deep_logistic": [4],
     "ensemble_subs": [8],
     "restarts": [20],
 }
@@ -741,7 +689,7 @@ def test_training_raises_no_warning(case):
     # A deprecated numpy call on the hot path warns on every step; here it
     # fails instead of silently costing time. The overflow of a diverging net
     # is ignored through np.errstate and is not a Python warning.
-    net = init([3, 4, 2, 1], TrainConfig(), output_activation="logistic")
+    net = init([3, 4, 2, 1], TrainConfig())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         train_many(*_golden_batch(case))
@@ -791,45 +739,22 @@ def test_predict_feature_mismatch():
         predict(expert, other)
 
 
-def _constant_prediction_expert(value, n=6):
-    """Expert whose denormalized output is always `value`."""
-    X = np.zeros((n, 1))
-    y = np.full(n, value)
-    m = matrix_from_arrays(X, y)
-    net = MlpNetwork(
-        (1, 1, 1),
-        (np.zeros((1, 1)), np.zeros((1, 1))),
-        (np.zeros(1), np.zeros(1)),
-        output_activation="linear",
-    )
-    norm = Normalizer(np.zeros(1), np.ones(1), float(value), 1.0)
-    return (
-        TrainedExpert(net, norm, m.specs, (m.start, m.end), 0.0, 0),
-        m,
-    )
+def _constant(value, n=6):
+    """A prediction of n rows from START, each `value`."""
+    return TimeSeries(START, np.full(n, float(value)))
 
 
 def test_error_percent_hand_values():
     n = 8
-    target = np.full(n, 50.0)
-    X = np.zeros((n, 1))
-    m = matrix_from_arrays(X, target)
-    expert, _ = _constant_prediction_expert(55.0, n)
-    m = FeatureMatrix(m.X, target, START, expert.features)
-    assert abs(error_percent(predict(expert, m), m) - 10.0) < 1e-9  # uniformly 10% above
-
-    zero_expert, _ = _constant_prediction_expert(0.0, n)
-    m0 = FeatureMatrix(m.X, target, START, zero_expert.features)
-    assert abs(error_percent(predict(zero_expert, m0), m0) - 100.0) < 1e-9
-
-    perfect, _ = _constant_prediction_expert(50.0, n)
-    mp = FeatureMatrix(m.X, target, START, perfect.features)
-    assert error_percent(predict(perfect, mp), mp) == 0.0
+    m = matrix_from_arrays(np.zeros((n, 1)), np.full(n, 50.0))
+    assert abs(error_percent(_constant(55.0, n), m) - 10.0) < 1e-9  # uniformly 10% above
+    assert abs(error_percent(_constant(0.0, n), m) - 100.0) < 1e-9
+    assert error_percent(_constant(50.0, n), m) == 0.0
 
 
 def test_error_percent_rejects_a_prediction_of_other_rows():
-    expert, m = _constant_prediction_expert(5.0)
-    predicted = predict(expert, m)
+    m = matrix_from_arrays(np.zeros((6, 1)), np.full(6, 5.0))
+    predicted = _constant(5.0)
     shifted = FeatureMatrix(m.X, m.y, START.plus(1), m.specs)
     shorter = FeatureMatrix(m.X[1:], m.y[1:], START, m.specs)
     for other in (shifted, shorter):
@@ -839,10 +764,9 @@ def test_error_percent_rejects_a_prediction_of_other_rows():
 
 
 def test_error_percent_all_zero_target():
-    expert, m = _constant_prediction_expert(0.0)
-    zero = FeatureMatrix(m.X, np.zeros(m.rows), START, expert.features)
+    zero = matrix_from_arrays(np.zeros((6, 1)), np.zeros(6))
     with pytest.raises(ValueError):
-        error_percent(predict(expert, zero), zero)
+        error_percent(_constant(0.0), zero)
 
 
 # ---------------------------------------------------------------------------
@@ -853,23 +777,15 @@ def test_normalizer_round_trip():
     rng = np.random.default_rng(8)
     X = rng.normal(size=(30, 4)) * 100 + 7
     y = rng.normal(size=30) * 50 - 3
-    for activation in ("linear", "logistic"):
-        norm = Normalizer.fit(X, y, activation)
-        assert np.all(np.abs(norm.denormalize_target(norm.normalize_target(y)) - y) < 1e-12)
-        back = norm.normalize_inputs(X) * norm.input_scale + norm.input_shift
-        assert np.all(np.abs(back - X) < 1e-9)
-
-
-def test_normalizer_logistic_maps_to_band():
-    y = np.linspace(-5, 17, 40)
-    norm = Normalizer.fit(np.zeros((40, 1)), y, "logistic")
-    yn = norm.normalize_target(y)
-    assert abs(yn.min() - 0.1) < 1e-12 and abs(yn.max() - 0.9) < 1e-12
+    norm = Normalizer.fit(X, y)
+    assert np.all(np.abs(norm.denormalize_target(norm.normalize_target(y)) - y) < 1e-12)
+    back = norm.normalize_inputs(X) * norm.input_scale + norm.input_shift
+    assert np.all(np.abs(back - X) < 1e-9)
 
 
 def test_normalizer_constant_column_scale_positive():
     X = np.ones((10, 2))
-    norm = Normalizer.fit(X, np.ones(10), "linear")
+    norm = Normalizer.fit(X, np.ones(10))
     assert np.all(norm.input_scale > 0) and norm.target_scale > 0
 
 
@@ -919,3 +835,19 @@ def test_expert_from_dict_rejects_non_finite_numbers_in_lists(where, value, name
     with pytest.raises(ValueError) as err:
         expert_from_dict(json.loads(json.dumps(data)))
     assert str(err.value).startswith(f"expert.{named}, got ")
+
+
+@pytest.mark.parametrize("key, value", [("output_activation", "logistic"),
+                                        ("hidden_activation", "linear")])
+def test_expert_from_dict_takes_only_the_one_kind_of_net(key, value):
+    # Every net is logistic with a linear output; an expert file of another
+    # kind would predict with the wrong activations, so it does not load.
+    m = matrix_from_arrays(np.random.default_rng(3).normal(size=(8, 3)), np.arange(8.0))
+    cfg = TrainConfig(max_epochs=2, rng_seed=5)
+    data = expert_to_dict(train(init([3, 2, 1], cfg), m, cfg))
+    assert (data["hidden_activation"], data["output_activation"]) == ("logistic", "linear")
+    data[key] = value
+    with pytest.raises(ValueError) as err:
+        expert_from_dict(data)
+    want = "'linear'" if key == "output_activation" else "'logistic'"
+    assert str(err.value) == f"expert.{key} must be {want}, got {value!r}"

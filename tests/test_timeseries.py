@@ -320,13 +320,24 @@ def test_laspeyres_linear_in_base_and_weight_rescaling():
 # Synthetic economy
 # ---------------------------------------------------------------------------
 
-def test_synthesize_preconditions():
-    with pytest.raises(ValueError):
-        synthesize_economy(1, 12)
-    with pytest.raises(ValueError):
-        synthesize_economy(1, 24, cycle_period=1)
-    with pytest.raises(ValueError):
-        synthesize_economy(1, 24, noise_scale=-0.1)
+@pytest.mark.parametrize("kwargs, error", [
+    ({"months": 12}, "months must be >= 24, got 12"),
+    ({"cycle_period": 1}, "cycle_period must be >= 2, got 1"),
+    ({"noise_scale": -0.1}, "noise_scale must be a finite number >= 0, got -0.1"),
+    ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+    ({"seed": 2.5}, "seed must be an integer >= 0, got 2.5"),
+    ({"seed": True}, "seed must be an integer >= 0, got True"),
+    ({"months": 96109}, "months must be <= 96108, the months from 1991-01 to 9999-12, got 96109"),
+    ({"noise_scale": float("nan")}, "noise_scale must be a finite number >= 0, got nan"),
+    ({"noise_scale": float("inf")}, "noise_scale must be a finite number >= 0, got inf"),
+    ({"noise_scale": 10**400}, f"noise_scale must be a finite number >= 0, got {10**400!r}"),
+], ids=["months=12", "cycle_period=1", "noise_scale=-0.1", "seed=-1", "seed=2.5", "seed=True",
+        "months=96109", "noise_scale=nan", "noise_scale=inf", "noise_scale=10**400"])
+def test_synthesize_names_a_bad_argument(kwargs, error):
+    args = {"seed": 1, "months": 24, **kwargs}
+    with pytest.raises(ValueError) as err:
+        synthesize_economy(**args)
+    assert str(err.value) == error
 
 
 def test_synthesize_determinism():
