@@ -45,6 +45,6 @@ from .mlp import (
 from .metrics import MetricsReport, SignalSeries, signals_from_prediction
 from .lagscan import LagScanResult, scan
 from .search import ArchitectureGrid, SearchOutcome, maximize_sharpe, search_best_nets
-from .ensemble import EnsembleModel, EnsembleSpec, SubNetworkSpec, predict_ensemble, train_ensemble
+from .ensemble import EnsembleModel, EnsembleSpec, SubNetworkSpec, train_ensemble
 
 __version__ = "0.1.0"

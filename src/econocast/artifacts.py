@@ -108,24 +108,27 @@ class JsonObject:
     def get(self, key: str, default: object, types: Tuple[type, ...],
             check: Callable[[object], bool] | None = None, want: str = "") -> object:
         """The value at `key`, a list as a tuple, or `default` when the key is
-        absent (REQUIRED makes it required). Its type must be one of `types`,
-        and a non-null value must pass `check`, which `want` words."""
+        absent (REQUIRED makes it required); null reads as absent when
+        `default` is None. Any other value's type must be one of `types`, and
+        it must pass `check`, which `want` words."""
         self._read.add(key)
         if key not in self._data:
             if default is REQUIRED:
                 raise ValueError(f"missing required key {key!r} in {self.path}")
             return default
         value = self._data[key]
+        if value is None and default is None:
+            return None
         bad = type(value) not in types or type(value) is float and not math.isfinite(value)
-        if bad or (value is not None and check and not check(value)):
+        if bad or (check and not check(value)):
+            types += (NoneType,) if default is None and NoneType not in types else ()
             names = " or ".join(_TYPE_NAMES[t] for t in types if t is not int or float not in types)
             raise ValueError(f"{self.path}.{key} must be {want or names}, got {value!r}")
         return tuple(value) if type(value) is list else value
 
     def section(self, key: str, default: object) -> "JsonObject | None":
-        """The object at `key`. Null reads as None, like an absent key, only
-        when `default` is None."""
-        data = self.get(key, default, (dict,) if default is not None else (dict, NoneType))
+        """The object at `key`, or `default` (see get)."""
+        data = self.get(key, default, (dict,))
         return None if data is None else JsonObject(data, f"{self.path}.{key}")
 
     def build(self, cls: type, **defaults: object) -> object:

@@ -13,7 +13,6 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass, replace
-from types import NoneType
 from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -109,10 +108,9 @@ DEFAULT_MASTER_EPOCHS = 60
 def _hidden(
     obj: JsonObject, key: str, default: Tuple[int, ...] | None
 ) -> Tuple[int, ...] | None:
-    """Hidden layer sizes at `key`; null reads as absent only when default is None."""
+    """Hidden layer sizes at `key`, or `default` (see JsonObject.get)."""
     return obj.get(
-        key, default, (list,) if default is not None else (list, NoneType),
-        lambda v: len(v) > 0 and all(type(n) is int and n >= 1 for n in v),
+        key, default, (list,), lambda v: len(v) > 0 and all(type(n) is int and n >= 1 for n in v),
         "a non-empty list of integers >= 1",
     )
 
@@ -157,7 +155,7 @@ def config_from_dict(data: object) -> PipelineConfig:
     )
 
     source = config.section("data", REQUIRED)
-    csv_path = source.get("csv_path", None, (str, NoneType), bool, "a non-empty string")
+    csv_path = source.get("csv_path", None, (str,), bool, "a non-empty string")
     synthetic = source.section("synthetic", None)
     synthetic = None if synthetic is None else synthetic.build(SyntheticParams)
     source.close()
@@ -174,7 +172,7 @@ def config_from_dict(data: object) -> PipelineConfig:
     scan = config.section("scan", {})
     scan_max_lag = scan.get("max_lag", 12, (int,), lambda v: v >= 1, "an integer >= 1")
     scan_inputs = scan.get(
-        "inputs", None, (list, NoneType), lambda v: all(type(n) is str for n in v),
+        "inputs", None, (list,), lambda v: all(type(n) is str for n in v),
         "a list of column names",
     )
     scan.close()
@@ -412,11 +410,11 @@ def cmd_ensemble(config: PipelineConfig, locale_comma: bool = False) -> Output:
     columns = {"actual": actual, **dict(zip(model.sub_names, sub_preds)), "master": master_pred}
     files["predictions.csv"] = render_csv(columns)
 
-    moves = np.diff(actual.values)
-    strategy = metrics.strategy_rows(moves, metrics.signal_rows(master_pred.values[None]))[0]
-    perfect, buy_hold = metrics.benchmark_curves(actual, moves)
-    curves = {"master_strategy": strategy, "perfect": perfect.values, "buy_hold": buy_hold.values}
-    files["equity.csv"] = metrics.equity_long_csv(perfect.start, curves)
+    signals = metrics.signal_rows(master_pred.values[None])
+    strategy = {"master_strategy": metrics.strategy_rows(np.diff(actual.values), signals)[0]}
+    # then the perfect and buy-and-hold rows, the block `scan` writes for a target and range
+    files["equity.csv"] = (metrics.equity_long_csv(actual.start.plus(1), strategy)
+                           + lagscan.benchmark_curves_csv(actual))
     return files.items(), f"ensemble trained; artifacts in {config.out_dir}/"
 
 

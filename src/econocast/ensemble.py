@@ -41,7 +41,6 @@ __all__ = [
     "fit_subs",
     "sub_failed",
     "train_ensemble",
-    "predict_ensemble",
     "model_files",
     "load_ensemble",
     "MASTER_NAME",
@@ -120,17 +119,14 @@ class EnsembleModel:
 
 
 def _master_matrix(
-    predictions: Sequence[TimeSeries],
-    names: Sequence[str],
-    target: TimeSeries,
-    first: MonthStamp,
-    last: MonthStamp,
+    predictions: Sequence[TimeSeries], names: Sequence[str], sub_matrix: FeatureMatrix
 ) -> FeatureMatrix:
-    columns = [p.slice_range(first, last).values for p in predictions]
+    """The master's rows over a sub matrix's range: one column of predictions
+    per sub, and that matrix's target and start, which every sub shares."""
     return FeatureMatrix(
-        X=np.column_stack(columns),
-        y=target.slice_range(first, last).values,
-        start=first,
+        X=np.column_stack([p.values for p in predictions]),
+        y=sub_matrix.y,
+        start=sub_matrix.start,
         specs=tuple(FeatureSpec(name) for name in names),
     )
 
@@ -248,13 +244,11 @@ def train_ensemble(
         raise ValueError("train and test ranges must be disjoint and ordered")
     if target_name not in sources:
         raise ValueError(f"unknown target series {target_name!r}")
-    target = sources[target_name]
     names = [s.name for s in spec.sub_specs]
     fits = fit_subs(spec.sub_specs, sources, target_name, train_range, test_range, selected)
-    train_preds = [fit.train_pred for fit in fits]
     test_preds = [fit.test_pred for fit in fits]
-    master_train = _master_matrix(train_preds, names, target, *train_range)
-    master_test = _master_matrix(test_preds, names, target, *test_range)
+    master_train = _master_matrix([fit.train_pred for fit in fits], names, fits[0].train_matrix)
+    master_test = _master_matrix(test_preds, names, fits[0].test_matrix)
     cfg = spec.master_train_config
     try:
         master = train(init(spec.master_shape(), cfg), master_train, cfg)
@@ -262,7 +256,7 @@ def train_ensemble(
         raise ValueError(f"master network failed: {exc}") from exc
     master_fit = _fitted(replace(master, test_range=test_range), master_train, master_test)
 
-    rows = zip([*names, MASTER_NAME], report_rows([*fits, master_fit], target))
+    rows = zip([*names, MASTER_NAME], report_rows([*fits, master_fit], sources[target_name]))
     return EnsembleModel(
         sub_experts=tuple(fit.expert for fit in fits),
         sub_names=tuple(names),
@@ -273,23 +267,6 @@ def train_ensemble(
         test_range=test_range,
         test_predictions=(tuple(test_preds), master_fit.test_pred),
     )
-
-
-def predict_ensemble(
-    model: EnsembleModel,
-    sources: Mapping[str, TimeSeries],
-    first: MonthStamp,
-    last: MonthStamp,
-) -> Tuple[Tuple[TimeSeries, ...], TimeSeries]:
-    """(sub predictions, master prediction) over [first, last]: the master's
-    forward pass runs over the sub predictions it returns beside."""
-    target = sources[model.target_name]
-    preds = []
-    for expert in model.sub_experts:
-        matrix = assemble(list(expert.features), sources, model.target_name, None, first, last)
-        preds.append(predict(expert, matrix))
-    master_matrix = _master_matrix(preds, model.sub_names, target, first, last)
-    return tuple(preds), predict(model.master, master_matrix)
 
 
 # ---------------------------------------------------------------------------

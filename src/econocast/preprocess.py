@@ -30,7 +30,6 @@ __all__ = [
     "log_var_ma",
     "rolling_stddev",
     "dominant_cycle",
-    "apply_feature",
     "assemble",
 ]
 
@@ -264,8 +263,7 @@ class FeatureSpec:
     lag: int = 0
 
     def __post_init__(self) -> None:
-        chain = (self.transforms,) if isinstance(self.transforms, Transform) else self.transforms
-        object.__setattr__(self, "transforms", tuple(chain) or (Transform("identity"),))
+        object.__setattr__(self, "transforms", tuple(self.transforms) or (Transform("identity"),))
         if not is_number(self.lag, numbers.Integral) or self.lag < 0:
             raise ValueError(f"lag must be an integer >= 0, got {self.lag!r}")
         object.__setattr__(self, "lag", int(self.lag))
@@ -324,12 +322,6 @@ def _transformed(
     return s
 
 
-def apply_feature(spec: FeatureSpec, sources: Mapping[str, TimeSeries]) -> TimeSeries:
-    """Resolve one FeatureSpec against named sources."""
-    chain = _transformed(f"feature {spec.label()!r}", spec.source, spec.transforms, sources, {})
-    return lag(chain, spec.lag)
-
-
 @dataclass(frozen=True)
 class FeatureMatrix:
     """Aligned training rows: one row per month, one column per FeatureSpec,
@@ -372,7 +364,7 @@ def assemble(
     features: Sequence[FeatureSpec],
     sources: Mapping[str, TimeSeries],
     target_name: str,
-    target_transform: Transform | Sequence[Transform] | None,
+    target_transform: Sequence[Transform] | None,
     first: MonthStamp,
     last: MonthStamp,
 ) -> FeatureMatrix:
@@ -390,12 +382,10 @@ def assemble(
     if target_name not in sources:
         raise ValueError(f"unknown target series {target_name!r}")
 
-    if isinstance(target_transform, Transform):
-        target_transform = (target_transform,)
-    target_chain = (Transform("identity"),) if target_transform is None else tuple(target_transform)
     # The cycle features of a preset all smooth the target first.
     applied: Dict[Tuple[str, Tuple[Transform, ...]], TimeSeries] = {}
-    target = _transformed(f"target {target_name!r}", target_name, target_chain, sources, applied)
+    chain = tuple(target_transform or ())
+    target = _transformed(f"target {target_name!r}", target_name, chain, sources, applied)
     if target.start > first:
         raise WarmupError(f"{target_name} (target)", target.start.months_since(first))
     if target.end < last:

@@ -17,7 +17,7 @@ import re
 import sys
 from dataclasses import dataclass
 from itertools import chain, repeat
-from types import MappingProxyType, NoneType
+from types import MappingProxyType
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -48,6 +48,9 @@ __all__ = [
 ]
 
 _MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$", re.ASCII)
+# The whitespace that float() strips from an ASCII cell, and all that the CSV
+# dialect allows around a cell; str.strip() would also take "\x1c".."\x1f" and Unicode spaces.
+_SPACE = " \t\n\r\x0b\x0c"
 
 
 class NonFiniteError(ValueError):
@@ -77,7 +80,7 @@ class MonthStamp:
 
     @classmethod
     def parse(cls, text: str) -> "MonthStamp":
-        m = _MONTH_RE.match(text.strip())
+        m = _MONTH_RE.match(text.strip(_SPACE))
         if m is None:
             raise ValueError(f"malformed month {text!r}, expected YYYY-MM")
         return cls(int(m.group(1)), int(m.group(2)))
@@ -122,11 +125,9 @@ def range_from_json(pair: Sequence[str]) -> Tuple[MonthStamp, MonthStamp]:
 
 def read_range(obj: JsonObject, key: str, default=REQUIRED) -> Tuple[MonthStamp, MonthStamp]:
     """The ordered month range at `key` of a JSON object, as range_to_json
-    writes it. Null reads as None, like an absent key, only when `default`
-    is None."""
+    writes it, or `default` (see JsonObject.get)."""
     want = "an ordered [first, last] pair of YYYY-MM months"
-    pair = obj.get(key, default, (list,) if default is not None else (list, NoneType),
-                   _is_ordered_range, want)
+    pair = obj.get(key, default, (list,), _is_ordered_range, want)
     return None if pair is None else range_from_json(pair)
 
 
@@ -232,13 +233,14 @@ def parse_csv(text: str) -> Dict[str, TimeSeries]:
     """Parse `date,<name>,...` monthly CSV into one series per named column.
 
     Months must be strictly increasing and contiguous; empty or non-numeric
-    cells are errors (no imputation). Raises CsvFormatError with the 1-based
-    row number (header = row 1) and column name where applicable.
+    cells are errors (no imputation); only ASCII whitespace is stripped from
+    a cell or makes a line blank. Raises CsvFormatError with the 1-based row
+    number (header = row 1) and column name where applicable.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip() != ""]
+    lines = [ln for ln in text.splitlines() if ln.strip(_SPACE) != ""]
     if not lines:
         raise CsvFormatError("empty input", row=1)
-    header = [h.strip() for h in lines[0].split(",")]
+    header = [h.strip(_SPACE) for h in lines[0].split(",")]
     if not header or header[0] != "date":
         raise CsvFormatError("header must start with 'date'", row=1, column=header[0] if header else None)
     names = header[1:]
@@ -253,15 +255,19 @@ def parse_csv(text: str) -> Dict[str, TimeSeries]:
     if len(lines) < 2:
         raise CsvFormatError("no data rows", row=2)
     bulk = _parse_clean_rows(lines[1:], len(header))
-    if bulk is not None:
-        start, values = bulk
-        return {name: TimeSeries(start, values[:, c]) for c, name in enumerate(names)}
+    if bulk is None:
+        _raise_first_fault(lines[1:], header)
+    start, values = bulk
+    return {name: TimeSeries(start, values[:, c]) for c, name in enumerate(names)}
 
-    start: MonthStamp | None = None
+
+def _raise_first_fault(rows: List[str], header: List[str]) -> None:
+    """Check the data rows a cell at a time and raise the CsvFormatError that
+    names the first fault. Called on the rows _parse_clean_rows rejects: this
+    check accepts no cell that it rejects, so it always finds one."""
     prev: MonthStamp | None = None
-    columns: List[List[float]] = [[] for _ in names]
-    for rownum, line in enumerate(lines[1:], start=2):
-        cells = [c.strip() for c in line.split(",")]
+    for rownum, line in enumerate(rows, start=2):
+        cells = [c.strip(_SPACE) for c in line.split(",")]
         if len(cells) != len(header):
             raise CsvFormatError(
                 f"row {rownum} has {len(cells)} cells, expected {len(header)}", row=rownum
@@ -276,10 +282,8 @@ def parse_csv(text: str) -> Dict[str, TimeSeries]:
                 row=rownum,
                 column="date",
             )
-        if start is None:
-            start = stamp
         prev = stamp
-        for name, cell, col in zip(names, cells[1:], columns):
+        for name, cell in zip(header[1:], cells[1:]):
             if cell == "":
                 raise CsvFormatError(f"empty cell at row {rownum}, column {name!r}", row=rownum, column=name)
             try:
@@ -297,16 +301,13 @@ def parse_csv(text: str) -> Dict[str, TimeSeries]:
                 raise CsvFormatError(
                     f"non-finite value at row {rownum}, column {name!r}", row=rownum, column=name
                 )
-            col.append(value)
-    return {name: TimeSeries(start, col) for name, col in zip(names, columns)}
 
 
 def _parse_clean_rows(lines: List[str], width: int) -> Tuple[MonthStamp, np.ndarray] | None:
-    """The first month and the (rows, columns) values of data rows that
-    parse_csv's per-cell loop would accept, checked and converted a block at
-    a time; None for anything else, so that the loop finds and names the
-    fault. The values are read by the same float() after the same ASCII and
-    "_" checks, one row's cells at a time."""
+    """The first month and the (rows, columns) values of well-formed data
+    rows, checked and converted a block at a time; None for anything else,
+    so that _raise_first_fault finds and names the fault. The values are read
+    by float() after the same ASCII and "_" checks, one row's cells at a time."""
     if (
         not all(map(str.isascii, lines))
         or any(map(str.__contains__, lines, repeat("_")))
@@ -314,7 +315,7 @@ def _parse_clean_rows(lines: List[str], width: int) -> Tuple[MonthStamp, np.ndar
     ):
         return None
     first_cells, cells = zip(*(line.split(",", 1) for line in lines))
-    dates = [date.strip() for date in first_cells]
+    dates = [date.strip(_SPACE) for date in first_cells]
     try:
         start = MonthStamp.parse(dates[0])
         MonthStamp.parse(dates[-1])  # every month has a four-digit year
@@ -409,6 +410,9 @@ PREDICTOR_LEADS: Mapping[str, int] = MappingProxyType(
 # feeds are noisy enough that combining experts pays.
 _SECTOR_NOISE = 3.0
 _PREDICTOR_NOISE = 5.0
+# A generated value is a few hundred times noise_scale at most seeds (under
+# 1e5 times it for any draw within 40 sigma), so below this bound none overflows.
+_NOISE_SCALE_MAX = 1e300
 
 
 @dataclass(frozen=True)
@@ -470,6 +474,8 @@ def synthesize_economy(
     # NaN and inf fail a comparison, as does an int too large for a float
     if not (is_number(noise_scale, numbers.Real) and 0 <= noise_scale <= sys.float_info.max):
         raise ValueError(f"noise_scale must be a finite number >= 0, got {noise_scale!r}")
+    if noise_scale > _NOISE_SCALE_MAX:
+        raise ValueError(f"noise_scale must be <= {_NOISE_SCALE_MAX:g}, got {noise_scale!r}")
 
     rng = np.random.default_rng(seed)
     max_lead = max(PREDICTOR_LEADS.values())

@@ -96,6 +96,17 @@ def test_json_object_checks_exact_types_and_unread_keys():
         obj.close()
 
 
+def test_json_object_reads_null_as_absent_only_when_the_default_is_none():
+    obj = JsonObject({"a": None, "b": "x", "c": None}, "x")
+    assert obj.get("a", None, (int,)) is None
+    with pytest.raises(ValueError, match=r"^x.b must be an integer or null, got 'x'$"):
+        obj.get("b", None, (int,))
+    with pytest.raises(ValueError, match=r"^x.c must be an integer, got None$"):
+        obj.get("c", 5, (int,))
+    with pytest.raises(ValueError, match=r"^x.c must be an integer, got None$"):
+        obj.get("c", REQUIRED, (int,))
+
+
 def test_only_artifacts_writes_files():
     package = Path(econocast.__file__).parent
     found = {path.name: list(_file_writes(path.read_text())) for path in package.glob("*.py")}

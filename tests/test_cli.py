@@ -82,7 +82,12 @@ def test_generate_rejects_short_history(tmp_path):
     (["--noise-scale", "nan"], "noise_scale must be a finite number >= 0, got nan"),
     (["--noise-scale", "inf"], "noise_scale must be a finite number >= 0, got inf"),
     (["--seed", "-1"], "seed must be an integer >= 0, got -1"),
-], ids=["months=96109", "noise-scale=nan", "noise-scale=inf", "seed=-1"])
+    # a larger noise overflows the generated series
+    (["--noise-scale", "1e306"], "noise_scale must be <= 1e+300, got 1e+306"),
+    (["--noise-scale", "1e308"], "noise_scale must be <= 1e+300, got 1e+308"),
+], ids=["months=96109", "noise-scale=nan", "noise-scale=inf", "seed=-1", "noise-scale=1e306",
+        "noise-scale=1e308"])
+@pytest.mark.filterwarnings("error")
 def test_generate_names_a_bad_argument_and_writes_nothing(tmp_path, capsys, args, error):
     assert main(["generate", *args, "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"error: {error}\n"
@@ -266,6 +271,21 @@ def test_ensemble_runs_are_byte_identical(tmp_path):
     assert main(["ensemble", "--config", path_b]) == 0
     for rel in ("report.txt", "report.csv", "predictions.csv", "equity.csv", "model/master.json"):
         assert read(Path(out_a, rel)) == read(Path(out_b, rel)), rel
+
+
+def test_equity_ends_with_the_benchmark_rows_scan_writes_over_the_test_range(tmp_path):
+    out = tmp_path / "out"
+    config = base_config(str(out))
+    assert main(["ensemble", "--config", write_config(tmp_path, config)]) == 0
+    # a scan whose range is the ensemble's test range
+    config.update(train_range=config["test_range"], scan={"max_lag": 2, "inputs": ["gold"]})
+    assert main(["scan", "--config", write_config(tmp_path, config, "scan.json")]) == 0
+    equity = Path(out, "equity.csv").read_text().splitlines(keepends=True)
+    curves = Path(out, "scan", "curves_gold.csv").read_text().splitlines(keepends=True)
+    benchmarks = [line for line in curves if line.endswith((",perfect\n", ",buy_hold\n"))]
+    assert len(benchmarks) == 2 * 11 and benchmarks[0].startswith("1996-02,")
+    assert equity[-len(benchmarks):] == benchmarks
+    assert all(line.endswith(",master_strategy\n") for line in equity[1:-len(benchmarks)])
 
 
 def test_report_command_rerenders_from_saved_model(tmp_path):
@@ -743,6 +763,8 @@ def wrong_type_cases():
         ("networks", ["network1", {"name": "actual", "features": [{"source": "gold"}]}], "'actual'"),
         ("networks", ["network1", {"name": "master", "features": [{"source": "gold"}]}], "'master'"),
         ("data.synthetic.seed", -1, "config.data.synthetic: seed must be an integer >= 0, got -1"),
+        ("data.synthetic.noise_scale", 1e306,
+         "config.data.synthetic: noise_scale must be <= 1e+300, got 1e+306"),
         *(
             pytest.param(key, value, key_path(named), id=f"{key}={value!r}")
             for key, value, named in [

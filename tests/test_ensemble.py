@@ -13,11 +13,10 @@ from econocast.ensemble import (
     fit_subs,
     load_ensemble,
     model_files,
-    predict_ensemble,
     train_ensemble,
 )
 from econocast.mlp import TrainConfig, expert_to_dict, init, predict, train
-from econocast.preprocess import FeatureSpec, assemble
+from econocast.preprocess import FeatureMatrix, FeatureSpec, assemble
 from econocast.presets import NETWORK_NAMES, preset_features
 from econocast.timeseries import MonthStamp, TimeSeries, synthesize_economy
 
@@ -220,34 +219,21 @@ def test_fit_subs_batches_by_hidden_layers_and_keeps_selected_experts(bundle, mo
         assert json.dumps(expert_to_dict(fits[i].expert)) == _solo_fit(subs[i], bundle)
 
 
-def test_predict_ensemble_concatenates_over_halves(bundle):
-    spec = small_spec(bundle)
-    model = train_ensemble(spec, bundle.series, "activity", TRAIN, TEST)
-    first, last = TEST
-    mid = first.plus(5)
-    _, full = predict_ensemble(model, bundle.series, first, last)
-    _, left = predict_ensemble(model, bundle.series, first, mid)
-    _, right = predict_ensemble(model, bundle.series, mid.plus(1), last)
-    assert np.array_equal(full.values, np.concatenate([left.values, right.values]))
-
-
-def test_predict_ensemble_reproduces_the_test_predictions_training_made(tmp_path, bundle):
+def test_a_loaded_model_reproduces_the_test_predictions_training_made(tmp_path, bundle):
     model = train_ensemble(small_spec(bundle, n_subs=3), bundle.series, "activity", TRAIN, TEST)
-    subs, master = predict_ensemble(model, bundle.series, *TEST)
+    write_tree(str(tmp_path / "model"), model_files(model).items())
+    loaded = load_ensemble(str(tmp_path / "model"))
+    assert loaded.test_predictions is None
+    subs = [predict(expert, assemble(expert.features, bundle.series, "activity", None, *TEST))
+            for expert in loaded.sub_experts]
+    columns = np.column_stack([p.values for p in subs])
+    target = bundle.series["activity"].slice_range(*TEST).values
+    master = predict(loaded.master, FeatureMatrix(columns, target, TEST[0], loaded.master.features))
     held_subs, held_master = model.test_predictions
     assert len(held_subs) == len(subs) == 3
     for held, again in zip((*held_subs, held_master), (*subs, master)):
         assert held.start == again.start == TEST[0]
         assert held.values.tobytes() == again.values.tobytes()
-    write_tree(str(tmp_path / "model"), model_files(model).items())
-    assert load_ensemble(str(tmp_path / "model")).test_predictions is None
-
-
-def test_predict_ensemble_single_month(bundle):
-    spec = small_spec(bundle)
-    model = train_ensemble(spec, bundle.series, "activity", TRAIN, TEST)
-    _, one = predict_ensemble(model, bundle.series, TEST[0], TEST[0])
-    assert len(one) == 1
 
 
 def test_ranges_must_be_disjoint_and_ordered(bundle):
@@ -264,9 +250,7 @@ def test_save_load_round_trip(tmp_path, bundle):
     clone = load_ensemble(directory)
     assert clone.sub_names == model.sub_names
     assert clone.reports == model.reports
-    _, a = predict_ensemble(model, bundle.series, *TEST)
-    _, b = predict_ensemble(clone, bundle.series, *TEST)
-    assert np.array_equal(a.values, b.values)
+    assert model_files(clone) == model_files(model)
 
 
 @pytest.fixture(scope="module")
@@ -281,6 +265,16 @@ def test_load_rejects_other_schema_version(tmp_path, model):
     manifest["schema_version"] = 2
     (directory / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match="schema_version 2"):
+        load_ensemble(str(directory))
+
+
+def test_load_reads_a_null_schema_version_as_missing(tmp_path, model):
+    directory = tmp_path / "model"
+    write_tree(str(directory), model_files(model).items())
+    manifest = json.loads((directory / "manifest.json").read_text())
+    manifest["schema_version"] = None
+    (directory / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="^unsupported model schema_version None in "):
         load_ensemble(str(directory))
 
 

@@ -13,7 +13,6 @@ from econocast.preprocess import (
     FeatureSpec,
     Transform,
     WarmupError,
-    apply_feature,
     assemble,
     block_avg,
     diff,
@@ -425,7 +424,7 @@ def test_assemble_names_a_column_whose_transform_overflows(transform, cells):
         with pytest.raises(ValueError, match=re.escape(f"feature {spec.label()!r}{tail}")):
             assemble([spec], sources, "b", None, first, last)
         with pytest.raises(ValueError, match=re.escape(f"target 'a'{tail}")):
-            assemble([FeatureSpec("b")], sources, "a", transform, first, last)
+            assemble([FeatureSpec("b")], sources, "a", (transform,), first, last)
 
 
 def test_assemble_applies_each_shared_prefix_once(monkeypatch):
@@ -443,7 +442,7 @@ def test_assemble_applies_each_shared_prefix_once(monkeypatch):
         FeatureSpec("a"),
     ]
     first, last = START.plus(12), START.plus(50)
-    columns = [apply_feature(spec, sources).slice_range(first, last).values for spec in specs]
+    columns = [assemble([spec], sources, "a", None, first, last).X[:, 0] for spec in specs]
     target = ewma(sources["b"], 0.25).slice_range(first, last).values
     calls = []
 
@@ -452,7 +451,7 @@ def test_assemble_applies_each_shared_prefix_once(monkeypatch):
         return ewma(s, beta)
 
     monkeypatch.setattr(preprocess, "ewma", spy)
-    m = assemble(specs, sources, "b", smooth, first, last)
+    m = assemble(specs, sources, "b", (smooth,), first, last)
     assert np.array_equal(m.X, np.column_stack(columns))
     assert np.array_equal(m.y, target)
     assert sorted(calls) == [0.25, 0.25, 0.5]

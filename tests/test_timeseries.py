@@ -159,6 +159,13 @@ _CLEAN_ROWS = "date,x,y_z\n1991-01,1.0,2\n1991-02,1.5,-2\n1991-03,2.0,3e2\n1991-
         ("1991-05,nan,2", "non-finite value at row 6, column 'x'", "x"),
         ("1991-05,1,-inf", "non-finite value at row 6, column 'y_z'", "y_z"),
         ("1991-05,1e999,2", "non-finite value at row 6, column 'x'", "x"),
+        # only ASCII whitespace is stripped from a cell, as float() strips it
+        ("1991-05,1.5\u00a0,2", "non-numeric cell '1.5\\xa0' at row 6, column 'x'", "x"),
+        ("1991-05,1,\u20032", "non-numeric cell '\\u20032' at row 6, column 'y_z'", "y_z"),
+        ("1991-05,1.5\x1f,2", "non-numeric cell '1.5\\x1f' at row 6, column 'x'", "x"),
+        ("1991-05\u2003,1,2", "row 6: malformed month '1991-05\\u2003', expected YYYY-MM", "date"),
+        ("1991-05\x1f,1,2", "row 6: malformed month '1991-05\\x1f', expected YYYY-MM", "date"),
+        ("\u00a0", "row 6 has 1 cells, expected 3", None),
     ],
 )
 def test_parse_fault_after_clean_rows_gives_its_exact_message(bad_row, message, column):
@@ -167,6 +174,47 @@ def test_parse_fault_after_clean_rows_gives_its_exact_message(bad_row, message, 
     with pytest.raises(CsvFormatError) as err:
         parse_csv(_CLEAN_ROWS + bad_row + "\n1991-06,0,0\n")
     assert (str(err.value), err.value.row, err.value.column) == (message, 6, column)
+
+
+_PAD = ("", " ", "\t", "\x1f", "\u00a0", "\u2003")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.integers(0, 2),  # months after the previous row's
+            st.sampled_from(_PAD), st.sampled_from(_PAD),
+            st.lists(
+                st.tuples(
+                    st.sampled_from(_PAD),
+                    st.sampled_from(["1", "-2.5", "3e2", ".5", "", "x", "1_0", "nan", "1e999",
+                                     "\u0661"]),
+                    st.sampled_from(_PAD),
+                ),
+                min_size=2, max_size=2,
+            ),
+        ),
+        min_size=1, max_size=4,
+    ),
+)
+def test_parse_accepts_only_the_ascii_dialect_and_names_any_fault(rows):
+    # Either the file parses, and then so does it with every cell stripped of
+    # ASCII whitespace alone, and that text is ASCII; or a CsvFormatError
+    # names the row of the fault. No other exception escapes.
+    month, lines = MonthStamp(1991, 1), ["date,x,y"]
+    for step, before, after, cells in rows:
+        month = month.plus(step) if len(lines) > 1 else month
+        lines.append(",".join([before + str(month) + after, *("".join(c) for c in cells)]))
+    text = "\n".join(lines) + "\n"
+    try:
+        series = parse_csv(text)
+    except CsvFormatError as err:
+        assert 2 <= err.row <= len(lines)
+        return
+    stripped = "\n".join(",".join(c.strip(" \t") for c in line.split(",")) for line in lines)
+    assert stripped.isascii()
+    assert parse_csv(stripped) == series
 
 
 def test_parse_month_past_year_9999_is_malformed():
@@ -331,8 +379,13 @@ def test_laspeyres_linear_in_base_and_weight_rescaling():
     ({"noise_scale": float("nan")}, "noise_scale must be a finite number >= 0, got nan"),
     ({"noise_scale": float("inf")}, "noise_scale must be a finite number >= 0, got inf"),
     ({"noise_scale": 10**400}, f"noise_scale must be a finite number >= 0, got {10**400!r}"),
+    # a larger noise overflows the generated series
+    ({"noise_scale": 1e306}, "noise_scale must be <= 1e+300, got 1e+306"),
+    ({"noise_scale": 1e308}, "noise_scale must be <= 1e+300, got 1e+308"),
 ], ids=["months=12", "cycle_period=1", "noise_scale=-0.1", "seed=-1", "seed=2.5", "seed=True",
-        "months=96109", "noise_scale=nan", "noise_scale=inf", "noise_scale=10**400"])
+        "months=96109", "noise_scale=nan", "noise_scale=inf", "noise_scale=10**400",
+        "noise_scale=1e306", "noise_scale=1e308"])
+@pytest.mark.filterwarnings("error")
 def test_synthesize_names_a_bad_argument(kwargs, error):
     args = {"seed": 1, "months": 24, **kwargs}
     with pytest.raises(ValueError) as err:

@@ -14,8 +14,9 @@ script sits in) in a new temporary directory, one BLAS thread:
   criterion 6 (seed 1, test range 2000-01..2013-12, every input scanned).
 
 Prints one `sha256  path` line per file written and per command's stdout
-(`<directory>.stdout`), sorted by path, then the sha256 of those lines. Two
-checkouts that print the same last line wrote the same bytes and messages.
+and stderr (`<directory>.stdout`, `<directory>.stderr`), sorted by path, then
+the sha256 of those lines. Two checkouts that print the same last line wrote
+the same bytes and messages, and the same warnings, if any.
 Standard library only.
 """
 
@@ -57,7 +58,7 @@ def main() -> int:
         sys.exit(f"no econocast package under {src}")
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     with tempfile.TemporaryDirectory() as tmp:
-        root, stdouts = os.path.join(tmp, "out"), {}  # the configs stay outside root
+        root, streams = os.path.join(tmp, "out"), {}  # the configs stay outside root
         os.mkdir(root)
 
         def run(out, *args):
@@ -65,7 +66,7 @@ def main() -> int:
             done = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
             if done.returncode:
                 sys.exit(f"{' '.join(cmd[2:])} exited {done.returncode}: {done.stderr}")
-            stdouts[f"{out}.stdout"] = done.stdout
+            streams[f"{out}.stdout"], streams[f"{out}.stderr"] = done.stdout, done.stderr
 
         run("generate", "generate")
         for name, config in (("readme", readme_config()), ("criterion6", CRITERION6)):
@@ -78,7 +79,7 @@ def main() -> int:
             shutil.copytree(os.path.join(root, name, "ensemble", "model"), model)
             run(f"{name}/report", "report", "--config", path, "--locale-comma")
             shutil.rmtree(model)  # listed under ensemble/
-        digests = {path: sha256(text.encode()) for path, text in stdouts.items()}
+        digests = {path: sha256(text.encode()) for path, text in streams.items()}
         for folder, _, files in os.walk(root):
             for file in files:
                 path = os.path.join(folder, file)
