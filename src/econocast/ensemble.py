@@ -1,9 +1,9 @@
 """Stacked master network over the eight sub-networks.
 
 Each sub-network trains on its own feature matrix, all of them in one
-mlp.train_many call, which batches them for lockstep training; the master
-trains on the sub predictions over the training range only, so nothing from
-the test range leaks into any trained parameter.
+mlp.train_many call; the master trains on the sub predictions over the
+training range only, so nothing from the test range leaks into any trained
+parameter.
 """
 
 from __future__ import annotations
@@ -200,10 +200,10 @@ def fit_subs(
     """Assemble every sub's train and test matrices, train the subs, and
     predict both ranges; one fit per sub, in spec order.
 
-    The subs to train go to train_many in one call, which batches them. A
-    sub with an expert in `selected` (one entry per sub, None where the sub
-    is to be trained) keeps it: that expert must come from the sub's own init
-    and config on this train range, as the restart winner does. A warm-up
+    The subs to train go to train_many in one call. A sub with an expert in
+    `selected` (one entry per sub, None where the sub is to be trained) keeps
+    it: that expert must come from the sub's own init and config on this
+    train range, as the restart winner does. A warm-up
     shortfall, missing series or diverged net is raised as a ValueError
     naming the first failing sub (1-based, in spec order); every sub is
     assembled before any trains, so an assembly fault is named first."""

@@ -5,55 +5,43 @@ net every command trains. Training runs per-pattern (stochastic) weight
 updates in fixed row order for exact reproducibility, minimizing the
 half-sum-of-squares error.
 
-`train_many` is the one training loop. It takes any nets, one feature matrix
-and one config per net, and sorts them into lockstep batches: the nets of a
-batch share their hidden and output layers, their row count and their config
-up to rng_seed, and may differ in input width. Each normalizer, with the
-normalized inputs and targets, is computed once per distinct matrix object.
-A batch steps its K nets through the patterns together. Their weights are
-stacked (K, out, in) and their activations kept as (K, n, 1) columns, so a
-contraction is one call for all K nets, at the cheapest numpy entry that
-makes the same IEEE operations in the same order: a batched matmul, which numpy runs as the same
-BLAS call per net that a lone net would make; np.dot on 2-D and 1-D views
-where the stack holds one net, which reaches that same BLAS call; and an
-elementwise multiply where the contraction has length one, as through an
-output layer of one unit. The first layer is the exception: it is held
-zero-padded to the widest input, with the nets sorted by width, and its
-product runs once per run of equal widths, on views of the unpadded width. A
-padded product is not bit-identical: a BLAS dot product sums in another
-order once its length changes (with OpenBLAS on x86, padding keeps the bits
-only for widths that are multiples of 4). So each net's weights are
-bit-identical to training it alone, whatever K, its neighbours' widths and
-its place in the batch. `train` is the K = 1 case.
+The step is compiled C, `_step.c` beside this file: `epoch` runs the
+gradient of each pattern in row order and after each its update,
+p = p - eta * g, on the net's parameters in one flat buffer. It makes the
+operations numpy makes for a lone net, in the same order, so its bits are
+numpy's: each product is the BLAS call numpy's dot makes (an elementwise
+multiply where the contraction has length one, ddot for a single output row,
+dgemv otherwise, with numpy's order and transpose), called through numpy's
+own BLAS, and the logistic, max(e, sign(z)) / (1 + e) with e = exp(-|z|),
+runs numpy's own float64 exp loop. The slope is delta * (a * (1 - a)), and
+no multiply-add is fused.
 
-A batch is laid out in one place: _Lockstep builds itself from its nets, and
-a step creates no array at the Python level (np.dot copies a strided one-net
-weight view inside numpy). Every weight and bias of the batch lives in one
-flat buffer `theta`, the pattern's gradient in a second buffer `grad` of the
-same layout, and the stacked weights and biases are views into them, so the
-update for a pattern is two calls: grad *= eta, then theta -= grad. The
-buffers are allocated once per batch, and so is the step: each pattern's is
-compiled to a flat list of prebound (numpy function, arguments) calls,
-outputs positional and the constants 1, -1 and eta arrays of their operand's
-size (the scalars' bits, without a conversion per call), and an epoch runs
-all patterns' calls as one loop. Which function each product calls, and the
-views it takes, are decided once per batch. When nets leave a batch, the
-rest go on in a new batch that _Lockstep builds, and compiles, from them as
-they stand. The step keeps the operations and their order that fix the bits:
-the same BLAS products, the logistic as max(e, sign(z)) / (1 + e) with
-e = exp(-|z|), the slope as delta * (a * (1 - a)) and the update as
-eta * dw, then a subtraction. `gradients` runs the same calls for one net,
-without the update.
+The library is built at the first training, never at import, with the
+system's `cc`, into `$XDG_CACHE_HOME/econocast` (or `~/.cache/econocast`),
+named by the sha256 of the source, the compile command and numpy's version;
+where that directory cannot be written, into a private temporary directory.
+Without `cc`, or without one of the BLAS entry points numpy is known to
+link, training fails with a message that names what is missing.
+
+`train_many` trains each net alone, one C epoch at a time, and reads its
+error after each epoch from the numpy forward pass that `predict` runs.
+Each normalizer, with the normalized inputs and targets, is computed once
+per distinct matrix object.
 """
 
 from __future__ import annotations
 
-import itertools
+import ctypes
+import functools
+import hashlib
 import math
 import numbers
+import os
+import shutil
 import sys
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Sequence, Tuple
+import tempfile
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -87,41 +75,107 @@ class TrainingDiverged(RuntimeError):
         self.epoch = epoch
 
 
-# One call of a compiled step: a numpy function and its arguments, outputs last.
-_Call = Tuple[Callable[..., object], Tuple[object, ...]]
-
-
-def _run(calls: Sequence[_Call]) -> None:
-    for f, args in calls:
-        f(*args)
-
-
-def _logistic_calls(z: np.ndarray, e: np.ndarray, minus_one: object, one: object) -> List[_Call]:
-    """The calls that overwrite z with its logistic; e is scratch of z's shape.
+def _logistic(z: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Overwrite z with its logistic and return it; e is scratch of z's shape.
 
     1 / (1 + e) for z >= 0 and e / (1 + e) below, with e = exp(-|z|), which
     never overflows. The numerator max(e, sign(z)) is 1 for z >= 0 (as e <= 1
     there) and e below; one call cheaper than np.where on a comparison.
     copysign(z, -1) is -|z| bit for bit, in one call. The max is np.fmax,
-    the cheaper call, which takes its output positionally (np.maximum warns
-    on that). The two differ only where an operand is NaN, and e and sign(z)
-    are NaN together, so both give NaN there, at most with another sign bit,
-    which no output shows: a NaN loss stops the net as diverged, and text
-    prints a NaN without its sign."""
-    return [
-        (np.copysign, (z, minus_one, e)),
-        (np.exp, (e, e)),
-        (np.sign, (z, z)),
-        (np.fmax, (e, z, z)),
-        (np.add, (e, one, e)),
-        (np.divide, (z, e, z)),
-    ]
-
-
-def _logistic(z: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Overwrite z with its logistic and return it; e is scratch of z's shape."""
-    _run(_logistic_calls(z, e, -1.0, 1.0))
+    which takes its output positionally (np.maximum warns on that). The two
+    differ only where an operand is NaN, and e and sign(z) are NaN together,
+    so both give NaN there, at most with another sign bit, which no output
+    shows: a NaN loss stops the net as diverged, and text prints a NaN
+    without its sign. _step.c computes the same."""
+    np.copysign(z, -1.0, e)
+    np.exp(e, e)
+    np.sign(z, z)
+    np.fmax(e, z, z)
+    np.add(e, 1.0, e)
+    np.divide(z, e, z)
     return z
+
+
+_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_step.c")
+
+# The names numpy builds give cblas_dgemv and cblas_ddot, with the C type of
+# their integer arguments: scipy-openblas64 (numpy's wheels), then others.
+_BLAS_NAMES = (
+    ("scipy_cblas_{}64_", "int64_t"),
+    ("cblas_{}64_", "int64_t"),
+    ("scipy_cblas_{}", "int"),
+    ("cblas_{}", "int"),
+)
+
+
+def _numpy_blas() -> Tuple[object, object, str]:
+    """The cblas_dgemv and cblas_ddot that numpy's dot calls, and the C type
+    of their integers, looked up through the handle of numpy's core module,
+    which links its BLAS."""
+    core = (sys.modules.get("numpy._core._multiarray_umath")
+            or sys.modules["numpy.core._multiarray_umath"])
+    handle = ctypes.CDLL(core.__file__)
+    for pattern, int_type in _BLAS_NAMES:
+        names = [pattern.format(f) for f in ("dgemv", "ddot")]
+        if all(hasattr(handle, name) for name in names):
+            return getattr(handle, names[0]), getattr(handle, names[1]), int_type
+    names = ", ".join(pattern.format("dgemv") for pattern, _ in _BLAS_NAMES)
+    raise RuntimeError(f"training needs numpy's BLAS, and {core.__file__} links none of {names}")
+
+
+def _build(flags: List[str], directory: str, path: str) -> None:
+    """Compile _step.c into path, through a temporary file in directory."""
+    import subprocess  # only to build: a command that trains nothing never loads it
+
+    compiler = shutil.which("cc")
+    if compiler is None:
+        raise RuntimeError("training builds its step from C source at first use, "
+                           "and no C compiler `cc` is on PATH")
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=directory)
+    os.close(fd)
+    try:
+        run = subprocess.run([compiler, *flags, "-o", tmp, _SOURCE, "-lm"],
+                             capture_output=True, text=True)
+        if run.returncode:
+            raise RuntimeError(f"cc failed to build {_SOURCE}:\n{run.stderr}")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+@functools.lru_cache(maxsize=None)
+def _step_library() -> ctypes.CDLL:
+    """_step.c, built once per source, compile command and numpy version,
+    loaded and bound to numpy's BLAS and exp loop."""
+    import sysconfig  # only to train: a command that trains nothing never loads it
+
+    gemv, dot, int_type = _numpy_blas()
+    flags = ["-O2", "-ffp-contract=off", "-shared", "-fPIC", f"-DBLAS_INT={int_type}",
+             "-I" + sysconfig.get_paths()["include"], "-I" + np.get_include()]
+    with open(_SOURCE, "rb") as fh:
+        key = hashlib.sha256(fh.read())
+    key.update("\0".join([*flags, np.__version__]).encode())
+    cache = os.path.join(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"),
+                         "econocast")
+    path = os.path.join(cache, key.hexdigest() + ".so")
+    if not os.path.exists(path):
+        try:
+            os.makedirs(cache, mode=0o700, exist_ok=True)
+            _build(flags, cache, path)
+        except OSError:
+            private = tempfile.mkdtemp(prefix="econocast-")
+            path = os.path.join(private, os.path.basename(path))
+            _build(flags, private, path)
+    lib = ctypes.CDLL(path)
+    lib.bind.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.py_object]
+    if lib.bind(gemv, dot, np.exp):
+        raise RuntimeError("np.exp has no float64 loop to train with")
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    lib.gradient.argtypes = [ptr, i64, ptr, ptr, ptr, ptr, ptr]
+    lib.epoch.argtypes = [ptr, i64, ptr, ptr, i64, ptr, ptr, i64, ctypes.c_double, ptr]
+    lib.gradient.restype = lib.epoch.restype = None
+    return lib
 
 
 @dataclass(frozen=True)
@@ -218,205 +272,53 @@ def init(layer_sizes: Sequence[int], config: TrainConfig) -> MlpNetwork:
     return MlpNetwork(sizes, tuple(weights), tuple(biases))
 
 
-# (start, stop, width) of each run of equal input widths in a batch sorted by width.
-_WidthGroups = List[Tuple[int, int, int]]
-
-
-def _width_groups(widths: Sequence[int]) -> _WidthGroups:
-    groups, start = [], 0
-    for width, run in itertools.groupby(widths):
-        stop = start + len(list(run))
-        groups.append((start, stop, width))
-        start = stop
-    return groups
-
-
-def _forward_batch(
-    ws: Sequence[np.ndarray],
-    bs: Sequence[np.ndarray],
-    X: np.ndarray,
-    groups: _WidthGroups | None = None,
-) -> np.ndarray:
-    """Outputs for every row of X, one row per pattern. Biases are rows:
-    (out,), or (K, 1, out) beside weights stacked (K, out, in) over K nets,
-    which gives (K, n, n_out). X is (n, in) for every net, or (K, n, in)
-    with the first layer's product taken per width group (see _width_groups)."""
+def _forward(ws: Sequence[np.ndarray], bs: Sequence[np.ndarray], X: np.ndarray) -> np.ndarray:
+    """Outputs (n, n_out) of the net with these weights and biases for every
+    row of X (n, in)."""
     a = X
     for l, (w, b) in enumerate(zip(ws, bs)):
-        if l == 0 and groups is not None:
-            z = np.concatenate(
-                [a[i:j, :, :n] @ w[i:j, :, :n].swapaxes(-1, -2) for i, j, n in groups]
-            )
-        else:
-            z = a @ w.swapaxes(-1, -2)
-        a = z + b
+        a = a @ w.T + b
         if l < len(ws) - 1:
             _logistic(a, np.empty_like(a))
     return a
 
 
-class _Lockstep:
-    """One lockstep batch: the parameters of K nets, their gradient for one
-    pattern, and the buffers of a step, all allocated once, from the nets.
-
-    `_Lockstep(nets)` takes nets equal in everything but input width, sorted
-    by it, and is the one place a batch is laid out. Every weight and bias
-    lives in one flat buffer `theta`: per layer the (K, out, in) weights, then
-    the (K, out, 1) biases, the first layer's weights zero-padded to the
-    widest input. `grad` has the same layout, so an update is two calls on the
-    whole buffer. `ws`, `bs`, `dws` and `dbs` are views into them.
-    `net(pos)` cuts one net back out; when nets leave a batch, the nets left
-    are cut out that way and a new batch is built from them. `step` compiles
-    one pattern's gradient into calls that write every activation, delta and
-    gradient into these buffers: the bias, logistic, slope and delta
-    arithmetic on flat 1-D views of the (K, n, 1) columns, each delta straight
-    into its bias gradient, each outer product straight into its weight
-    gradient. Only the first layer's products, the output delta and the first
-    layer's weight gradient read the pattern; every other call is built once
-    per batch and shared by all patterns' lists."""
-
-    def __init__(self, nets: Sequence[MlpNetwork]) -> None:
-        like = self.like = nets[0]
-        self.widths = [net.n_in for net in nets]
-        K, sizes = len(nets), (self.widths[-1], *like.layer_sizes[1:])
-        shapes = [
-            shape
-            for n_in, n_out in zip(sizes, sizes[1:])
-            for shape in ((K, n_out, n_in), (K, n_out, 1))
-        ]
-        self.theta = np.zeros(sum(math.prod(shape) for shape in shapes))
-        self.grad = np.empty_like(self.theta)
-        params, grads = _split(self.theta, shapes), _split(self.grad, shapes)
-        self.ws, self.bs = params[0::2], params[1::2]
-        self.dws, self.dbs = grads[0::2], grads[1::2]
-        for pos, net in enumerate(nets):
-            for w, b, net_w, net_b in zip(self.ws, self.bs, net.weights, net.biases):
-                w[pos, :, : net_w.shape[1]] = net_w
-                b[pos, :, 0] = net_b
-        self.groups = _width_groups(self.widths)
-        self.acts = [np.empty(b.shape) for b in self.bs]
-        # (function, weights, output, input index) of each first-layer
-        # product, one per width group; x[index] cuts its operand from the
-        # pattern's (K, in) inputs x.
-        self.first = []
-        for i, j, n in self.groups:
-            f, w, z = _product(self.ws[0][i:j, :, :n], self.acts[0][i:j])
-            cut = (i, slice(n)) if f is np.dot else (slice(i, j), slice(n), None)
-            self.first.append((f, w, z, cut))
-        # A one-net batch takes its outer products as 2-D broadcasts. The
-        # first layer's is (delta, x[row], gradient), x[row] the pattern's
-        # inputs as a row.
-        self.outer = (lambda v: v[0]) if K == 1 else (lambda v: v)
-        self.row = () if K == 1 else (slice(None), None)
-        self.delta, self.dw = self.outer(self.dbs[0]), self.outer(self.dws[0])
-        self.bias_rows = [b.swapaxes(-1, -2) for b in self.bs]
-        self.out, self.out_delta = self.acts[-1].reshape(-1), self.dbs[-1].reshape(-1)
-        self.forward, self.backward = self._shared_calls()
-
-    def net(self, pos: int) -> MlpNetwork:
-        """The net at batch position pos, with its weights as they stand."""
-        width, like = self.widths[pos], self.like
-        return MlpNetwork(
-            (width, *like.layer_sizes[1:]),
-            (self.ws[0][pos, :, :width], *(w[pos] for w in self.ws[1:])),
-            tuple(b[pos, :, 0] for b in self.bs),
-        )
-
-    def _shared_calls(self) -> Tuple[List[_Call], List[_Call]]:
-        """The pattern-free calls of a step: the forward pass after the first
-        layer's products, and the backward pass down to the first layer's
-        weight gradient. They work on flat 1-D views of the (K, out, 1)
-        columns: a, the pre-activation overwritten by the activation (the
-        logistic, except at the linear output), and delta, dE/dz, which is
-        also the bias gradient."""
-        forward: List[_Call] = []
-        backward: List[_Call] = []
-        for l in range(len(self.acts)):
-            a, b, delta = (v.reshape(-1) for v in (self.acts[l], self.bs[l], self.dbs[l]))
-            if l:
-                forward.append(_column_product(self.ws[l], self.acts[l - 1], self.acts[l]))
-            forward.append((np.add, (a, b, a)))
-            layer: List[_Call] = []
-            if l < len(self.acts) - 1:
-                scratch, one = np.empty(a.size), np.ones(a.size)  # for the logistic and its slope
-                forward += _logistic_calls(a, scratch, np.full(a.size, -1.0), one)
-                # The logistic slope expressed through the activation itself.
-                layer += [
-                    (np.subtract, (one, a, scratch)),
-                    (np.multiply, (a, scratch, scratch)),
-                    (np.multiply, (delta, scratch, delta)),
-                ]
-            if l:
-                x_row = self.acts[l - 1].swapaxes(-1, -2)
-                w_t = self.ws[l].swapaxes(-1, -2)
-                layer += [
-                    (np.multiply, tuple(map(self.outer, (self.dbs[l], x_row, self.dws[l])))),
-                    _column_product(w_t, self.dbs[l], self.dbs[l - 1]),
-                ]
-            backward[:0] = layer  # the backward pass runs from the last layer
-        return forward, backward
-
-    def step(self, x: np.ndarray, target: object) -> List[_Call]:
-        """The calls that write into `grad` the gradient of
-        E = 1/2 * sum((out - target)^2) for one pattern, by reverse
-        accumulation. `x` holds the input as (K, in) rows, zero-padded to the
-        widest, and `target` one value per net and output. Every delta comes
-        from the weights in `theta`, so they may be updated once the calls
-        have run. The calls hold one view of x per width group and one row."""
-        return [
-            *((f, (w, x[cut], z)) for f, w, z, cut in self.first),
-            *self.forward,
-            (np.subtract, (self.out, target, self.out_delta)),
-            *self.backward,
-            (np.multiply, (self.delta, x[self.row], self.dw)),
-        ]
+def _buffers(net: MlpNetwork) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(sizes, theta, grad, work) as _step.c takes a net: its layer sizes as
+    int64, its parameters in one flat buffer (per layer the weights in row
+    order, then the biases), a gradient buffer of that layout, and scratch
+    for each layer's activation and its logistic."""
+    theta = np.concatenate([a.ravel() for layer in zip(net.weights, net.biases) for a in layer])
+    return (np.array(net.layer_sizes, dtype=np.int64), theta, np.zeros_like(theta),
+            np.zeros(2 * sum(net.layer_sizes[1:])))
 
 
-def _product(
-    w: np.ndarray, out: np.ndarray
-) -> Tuple[Callable[..., object], np.ndarray, np.ndarray]:
-    """The cheapest numpy function that writes w @ x into out, with the views
-    of w and out it takes, for weights stacked (k, m, n) over k nets and out
-    the (k, m, 1) columns. A contraction of length one (n = 1) is an
-    elementwise np.multiply of w by the (k, 1, 1) x; one net's product is
-    np.dot on w as (m, n) and x and out as 1-D; any other is np.matmul on the
-    stacks. np.dot and np.matmul make the same BLAS call (gemv, or a dot for
-    m = 1) for one net, so they give the same bits. A BLAS sum of one product
-    starts from +0, so np.multiply differs only by giving -0 for a zero
-    product where BLAS gives +0. The sign is lost in the bias addition or
-    update that follows unless the other operand is a -0.0 bias or weight,
-    which init never draws and an update never makes."""
-    if w.shape[2] == 1:
-        return np.multiply, w, out
-    if len(w) == 1:
-        return np.dot, w[0], out[0, :, 0]
-    return np.matmul, w, out
-
-
-def _column_product(w: np.ndarray, x: np.ndarray, out: np.ndarray) -> _Call:
-    """The call of _product for x given as (k, n, 1) columns."""
-    f, w, out = _product(w, out)
-    return f, (w, x[0, :, 0] if f is np.dot else x, out)
-
-
-def _split(buffer: np.ndarray, shapes: Sequence[Tuple[int, ...]]) -> List[np.ndarray]:
-    """Consecutive views of buffer with the given shapes."""
-    ends = list(itertools.accumulate(math.prod(shape) for shape in shapes))
-    return [part.reshape(shape) for part, shape in zip(np.split(buffer, ends[:-1]), shapes)]
+def _layers(buffer: np.ndarray, sizes: Sequence[int]) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    """Views of a flat buffer laid out as _buffers lays out theta: the
+    weights and the biases of each layer."""
+    ws, bs, start = [], [], 0
+    for n, m in zip(sizes, sizes[1:]):
+        ws.append(buffer[start : start + m * n].reshape(m, n))
+        bs.append(buffer[start + m * n : start + m * n + m])
+        start += m * n + m
+    return ws, bs
 
 
 def gradients(
     net: MlpNetwork, x: Sequence[float], target: Sequence[float]
 ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
     """Exact gradient of E = 1/2 * sum((out - target)^2) for one pattern,
-    via reverse accumulation. Returns (dWs, dbs) matching net layout."""
+    via reverse accumulation: the compiled step that training runs, without
+    the update. Returns (dWs, dbs) matching net layout."""
     x = np.asarray(x, dtype=float)
     target = np.asarray(target, dtype=float)
     if x.shape != (net.n_in,) or target.shape != (net.n_out,):
         raise ValueError("input/target dimensions do not match the network")
-    step = _Lockstep([net])
-    _run(step.step(x[None], target))
-    return [dw[0] for dw in step.dws], [db[0, :, 0] for db in step.dbs]
+    x, target = np.ascontiguousarray(x), np.ascontiguousarray(target)
+    sizes, theta, grad, work = _buffers(net)
+    _step_library().gradient(sizes.ctypes.data, len(sizes) - 1, theta.ctypes.data,
+                             x.ctypes.data, target.ctypes.data, grad.ctypes.data, work.ctypes.data)
+    return _layers(grad, net.layer_sizes)
 
 
 @dataclass(frozen=True)
@@ -470,66 +372,35 @@ class TrainedExpert:
     test_range: Tuple[MonthStamp, MonthStamp] | None = None
 
 
-def _train_lockstep(
-    nets: Sequence[MlpNetwork],
-    matrices: Sequence[FeatureMatrix],
-    configs: Sequence[TrainConfig],
-    fits: Sequence[Tuple[Normalizer, np.ndarray, np.ndarray]],
-) -> List[TrainedExpert | TrainingDiverged]:
-    """train_many for one lockstep batch: nets with equal hidden and output
-    layers, matrices with equal rows, configs equal up to rng_seed, and the
-    normalizer of each net's matrix with its normalized inputs and targets.
-    When nets leave, the rest go on in a new batch built from them as they
-    stand, its padding trimmed to the widest of them."""
-    config = configs[0]
-    results: List[TrainedExpert | TrainingDiverged] = [None] * len(nets)  # type: ignore[list-item]
-    slots = sorted(range(len(nets)), key=lambda slot: nets[slot].n_in)  # slot of each position
-    batch, epoch = [nets[slot] for slot in slots], 0
-    # Overflow inside an epoch is how divergence manifests; it is detected at
-    # the epoch-end error check rather than warned about per operation.
-    with np.errstate(over="ignore", invalid="ignore"):
-        while batch:
-            step = _Lockstep(batch)
-            X = np.zeros((len(batch), matrices[0].rows, step.widths[-1]))
-            for pos, (slot, width) in enumerate(zip(slots, step.widths)):
-                X[pos, :, :width] = fits[slot][1]
-            Y = np.stack([fits[slot][2] for slot in slots])
-            eta, grad, theta = np.full(step.grad.size, config.learning_rate), step.grad, step.theta
-            update = [(np.multiply, (grad, eta, grad)), (np.subtract, (theta, grad, theta))]
-            # One epoch: each pattern's step, then its update, in row order.
-            program: List[_Call] = []
-            for x, target in zip(X.transpose(1, 0, 2), np.ascontiguousarray(Y.T)):
-                program += step.step(x, target) + update
-            for epoch in range(epoch + 1, config.max_epochs + 1):
-                _run(program)
-                out = _forward_batch(step.ws, step.bias_rows, X, step.groups)
-                errors = np.mean((out[:, :, 0] - Y) ** 2, axis=1)  # each row's own 1-D bits
-                # Walk the nets only in an epoch where one leaves: its error is
-                # non-finite (NaN fails both tests), reached target_error, or
-                # it is the last epoch.
-                low, high = errors.min(), errors.max()
-                if epoch < config.max_epochs and low > config.target_error and high < np.inf:
-                    continue
-                keep = []
-                for pos, (slot, error) in enumerate(zip(slots, errors.tolist())):
-                    if not np.isfinite(error):
-                        results[slot] = TrainingDiverged(epoch)
-                    elif error <= config.target_error or epoch == config.max_epochs:
-                        matrix = matrices[slot]
-                        results[slot] = TrainedExpert(
-                            network=step.net(pos),
-                            normalizer=fits[slot][0],
-                            features=matrix.specs,
-                            train_range=(matrix.start, matrix.end),
-                            final_train_error=error,
-                            rng_seed=configs[slot].rng_seed,
-                        )
-                    else:
-                        keep.append(pos)
-                break
-            slots = [slots[pos] for pos in keep]
-            batch = [step.net(pos) for pos in keep]
-    return results
+def _train(
+    lib: ctypes.CDLL,
+    net: MlpNetwork,
+    matrix: FeatureMatrix,
+    config: TrainConfig,
+    fit: Tuple[Normalizer, np.ndarray, np.ndarray],
+) -> TrainedExpert | TrainingDiverged:
+    """One net of train_many, given the normalizer of its matrix with the
+    normalized inputs and targets, C-contiguous."""
+    norm, X, y = fit
+    sizes, theta, grad, work = _buffers(net)
+    ws, bs = _layers(theta, net.layer_sizes)
+    args = (sizes.ctypes.data, len(ws), theta.ctypes.data, grad.ctypes.data, theta.size,
+            X.ctypes.data, y.ctypes.data, len(y), float(config.learning_rate), work.ctypes.data)
+    for epoch in range(1, config.max_epochs + 1):
+        lib.epoch(*args)
+        error = float(np.mean((_forward(ws, bs, X)[:, 0] - y) ** 2))
+        if error <= config.target_error or not math.isfinite(error):
+            break
+    if not math.isfinite(error):
+        return TrainingDiverged(epoch)
+    return TrainedExpert(
+        network=MlpNetwork(net.layer_sizes, tuple(ws), tuple(bs)),
+        normalizer=norm,
+        features=matrix.specs,
+        train_range=(matrix.start, matrix.end),
+        final_train_error=error,
+        rng_seed=config.rng_seed,
+    )
 
 
 def train_many(
@@ -539,43 +410,35 @@ def train_many(
 ) -> List[TrainedExpert | TrainingDiverged]:
     """Train each net on its matrix with its config; one slot per net.
 
-    The nets are sorted into lockstep batches: those with equal hidden and
-    output layers, equal matrix rows and configs equal up to rng_seed train
-    together, whatever their input widths. Each net gets the normalizer
-    fitted on its matrix; nets given one matrix object share one normalizer,
-    fitted once. Online gradient descent: one update per pattern, fixed
-    order, one full pass per epoch. A net stops once its epoch-end mean
-    squared error (normalized space) reaches target_error, or at max_epochs;
-    a net whose error turns non-finite stops too and its slot holds
-    TrainingDiverged. Either way it leaves its batch with its weights frozen
-    and the others go on. Each net's result is bit-identical to training it
-    alone, whatever its neighbours and its place in the call. Every net is
-    logistic with a linear output, so activations play no part in a batch."""
+    Each net gets the normalizer fitted on its matrix; nets given one matrix
+    object share one normalizer, fitted once. Online gradient descent: one
+    update per pattern, fixed order, one full pass per epoch. A net stops
+    once its epoch-end mean squared error (normalized space) reaches
+    target_error, or at max_epochs; a net whose error turns non-finite stops
+    too and its slot holds TrainingDiverged. Each net trains alone, so its
+    result is the same whatever the other nets of the call."""
     if not nets or not len(nets) == len(matrices) == len(configs):
         raise ValueError(
             f"need one matrix and one config per net, got {len(nets)} nets, "
             f"{len(matrices)} matrices and {len(configs)} configs"
         )
-    normalized: Dict[int, Tuple[Normalizer, np.ndarray, np.ndarray]] = {}
-    fits, batches = [], {}
-    for i, (net, matrix, config) in enumerate(zip(nets, matrices, configs)):
+    fits: Dict[int, Tuple[Normalizer, np.ndarray, np.ndarray]] = {}
+    for i, (net, matrix) in enumerate(zip(nets, matrices)):
         if net.n_in != matrix.width:
             raise ValueError(f"net {i} expects {net.n_in} inputs, its matrix has {matrix.width}")
         if net.n_out != 1:
             raise ValueError("time-series experts have a single output")
-        key = id(matrix)
-        if key not in normalized:
+        if id(matrix) not in fits:
             norm = Normalizer.fit(matrix.X, matrix.y)
-            normalized[key] = norm, norm.normalize_inputs(matrix.X), norm.normalize_target(matrix.y)
-        fits.append(normalized[key])
-        layout = (net.layer_sizes[1:], matrix.rows)
-        batches.setdefault((layout, replace(config, rng_seed=0)), []).append(i)
-    results: List[TrainedExpert | TrainingDiverged] = [None] * len(nets)  # type: ignore[list-item]
-    for slots in batches.values():
-        batch = [[seq[slot] for slot in slots] for seq in (nets, matrices, configs, fits)]
-        for slot, result in zip(slots, _train_lockstep(*batch)):
-            results[slot] = result
-    return results
+            fits[id(matrix)] = (norm, np.ascontiguousarray(norm.normalize_inputs(matrix.X)),
+                                np.ascontiguousarray(norm.normalize_target(matrix.y)))
+    lib = _step_library()
+    # Overflow is how divergence shows; the epoch-end error reads it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [
+            _train(lib, net, matrix, config, fits[id(matrix)])
+            for net, matrix, config in zip(nets, matrices, configs)
+        ]
 
 
 def train(net: MlpNetwork, matrix: FeatureMatrix, config: TrainConfig) -> TrainedExpert:
@@ -591,7 +454,7 @@ def predict(expert: TrainedExpert, matrix: FeatureMatrix) -> TimeSeries:
     if matrix.specs != expert.features:
         raise ValueError("matrix columns do not match the expert's features")
     net = expert.network
-    out = _forward_batch(net.weights, net.biases, expert.normalizer.normalize_inputs(matrix.X))
+    out = _forward(net.weights, net.biases, expert.normalizer.normalize_inputs(matrix.X))
     return TimeSeries(matrix.start, expert.normalizer.denormalize_target(out[:, 0]))
 
 

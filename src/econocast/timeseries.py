@@ -234,10 +234,12 @@ def parse_csv(text: str) -> Dict[str, TimeSeries]:
 
     Months must be strictly increasing and contiguous; empty or non-numeric
     cells are errors (no imputation); only ASCII whitespace is stripped from
-    a cell or makes a line blank. Raises CsvFormatError with the 1-based row
-    number (header = row 1) and column name where applicable.
+    a cell or makes a line blank, and only "\r\n", "\r" and "\n" end a line
+    (str.splitlines also breaks at Unicode line and record separators).
+    Raises CsvFormatError with the 1-based row number (header = row 1) and
+    column name where applicable.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip(_SPACE) != ""]
+    lines = [ln for ln in re.split(r"\r\n?|\n", text) if ln.strip(_SPACE) != ""]
     if not lines:
         raise CsvFormatError("empty input", row=1)
     header = [h.strip(_SPACE) for h in lines[0].split(",")]

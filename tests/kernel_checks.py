@@ -1,20 +1,16 @@
-"""The bit-level properties that the lockstep trainer's call mix rests on,
-checked under whichever BLAS kernel the process runs (test_blas_kernels.py
-runs this once per OpenBLAS kernel):
+"""The compiled training step keeps numpy's bits, checked under whichever
+BLAS kernel the process runs (test_blas_kernels.py runs this once per
+OpenBLAS kernel):
 
     OPENBLAS_CORETYPE=Haswell PYTHONPATH=src python tests/kernel_checks.py
 
-1. A product of one net through np.dot on 2-D and 1-D views gives the bits of
-   the same net's product inside a stacked np.matmul over three nets, for
-   n = 1..32 inputs and H = 1..5 outputs, with the weights a strided view of
-   a wider stack or contiguous. So does an elementwise np.multiply for
-   n = 1, and the transposed product of the backward pass on contiguous
-   weights (only the first layer is padded, and the backward pass takes no
-   product through it).
-2. train_many gives each net the bytes of training it alone, for batches with
-   one-net and multi-net width groups, hidden layers of 2, 3 and 4 units and
-   of 3 then 2. Alone, a net is a one-net batch, whose products all go
-   through np.dot or np.multiply.
+One train_many call trains nets of every product branch of the step, and
+each slot must be byte-equal to `oracles.train_alone`, the step written as
+per-pattern numpy calls: input width 1 and one hidden unit (the elementwise
+products), hidden layers of 3 then 2 and of 1 then 3 (gemv and ddot through
+the transposed weights), the shapes the benchmark's workloads train, a net
+that diverges and one that stops at its target_error. Byte-equal means the
+same weights, biases and final error, or divergence at the same epoch.
 
 Prints the OpenBLAS core name it ran under (or "unknown") and exits non-zero
 at the first mismatch.
@@ -22,13 +18,13 @@ at the first mismatch.
 
 import ctypes
 import glob
-import json
 import os
 import sys
 
 import numpy as np
 
-from econocast.mlp import TrainConfig, TrainingDiverged, expert_to_dict, init, train, train_many
+import oracles
+from econocast.mlp import Normalizer, TrainConfig, TrainingDiverged, init, train_many
 from econocast.preprocess import FeatureMatrix, FeatureSpec
 from econocast.timeseries import MonthStamp
 
@@ -46,68 +42,64 @@ def core_name() -> str:
     return "unknown"
 
 
-def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-def check_products(rng: np.random.Generator) -> None:
-    for n in range(1, 33):
-        for h in range(1, 6):
-            for wide in (n + 3, n):  # a strided view of a wider stack, then contiguous
-                w = rng.normal(size=(3, h, wide))[:, :, :n]
-                x = rng.normal(size=(3, n))
-                stacked = np.matmul(w, x[:, :, None])
-                for i in range(3):
-                    alone = np.dot(w[i], x[i], np.empty(h))
-                    assert same_bits(alone, stacked[i, :, 0]), ("dot", n, h, wide)
-                    if n == 1:
-                        alone = np.multiply(w[i], x[i])
-                        assert same_bits(alone, stacked[i]), ("multiply", h, wide)
-                if wide != n:
-                    continue
-                # the backward pass, through a layer past the first, whose
-                # weights are never padded: the transposed contiguous weights
-                # times a delta of length h
-                d = rng.normal(size=(3, h))
-                stacked = np.matmul(w.swapaxes(-1, -2), d[:, :, None])
-                for i in range(3):
-                    alone = np.dot(w[i].T, d[i], np.empty(n))
-                    assert same_bits(alone, stacked[i, :, 0]), ("dot.T", n, h, wide)
-
-
-def as_bytes(result: object) -> object:
+def as_bytes(result) -> tuple:
     if isinstance(result, TrainingDiverged):
         return ("diverged", result.epoch)
-    return json.dumps(expert_to_dict(result))
+    net = result.network
+    return tuple(a.tobytes() for a in (*net.weights, *net.biases)) + (result.final_train_error,)
 
 
-def check_batches(rng: np.random.Generator) -> None:
-    # width groups 2 | 3 3 | 5 | 7 7 7 | 11: one-net and multi-net groups
-    widths = [7, 3, 11, 2, 7, 3, 5, 7]
+def oracle(net, matrix, config) -> tuple:
+    """oracles.train_alone on the matrix as train_many normalizes it."""
+    norm = Normalizer.fit(matrix.X, matrix.y)
+    X, y = norm.normalize_inputs(matrix.X), norm.normalize_target(matrix.y)
+    return oracles.train_alone(net.weights, net.biases, X, y, config.learning_rate,
+                               config.max_epochs, config.target_error)
+
+
+def oracle_bytes(net, matrix, config) -> tuple:
+    ws, bs, epoch, error = oracle(net, matrix, config)
+    if not np.isfinite(error):
+        return ("diverged", epoch)
+    return tuple(a.tobytes() for a in (*ws, *bs)) + (error,)
+
+
+def check(rng: np.random.Generator) -> None:
     rows = 24
-    matrices = [
-        FeatureMatrix(rng.normal(size=(rows, w)), rng.normal(size=rows), MonthStamp(2000, 1),
-                      tuple(FeatureSpec(f"f{i}") for i in range(w)))
-        for w in widths
+    cases = [  # (layer sizes, config, scale of the data)
+        ([1, 4, 1], TrainConfig(learning_rate=0.1, max_epochs=6, rng_seed=1), 1.0),
+        ([5, 1, 1], TrainConfig(learning_rate=0.1, max_epochs=6, rng_seed=2), 1.0),
+        ([4, 3, 2, 1], TrainConfig(learning_rate=0.1, max_epochs=6, rng_seed=3), 1.0),
+        ([2, 1, 3, 1], TrainConfig(learning_rate=0.1, max_epochs=6, rng_seed=4), 1.0),
+        ([9, 4, 1], TrainConfig(max_epochs=6, rng_seed=5), 1.0),
+        ([16, 4, 1], TrainConfig(max_epochs=6, rng_seed=6), 1.0),
+        ([8, 4, 1], TrainConfig(max_epochs=6, rng_seed=7), 1.0),
+        ([3, 4, 1], TrainConfig(learning_rate=1e6, max_epochs=6, rng_seed=8), 5.0),
     ]
-    for hidden in ((2,), (3,), (4,), (3, 2)):
-        configs = [TrainConfig(learning_rate=0.1, max_epochs=4, rng_seed=s) for s in range(8)]
-        nets = [init([w, *hidden, 1], c) for w, c in zip(widths, configs)]
-        alone = []
-        for net, m, c in zip(nets, matrices, configs):
-            try:
-                alone.append(as_bytes(train(net, m, c)))
-            except TrainingDiverged as exc:
-                alone.append(as_bytes(exc))
-        batch = [as_bytes(r) for r in train_many(nets, matrices, configs)]
-        assert batch == alone, ("train_many", hidden)
+    matrices = []
+    for sizes, _, scale in cases:
+        X, y = rng.normal(size=(rows, sizes[0])) * scale, rng.normal(size=rows) * scale
+        matrices.append(FeatureMatrix(X, y, MonthStamp(2000, 1),
+                                      tuple(FeatureSpec(f"f{i}") for i in range(sizes[0]))))
+    configs = [config for _, config, _ in cases]
+    nets = [init(sizes, config) for (sizes, _, _), config in zip(cases, configs)]
+    # The 9-4-1 net again, with the error of its third epoch as its target.
+    *_, third = oracle(nets[4], matrices[4], TrainConfig(max_epochs=3, rng_seed=5))
+    nets.append(nets[4])
+    matrices.append(matrices[4])
+    configs.append(TrainConfig(max_epochs=12, target_error=third, rng_seed=5))
+
+    want = [oracle_bytes(*slot) for slot in zip(nets, matrices, configs)]
+    got = [as_bytes(r) for r in train_many(nets, matrices, configs)]
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert g == w, ("train_many differs from the numpy step", [n.layer_sizes for n in nets][i])
+    assert want[7][0] == "diverged", want[7]
+    assert oracle(nets[-1], matrices[-1], configs[-1])[2] <= 3 < configs[-1].max_epochs
 
 
 def main() -> int:
     print(core_name())
-    rng = np.random.default_rng(23)
-    check_products(rng)
-    check_batches(rng)
+    check(np.random.default_rng(23))
     return 0
 
 

@@ -3,8 +3,10 @@
 Everything here is written from the definitions with plain loops and is
 deliberately slow and obvious. All but `serial_maximize_sharpe` import nothing
 from the package's code paths; that one is the one-net-at-a-time restart loop
-that lockstep training replaced, written over the package's `init` and
-`train`, so the lockstep search can be checked against it.
+written over the package's `init` and `train`, so the search, which trains
+every restart in one call, can be checked against it. `train_alone` is
+written with numpy calls, one pattern at a time, so that its bits are the
+ones the compiled step must give.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 from typing import List, Sequence, Tuple
+
+import numpy as np
 
 from econocast import metrics, mlp
 
@@ -154,6 +158,60 @@ def gradients(weights, biases, x, target):
         dbs[l] = dz
         dout = [sum(weights[l][j][i] * dz[j] for j in range(len(dz))) for i in range(len(acts[l]))]
     return dws, dbs
+
+
+def train_alone(weights, biases, X, y, learning_rate, max_epochs, target_error):
+    """(weights, biases, epochs, error) of training one net, logistic with a
+    linear output, on the normalized rows X and targets y: per epoch, one
+    update per pattern in row order, then the mean squared error of the
+    epoch's net over every row. It stops at the first epoch whose error
+    reaches target_error or is not finite (divergence), or at max_epochs.
+
+    Each operation is the numpy call that the package's step made when it
+    was written in numpy, in the same order, so the bits are the ones
+    `mlp.train_many` must give: a product is np.dot, or an elementwise
+    multiply where its contraction has length one; the logistic takes
+    1 / (1 + e) for z >= 0 and e / (1 + e) below, e = exp(-|z|); the update
+    is w - dw * learning_rate."""
+    ws = [np.array(w, dtype=float) for w in weights]
+    bs = [np.array(b, dtype=float) for b in biases]
+    last = len(ws) - 1
+
+    def times(w, a):
+        return w[:, 0] * a[0] if w.shape[1] == 1 else np.dot(w, a)
+
+    def logistic(z):
+        e = np.exp(-np.abs(z))
+        return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, max_epochs + 1):
+            for x, t in zip(X, y):
+                acts = [x]
+                for l, (w, b) in enumerate(zip(ws, bs)):
+                    z = times(w, acts[-1]) + b
+                    acts.append(logistic(z) if l < last else z)
+                delta = acts[-1] - t
+                steps = []
+                for l in range(last, -1, -1):
+                    if l < last:
+                        a = acts[l + 1]
+                        delta = delta * (a * (1.0 - a))
+                    steps.append((l, delta[:, None] * acts[l], delta))
+                    if l:
+                        delta = times(ws[l].T, delta)
+                for l, dw, db in steps:
+                    ws[l] = ws[l] - dw * learning_rate
+                    bs[l] = bs[l] - db * learning_rate
+            out = X
+            for l, (w, b) in enumerate(zip(ws, bs)):
+                out = out @ w.T + b
+                if l < last:
+                    out = logistic(out)
+            error = float(np.mean((out[:, 0] - y) ** 2))
+            if error <= target_error or not math.isfinite(error):
+                break
+    return ws, bs, epoch, error
 
 
 def serial_maximize_sharpe(shape, train_matrix, validation_matrix, train_config,

@@ -1,9 +1,9 @@
-"""The invariants of kernel_checks.py under each OpenBLAS kernel this host
-can emulate, one subprocess per kernel chosen through OPENBLAS_CORETYPE. The
-pinned output digests hold only under the kernel they were recorded with
-(see README, "Notes and limitations"); these invariants must hold under
-every kernel. A kernel whose process cannot start, or that OpenBLAS does not
-take on this host, is skipped."""
+"""kernel_checks.py under each OpenBLAS kernel this host can emulate, one
+subprocess per kernel chosen through OPENBLAS_CORETYPE. The pinned output
+digests hold only under the kernel they were recorded with (see README,
+"Notes and limitations"); that the compiled step gives the bits of the same
+step in numpy must hold under every kernel. A kernel whose process cannot
+start, or that OpenBLAS does not take on this host, is skipped."""
 
 import os
 import subprocess
@@ -17,7 +17,7 @@ CHECKS = Path(__file__).with_name("kernel_checks.py")
 
 
 @pytest.mark.parametrize("kernel", ["SkylakeX", "Haswell", "Sandybridge"])
-def test_the_call_mix_invariants_hold_under_each_openblas_kernel(kernel):
+def test_the_compiled_step_keeps_numpys_bits_under_each_openblas_kernel(kernel):
     env = {**os.environ, "OPENBLAS_CORETYPE": kernel, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": str(ROOT / "src")}
     probe = subprocess.run(

@@ -371,10 +371,10 @@ def test_optimized_pipeline_with_restarts(tmp_path):
     assert len(log.splitlines()) == 1 + 3
 
 
-def lockstep_config(out_dir, case):
-    """A small config whose subs train as several lockstep batches
-    ("hidden_layers": three subs in two hidden shapes), or are all restart
-    winners handed through, so none is left to train ("selected")."""
+def pinned_config(out_dir, case):
+    """A small config whose subs have two hidden shapes ("hidden_layers":
+    three subs of (2, 2) hidden units beside network1's), or are all
+    restart winners handed through, so none is left to train ("selected")."""
     cfg = base_config(out_dir, months=96, epochs=8)
     cfg["train_range"] = ["1992-01", "1997-12"]
     cfg["test_range"] = ["1998-01", "1998-12"]
@@ -392,8 +392,8 @@ def lockstep_config(out_dir, case):
     return cfg
 
 
-# sha256 of every file that `ensemble` then `train` write for lockstep_config.
-LOCKSTEP_DIGESTS = {
+# sha256 of every file that `ensemble` then `train` write for pinned_config.
+PINNED_DIGESTS = {
     "hidden_layers": {
         "equity.csv": "6b3c68dd7f80d8c097d0bc0825651bf858a24678427393e6f2b83850362b5f10",
         "experts/gold_trend.json": "a44a81bd6d5e8b4bb52ff2f2b187f4ab7761e9d2e5cd9bb84a2c123ce537f939",
@@ -429,10 +429,10 @@ LOCKSTEP_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(LOCKSTEP_DIGESTS))
+@pytest.mark.parametrize("case", sorted(PINNED_DIGESTS))
 def test_ensemble_and_train_bytes_match_the_pinned_digests(tmp_path, case):
     out = tmp_path / "out"
-    path = write_config(tmp_path, lockstep_config(str(out), case))
+    path = write_config(tmp_path, pinned_config(str(out), case))
     assert main(["ensemble", "--config", path]) == 0
     assert main(["train", "--config", path]) == 0
     written = {
@@ -440,7 +440,7 @@ def test_ensemble_and_train_bytes_match_the_pinned_digests(tmp_path, case):
         for path in sorted(out.rglob("*"))
         if path.is_file()
     }
-    assert written == LOCKSTEP_DIGESTS[case]
+    assert written == PINNED_DIGESTS[case]
 
 
 # sha256 of logs/ and model/ after `ensemble` then `train` with the README

@@ -159,18 +159,18 @@ def _solo_fit(sub, bundle):
     return json.dumps(expert_to_dict(dataclasses.replace(expert, test_range=TEST)))
 
 
-def test_subs_train_as_one_batch_each_equal_training_alone(bundle, monkeypatch):
+def test_subs_train_in_one_call_each_equal_training_alone(bundle, monkeypatch):
     subs = _preset_subs()
-    batches = []
+    calls = []
 
     def spy(nets, matrices, configs):
-        batches.append(sorted(net.n_in for net in nets))
+        calls.append(sorted(net.n_in for net in nets))
         return mlp.train_many(nets, matrices, configs)
 
     monkeypatch.setattr(ensemble, "train_many", spy)
     spec = EnsembleSpec(subs, (3,), TrainConfig(max_epochs=4, rng_seed=99))
     model = train_ensemble(spec, bundle.series, "activity", TRAIN, TEST)
-    assert batches == [[8, 9, 9, 9, 10, 12, 14, 21]]
+    assert calls == [[8, 9, 9, 9, 10, 12, 14, 21]]
     for sub, expert in zip(subs, model.sub_experts):
         assert json.dumps(expert_to_dict(expert)) == _solo_fit(sub, bundle), sub.name
 
@@ -188,7 +188,7 @@ def test_a_one_month_test_range_cannot_be_scored(bundle):
         train_ensemble(small_spec(bundle), bundle.series, "activity", TRAIN, (TEST[0], TEST[0]))
 
 
-def test_fit_subs_batches_by_hidden_layers_and_keeps_selected_experts(bundle, monkeypatch):
+def test_fit_subs_trains_the_other_subs_in_one_call_and_keeps_selected_experts(bundle, monkeypatch):
     subs = list(_preset_subs()[:4])
     subs[1] = dataclasses.replace(subs[1], hidden_layers=(2, 2))
     subs[3] = dataclasses.replace(subs[3], hidden_layers=(2, 2))
@@ -197,22 +197,22 @@ def test_fit_subs_batches_by_hidden_layers_and_keeps_selected_experts(bundle, mo
         assemble(subs[2].features, bundle.series, "activity", None, *TRAIN),
         subs[2].train_config,
     )
-    calls, batches = [], []
+    calls, trained = [], []
 
     def spy(nets, matrices, configs):
         calls.append([c.rng_seed for c in configs])
         return mlp.train_many(nets, matrices, configs)
 
-    def lockstep_spy(nets, *batch):
-        batches.append([net.layer_sizes for net in nets])
-        return lockstep(nets, *batch)
+    def train_spy(lib, net, *rest):
+        trained.append(net.layer_sizes)
+        return train_one(lib, net, *rest)
 
-    lockstep = mlp._train_lockstep
+    train_one = mlp._train
     monkeypatch.setattr(ensemble, "train_many", spy)
-    monkeypatch.setattr(mlp, "_train_lockstep", lockstep_spy)
+    monkeypatch.setattr(mlp, "_train", train_spy)
     fits = fit_subs(subs, bundle.series, "activity", TRAIN, TEST, [None, None, chosen, None])
     assert calls == [[1, 2, 4]]
-    assert batches == [[subs[0].shape()], [subs[1].shape(), subs[3].shape()]]
+    assert trained == [subs[0].shape(), subs[1].shape(), subs[3].shape()]
     assert fits[2].expert.network is chosen.network
     assert fits[2].expert == dataclasses.replace(chosen, test_range=TEST)
     for i in (0, 1, 3):

@@ -1,9 +1,12 @@
 import hashlib
 import json
 import re
+import subprocess
 import sys
+import tempfile
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -395,11 +398,10 @@ def _solo(net, m, cfg):
 
 
 @st.composite
-def lockstep_batch(draw, rng):
-    """(nets, matrices, configs) of 1..6 nets that train as one lockstep
-    batch: the same hidden and output layers, rows and config up to seed, and
-    one matrix shared by every net, or one matrix per net with input widths
-    drawn from 1..6."""
+def same_layout_nets(draw, rng):
+    """(nets, matrices, configs) of 1..6 nets with the same hidden and output
+    layers, rows and config up to seed, and one matrix shared by every net,
+    or one matrix per net with input widths drawn from 1..6."""
     hidden = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
     rows = draw(st.integers(2, 12))
     cfg = TrainConfig(
@@ -429,18 +431,18 @@ def lockstep_batch(draw, rng):
 
 
 @st.composite
-def lockstep_batches(draw):
-    """(nets, matrices, configs) for one train_many call of 1..2 lockstep
-    batches (see lockstep_batch), their nets interleaved."""
+def train_many_calls(draw):
+    """(nets, matrices, configs) for one train_many call of 1..2 groups of
+    same_layout_nets, their nets interleaved."""
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    batches = draw(st.lists(lockstep_batch(rng), min_size=1, max_size=2))
+    batches = draw(st.lists(same_layout_nets(rng), min_size=1, max_size=2))
     slots = [(b, i) for b, batch in enumerate(batches) for i in range(len(batch[0]))]
     order = draw(st.permutations(slots))
     return tuple([batches[b][part][i] for b, i in order] for part in range(3))
 
 
 @settings(max_examples=60, deadline=None)
-@given(lockstep_batches(), st.randoms())
+@given(train_many_calls(), st.randoms())
 def test_train_many_slot_equals_training_alone_in_any_order(batch, random):
     nets, matrices, configs = batch
     solo = [_solo(*args) for args in zip(nets, matrices, configs)]
@@ -452,8 +454,8 @@ def test_train_many_slot_equals_training_alone_in_any_order(batch, random):
 
 
 def test_train_many_mixed_widths_2_to_24_each_equal_training_alone():
-    # Zero-padding every net to the widest input changes the BLAS summation
-    # for most widths, so this batch fails unless each width runs unpadded.
+    # Every input width from 2 to 24 in one call, each slot equal to
+    # training its net alone.
     rng = np.random.default_rng(6)
     rows = 20
     matrices = [
@@ -533,7 +535,7 @@ def test_train_many_rejects_mismatched_batches():
             train_many(nets, matrices, configs)
 
 
-def test_train_many_batches_any_mix_each_equal_training_alone(monkeypatch):
+def test_train_many_trains_any_mix_each_net_alone(monkeypatch):
     rng = np.random.default_rng(5)
     m = matrix_from_arrays(rng.normal(size=(6, 2)), rng.normal(size=6))
     m3 = matrix_from_arrays(rng.normal(size=(6, 3)), rng.normal(size=6))
@@ -547,22 +549,22 @@ def test_train_many_batches_any_mix_each_equal_training_alone(monkeypatch):
         ([2, 3, 1], m, replace(cfg, learning_rate=0.1)),
         ([2, 3, 1], m, replace(cfg, max_epochs=3)),
         ([3, 3, 1], m3, replace(cfg, target_error=0.5)),
-        ([3, 3, 1], m3, replace(cfg, rng_seed=9)),  # joins slot 0
-        ([2, 4, 1], m, replace(cfg, rng_seed=9)),  # joins slot 1
+        ([3, 3, 1], m3, replace(cfg, rng_seed=9)),
+        ([2, 4, 1], m, replace(cfg, rng_seed=9)),
     ]
     nets = [init(shape, c) for shape, _, c in calls]
     matrices = [matrix for _, matrix, _ in calls]
     configs = [c for _, _, c in calls]
-    batches = []
+    trained = []
 
-    def spy(batch_nets, *batch):
-        batches.append([next(i for i, n in enumerate(nets) if n is net) for net in batch_nets])
-        return lockstep(batch_nets, *batch)
+    def spy(lib, net, *rest):
+        trained.append(next(i for i, n in enumerate(nets) if n is net))
+        return train_one(lib, net, *rest)
 
-    lockstep = mlp._train_lockstep
-    monkeypatch.setattr(mlp, "_train_lockstep", spy)
+    train_one = mlp._train
+    monkeypatch.setattr(mlp, "_train", spy)
     results = train_many(nets, matrices, configs)
-    assert batches == [[0, 7], [1, 8], [2], [3], [4], [5], [6]]
+    assert trained == list(range(len(nets)))  # one training per net, in slot order
     assert [_bytes(r) for r in results] == [_solo(*args) for args in zip(nets, matrices, configs)]
     # One normalizer per matrix object.
     assert all(results[i].normalizer is results[0].normalizer for i in (1, 4, 5, 8))
@@ -587,9 +589,10 @@ def _golden_batch(case):
         ]
         configs = [TrainConfig(max_epochs=5, rng_seed=s) for s in range(1, 9)]
         return [init([w, 4, 1], c) for w, c in zip(widths, configs)], matrices, configs
-    # "compaction": solo, the nets reach the target at epochs 11, 6, 6, never
-    # (12), 8 and 8, and the huge one diverges at epoch 1, so the batch is
-    # compacted after epochs 1, 6, 8 and 11, the widest net leaving at 6.
+    # "compaction": the nets reach the target at epochs 11, 6, 6, never (12),
+    # 8 and 8, and the huge one diverges at epoch 1. The name is that of the
+    # lockstep batcher these digests were recorded with, which rebuilt its
+    # batch after epochs 1, 6, 8 and 11.
     widths = [4, 2, 7, 3, 5, 3]
     matrices = [matrix_from_arrays(rng.normal(size=(16, w)), rng.normal(size=16)) for w in widths]
     configs = [
@@ -660,28 +663,35 @@ GOLDEN_TRAIN_MANY = {
 }
 
 
-# The size of each lockstep batch built for the batches of _golden_batch, in
-# order: one batch per case, and in "compaction" a new one from the nets left
-# after epochs 1, 6, 8 and 11.
-GOLDEN_BUILDS = {
-    "compaction": [7, 6, 4, 2, 1],
-    "ensemble_subs": [8],
-    "restarts": [20],
+# The epochs each net of the batches of _golden_batch runs, in slot order: the
+# compiled epoch calls train_many makes for it.
+GOLDEN_EPOCHS = {
+    "compaction": [11, 6, 6, 12, 8, 8, 1],
+    "ensemble_subs": [5] * 8,
+    "restarts": [5] * 20,
 }
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_TRAIN_MANY))
 def test_train_many_matches_the_pinned_digests(case, monkeypatch):
-    builds = []
+    epochs = []
 
-    def spy(nets):
-        builds.append(len(nets))
-        return lockstep(nets)
+    class Counting:
+        def __init__(self, lib):
+            self.lib = lib
 
-    lockstep = mlp._Lockstep
-    monkeypatch.setattr(mlp, "_Lockstep", spy)
+        def epoch(self, *args):
+            epochs[-1] += 1
+            self.lib.epoch(*args)
+
+    def spy(lib, *rest):
+        epochs.append(0)
+        return train_one(Counting(lib), *rest)
+
+    train_one = mlp._train
+    monkeypatch.setattr(mlp, "_train", spy)
     assert [_golden_digest(r) for r in train_many(*_golden_batch(case))] == GOLDEN_TRAIN_MANY[case]
-    assert builds == GOLDEN_BUILDS[case]
+    assert epochs == GOLDEN_EPOCHS[case]
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_TRAIN_MANY))
@@ -694,6 +704,69 @@ def test_training_raises_no_warning(case):
         warnings.simplefilter("error")
         train_many(*_golden_batch(case))
         gradients(net, [0.5, -1.0, 2.0], [0.3])
+
+
+def test_after_a_diverging_net_numpy_raises_no_warning():
+    # The compiled epoch leaves the overflow flags of a diverging net raised;
+    # numpy clears them before each operation that checks them.
+    m = matrix_from_arrays(np.random.default_rng(2).normal(size=(6, 3)), np.arange(6.0))
+    huge = MlpNetwork((3, 3, 1), (np.full((3, 3), 1e200), np.full((1, 3), 1e200)),
+                      (np.zeros(3), np.zeros(1)))
+    (result,) = train_many([huge], [m], [TrainConfig(max_epochs=3)])
+    assert isinstance(result, TrainingDiverged) and result.epoch == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.ones(3) * 2.0
+        np.float64(2.0) / 3.0
+        np.ones(3).astype(np.float32)
+        np.mean(np.ones(4))
+
+
+# ---------------------------------------------------------------------------
+# the library of the compiled step
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def cache(tmp_path, monkeypatch):
+    """The directory _step_library builds into, under an empty XDG_CACHE_HOME."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    return tmp_path / "xdg" / "econocast"
+
+
+def test_building_the_step_without_a_compiler_names_cc(cache, tmp_path, monkeypatch):
+    monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
+    with pytest.raises(RuntimeError, match="no C compiler `cc` is on PATH"):
+        mlp._step_library.__wrapped__()
+    assert not any(cache.iterdir())
+
+
+def test_an_unwritable_cache_builds_the_step_in_a_private_temporary_directory(
+    tmp_path, monkeypatch
+):
+    not_a_directory = tmp_path / "xdg"
+    not_a_directory.write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(not_a_directory))
+    (tmp_path / "tmp").mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    built = Path(mlp._step_library.__wrapped__()._name)
+    assert built.parent.parent == tmp_path / "tmp"
+    assert built.parent.name.startswith("econocast-") and built.parent.stat().st_mode & 0o077 == 0
+    assert [p.name for p in built.parent.iterdir()] == [built.name]
+
+
+def test_a_second_load_of_the_step_hits_the_cache_and_starts_no_compiler(
+    cache, tmp_path, monkeypatch
+):
+    first = Path(mlp._step_library.__wrapped__()._name)
+    assert [p.name for p in cache.iterdir()] == [first.name] and first.parent == cache
+    assert cache.stat().st_mode & 0o777 == 0o700
+
+    def no_compiler(*args, **kwargs):
+        raise AssertionError(f"a compiler ran: {args}")
+
+    monkeypatch.setattr(subprocess, "run", no_compiler)
+    monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
+    assert Path(mlp._step_library.__wrapped__()._name) == first
 
 
 def test_error_decreases_with_more_epochs_on_sine():

@@ -135,7 +135,7 @@ def test_search_log_csv_header():
 
 def test_one_call_searches_every_pair_as_if_alone(monkeypatch):
     # Equal rows, widths 1 to 3: the first two pairs' configs differ only in
-    # rng_seed, so their candidates share lockstep batches; the third diverges.
+    # rng_seed; the third diverges.
     rng = np.random.default_rng(4)
     X = rng.uniform(-1, 1, size=(48, 3))
     y = X @ np.array([2.0, -1.0, 0.5]) + 1
@@ -268,7 +268,7 @@ def test_maximize_sharpe_deterministic():
         (TrainConfig(learning_rate=1.0, max_epochs=20), None),
     ],
 )
-def test_lockstep_restarts_match_the_serial_loop(cfg, target):
+def test_restarts_in_one_call_match_the_serial_loop(cfg, target):
     tr, va = _bundle_matrices()
     shape = (tr.width, 3, 1)
     if target == "best":

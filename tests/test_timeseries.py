@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -176,7 +176,7 @@ def test_parse_fault_after_clean_rows_gives_its_exact_message(bad_row, message, 
     assert (str(err.value), err.value.row, err.value.column) == (message, 6, column)
 
 
-_PAD = ("", " ", "\t", "\x1f", "\u00a0", "\u2003")
+_PAD = ("", " ", "\t", "\x1f", "\u00a0", "\u2003", "\u2028")
 
 
 @settings(max_examples=200, deadline=None)
@@ -198,6 +198,8 @@ _PAD = ("", " ", "\t", "\x1f", "\u00a0", "\u2003")
         min_size=1, max_size=4,
     ),
 )
+# a line separator before a date: str.splitlines made it a blank line of its own
+@example(rows=[(0, "\u2028", "", [("", "1", ""), ("", "2", "")])])
 def test_parse_accepts_only_the_ascii_dialect_and_names_any_fault(rows):
     # Either the file parses, and then so does it with every cell stripped of
     # ASCII whitespace alone, and that text is ASCII; or a CsvFormatError
