@@ -1,5 +1,6 @@
-/* The per-pattern training step of econocast's nets; econocast.mlp builds
-   it at the first training and loads it through ctypes.
+/* The training of econocast's nets: per-pattern steps, epochs and the
+   epoch-end error; econocast.mlp builds it at the first training and loads
+   it through ctypes.
 
    A net of L layers has sizes[0..L]. Every layer but the last is logistic,
    the last is linear. Its parameters lie in one flat buffer: per layer the
@@ -11,7 +12,12 @@
    an elementwise multiply where the contraction has length one, ddot for a
    single output row, dgemv otherwise, with numpy's order and transpose. The
    exp is numpy's own float64 loop, run on the contiguous layer vector as
-   np.exp runs it. Every other step is one IEEE operation in numpy's order.
+   np.exp runs it. The epoch-end error is numpy's 2-D forward pass and mean
+   squared error: each layer's a @ w.T is np.matmul's own float64 loop, so
+   numpy's choice of dgemm, dgemv, ddot or no BLAS is made here too, and the
+   sum of squares is np.add's own float64 loop in its reduce form, the
+   pairwise sum np.mean runs. Every other step is one IEEE operation in
+   numpy's order.
    Build with -ffp-contract=off: a fused multiply-add rounds once where
    numpy rounds twice. */
 
@@ -33,24 +39,41 @@ enum { ROW_MAJOR = 101, COL_MAJOR = 102, NO_TRANS = 111 };
 
 static dgemv_fn *dgemv;
 static ddot_fn *ddot;
-static PyUFuncGenericFunction exp_loop;
-static void *exp_data;
+static PyUFuncGenericFunction exp_loop, matmul_loop, add_loop;
+static void *exp_data, *matmul_data, *add_data;
 
-/* Takes numpy's cblas_dgemv and cblas_ddot, and the float64 loop of np.exp.
-   Returns 0, or -1 if np.exp has no such loop. */
-int bind(void *gemv, void *dot, PyObject *exp_ufunc)
+/* Reads into loop and data the loop of ufunc whose every operand is float64.
+   Returns 0, or -1 if it has none. */
+static int float64_loop(PyObject *ufunc, PyUFuncGenericFunction *loop, void **data)
 {
-    PyUFuncObject *exp = (PyUFuncObject *)exp_ufunc;
-    dgemv = (dgemv_fn *)gemv;
-    ddot = (ddot_fn *)dot;
-    for (int i = 0; i < exp->ntypes; i++) {
-        if (exp->types[2 * i] == NPY_DOUBLE && exp->types[2 * i + 1] == NPY_DOUBLE) {
-            exp_loop = exp->functions[i];
-            exp_data = exp->data ? exp->data[i] : NULL;
+    PyUFuncObject *u = (PyUFuncObject *)ufunc;
+    for (int i = 0; i < u->ntypes; i++) {
+        int k = 0;
+        while (k < u->nargs && u->types[i * u->nargs + k] == NPY_DOUBLE)
+            k++;
+        if (k == u->nargs) {
+            *loop = u->functions[i];
+            *data = u->data ? u->data[i] : NULL;
             return 0;
         }
     }
     return -1;
+}
+
+/* Takes numpy's cblas_dgemv and cblas_ddot, and np.exp, np.matmul and
+   np.add. Returns 0, or the position among the three of the first with no
+   float64 loop. */
+int bind(void *gemv, void *dot, PyObject *exp, PyObject *matmul, PyObject *add)
+{
+    dgemv = (dgemv_fn *)gemv;
+    ddot = (ddot_fn *)dot;
+    if (float64_loop(exp, &exp_loop, &exp_data))
+        return 1;
+    if (float64_loop(matmul, &matmul_loop, &matmul_data))
+        return 2;
+    if (float64_loop(add, &add_loop, &add_data))
+        return 3;
+    return 0;
 }
 
 /* z = w x, w (m, n) in row order. numpy's dot on one row takes a ddot into
@@ -150,4 +173,64 @@ void epoch(const int64_t *sizes, int64_t layers, double *p, double *g, int64_t s
             p[k] = p[k] - g[k];
         }
     }
+}
+
+/* The mean over the rows of X of the squared output errors against Y, as
+   numpy computes np.mean((out - y) ** 2) from the 2-D forward pass, where
+   out = logistic(a @ w.T + b) per layer, linear at the last. buf holds
+   rows * 2 * (sizes[1] + ... + sizes[layers]) doubles: each layer's
+   activations of every row, then scratch for its logistic; the last
+   layer's holds the squares. */
+static double loss(const int64_t *sizes, int64_t layers, const double *p, const double *X,
+                   const double *Y, int64_t rows, double *buf)
+{
+    const double *a = X;
+    double *z = buf;
+    for (int64_t l = 0, o = 0; l < layers; l++) {
+        int64_t n = sizes[l], m = sizes[l + 1];
+        const double *w = p + o, *b = w + m * n;
+        /* a (rows, n) in row order times the transposed view of w (m, n):
+           the dimensions and strides np.matmul passes its loop. */
+        char *args[3] = {(char *)a, (char *)w, (char *)z};
+        npy_intp dims[4] = {1, rows, n, m};
+        npy_intp steps[9] = {0, 0, 0, n * sizeof(double), sizeof(double), sizeof(double),
+                             n * sizeof(double), m * sizeof(double), sizeof(double)};
+        matmul_loop(args, dims, steps, matmul_data);
+        for (int64_t r = 0; r < rows; r++)
+            for (int64_t j = 0; j < m; j++)
+                z[r * m + j] = z[r * m + j] + b[j];
+        if (l < layers - 1)
+            logistic(z, z + rows * m, rows * m);
+        a = z;
+        z += 2 * rows * m;
+        o += m * n + m;
+    }
+    int64_t count = rows * sizes[layers];
+    double *sq = z - count, acc = 0.0;
+    for (int64_t k = 0; k < count; k++) {
+        double d = a[k] - Y[k];
+        sq[k] = d * d;
+    }
+    /* np.add.reduce: the loop adds the pairwise sum of sq into acc, which
+       starts at add's identity. */
+    char *args[3] = {(char *)&acc, (char *)sq, (char *)&acc};
+    npy_intp n = count, steps[3] = {0, sizeof(double), 0};
+    add_loop(args, &n, steps, add_data);
+    return acc / count;
+}
+
+/* Trains a net: epochs, each followed by its error over every row, until
+   the error reaches target_error or is not finite (divergence), or
+   max_epochs have run. Writes the last error to *error and returns the
+   epochs run. buf is the scratch of loss. */
+int64_t train(const int64_t *sizes, int64_t layers, double *p, double *g, int64_t size,
+              const double *X, const double *Y, int64_t rows, double eta, double *work,
+              double *buf, int64_t max_epochs, double target_error, double *error)
+{
+    int64_t epochs = 0;
+    do {
+        epoch(sizes, layers, p, g, size, X, Y, rows, eta, work);
+        *error = loss(sizes, layers, p, X, Y, rows, buf);
+    } while (++epochs < max_epochs && *error > target_error && isfinite(*error));
+    return epochs;
 }

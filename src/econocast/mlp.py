@@ -5,32 +5,36 @@ net every command trains. Training runs per-pattern (stochastic) weight
 updates in fixed row order for exact reproducibility, minimizing the
 half-sum-of-squares error.
 
-The step is compiled C, `_step.c` beside this file: `epoch` runs the
-gradient of each pattern in row order and after each its update,
-p = p - eta * g, on the net's parameters in one flat buffer. It makes the
-operations numpy makes for a lone net, in the same order, so its bits are
-numpy's: each product is the BLAS call numpy's dot makes (an elementwise
-multiply where the contraction has length one, ddot for a single output row,
-dgemv otherwise, with numpy's order and transpose), called through numpy's
-own BLAS, and the logistic, max(e, sign(z)) / (1 + e) with e = exp(-|z|),
-runs numpy's own float64 exp loop. The slope is delta * (a * (1 - a)), and
-no multiply-add is fused.
+Training is compiled C, `_step.c` beside this file, one call per net:
+`train` runs epochs, each the gradient of each pattern in row order and
+after each its update, p = p - eta * g, on the net's parameters in one flat
+buffer, and after each epoch the mean squared error over every row. It
+makes the operations numpy makes, in the same order, so its bits are
+numpy's. In an epoch each product is the BLAS call numpy's dot makes for a
+lone pattern (an elementwise multiply where the contraction has length one,
+ddot for a single output row, dgemv otherwise, with numpy's order and
+transpose), called through numpy's own BLAS, and the logistic,
+max(e, sign(z)) / (1 + e) with e = exp(-|z|), runs numpy's own float64 exp
+loop. The slope is delta * (a * (1 - a)), and no multiply-add is fused. The
+error is the 2-D forward pass and np.mean of the squared errors, run
+through numpy's own float64 matmul, exp and add loops, read from their
+ufuncs' loop tables. `_forward` is that pass in numpy, which `predict` runs.
 
 The library is built at the first training, never at import, with the
 system's `cc`, into `$XDG_CACHE_HOME/econocast` (or `~/.cache/econocast`),
 named by the sha256 of the source, the compile command and numpy's version;
-where that directory cannot be written, into a private temporary directory.
+where that directory cannot be written, into a private temporary directory,
+removed once the library is loaded.
 Without `cc`, or without one of the BLAS entry points numpy is known to
 link, training fails with a message that names what is missing.
 
-`train_many` trains each net alone, one C epoch at a time, and reads its
-error after each epoch from the numpy forward pass that `predict` runs.
-Each normalizer, with the normalized inputs and targets, is computed once
-per distinct matrix object.
+`train_many` trains each net alone. Each normalizer, with the normalized
+inputs and targets, is computed once per distinct matrix object.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import hashlib
@@ -147,7 +151,7 @@ def _build(flags: List[str], directory: str, path: str) -> None:
 @functools.lru_cache(maxsize=None)
 def _step_library() -> ctypes.CDLL:
     """_step.c, built once per source, compile command and numpy version,
-    loaded and bound to numpy's BLAS and exp loop."""
+    loaded and bound to numpy's BLAS and its exp, matmul and add loops."""
     import sysconfig  # only to train: a command that trains nothing never loads it
 
     gemv, dot, int_type = _numpy_blas()
@@ -159,22 +163,27 @@ def _step_library() -> ctypes.CDLL:
     cache = os.path.join(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"),
                          "econocast")
     path = os.path.join(cache, key.hexdigest() + ".so")
-    if not os.path.exists(path):
-        try:
-            os.makedirs(cache, mode=0o700, exist_ok=True)
-            _build(flags, cache, path)
-        except OSError:
-            private = tempfile.mkdtemp(prefix="econocast-")
-            path = os.path.join(private, os.path.basename(path))
-            _build(flags, private, path)
-    lib = ctypes.CDLL(path)
-    lib.bind.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.py_object]
-    if lib.bind(gemv, dot, np.exp):
-        raise RuntimeError("np.exp has no float64 loop to train with")
-    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    with contextlib.ExitStack() as stack:
+        if not os.path.exists(path):
+            try:
+                os.makedirs(cache, mode=0o700, exist_ok=True)
+                _build(flags, cache, path)
+            except OSError:
+                # Removed once the library is loaded, which stays mapped.
+                private = stack.enter_context(tempfile.TemporaryDirectory(prefix="econocast-"))
+                path = os.path.join(private, os.path.basename(path))
+                _build(flags, private, path)
+        lib = ctypes.CDLL(path)
+    ufuncs = (np.exp, np.matmul, np.add)
+    lib.bind.argtypes = [ctypes.c_void_p, ctypes.c_void_p] + [ctypes.py_object] * len(ufuncs)
+    missing = lib.bind(gemv, dot, *ufuncs)
+    if missing:
+        raise RuntimeError(f"np.{ufuncs[missing - 1].__name__} has no float64 loop to train with")
+    i64, ptr, f64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
     lib.gradient.argtypes = [ptr, i64, ptr, ptr, ptr, ptr, ptr]
-    lib.epoch.argtypes = [ptr, i64, ptr, ptr, i64, ptr, ptr, i64, ctypes.c_double, ptr]
-    lib.gradient.restype = lib.epoch.restype = None
+    lib.gradient.restype = None
+    lib.train.argtypes = [ptr, i64, ptr, ptr, i64, ptr, ptr, i64, f64, ptr, ptr, i64, f64, ptr]
+    lib.train.restype = i64
     return lib
 
 
@@ -383,16 +392,18 @@ def _train(
     normalized inputs and targets, C-contiguous."""
     norm, X, y = fit
     sizes, theta, grad, work = _buffers(net)
-    ws, bs = _layers(theta, net.layer_sizes)
-    args = (sizes.ctypes.data, len(ws), theta.ctypes.data, grad.ctypes.data, theta.size,
-            X.ctypes.data, y.ctypes.data, len(y), float(config.learning_rate), work.ctypes.data)
-    for epoch in range(1, config.max_epochs + 1):
-        lib.epoch(*args)
-        error = float(np.mean((_forward(ws, bs, X)[:, 0] - y) ** 2))
-        if error <= config.target_error or not math.isfinite(error):
-            break
+    buf = np.empty(len(y) * work.size)
+    error = ctypes.c_double()
+    # No net runs 2**63 epochs, so a larger max_epochs is that one.
+    epochs = lib.train(sizes.ctypes.data, len(sizes) - 1, theta.ctypes.data, grad.ctypes.data,
+                       theta.size, X.ctypes.data, y.ctypes.data, len(y),
+                       float(config.learning_rate), work.ctypes.data, buf.ctypes.data,
+                       min(int(config.max_epochs), 2**63 - 1), float(config.target_error),
+                       ctypes.byref(error))
+    error = error.value
     if not math.isfinite(error):
-        return TrainingDiverged(epoch)
+        return TrainingDiverged(epochs)
+    ws, bs = _layers(theta, net.layer_sizes)
     return TrainedExpert(
         network=MlpNetwork(net.layer_sizes, tuple(ws), tuple(bs)),
         normalizer=norm,
@@ -433,12 +444,10 @@ def train_many(
             fits[id(matrix)] = (norm, np.ascontiguousarray(norm.normalize_inputs(matrix.X)),
                                 np.ascontiguousarray(norm.normalize_target(matrix.y)))
     lib = _step_library()
-    # Overflow is how divergence shows; the epoch-end error reads it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return [
-            _train(lib, net, matrix, config, fits[id(matrix)])
-            for net, matrix, config in zip(nets, matrices, configs)
-        ]
+    return [
+        _train(lib, net, matrix, config, fits[id(matrix)])
+        for net, matrix, config in zip(nets, matrices, configs)
+    ]
 
 
 def train(net: MlpNetwork, matrix: FeatureMatrix, config: TrainConfig) -> TrainedExpert:

@@ -9,8 +9,11 @@ each slot must be byte-equal to `oracles.train_alone`, the step written as
 per-pattern numpy calls: input width 1 and one hidden unit (the elementwise
 products), hidden layers of 3 then 2 and of 1 then 3 (gemv and ddot through
 the transposed weights), the shapes the benchmark's workloads train, a net
-that diverges and one that stops at its target_error. Byte-equal means the
-same weights, biases and final error, or divergence at the same epoch.
+that diverges and one that stops at its target_error, on 24 rows; and nets
+on 1 row and on 300, where the epoch-end error's matmul takes its vector
+path and its sum runs past the 128-element block of numpy's pairwise sum.
+Byte-equal means the same weights, biases and final error, or divergence
+at the same epoch.
 
 Prints the OpenBLAS core name it ran under (or "unknown") and exits non-zero
 at the first mismatch.
@@ -65,24 +68,26 @@ def oracle_bytes(net, matrix, config) -> tuple:
 
 
 def check(rng: np.random.Generator) -> None:
-    rows = 24
-    cases = [  # (layer sizes, config, scale of the data)
-        ([1, 4, 1], TrainConfig(learning_rate=0.1, max_epochs=6, rng_seed=1), 1.0),
-        ([5, 1, 1], TrainConfig(learning_rate=0.1, max_epochs=6, rng_seed=2), 1.0),
-        ([4, 3, 2, 1], TrainConfig(learning_rate=0.1, max_epochs=6, rng_seed=3), 1.0),
-        ([2, 1, 3, 1], TrainConfig(learning_rate=0.1, max_epochs=6, rng_seed=4), 1.0),
-        ([9, 4, 1], TrainConfig(max_epochs=6, rng_seed=5), 1.0),
-        ([16, 4, 1], TrainConfig(max_epochs=6, rng_seed=6), 1.0),
-        ([8, 4, 1], TrainConfig(max_epochs=6, rng_seed=7), 1.0),
-        ([3, 4, 1], TrainConfig(learning_rate=1e6, max_epochs=6, rng_seed=8), 5.0),
+    cases = [  # (layer sizes, config, scale of the data, rows)
+        ([1, 4, 1], TrainConfig(learning_rate=0.1, max_epochs=6, rng_seed=1), 1.0, 24),
+        ([5, 1, 1], TrainConfig(learning_rate=0.1, max_epochs=6, rng_seed=2), 1.0, 24),
+        ([4, 3, 2, 1], TrainConfig(learning_rate=0.1, max_epochs=6, rng_seed=3), 1.0, 24),
+        ([2, 1, 3, 1], TrainConfig(learning_rate=0.1, max_epochs=6, rng_seed=4), 1.0, 24),
+        ([9, 4, 1], TrainConfig(max_epochs=6, rng_seed=5), 1.0, 24),
+        ([16, 4, 1], TrainConfig(max_epochs=6, rng_seed=6), 1.0, 24),
+        ([8, 4, 1], TrainConfig(max_epochs=6, rng_seed=7), 1.0, 24),
+        ([3, 4, 1], TrainConfig(learning_rate=1e6, max_epochs=6, rng_seed=8), 5.0, 24),
+        ([9, 4, 1], TrainConfig(max_epochs=3, rng_seed=9), 1.0, 1),
+        ([9, 4, 1], TrainConfig(max_epochs=3, rng_seed=10), 1.0, 300),
+        ([4, 3, 2, 1], TrainConfig(learning_rate=0.1, max_epochs=3, rng_seed=11), 1.0, 300),
     ]
     matrices = []
-    for sizes, _, scale in cases:
+    for sizes, _, scale, rows in cases:
         X, y = rng.normal(size=(rows, sizes[0])) * scale, rng.normal(size=rows) * scale
         matrices.append(FeatureMatrix(X, y, MonthStamp(2000, 1),
                                       tuple(FeatureSpec(f"f{i}") for i in range(sizes[0]))))
-    configs = [config for _, config, _ in cases]
-    nets = [init(sizes, config) for (sizes, _, _), config in zip(cases, configs)]
+    configs = [config for _, config, _, _ in cases]
+    nets = [init(sizes, config) for (sizes, *_), config in zip(cases, configs)]
     # The 9-4-1 net again, with the error of its third epoch as its target.
     *_, third = oracle(nets[4], matrices[4], TrainConfig(max_epochs=3, rng_seed=5))
     nets.append(nets[4])

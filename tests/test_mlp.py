@@ -320,6 +320,21 @@ def test_train_stops_after_one_epoch_with_infinite_target():
     assert np.isfinite(expert.final_train_error)
 
 
+@pytest.mark.parametrize("rows", [1, 129, 8193])
+@pytest.mark.parametrize("sizes", [[1, 1, 1], [9, 4, 1], [4, 3, 2, 1]])
+def test_final_train_error_is_the_numpy_forward_pass_error_of_the_trained_net(sizes, rows):
+    # The compiled error runs np.matmul's and np.add's own loops. 129 rows
+    # pass the 128-element block of numpy's pairwise sum, and 8193 rows the
+    # 8192 elements of numpy's ufunc buffer.
+    rng = np.random.default_rng(rows)
+    m = matrix_from_arrays(rng.normal(size=(rows, sizes[0])), rng.normal(size=rows))
+    cfg = TrainConfig(max_epochs=1, rng_seed=3)
+    expert = train(init(sizes, cfg), m, cfg)
+    net, norm = expert.network, expert.normalizer
+    out = mlp._forward(net.weights, net.biases, norm.normalize_inputs(m.X))[:, 0]
+    assert expert.final_train_error == float(np.mean((out - norm.normalize_target(m.y)) ** 2))
+
+
 @pytest.mark.parametrize("rows", [1, 2])
 def test_one_epoch_of_train_replays_gradients(rows):
     # Each pattern moves the weights by exactly -eta * gradients() at the
@@ -663,8 +678,8 @@ GOLDEN_TRAIN_MANY = {
 }
 
 
-# The epochs each net of the batches of _golden_batch runs, in slot order: the
-# compiled epoch calls train_many makes for it.
+# The epochs each net of the batches of _golden_batch runs, in slot order: what
+# the one compiled train call train_many makes for it returns.
 GOLDEN_EPOCHS = {
     "compaction": [11, 6, 6, 12, 8, 8, 1],
     "ensemble_subs": [5] * 8,
@@ -680,12 +695,11 @@ def test_train_many_matches_the_pinned_digests(case, monkeypatch):
         def __init__(self, lib):
             self.lib = lib
 
-        def epoch(self, *args):
-            epochs[-1] += 1
-            self.lib.epoch(*args)
+        def train(self, *args):
+            epochs.append(self.lib.train(*args))
+            return epochs[-1]
 
     def spy(lib, *rest):
-        epochs.append(0)
         return train_one(Counting(lib), *rest)
 
     train_one = mlp._train
@@ -697,8 +711,8 @@ def test_train_many_matches_the_pinned_digests(case, monkeypatch):
 @pytest.mark.parametrize("case", sorted(GOLDEN_TRAIN_MANY))
 def test_training_raises_no_warning(case):
     # A deprecated numpy call on the hot path warns on every step; here it
-    # fails instead of silently costing time. The overflow of a diverging net
-    # is ignored through np.errstate and is not a Python warning.
+    # fails instead of silently costing time. A diverging net overflows in
+    # compiled code, which raises no Python warning.
     net = init([3, 4, 2, 1], TrainConfig())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -748,10 +762,24 @@ def test_an_unwritable_cache_builds_the_step_in_a_private_temporary_directory(
     monkeypatch.setenv("XDG_CACHE_HOME", str(not_a_directory))
     (tmp_path / "tmp").mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
-    built = Path(mlp._step_library.__wrapped__()._name)
-    assert built.parent.parent == tmp_path / "tmp"
-    assert built.parent.name.startswith("econocast-") and built.parent.stat().st_mode & 0o077 == 0
-    assert [p.name for p in built.parent.iterdir()] == [built.name]
+    rng = np.random.default_rng(6)
+    m = matrix_from_arrays(rng.normal(size=(8, 3)), rng.normal(size=8))
+    cfg = TrainConfig(max_epochs=3)
+    want = _bytes(train(init([3, 4, 1], cfg), m, cfg))
+    lib = mlp._step_library.__wrapped__()
+    built = Path(lib._name)
+    assert built.parent.parent == tmp_path / "tmp" and built.parent.name.startswith("econocast-")
+    # The directory is removed once the library is loaded, which still trains.
+    assert not any((tmp_path / "tmp").iterdir())
+    monkeypatch.setattr(mlp, "_step_library", lambda: lib)
+    assert _bytes(train(init([3, 4, 1], cfg), m, cfg)) == want
+
+
+@pytest.mark.parametrize("name", ["exp", "matmul", "add"])
+def test_binding_the_step_names_the_ufunc_with_no_float64_loop(name, cache, monkeypatch):
+    monkeypatch.setattr(np, name, np.bitwise_and)
+    with pytest.raises(RuntimeError, match="^np.bitwise_and has no float64 loop to train with$"):
+        mlp._step_library.__wrapped__()
 
 
 def test_a_second_load_of_the_step_hits_the_cache_and_starts_no_compiler(
