@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -766,9 +767,18 @@ def test_an_unwritable_cache_builds_the_step_in_a_private_temporary_directory(
     m = matrix_from_arrays(rng.normal(size=(8, 3)), rng.normal(size=8))
     cfg = TrainConfig(max_epochs=3)
     want = _bytes(train(init([3, 4, 1], cfg), m, cfg))
+    real_build, modes = mlp._build, []
+
+    def build(flags, directory, path):
+        # The directory lives only until the load, so its mode is read while it exists.
+        modes.append(os.stat(directory).st_mode)
+        real_build(flags, directory, path)
+
+    monkeypatch.setattr(mlp, "_build", build)
     lib = mlp._step_library.__wrapped__()
     built = Path(lib._name)
     assert built.parent.parent == tmp_path / "tmp" and built.parent.name.startswith("econocast-")
+    assert len(modes) == 1 and modes[0] & 0o077 == 0
     # The directory is removed once the library is loaded, which still trains.
     assert not any((tmp_path / "tmp").iterdir())
     monkeypatch.setattr(mlp, "_step_library", lambda: lib)
