@@ -1,6 +1,6 @@
-/* The training of econocast's nets: per-pattern steps, epochs and the
-   epoch-end error; econocast.mlp builds it at the first training and loads
-   it through ctypes.
+/* All arithmetic on econocast's nets: per-pattern steps, epochs, the
+   epoch-end error and the forward pass that predicts. econocast.mlp builds
+   it at the first training or prediction and loads it through ctypes.
 
    A net of L layers has sizes[0..L]. Every layer but the last is logistic,
    the last is linear. Its parameters lie in one flat buffer: per layer the
@@ -12,12 +12,11 @@
    an elementwise multiply where the contraction has length one, ddot for a
    single output row, dgemv otherwise, with numpy's order and transpose. The
    exp is numpy's own float64 loop, run on the contiguous layer vector as
-   np.exp runs it. The epoch-end error is numpy's 2-D forward pass and mean
-   squared error: each layer's a @ w.T is np.matmul's own float64 loop, so
-   numpy's choice of dgemm, dgemv, ddot or no BLAS is made here too, and the
-   sum of squares is np.add's own float64 loop in its reduce form, the
-   pairwise sum np.mean runs. Every other step is one IEEE operation in
-   numpy's order.
+   np.exp runs it. The forward pass over every row is numpy's 2-D pass, each
+   layer's a @ w.T np.matmul's own float64 loop, so numpy's choice of dgemm,
+   dgemv, ddot or no BLAS is made here too; the error's sum of squares is
+   np.add's own float64 loop in its reduce form, the pairwise sum np.mean
+   runs. Every other step is one IEEE operation in numpy's order.
    Build with -ffp-contract=off: a fused multiply-add rounds once where
    numpy rounds twice. */
 
@@ -175,14 +174,12 @@ void epoch(const int64_t *sizes, int64_t layers, double *p, double *g, int64_t s
     }
 }
 
-/* The mean over the rows of X of the squared output errors against Y, as
-   numpy computes np.mean((out - y) ** 2) from the 2-D forward pass, where
-   out = logistic(a @ w.T + b) per layer, linear at the last. buf holds
-   rows * 2 * (sizes[1] + ... + sizes[layers]) doubles: each layer's
-   activations of every row, then scratch for its logistic; the last
-   layer's holds the squares. */
-static double loss(const int64_t *sizes, int64_t layers, const double *p, const double *X,
-                   const double *Y, int64_t rows, double *buf)
+/* The (rows, sizes[layers]) outputs of the net for the rows of X, in buf:
+   numpy's 2-D pass, per layer a @ w.T + b, then the logistic but at the
+   last. buf holds rows * 2 * (sizes[1] + ... + sizes[layers]) doubles: each
+   layer's activations of every row, then scratch for its logistic. */
+double *forward(const int64_t *sizes, int64_t layers, const double *p, const double *X,
+                int64_t rows, double *buf)
 {
     const double *a = X;
     double *z = buf;
@@ -205,10 +202,19 @@ static double loss(const int64_t *sizes, int64_t layers, const double *p, const 
         z += 2 * rows * m;
         o += m * n + m;
     }
+    return z - 2 * rows * sizes[layers];
+}
+
+/* np.mean((out - Y) ** 2) of forward's outputs, in its buf, whose last
+   layer's logistic scratch holds the squares. */
+static double loss(const int64_t *sizes, int64_t layers, const double *p, const double *X,
+                   const double *Y, int64_t rows, double *buf)
+{
+    double *out = forward(sizes, layers, p, X, rows, buf);
     int64_t count = rows * sizes[layers];
-    double *sq = z - count, acc = 0.0;
+    double *sq = out + count, acc = 0.0;
     for (int64_t k = 0; k < count; k++) {
-        double d = a[k] - Y[k];
+        double d = out[k] - Y[k];
         sq[k] = d * d;
     }
     /* np.add.reduce: the loop adds the pairwise sum of sq into acc, which

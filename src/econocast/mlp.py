@@ -5,28 +5,30 @@ net every command trains. Training runs per-pattern (stochastic) weight
 updates in fixed row order for exact reproducibility, minimizing the
 half-sum-of-squares error.
 
-Training is compiled C, `_step.c` beside this file, one call per net:
-`train` runs epochs, each the gradient of each pattern in row order and
-after each its update, p = p - eta * g, on the net's parameters in one flat
-buffer, and after each epoch the mean squared error over every row. It
-makes the operations numpy makes, in the same order, so its bits are
-numpy's. In an epoch each product is the BLAS call numpy's dot makes for a
-lone pattern (an elementwise multiply where the contraction has length one,
-ddot for a single output row, dgemv otherwise, with numpy's order and
-transpose), called through numpy's own BLAS, and the logistic,
-max(e, sign(z)) / (1 + e) with e = exp(-|z|), runs numpy's own float64 exp
-loop. The slope is delta * (a * (1 - a)), and no multiply-add is fused. The
-error is the 2-D forward pass and np.mean of the squared errors, run
-through numpy's own float64 matmul, exp and add loops, read from their
-ufuncs' loop tables. `_forward` is that pass in numpy, which `predict` runs.
+All arithmetic on a net's parameters is compiled C, `_step.c` beside this
+file, which reads them from the net's one read-only flat buffer. Training
+copies it and makes one call per net: `train` runs epochs, each the gradient
+of each pattern in row order and after each its update, p = p - eta * g,
+and after each epoch the mean squared error over every row. It makes the
+operations numpy makes, in the same order, so its bits are numpy's. In an
+epoch each product is the BLAS call numpy's dot makes for a lone pattern
+(an elementwise multiply where the contraction has length one, ddot for a
+single output row, dgemv otherwise, with numpy's order and transpose),
+called through numpy's own BLAS, and the logistic, max(e, sign(z)) / (1 + e)
+with e = exp(-|z|), runs numpy's own float64 exp loop. The slope is
+delta * (a * (1 - a)), and no multiply-add is fused. The error is np.mean
+of the squared errors of `forward`, numpy's 2-D forward pass through its
+own float64 matmul, exp and add loops, read from their ufuncs' loop tables.
+`predict` runs `forward` on the normalized rows.
 
-The library is built at the first training, never at import, with the
-system's `cc`, into `$XDG_CACHE_HOME/econocast` (or `~/.cache/econocast`),
-named by the sha256 of the source, the compile command and numpy's version;
-where that directory cannot be written, into a private temporary directory,
-removed once the library is loaded.
-Without `cc`, or without one of the BLAS entry points numpy is known to
-link, training fails with a message that names what is missing.
+The library is built at the first training or prediction, never at import,
+with the system's `cc`, into `$XDG_CACHE_HOME/econocast` (or
+`~/.cache/econocast`), named by the sha256 of the source, the compile
+command and numpy's version; where that directory, or a library in it, is
+not the user's alone to write, into a private temporary directory, removed
+once the library is loaded.
+Without `cc`, or without a BLAS entry point numpy is known to link,
+training and prediction fail with a message that names what is missing.
 
 `train_many` trains each net alone. Each normalizer, with the normalized
 inputs and targets, is computed once per distinct matrix object.
@@ -44,7 +46,7 @@ import os
 import shutil
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -79,27 +81,6 @@ class TrainingDiverged(RuntimeError):
         self.epoch = epoch
 
 
-def _logistic(z: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Overwrite z with its logistic and return it; e is scratch of z's shape.
-
-    1 / (1 + e) for z >= 0 and e / (1 + e) below, with e = exp(-|z|), which
-    never overflows. The numerator max(e, sign(z)) is 1 for z >= 0 (as e <= 1
-    there) and e below; one call cheaper than np.where on a comparison.
-    copysign(z, -1) is -|z| bit for bit, in one call. The max is np.fmax,
-    which takes its output positionally (np.maximum warns on that). The two
-    differ only where an operand is NaN, and e and sign(z) are NaN together,
-    so both give NaN there, at most with another sign bit, which no output
-    shows: a NaN loss stops the net as diverged, and text prints a NaN
-    without its sign. _step.c computes the same."""
-    np.copysign(z, -1.0, e)
-    np.exp(e, e)
-    np.sign(z, z)
-    np.fmax(e, z, z)
-    np.add(e, 1.0, e)
-    np.divide(z, e, z)
-    return z
-
-
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_step.c")
 
 # The names numpy builds give cblas_dgemv and cblas_ddot, with the C type of
@@ -124,7 +105,7 @@ def _numpy_blas() -> Tuple[object, object, str]:
         if all(hasattr(handle, name) for name in names):
             return getattr(handle, names[0]), getattr(handle, names[1]), int_type
     names = ", ".join(pattern.format("dgemv") for pattern, _ in _BLAS_NAMES)
-    raise RuntimeError(f"training needs numpy's BLAS, and {core.__file__} links none of {names}")
+    raise RuntimeError(f"the step needs numpy's BLAS, and {core.__file__} links none of {names}")
 
 
 def _build(flags: List[str], directory: str, path: str) -> None:
@@ -133,7 +114,7 @@ def _build(flags: List[str], directory: str, path: str) -> None:
 
     compiler = shutil.which("cc")
     if compiler is None:
-        raise RuntimeError("training builds its step from C source at first use, "
+        raise RuntimeError("econocast builds its step from C source at first use, "
                            "and no C compiler `cc` is on PATH")
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=directory)
     os.close(fd)
@@ -148,11 +129,17 @@ def _build(flags: List[str], directory: str, path: str) -> None:
             os.unlink(tmp)
 
 
+def _private(path: str) -> bool:
+    """Whether path, not followed if a link, is this user's and no one else's to write."""
+    st = os.lstat(path)
+    return st.st_uid == os.getuid() and not st.st_mode & 0o022
+
+
 @functools.lru_cache(maxsize=None)
 def _step_library() -> ctypes.CDLL:
     """_step.c, built once per source, compile command and numpy version,
     loaded and bound to numpy's BLAS and its exp, matmul and add loops."""
-    import sysconfig  # only to train: a command that trains nothing never loads it
+    import sysconfig  # only to train or predict: a command that does neither never loads it
 
     gemv, dot, int_type = _numpy_blas()
     flags = ["-O2", "-ffp-contract=off", "-shared", "-fPIC", f"-DBLAS_INT={int_type}",
@@ -164,15 +151,18 @@ def _step_library() -> ctypes.CDLL:
                          "econocast")
     path = os.path.join(cache, key.hexdigest() + ".so")
     with contextlib.ExitStack() as stack:
-        if not os.path.exists(path):
-            try:
-                os.makedirs(cache, mode=0o700, exist_ok=True)
+        try:
+            os.makedirs(cache, mode=0o700, exist_ok=True)
+            # makedirs keeps an existing mode; what another user could plant would run here.
+            if not (_private(cache) and (not os.path.lexists(path) or _private(path))):
+                raise PermissionError(f"another user can write {path} or its directory")
+            if not os.path.lexists(path):
                 _build(flags, cache, path)
-            except OSError:
-                # Removed once the library is loaded, which stays mapped.
-                private = stack.enter_context(tempfile.TemporaryDirectory(prefix="econocast-"))
-                path = os.path.join(private, os.path.basename(path))
-                _build(flags, private, path)
+        except OSError:
+            # Removed once the library is loaded, which stays mapped.
+            private = stack.enter_context(tempfile.TemporaryDirectory(prefix="econocast-"))
+            path = os.path.join(private, os.path.basename(path))
+            _build(flags, private, path)
         lib = ctypes.CDLL(path)
     ufuncs = (np.exp, np.matmul, np.add)
     lib.bind.argtypes = [ctypes.c_void_p, ctypes.c_void_p] + [ctypes.py_object] * len(ufuncs)
@@ -184,6 +174,8 @@ def _step_library() -> ctypes.CDLL:
     lib.gradient.restype = None
     lib.train.argtypes = [ptr, i64, ptr, ptr, i64, ptr, ptr, i64, f64, ptr, ptr, i64, f64, ptr]
     lib.train.restype = i64
+    lib.forward.argtypes = [ptr, i64, ptr, ptr, i64, ptr]
+    lib.forward.restype = ptr
     return lib
 
 
@@ -230,30 +222,34 @@ class TrainConfig:
 @dataclass(frozen=True)
 class MlpNetwork:
     """Layered weights/biases; weights[l] maps layer l activations to layer l+1.
-    Every layer but the last is logistic; the last is linear."""
+    Every layer but the last is logistic; the last is linear. They are views
+    of `parameters`, one read-only buffer laid out as _step.c reads it: per
+    layer the weights in row order, then the biases."""
 
     layer_sizes: Tuple[int, ...]
     weights: Tuple[np.ndarray, ...]
     biases: Tuple[np.ndarray, ...]
+    parameters: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         sizes = checked_sizes("layer_sizes", self.layer_sizes)
         if len(sizes) < 2:
             raise ValueError(f"bad layer sizes {sizes}")
-        ws, bs = [], []
+        if not len(self.weights) == len(self.biases) == len(sizes) - 1:
+            raise ValueError("one weight matrix per layer transition required")
+        parts = []
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            w = np.array(w, dtype=float)
-            b = np.array(b, dtype=float)
+            w = np.asarray(w, dtype=float)
+            b = np.asarray(b, dtype=float)
             if w.shape != (sizes[l + 1], sizes[l]) or b.shape != (sizes[l + 1],):
                 raise ValueError(f"layer {l} parameter shapes do not chain with sizes {sizes}")
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise ValueError("parameters must be finite")
-            w.flags.writeable = False
-            b.flags.writeable = False
-            ws.append(w)
-            bs.append(b)
-        if len(ws) != len(sizes) - 1:
-            raise ValueError("one weight matrix per layer transition required")
+            parts += [w.ravel(), b]
+        parameters = np.concatenate(parts)
+        if not np.all(np.isfinite(parameters)):
+            raise ValueError("parameters must be finite")
+        parameters.flags.writeable = False
+        ws, bs = _layers(parameters, sizes)
+        object.__setattr__(self, "parameters", parameters)
         object.__setattr__(self, "layer_sizes", sizes)
         object.__setattr__(self, "weights", tuple(ws))
         object.__setattr__(self, "biases", tuple(bs))
@@ -281,30 +277,17 @@ def init(layer_sizes: Sequence[int], config: TrainConfig) -> MlpNetwork:
     return MlpNetwork(sizes, tuple(weights), tuple(biases))
 
 
-def _forward(ws: Sequence[np.ndarray], bs: Sequence[np.ndarray], X: np.ndarray) -> np.ndarray:
-    """Outputs (n, n_out) of the net with these weights and biases for every
-    row of X (n, in)."""
-    a = X
-    for l, (w, b) in enumerate(zip(ws, bs)):
-        a = a @ w.T + b
-        if l < len(ws) - 1:
-            _logistic(a, np.empty_like(a))
-    return a
-
-
-def _buffers(net: MlpNetwork) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(sizes, theta, grad, work) as _step.c takes a net: its layer sizes as
-    int64, its parameters in one flat buffer (per layer the weights in row
-    order, then the biases), a gradient buffer of that layout, and scratch
-    for each layer's activation and its logistic."""
-    theta = np.concatenate([a.ravel() for layer in zip(net.weights, net.biases) for a in layer])
-    return (np.array(net.layer_sizes, dtype=np.int64), theta, np.zeros_like(theta),
+def _buffers(net: MlpNetwork) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sizes, grad, work) as _step.c takes a net beside its parameters: its
+    layer sizes as int64, a gradient buffer of the parameters' layout, and
+    scratch for each layer's activation and its logistic."""
+    return (np.array(net.layer_sizes, dtype=np.int64), np.zeros_like(net.parameters),
             np.zeros(2 * sum(net.layer_sizes[1:])))
 
 
 def _layers(buffer: np.ndarray, sizes: Sequence[int]) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-    """Views of a flat buffer laid out as _buffers lays out theta: the
-    weights and the biases of each layer."""
+    """Views of a flat buffer laid out as a net's parameters: the weights and
+    the biases of each layer."""
     ws, bs, start = [], [], 0
     for n, m in zip(sizes, sizes[1:]):
         ws.append(buffer[start : start + m * n].reshape(m, n))
@@ -324,8 +307,8 @@ def gradients(
     if x.shape != (net.n_in,) or target.shape != (net.n_out,):
         raise ValueError("input/target dimensions do not match the network")
     x, target = np.ascontiguousarray(x), np.ascontiguousarray(target)
-    sizes, theta, grad, work = _buffers(net)
-    _step_library().gradient(sizes.ctypes.data, len(sizes) - 1, theta.ctypes.data,
+    sizes, grad, work = _buffers(net)
+    _step_library().gradient(sizes.ctypes.data, len(sizes) - 1, net.parameters.ctypes.data,
                              x.ctypes.data, target.ctypes.data, grad.ctypes.data, work.ctypes.data)
     return _layers(grad, net.layer_sizes)
 
@@ -391,7 +374,8 @@ def _train(
     """One net of train_many, given the normalizer of its matrix with the
     normalized inputs and targets, C-contiguous."""
     norm, X, y = fit
-    sizes, theta, grad, work = _buffers(net)
+    sizes, grad, work = _buffers(net)
+    theta = net.parameters.copy()  # the one copy training writes
     buf = np.empty(len(y) * work.size)
     error = ctypes.c_double()
     # No net runs 2**63 epochs, so a larger max_epochs is that one.
@@ -459,12 +443,21 @@ def train(net: MlpNetwork, matrix: FeatureMatrix, config: TrainConfig) -> Traine
 
 
 def predict(expert: TrainedExpert, matrix: FeatureMatrix) -> TimeSeries:
-    """Row-wise normalized forward pass, denormalized and dated by the matrix."""
+    """Row-wise normalized forward pass, _step.c's forward, denormalized and
+    dated by the matrix."""
     if matrix.specs != expert.features:
         raise ValueError("matrix columns do not match the expert's features")
     net = expert.network
-    out = _forward(net.weights, net.biases, expert.normalizer.normalize_inputs(matrix.X))
-    return TimeSeries(matrix.start, expert.normalizer.denormalize_target(out[:, 0]))
+    if matrix.width != net.n_in:  # the compiled pass reads n_in values from each row
+        raise ValueError(f"the matrix has {matrix.width} columns, the net {net.n_in} inputs")
+    X = np.ascontiguousarray(expert.normalizer.normalize_inputs(matrix.X))
+    sizes, _, work = _buffers(net)
+    buf = np.empty(matrix.rows * work.size)
+    out = _step_library().forward(sizes.ctypes.data, len(sizes) - 1, net.parameters.ctypes.data,
+                                  X.ctypes.data, matrix.rows, buf.ctypes.data)
+    start = (out - buf.ctypes.data) // buf.itemsize
+    column = buf[start : start + matrix.rows * net.n_out : net.n_out]
+    return TimeSeries(matrix.start, expert.normalizer.denormalize_target(column))
 
 
 def error_percent(predicted: TimeSeries, matrix: FeatureMatrix) -> float:

@@ -13,7 +13,9 @@ that diverges and one that stops at its target_error, on 24 rows; and nets
 on 1 row and on 300, where the epoch-end error's matmul takes its vector
 path and its sum runs past the 128-element block of numpy's pairwise sum.
 Byte-equal means the same weights, biases and final error, or divergence
-at the same epoch.
+at the same epoch. For each slot that trains, `predict` on its matrix must
+be byte-equal to the denormalized first column of `oracles.forward`, numpy's
+2-D forward pass.
 
 Prints the OpenBLAS core name it ran under (or "unknown") and exits non-zero
 at the first mismatch.
@@ -27,7 +29,7 @@ import sys
 import numpy as np
 
 import oracles
-from econocast.mlp import Normalizer, TrainConfig, TrainingDiverged, init, train_many
+from econocast.mlp import Normalizer, TrainConfig, TrainingDiverged, init, predict, train_many
 from econocast.preprocess import FeatureMatrix, FeatureSpec
 from econocast.timeseries import MonthStamp
 
@@ -95,9 +97,17 @@ def check(rng: np.random.Generator) -> None:
     configs.append(TrainConfig(max_epochs=12, target_error=third, rng_seed=5))
 
     want = [oracle_bytes(*slot) for slot in zip(nets, matrices, configs)]
-    got = [as_bytes(r) for r in train_many(nets, matrices, configs)]
-    for i, (g, w) in enumerate(zip(got, want)):
+    results = train_many(nets, matrices, configs)
+    for i, (g, w) in enumerate(zip(map(as_bytes, results), want)):
         assert g == w, ("train_many differs from the numpy step", [n.layer_sizes for n in nets][i])
+    for result, matrix in zip(results, matrices):
+        if isinstance(result, TrainingDiverged):
+            continue
+        net, norm = result.network, result.normalizer
+        out = oracles.forward(net.weights, net.biases, norm.normalize_inputs(matrix.X))
+        want_values = norm.denormalize_target(out[:, 0])
+        assert predict(result, matrix).values.tobytes() == want_values.tobytes(), (
+            "predict differs from the numpy forward pass", net.layer_sizes)
     assert want[7][0] == "diverged", want[7]
     assert oracle(nets[-1], matrices[-1], configs[-1])[2] <= 3 < configs[-1].max_epochs
 

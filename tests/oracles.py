@@ -160,6 +160,24 @@ def gradients(weights, biases, x, target):
     return dws, dbs
 
 
+def logistic(z):
+    """1 / (1 + e) for z >= 0 and e / (1 + e) below, e = exp(-|z|)."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def forward(weights, biases, X):
+    """The (rows, n_out) outputs of the net for every row of X, as numpy's
+    2-D forward pass: per layer X @ w.T + b, then the logistic at every
+    layer but the last."""
+    out = X
+    for l, (w, b) in enumerate(zip(weights, biases)):
+        out = out @ w.T + b
+        if l < len(weights) - 1:
+            out = logistic(out)
+    return out
+
+
 def train_alone(weights, biases, X, y, learning_rate, max_epochs, target_error):
     """(weights, biases, epochs, error) of training one net, logistic with a
     linear output, on the normalized rows X and targets y: per epoch, one
@@ -170,19 +188,15 @@ def train_alone(weights, biases, X, y, learning_rate, max_epochs, target_error):
     Each operation is the numpy call that the package's step made when it
     was written in numpy, in the same order, so the bits are the ones
     `mlp.train_many` must give: a product is np.dot, or an elementwise
-    multiply where its contraction has length one; the logistic takes
-    1 / (1 + e) for z >= 0 and e / (1 + e) below, e = exp(-|z|); the update
-    is w - dw * learning_rate."""
+    multiply where its contraction has length one; the logistic is
+    `logistic`; the update is w - dw * learning_rate; the error is that of
+    `forward`."""
     ws = [np.array(w, dtype=float) for w in weights]
     bs = [np.array(b, dtype=float) for b in biases]
     last = len(ws) - 1
 
     def times(w, a):
         return w[:, 0] * a[0] if w.shape[1] == 1 else np.dot(w, a)
-
-    def logistic(z):
-        e = np.exp(-np.abs(z))
-        return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, max_epochs + 1):
@@ -203,12 +217,7 @@ def train_alone(weights, biases, X, y, learning_rate, max_epochs, target_error):
                 for l, dw, db in steps:
                     ws[l] = ws[l] - dw * learning_rate
                     bs[l] = bs[l] - db * learning_rate
-            out = X
-            for l, (w, b) in enumerate(zip(ws, bs)):
-                out = out @ w.T + b
-                if l < last:
-                    out = logistic(out)
-            error = float(np.mean((out[:, 0] - y) ** 2))
+            error = float(np.mean((forward(ws, bs, X)[:, 0] - y) ** 2))
             if error <= target_error or not math.isfinite(error):
                 break
     return ws, bs, epoch, error

@@ -31,7 +31,6 @@ from econocast.mlp import (
     predict,
     train,
     train_many,
-    _logistic,
 )
 from econocast.artifacts import json_text
 from econocast.preprocess import FeatureMatrix, FeatureSpec
@@ -189,14 +188,23 @@ def test_forward_hand_computed_1_2_1():
 
 
 def test_logistic_takes_the_exact_branch_for_each_sign():
-    # 1 / (1 + e) for z >= 0 and e / (1 + e) below, e = exp(-|z|), bit for bit.
+    # 1 / (1 + e) for z >= 0 and e / (1 + e) below, e = exp(-|z|), bit for bit,
+    # through a 1-1-1 net whose weights 1 and biases -0.0 pass each z to the
+    # hidden logistic and its output on unchanged. An input of +-1e300 times
+    # a weight of 1e300 gives z = +-inf. A NaN z cannot come from the finite
+    # rows of a matrix; kernel_checks.py's diverging net covers it.
     z = np.array([0.0, -0.0, 1e-300, -1e-300, 1e-17, -1e-17, 0.3, -0.3, 40.0, -40.0,
-                  800.0, -800.0, np.inf, -np.inf, np.nan])
+                  800.0, -800.0, np.inf, -np.inf])
     e = np.exp(-np.abs(z))
     want = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    got = _logistic(z.copy(), np.empty_like(z))
-    assert np.array_equal(got, want, equal_nan=True)
-    assert np.isnan(got[-1]) and np.all(np.isfinite(got[:-1]))
+
+    def net(weight):
+        return MlpNetwork((1, 1, 1), (np.full((1, 1), weight), np.ones((1, 1))),
+                          (np.full(1, -0.0), np.full(1, -0.0)))
+
+    got = np.concatenate([raw_outputs(net(1.0), z[:-2, None]),
+                          raw_outputs(net(1e300), [[1e300], [-1e300]])])
+    assert got.tobytes() == want.tobytes()
 
 
 def test_forward_dimension_mismatch():
@@ -205,6 +213,30 @@ def test_forward_dimension_mismatch():
                            matrix_from_arrays(np.zeros((1, 3)), [0.0]).specs, (START, START), 0.0, 0)
     with pytest.raises(ValueError, match="matrix columns do not match the expert's features"):
         predict(expert, matrix_from_arrays([[1.0, 2.0]], [0.0]))
+
+
+def test_predict_rejects_a_net_wider_than_its_features():
+    # The features and the normalizer match the 2-column matrix, the net takes
+    # 3 inputs: the compiled pass would read past the end of each row.
+    m = matrix_from_arrays([[1.0, 2.0], [3.0, 4.0]], [0.0, 0.0])
+    identity = Normalizer(np.zeros(2), np.ones(2), 0.0, 1.0)
+    expert = TrainedExpert(init([3, 4, 1], TrainConfig()), identity, m.specs, (START, START), 0.0, 0)
+    with pytest.raises(ValueError, match="^the matrix has 2 columns, the net 3 inputs$"):
+        predict(expert, m)
+
+
+def test_network_weights_and_biases_are_views_of_its_one_read_only_buffer():
+    net = init([3, 4, 2, 1], TrainConfig(rng_seed=2))
+    layers = [a.ravel() for pair in zip(net.weights, net.biases) for a in pair]
+    assert net.parameters.tobytes() == np.concatenate(layers).tobytes()
+    assert all(a.base is net.parameters for a in (*net.weights, *net.biases))
+    assert not any(a.flags.writeable for a in (net.parameters, *net.weights, *net.biases))
+
+
+def test_network_rejects_more_weight_matrices_than_layer_transitions():
+    # The count is checked before any shape: an extra matrix raised IndexError.
+    with pytest.raises(ValueError, match="^one weight matrix per layer transition required$"):
+        MlpNetwork((2, 1), (np.zeros((1, 2)), np.zeros((1, 1))), (np.zeros(1), np.zeros(1)))
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +364,7 @@ def test_final_train_error_is_the_numpy_forward_pass_error_of_the_trained_net(si
     cfg = TrainConfig(max_epochs=1, rng_seed=3)
     expert = train(init(sizes, cfg), m, cfg)
     net, norm = expert.network, expert.normalizer
-    out = mlp._forward(net.weights, net.biases, norm.normalize_inputs(m.X))[:, 0]
+    out = oracles.forward(net.weights, net.biases, norm.normalize_inputs(m.X))[:, 0]
     assert expert.final_train_error == float(np.mean((out - norm.normalize_target(m.y)) ** 2))
 
 
@@ -790,6 +822,27 @@ def test_binding_the_step_names_the_ufunc_with_no_float64_loop(name, cache, monk
     monkeypatch.setattr(np, name, np.bitwise_and)
     with pytest.raises(RuntimeError, match="^np.bitwise_and has no float64 loop to train with$"):
         mlp._step_library.__wrapped__()
+
+
+@pytest.mark.parametrize("writable", ["directory", "library"])
+def test_a_cache_another_user_can_write_is_not_loaded(writable, tmp_path, monkeypatch):
+    # Not a library, at the name the library is cached under, in a new cache:
+    # loading a path already loaded would reuse its mapping.
+    name = Path(mlp._step_library()._name).name
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    cache = tmp_path / "econocast"
+    cache.mkdir()
+    planted = cache / name
+    planted.write_bytes(b"not a library")
+    (cache if writable == "directory" else planted).chmod(0o777)
+    lib = mlp._step_library.__wrapped__()
+    assert Path(lib._name) != planted and planted.read_bytes() == b"not a library"
+    rng = np.random.default_rng(6)
+    m = matrix_from_arrays(rng.normal(size=(8, 3)), rng.normal(size=8))
+    cfg = TrainConfig(max_epochs=3)
+    want = _bytes(train(init([3, 4, 1], cfg), m, cfg))
+    monkeypatch.setattr(mlp, "_step_library", lambda: lib)
+    assert _bytes(train(init([3, 4, 1], cfg), m, cfg)) == want
 
 
 def test_a_second_load_of_the_step_hits_the_cache_and_starts_no_compiler(

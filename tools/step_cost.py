@@ -59,8 +59,11 @@ def main() -> None:
     for _, width, rows in SHAPES:
         X, y = rng.normal(size=(rows, width)), rng.normal(size=rows)
         net = init([width, 4, 1], config)
-        # The arrays whose addresses the calls take, kept alive with them.
-        arrays = sizes, theta, grad, work = mlp._buffers(net)
+        # The arrays whose addresses the calls take, kept alive with them. The
+        # calls train a copy of the net's parameters, which are read-only.
+        sizes, grad, work = mlp._buffers(net)
+        theta = net.parameters.copy()
+        arrays = (sizes, theta, grad, work)
         buf = np.empty(rows * work.size)
         args = (sizes.ctypes.data, 2, theta.ctypes.data, grad.ctypes.data, theta.size,
                 X.ctypes.data, y.ctypes.data, rows, config.learning_rate, work.ctypes.data)
